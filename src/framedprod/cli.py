@@ -67,11 +67,11 @@ def cmd_decompose(args):
         print(f"ok n={cert.n} genus={cert.genus} parts={cert.num_parts} "
               f"ell={cert.ell} bound={cert.bound}", file=sys.stderr)
         return EXIT_OK
-    jobs = []
-    for path in ins:
-        out = args.out if args.out not in (None, "-") else None
-        out = (path + ".cert") if out is None else out
-        jobs.append((path, args.d, out, None))
+    if args.out != "-":
+        print("error: several inputs write <input>.cert each; --out takes "
+              "a single input", file=sys.stderr)
+        return EXIT_PARSE
+    jobs = [(path, args.d, path + ".cert", None) for path in ins]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             list(ex.map(_decompose_one, jobs))

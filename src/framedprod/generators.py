@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .embedding import EmbeddedMultigraph, trace_faces
-from .errors import DomainError
+from .errors import ContractViolation, DomainError
 
 MASK64 = (1 << 64) - 1
 
@@ -150,11 +152,65 @@ def triangulate_quads(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
     return out
 
 
+class _LiveEdges:
+    """Fenwick tree over edge ids 0..m-1: kill an edge, find the k-th live one.
+
+    Fenwick, "A new data structure for cumulative frequency tables",
+    Software: Practice and Experience 24(3), 1994.
+    """
+
+    __slots__ = ("tree", "alive", "count", "_top")
+
+    def __init__(self, m: int):
+        tree = [0] + [1] * m
+        for i in range(1, m + 1):
+            j = i + (i & -i)
+            if j <= m:
+                tree[j] += tree[i]
+        self.tree = tree
+        self.alive = bytearray(b"\x01") * m
+        self.count = m
+        self._top = 1 << (m.bit_length() - 1) if m else 0
+
+    def kill(self, e: int):
+        """Mark live edge e dead."""
+        self.alive[e] = 0
+        self.count -= 1
+        tree = self.tree
+        size = len(tree) - 1
+        i = e + 1
+        while i <= size:
+            tree[i] -= 1
+            i += i & -i
+
+    def kth(self, k: int) -> int:
+        """Id of the live edge with exactly k live edges below it."""
+        if not (0 <= k < self.count):
+            raise ValueError(f"no live edge of rank {k}")
+        tree = self.tree
+        size = len(tree) - 1
+        pos = 0
+        step = self._top
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos
+
+
 def gen_framed(n: int, d: int, g: int, seed: int) -> EmbeddedMultigraph:
     """Frame with face lengths in {3..d} via seeded edge deletion.
 
     Starts from a plane triangulation (g = 0) or toroidal grid (g = 2) and
     deletes edges while every face stays a cycle of length at most d.
+
+    Seed contract: each of the m attempts draws ``rng.below(live)`` and
+    takes that index among the live edges in their current order, which
+    is ascending original id, exactly as if every deletion renumbered the
+    survivors 0..live-1.  Surviving edges keep that order in the output,
+    and each rotation keeps its first surviving dart first.
     """
     if d < 3:
         raise DomainError("d must be >= 3")
@@ -168,49 +224,87 @@ def gen_framed(n: int, d: int, g: int, seed: int) -> EmbeddedMultigraph:
         E = gen_toroidal_grid(side, side)
         if d == 3:
             E = triangulate_quads(E)
-    attempts = E.m
-    fs = trace_faces(E)
-    for _ in range(attempts):
-        eid = rng.below(E.m)
-        if _deletion_ok(E, fs, eid, d):
-            E = _delete_edge(E, eid)
-            fs = trace_faces(E)
-    return E
-
-
-def _deletion_ok(E, fs, eid, d):
-    """Would deleting eid merge its two faces into a disk cycle <= d?"""
-    f1, f2 = fs.edge_slot_faces(eid)
-    if f1 == f2:
-        return False   # bridge or one-sided edge
-    merged_len = len(fs.faces[f1]) + len(fs.faces[f2]) - 2
-    if merged_len > d or merged_len < 3:
-        return False
-    tails = E.tails()
-    vw1 = [tails[x] for x in fs.faces[f1]]
-    vw2 = [tails[x] for x in fs.faces[f2]]
-    # merged walk keeps every vertex except one copy of each endpoint;
-    # repeats anywhere make the merged face a non-disk
-    if len(set(vw1)) != len(vw1) or len(set(vw2)) != len(vw2):
-        return False
-    u, v, _ = E.edges[eid]
-    if len(set(vw1) | set(vw2)) != merged_len:
-        return False
-    return True
-
-
-def _delete_edge(E, eid):
-    edges = [e for i, e in enumerate(E.edges) if i != eid]
-    rot = []
-    for r in E.rot:
-        new = []
-        for x in r:
-            e = x >> 1
-            if e == eid:
-                continue
-            new.append(2 * (e if e < eid else e - 1) + (x & 1))
-        rot.append(new)
+    alive = _attempt_deletions(E, d, rng)
+    edges = [e for e, ok in zip(E.edges, alive) if ok]
+    new_id = list(accumulate(alive, initial=0))   # live edges below each id
+    rot = [[2 * new_id[x >> 1] + (x & 1) for x in r if alive[x >> 1]]
+           for r in E.rot]
     return EmbeddedMultigraph(E.n, edges, rot, root=E.root)
+
+
+def _attempt_deletions(E: EmbeddedMultigraph, d: int,
+                       rng: SplitMix64) -> bytearray:
+    """Make E.m seeded deletion attempts; return the live flag per edge.
+
+    An attempt deletes its edge iff the edge separates two faces, the
+    merged face has length in [3, d], and both old faces and their union
+    are repeat-free vertex walks.  Faces are traced once; a deletion
+    unlinks the edge's darts and re-walks only the merged face.
+    """
+    if any(s != 1 for _, _, s in E.edges):
+        raise ContractViolation("framed generator needs an orientable start")
+    m = E.m
+    tails = E.tails()
+    # rotation as a doubly linked cycle per vertex; the face successor of
+    # a dart is the rotation successor of its twin
+    rnext = [0] * (2 * m)
+    rprev = [0] * (2 * m)
+    for r in E.rot:
+        k = len(r)
+        for i, x in enumerate(r):
+            rnext[x] = r[(i + 1) % k]
+            rprev[x] = r[i - 1]
+    face = [-1] * (2 * m)
+    walks = []
+    for s in range(2 * m):
+        if face[s] < 0:
+            walk = []
+            x = s
+            while face[x] < 0:
+                face[x] = len(walks)
+                walk.append(x)
+                x = rnext[x ^ 1]
+            walks.append(walk)
+    live = _LiveEdges(m)
+    below, kth, kill = rng.below, live.kth, live.kill
+    for _ in range(m):
+        eid = kth(below(live.count))
+        a, b = 2 * eid, 2 * eid + 1
+        f1, f2 = face[a], face[b]
+        if f1 == f2:
+            continue   # bridge
+        w1, w2 = walks[f1], walks[f2]
+        merged_len = len(w1) + len(w2) - 2
+        if merged_len > d or merged_len < 3:
+            continue
+        vw1 = {tails[x] for x in w1}
+        vw2 = {tails[x] for x in w2}
+        # merged walk keeps every vertex except one copy of each endpoint;
+        # repeats anywhere make the merged face a non-disk
+        if len(vw1) != len(w1) or len(vw2) != len(w2):
+            continue
+        if len(vw1 | vw2) != merged_len:
+            continue
+        # the face successor of a, or of b when a closes a loop face alone
+        start = rnext[b] if rnext[b] != a else rnext[a]
+        for x in (a, b):
+            p, q = rprev[x], rnext[x]
+            rnext[p] = q
+            rprev[q] = p
+        walk = [start]
+        x = rnext[start ^ 1]
+        while x != start and len(walk) <= merged_len:
+            walk.append(x)
+            x = rnext[x ^ 1]
+        if len(walk) != merged_len:
+            raise ContractViolation(f"merged face at edge {eid} has length "
+                                    f"{len(walk)}, expected {merged_len}")
+        for x in walk:
+            face[x] = f1
+        walks[f1] = walk
+        walks[f2] = None
+        kill(eid)
+    return live.alive
 
 
 def gen_labelled_map(n: int, d: int, seed: int):

@@ -149,6 +149,20 @@ def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
         if p != -1 and not (0 <= p < len(bags)):
             fails.append(f"FAIL td bag {i} parent {p} out of range")
             return fails
+    # the anchor walk below follows parent pointers, so they must be acyclic
+    state = [0] * len(bags)        # 0 unseen, 1 on the current walk, 2 done
+    for i in range(len(bags)):
+        walk = []
+        j = i
+        while j != -1 and state[j] == 0:
+            state[j] = 1
+            walk.append(j)
+            j = bag_parent[j]
+        if j != -1 and state[j] == 1:
+            fails.append("FAIL td bag_parent has a cycle")
+            return fails
+        for j in walk:
+            state[j] = 2
     bag_sets = [set(b) for b in bags]
     holding = {}
     for i, s in enumerate(bag_sets):
@@ -184,6 +198,9 @@ def check_part_structure(parts, part_of, tree_parent, g, d, boundary_part):
     for part in parts:
         verts = part.vertices()
         for v in verts:
+            if not (0 <= v < n):
+                fails.append(f"FAIL parts vertex {v} out of range")
+                continue
             if seen[v]:
                 fails.append(f"FAIL parts vertex {v} in two parts")
             seen[v] = True
@@ -206,7 +223,7 @@ def check_part_structure(parts, part_of, tree_parent, g, d, boundary_part):
                 fails.append(f"FAIL parts part {part.pid} has an empty path")
                 continue
             for a, b in zip(leg, leg[1:]):
-                if tree_parent[b] != a:
+                if 0 <= b < n and tree_parent[b] != a:
                     fails.append(f"FAIL parts part {part.pid} path break "
                                  f"{a}->{b}")
             if claimed & set(leg):

@@ -84,17 +84,17 @@ class TestCli:
                     "--out", str(tmp_path / "c"), "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
-    def test_stdin_stdout_piping(self, tmp_path):
+    def test_stdin_stdout_piping(self, tmp_path, child_env):
         # gen | decompose via real subprocesses
         gen = subprocess.run(
             [sys.executable, "-m", "framedprod.cli", "gen", "--family",
              "tri", "--params", "15"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env)
         assert gen.returncode == 0
         dec = subprocess.run(
             [sys.executable, "-m", "framedprod.cli", "decompose", "--in",
              "-", "--d", "3"],
-            input=gen.stdout, capture_output=True, text=True)
+            input=gen.stdout, capture_output=True, text=True, env=child_env)
         assert dec.returncode == 0
         assert dec.stdout.startswith("cert ")
 
@@ -111,3 +111,32 @@ class TestCli:
         assert run(args) == 0
         for f in files:
             assert (tmp_path / (f.name + ".cert")).exists()
+
+    def test_several_inputs_reject_one_out_file(self, tmp_path, capsys):
+        files = []
+        for i in range(2):
+            f = tmp_path / f"t{i}.emg"
+            run(["gen", "--family", "tri", "--params", "12",
+                 "--seed", str(i), "--out", str(f)])
+            files.append(f)
+        out = tmp_path / "X.cert"
+        assert run(["decompose", "--d", "3", "--in", str(files[0]),
+                    "--in", str(files[1]), "--out", str(out)]) == 1
+        assert "<input>.cert" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_reports_out_of_range_part_vertices(self, tmp_path,
+                                                       capsys):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "20", "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        lines = cert.read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("p "))
+        lines[i] = lines[i].replace(" x:", " x: 20 -1", 1)
+        cert.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL parts vertex 20 out of range" in out
+        assert "FAIL parts vertex -1 out of range" in out

@@ -1,14 +1,37 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from framedprod.embedding import euler_genus, trace_faces
-from framedprod.errors import DomainError
+from framedprod.cli import run
+from framedprod.embedding import (
+    EmbeddedMultigraph,
+    euler_genus,
+    serialize_embedding,
+    trace_faces,
+)
+from framedprod.errors import ContractViolation, DomainError
+from framedprod.frontends import serialize_oneplanar
 from framedprod.generators import (
     SplitMix64,
+    _attempt_deletions,
+    _LiveEdges,
     gen_framed,
+    gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
     triangulate_quads,
 )
+
+# sha256 digests of generator output, recorded from the generator that
+# renumbered edges and re-traced every face after each deletion
+GOLDEN = json.loads((Path(__file__).parent / "golden_generators.json")
+                    .read_text())
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestSplitMix64:
@@ -104,3 +127,57 @@ class TestGenFramed:
     def test_deletions_happen(self):
         E = gen_framed(60, 6, 0, 11)
         assert E.m < 3 * 60 - 6
+
+    def test_signed_start_rejected(self):
+        G = gen_toroidal_grid(3, 3)
+        edges = [(u, v, -1 if i == 0 else s)
+                 for i, (u, v, s) in enumerate(G.edges)]
+        with pytest.raises(ContractViolation):
+            _attempt_deletions(EmbeddedMultigraph(G.n, edges, G.rot), 6,
+                               SplitMix64(0))
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("key", sorted(GOLDEN["framed"]))
+    def test_framed(self, key):
+        n, d, g = map(int, key.split(","))
+        got = [_sha(serialize_embedding(gen_framed(n, d, g, seed)))
+               for seed in range(3)]
+        assert got == GOLDEN["framed"][key]
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN["oneplanar"], key=int))
+    def test_oneplanar(self, n):
+        got = [_sha(serialize_oneplanar(gen_oneplanar(int(n), seed)))
+               for seed in range(3)]
+        assert got == GOLDEN["oneplanar"][n]
+
+    def test_cli_gen_framed(self, capsys):
+        assert run(["gen", "--family", "framed", "--params", "200,6,2",
+                    "--seed", "4"]) == 0
+        assert (_sha(capsys.readouterr().out)
+                == GOLDEN["cli_gen_framed_200_6_2_seed_4"])
+
+
+class TestLiveEdges:
+    @pytest.mark.parametrize("m,seed", [(1, 0), (2, 1), (7, 2), (64, 3),
+                                        (100, 4), (1000, 5)])
+    def test_kth_matches_plain_list(self, m, seed):
+        rng = SplitMix64(seed)
+        live = _LiveEdges(m)
+        ref = list(range(m))
+        while ref:
+            assert live.count == len(ref)
+            for k in range(len(ref)):
+                assert live.kth(k) == ref[k]
+            e = ref.pop(rng.below(len(ref)))
+            live.kill(e)
+            assert not live.alive[e]
+        assert live.count == 0 and not any(live.alive)
+
+    def test_out_of_range_rank(self):
+        live = _LiveEdges(3)
+        live.kill(1)
+        with pytest.raises(ValueError):
+            live.kth(2)
+        with pytest.raises(ValueError):
+            live.kth(-1)

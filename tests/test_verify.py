@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -6,7 +8,9 @@ from framedprod.assemble import decompose
 from framedprod.embedding import from_face_list
 from framedprod.errors import DomainError
 from framedprod.generators import SplitMix64, gen_plane_triangulation, gen_toroidal_grid
+from framedprod.tripods import Part
 from framedprod.verify import (
+    check_part_structure,
     check_planarity,
     check_tree_decomposition,
     exact_treewidth,
@@ -137,6 +141,27 @@ class TestTreeDecompositionCheck:
     def test_oversized_bag(self):
         fails = check_tree_decomposition(5, [], [[0, 1, 2, 3, 4]], [-1])
         assert any("size 5" in f for f in fails)
+
+    def test_parent_cycle_fails_in_bounded_time(self, child_env):
+        # a cycle whose bags share a node once made the anchor walk spin;
+        # run in a child process so a hang fails the test instead of the suite
+        code = ("from framedprod.verify import check_tree_decomposition as c\n"
+                "print(c(2, [(0, 1)], [[0, 1], [0, 1]], [1, 0]))\n"
+                "print(c(2, [(0, 1)], [[0], [0, 1], [0, 1]], [-1, 2, 1]))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert len(lines) == 2
+        assert all("FAIL td bag_parent has a cycle" in ln for ln in lines)
+
+
+class TestPartStructureCheck:
+    def test_out_of_range_vertices(self):
+        parts = [Part(pid=0, kind="tripod", legs=[[0, 1, 5]], absorbed=[-1])]
+        fails = check_part_structure(parts, [0, 0], [-1, 0], 0, 4, -1)
+        assert fails == ["FAIL parts vertex 5 out of range",
+                         "FAIL parts vertex -1 out of range"]
 
 
 class TestTamper:
