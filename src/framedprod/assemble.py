@@ -187,6 +187,8 @@ def _parse_certificate(text: str) -> PartitionCertificate:
     node = [0] * n
     layer = [0] * n
     copy = [0] * n
+    mapped = bytearray(n)      # vertices with an m line
+    stated = [None] * n        # per vertex: the layer of its l line
     ell = 1
     num_parts = 0
     while idx < len(lines):
@@ -233,12 +235,20 @@ def _parse_certificate(text: str) -> PartitionCertificate:
             pass
         elif ln.startswith("l "):
             _, v, b = ln.split()
-            layer[int(v)] = int(b)
+            v = int(v)
+            if not (0 <= v < n) or stated[v] is not None:
+                raise FormatError(f"l line for a vertex out of range or "
+                                  f"listed twice: {ln}")
+            stated[v] = int(b)
         elif ln == "MAP":
             pass
         elif ln.startswith("m "):
             _, v, nd, la, cp = ln.split()
             v = int(v)
+            if not (0 <= v < n) or mapped[v]:
+                raise FormatError(f"m line for a vertex out of range or "
+                                  f"listed twice: {ln}")
+            mapped[v] = 1
             node[v], layer[v], copy[v] = int(nd), int(la), int(cp)
         elif ln.startswith("ELL"):
             ell = int(ln.split()[1])
@@ -247,6 +257,16 @@ def _parse_certificate(text: str) -> PartitionCertificate:
         idx += 1
     if len(parts) != num_parts:
         raise FormatError("part count mismatch")
+    pids = sorted(part.pid for part in parts)
+    if pids != list(range(num_parts)):
+        raise FormatError("part ids must be 0..num_parts-1, each once")
+    if mapped.count(0):
+        raise FormatError(f"vertex {mapped.index(0)} has no m line")
+    if stated != layer:
+        for v, b in enumerate(stated):
+            if b is not None and b != layer[v]:
+                raise FormatError(f"vertex {v}: l layer {b} != m layer "
+                                  f"{layer[v]}")
     part_of = list(node)
     mapping = ProductMapping(node=node, layer=layer, copy=copy, ell=ell)
     return PartitionCertificate(

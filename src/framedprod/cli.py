@@ -71,6 +71,10 @@ def cmd_decompose(args):
         print("error: several inputs write <input>.cert each; --out takes "
               "a single input", file=sys.stderr)
         return EXIT_PARSE
+    if args.svg:
+        print("error: --svg draws one H and takes a single input",
+              file=sys.stderr)
+        return EXIT_PARSE
     jobs = [(path, args.d, path + ".cert", None) for path in ins]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:

@@ -134,9 +134,6 @@ class CutResult:
     new_face_index: int
     genus: int
 
-    def to_original_vertex(self, v):
-        return self.provenance[v]
-
 
 def cut_along(E: EmbeddedMultigraph, C: CutSystem,
               faces: FaceSet = None) -> CutResult:
@@ -338,14 +335,6 @@ def _normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
     return EmbeddedMultigraph(E.n, edges, rot, root=E.root)
 
 
-def serialize_cut_debug(R: CutResult) -> str:
-    """Debug dump: the cut graph in the embedding format plus provenance."""
-    from .embedding import serialize_embedding
-    out = serialize_embedding(R.Gt)
-    lines = [f"p {copy} {orig}" for copy, orig in enumerate(R.provenance)]
-    return out + "\n".join(lines) + "\n"
-
-
 @dataclass
 class ApexResult:
     Gplus: EmbeddedMultigraph
@@ -390,24 +379,6 @@ class RootedTree:
     root: int
     parent: list
     parent_edge: list
-
-    def depth_array(self):
-        n = len(self.parent)
-        depth = [-1] * n
-        depth[self.root] = 0
-        for v in range(n):
-            if depth[v] != -1:
-                continue
-            chain = []
-            x = v
-            while depth[x] == -1:
-                chain.append(x)
-                x = self.parent[x]
-            d = depth[x]
-            for y in reversed(chain):
-                d += 1
-                depth[y] = d
-        return depth
 
 
 def build_Tplus(A: ApexResult, T: BfsStructure, R: CutResult,

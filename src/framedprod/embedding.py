@@ -46,9 +46,6 @@ class EmbeddedMultigraph:
         u, v, _ = self.edges[e]
         return v if side else u
 
-    def dart_head(self, d):
-        return self.dart_tail(d ^ 1)
-
     def tails(self):
         """Array mapping dart -> tail vertex."""
         if self._tail is None:

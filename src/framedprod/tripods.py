@@ -34,7 +34,6 @@ class TriWorld:
     cell_nbrs: list             # per cell: neighbour cell id per boundary edge
     cells_at: list              # per vertex: incident cell ids
     aux_chords: list            # fan chords added inside long faces
-    source_face: list           # per cell: index of the original face
 
     @property
     def num_cells(self):
@@ -57,7 +56,6 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
 
     cells = []
     aux_chords = []
-    source_face = []
     # where each (face, walk position) lands: (cell id, edge position in cell)
     landing = {}
     fan_pairs = []               # (cell a, cell b) adjacent through a chord
@@ -66,7 +64,6 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
         if k <= d:
             ci = len(cells)
             cells.append(list(walk))
-            source_face.append(fi)
             for i in range(k):
                 landing[(fi, i)] = (ci, i)
             continue
@@ -75,7 +72,6 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
         base = len(cells)
         for j in range(1, k - 1):
             cells.append([rw[0], rw[j], rw[j + 1]])
-            source_face.append(fi)
             if j > 1:
                 aux_chords.append((rw[0], rw[j]))
                 fan_pairs.append((base + j - 2, base + j - 1))
@@ -117,8 +113,7 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
         for v in cyc:
             cells_at[v].append(ci)
     return TriWorld(nv=E.n, d=d, cells=cells, cell_nbrs=cell_nbrs,
-                    cells_at=cells_at, aux_chords=aux_chords,
-                    source_face=source_face)
+                    cells_at=cells_at, aux_chords=aux_chords)
 
 
 @dataclass

@@ -8,7 +8,8 @@ machine-readable ``FAIL <check> <detail>`` strings.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 
 from .errors import DomainError
 
@@ -18,45 +19,56 @@ from .errors import DomainError
 # ---------------------------------------------------------------------------
 
 def rebuild_faces(E):
-    """Face vertex walks recomputed from scratch (signed corner walking)."""
-    succ = {}
-    pred = {}
-    for v in range(E.n):
-        r = E.rot[v]
-        for i, dd in enumerate(r):
-            succ[dd] = r[(i + 1) % len(r)]
-            pred[dd] = r[(i - 1) % len(r)]
-    sign = {e: s for e, (_, _, s) in enumerate(E.edges)}
-    tail = {}
-    for e, (u, v, _) in enumerate(E.edges):
-        tail[2 * e] = u
-        tail[2 * e + 1] = v
+    """Face vertex walks recomputed from scratch (signed corner walking).
 
-    def step(state):
-        d, s = state
-        s2 = s * sign[d >> 1]
-        t = d ^ 1
-        nd = succ[t] if s2 == 1 else pred[t]
-        return (nd, s2)
-
+    A state is a dart ``d`` walked with sign ``s``, stored as the integer
+    ``2*d + (s == -1)``.  A step leaves along ``d``, multiplies the sign by
+    the edge's signature and turns to the next dart around the head (the
+    previous one when the sign is -1).  Each walk also marks the reverse
+    states of its orbit, which trace the same face the other way round.
+    States are tried in the order (d, +1) for every dart, then (d, -1).
+    """
+    nd = 2 * E.m
+    succ = [0] * nd
+    pred = [0] * nd
+    for r in E.rot:
+        for a, b in zip(r, r[1:] + r[:1]):
+            succ[a] = b
+            pred[b] = a
+    tail = [0] * nd
+    tail[0::2] = [u for u, _, _ in E.edges]
+    tail[1::2] = [v for _, v, _ in E.edges]
+    # nxt: state -> next state of its walk; rev: (d, s) -> (d ^ 1, -s * sign).
+    # Across a +1 edge, (d, +1) goes on to (succ[d ^ 1], +1) and (d, -1) to
+    # (pred[d ^ 1], -1); a -1 edge flips the sign, which swaps the two.
+    # States 4e..4e+3 are (2e, +1), (2e, -1), (2e+1, +1), (2e+1, -1).
+    ns = 2 * nd
+    nxt = [0] * ns
+    nxt[0::4] = [2 * x for x in succ[1::2]]
+    nxt[1::4] = [2 * x + 1 for x in pred[1::2]]
+    nxt[2::4] = [2 * x for x in succ[0::2]]
+    nxt[3::4] = [2 * x + 1 for x in pred[0::2]]
+    rev = [x ^ 3 for x in range(ns)]
+    for e, (_, _, sgn) in enumerate(E.edges):
+        if sgn == -1:
+            for x in (4 * e, 4 * e + 2):
+                nxt[x], nxt[x + 1] = nxt[x + 1], nxt[x]
+                rev[x] ^= 1
+                rev[x + 1] ^= 1
+    seen = bytearray(ns)
     walks = []
-    visited = set()
-    order = [(d, 1) for d in range(2 * E.m)] + [(d, -1) for d in range(2 * E.m)]
-    for start in order:
-        if start in visited:
+    for start in chain(range(0, ns, 2), range(1, ns, 2)):
+        if seen[start]:
             continue
         walk = []
-        orbit = []
         state = start
         while True:
-            visited.add(state)
-            orbit.append(state)
-            walk.append(tail[state[0]])
-            state = step(state)
+            seen[state] = 1
+            seen[rev[state]] = 1
+            walk.append(tail[state >> 1])
+            state = nxt[state]
             if state == start:
                 break
-        for d, s in orbit:
-            visited.add((d ^ 1, -s * sign[d >> 1]))
         walks.append(walk)
     return walks
 
@@ -65,34 +77,30 @@ def rebuild_closure(E, d):
     """Closure adjacency sets recomputed from re-traced faces."""
     adj = [set() for _ in range(E.n)]
     for u, v, _ in E.edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj[u].add(v)
+        adj[v].add(u)
     for walk in rebuild_faces(E):
         if 3 <= len(walk) <= d and len(set(walk)) == len(walk):
-            for i, u in enumerate(walk):
-                for v in walk[i + 1:]:
-                    if u != v:
-                        adj[u].add(v)
-                        adj[v].add(u)
+            for u in walk:
+                adj[u].update(walk)
+    for u, nbrs in enumerate(adj):
+        nbrs.discard(u)
     return adj
 
 
 def rebuild_bfs(E, root):
     """Deterministic BFS (ascending dart order), written independently."""
     nbr = [[] for _ in range(E.n)]
-    for e, (u, v, _) in enumerate(E.edges):
-        nbr[u].append((2 * e, v))
-        nbr[v].append((2 * e + 1, u))
-    for lst in nbr:
-        lst.sort()
+    for u, v, _ in E.edges:         # edge by edge is ascending dart order
+        nbr[u].append(v)
+        nbr[v].append(u)
     parent = [-1] * E.n
     depth = [-1] * E.n
     depth[root] = 0
     q = deque([root])
     while q:
         x = q.popleft()
-        for _, y in nbr[x]:
+        for y in nbr[x]:
             if depth[y] == -1:
                 depth[y] = depth[x] + 1
                 parent[y] = x
@@ -119,18 +127,23 @@ def check_containment(closure_adj, mapping, h_edges, num_parts):
             fails.append(f"FAIL containment vertices {triples[t]} and {v} "
                          f"share triple {t}")
         triples[t] = v
-    hset = {(min(a, b), max(a, b)) for a, b in h_edges}
+    hset = set(h_edges)
+    hset.update([(b, a) for a, b in h_edges])
+    node = mapping.node
+    layer = mapping.layer
     for u in range(n):
+        a = node[u]
+        lu = layer[u]
         for v in closure_adj[u]:
             if u >= v:
                 continue
-            a, b = mapping.node[u], mapping.node[v]
-            if a != b and (min(a, b), max(a, b)) not in hset:
+            b = node[v]
+            if a != b and (a, b) not in hset:
                 fails.append(f"FAIL containment edge {u}-{v}: parts {a},{b} "
                              "not adjacent in H")
-            if abs(mapping.layer[u] - mapping.layer[v]) > 1:
+            if abs(lu - layer[v]) > 1:
                 fails.append(f"FAIL containment edge {u}-{v}: layers "
-                             f"{mapping.layer[u]},{mapping.layer[v]}")
+                             f"{lu},{layer[v]}")
     return fails
 
 
@@ -142,6 +155,9 @@ def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
     for i, bag in enumerate(bags):
         if len(bag) > 4:
             fails.append(f"FAIL td bag {i} has size {len(bag)}")
+        for x in bag:
+            if not (0 <= x < num_nodes):
+                fails.append(f"FAIL td bag {i} node {x} out of range")
     roots = [i for i, p in enumerate(bag_parent) if p == -1]
     if len(roots) != 1:
         fails.append(f"FAIL td {len(roots)} roots")
@@ -149,7 +165,7 @@ def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
         if p != -1 and not (0 <= p < len(bags)):
             fails.append(f"FAIL td bag {i} parent {p} out of range")
             return fails
-    # the anchor walk below follows parent pointers, so they must be acyclic
+    # a tree decomposition hangs from one root with acyclic parent pointers
     state = [0] * len(bags)        # 0 unseen, 1 on the current walk, 2 done
     for i in range(len(bags)):
         walk = []
@@ -164,29 +180,28 @@ def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
         for j in walk:
             state[j] = 2
     bag_sets = [set(b) for b in bags]
-    holding = {}
+    holding = {}                   # node -> ids of the bags that hold it
     for i, s in enumerate(bag_sets):
         for x in s:
-            holding.setdefault(x, []).append(i)
-    holding_sets = {x: set(lst) for x, lst in holding.items()}
+            holding.setdefault(x, set()).add(i)
     for a, b in h_edges:
-        ha = holding_sets.get(a)
-        hb = holding_sets.get(b)
-        if not ha or not hb or not (ha & hb):
+        ha = holding.get(a)
+        hb = holding.get(b)
+        if not ha or not hb or ha.isdisjoint(hb):
             fails.append(f"FAIL td edge {a}-{b} not inside any bag")
+    # the bags holding x form one subtree iff exactly one of them is the
+    # top of its run: the root, or a bag whose parent does not hold x
+    tops = {}
+    for s, p in zip(bag_sets, bag_parent):
+        up = bag_sets[p] if p != -1 else ()
+        for x in s:
+            if x not in up:
+                tops[x] = tops.get(x, 0) + 1
     for x in range(num_nodes):
-        lst = holding.get(x)
-        if not lst:
+        if x not in tops:
             fails.append(f"FAIL td node {x} in no bag")
-            continue
-        anchors = set()
-        for i in lst:
-            j = i
-            while bag_parent[j] != -1 and x in bag_sets[bag_parent[j]]:
-                j = bag_parent[j]
-            anchors.add(j)
-        if len(anchors) != 1:
-            fails.append(f"FAIL td node {x} spans {len(anchors)} subtrees")
+        elif tops[x] != 1:
+            fails.append(f"FAIL td node {x} spans {tops[x]} subtrees")
     return fails
 
 
@@ -239,48 +254,35 @@ def check_part_structure(parts, part_of, tree_parent, g, d, boundary_part):
 # planarity: the left-right criterion, iterative throughout
 # ---------------------------------------------------------------------------
 
-class _Interval:
-    __slots__ = ("low", "high")
-
-    def __init__(self, low=None, high=None):
-        self.low = low
-        self.high = high
-
-    def empty(self):
-        return self.low is None and self.high is None
-
-
-class _Pair:
-    __slots__ = ("L", "R")
-
-    def __init__(self):
-        self.L = _Interval()
-        self.R = _Interval()
-
-    def swap(self):
-        self.L, self.R = self.R, self.L
-
-
 class _NotPlanar(Exception):
     pass
 
 
 class _LRTest:
-    def __init__(self, n, adj):
+    """Brandes' left-right test on edge ids.
+
+    ``adj[v]`` lists ``(w, e)`` with ``e`` the id of the simple edge vw.
+    Every per-edge table is a list indexed by edge id; ``src``/``dst`` hold
+    the orientation the first DFS gives each edge.
+    """
+
+    def __init__(self, n, adj, m):
         self.n = n
         self.adj = adj
         self.height = [-1] * n
         self.parent_edge = [None] * n
-        self.lowpt = {}
-        self.lowpt2 = {}
-        self.nesting = {}
+        self.oriented = bytearray(m)
+        self.src = [0] * m
+        self.dst = [0] * m
+        self.lowpt = [0] * m
+        self.lowpt2 = [0] * m
+        self.nesting = [0] * m
         self.out_edges = [[] for _ in range(n)]
         self.ordered = None
         self.S = []
-        self.stack_bottom = {}
-        self.lowpt_edge = {}
-        self.ref = {}
-        self.side = {}
+        self.stack_bottom = [None] * m
+        self.lowpt_edge = [None] * m
+        self.ref = [None] * m
 
     # -- phase 1: orientation ------------------------------------------
     def orient(self):
@@ -288,51 +290,58 @@ class _LRTest:
             if self.height[r] == -1:
                 self.height[r] = 0
                 self._dfs1(r)
-        self.ordered = [sorted(self.out_edges[v],
-                               key=lambda e: self.nesting[e])
-                        for v in range(self.n)]
+        key = self.nesting.__getitem__
+        self.ordered = [sorted(out, key=key) for out in self.out_edges]
 
     def _dfs1(self, root):
-        stack = [(root, iter(self.adj[root]))]
+        adj = self.adj
+        height = self.height
+        oriented = self.oriented
+        lowpt = self.lowpt
+        stack = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
             descended = False
-            for w in it:
-                if (v, w) in self.lowpt or (w, v) in self.lowpt:
+            for w, e in it:
+                if oriented[e]:
                     continue
-                e = (v, w)
-                self.lowpt[e] = self.height[v]
-                self.lowpt2[e] = self.height[v]
+                oriented[e] = 1
+                self.src[e] = v
+                self.dst[e] = w
+                lowpt[e] = height[v]
+                self.lowpt2[e] = height[v]
                 self.out_edges[v].append(e)
-                if self.height[w] == -1:
+                if height[w] == -1:
                     self.parent_edge[w] = e
-                    self.height[w] = self.height[v] + 1
-                    stack.append((w, iter(self.adj[w])))
+                    height[w] = height[v] + 1
+                    stack.append((w, iter(adj[w])))
                     descended = True
                     break
-                self.lowpt[e] = self.height[w]
+                lowpt[e] = height[w]
                 self._finish(e, v)
             if not descended:
                 stack.pop()
                 pe = self.parent_edge[v]
                 if pe is not None:
-                    self._finish(pe, pe[0])
+                    self._finish(pe, self.src[pe])
 
     def _finish(self, e, v):
-        self.nesting[e] = 2 * self.lowpt[e]
-        if self.lowpt2[e] < self.height[v]:
-            self.nesting[e] += 1
+        lowpt = self.lowpt
+        lowpt2 = self.lowpt2
+        self.nesting[e] = 2 * lowpt[e] + (lowpt2[e] < self.height[v])
         pe = self.parent_edge[v]
         if pe is not None:
-            if self.lowpt[e] < self.lowpt[pe]:
-                self.lowpt2[pe] = min(self.lowpt[pe], self.lowpt2[e])
-                self.lowpt[pe] = self.lowpt[e]
-            elif self.lowpt[e] > self.lowpt[pe]:
-                self.lowpt2[pe] = min(self.lowpt2[pe], self.lowpt[e])
+            if lowpt[e] < lowpt[pe]:
+                lowpt2[pe] = min(lowpt[pe], lowpt2[e])
+                lowpt[pe] = lowpt[e]
+            elif lowpt[e] > lowpt[pe]:
+                lowpt2[pe] = min(lowpt2[pe], lowpt[e])
             else:
-                self.lowpt2[pe] = min(self.lowpt2[pe], self.lowpt2[e])
+                lowpt2[pe] = min(lowpt2[pe], lowpt2[e])
 
     # -- phase 2: testing ------------------------------------------------
+    # A conflict pair is a list [L.low, L.high, R.low, R.high] of edge ids;
+    # an interval is empty when both its ends are None.
     def test(self):
         try:
             for r in range(self.n):
@@ -342,134 +351,136 @@ class _LRTest:
             return False
         return True
 
-    def _top(self):
-        return self.S[-1] if self.S else None
-
     def _dfs2(self, root):
+        S = self.S
+        ordered = self.ordered
+        dst = self.dst
+        height = self.height
+        lowpt = self.lowpt
+        lowpt_edge = self.lowpt_edge
+        parent_edge = self.parent_edge
+        stack_bottom = self.stack_bottom
         frames = [(root, 0)]
         while frames:
             v, i = frames.pop()
-            edges_v = self.ordered[v]
+            edges_v = ordered[v]
             if i > 0:
-                self._integrate(v, edges_v[i - 1], i - 1)
+                ei = edges_v[i - 1]
+                if lowpt[ei] < height[v]:       # ei has a return edge
+                    if i == 1:
+                        lowpt_edge[parent_edge[v]] = lowpt_edge[ei]
+                    else:
+                        self._add_constraints(ei, parent_edge[v])
             if i < len(edges_v):
                 frames.append((v, i + 1))
-                w = edges_v[i][1]
                 ei = edges_v[i]
-                self.stack_bottom[ei] = self._top()
-                if ei == self.parent_edge[w]:
-                    frames.append((w, 0))
+                stack_bottom[ei] = S[-1] if S else None
+                if ei == parent_edge[dst[ei]]:
+                    frames.append((dst[ei], 0))
                 else:
-                    self.lowpt_edge[ei] = ei
-                    P = _Pair()
-                    P.R.low = P.R.high = ei
-                    self.S.append(P)
+                    lowpt_edge[ei] = ei
+                    S.append([None, None, ei, ei])
                 continue
             # all outgoing edges of v processed
-            pe = self.parent_edge[v]
+            pe = parent_edge[v]
             if pe is not None:
                 self._remove_back_edges(pe)
 
-    def _integrate(self, v, ei, idx):
-        pe = self.parent_edge[v]
-        if self.lowpt[ei] < self.height[v]:       # ei has a return edge
-            if idx == 0:
-                self.lowpt_edge[pe] = self.lowpt_edge[ei]
-            else:
-                self._add_constraints(ei, pe)
-
     def _add_constraints(self, ei, e):
-        P = _Pair()
+        S = self.S
+        lowpt = self.lowpt
+        ref = self.ref
+        P = [None, None, None, None]
         bottom = self.stack_bottom[ei]
         # merge return edges of ei into P.R
-        while self.S and self._top() is not bottom:
-            Q = self.S.pop()
-            if not Q.L.empty():
-                Q.swap()
-            if not Q.L.empty():
-                raise _NotPlanar
-            if Q.R.low is not None and \
-                    self.lowpt[Q.R.low] > self.lowpt[e]:
-                if P.R.empty():
-                    P.R.high = Q.R.high
+        while S and S[-1] is not bottom:
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if Q[0] is not None or Q[1] is not None:
+                    raise _NotPlanar
+            if Q[2] is not None and lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
                 else:
-                    self.ref[P.R.low] = Q.R.high
-                P.R.low = Q.R.low
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
             else:
-                self.ref[Q.R.low] = self.lowpt_edge[e]
+                ref[Q[2]] = self.lowpt_edge[e]
         # merge conflicting return edges of earlier siblings into P.L
-        while self.S and (self._conflicting(self._top().L, ei) or
-                          self._conflicting(self._top().R, ei)):
-            Q = self.S.pop()
-            if self._conflicting(Q.R, ei):
-                Q.swap()
-            if self._conflicting(Q.R, ei):
-                raise _NotPlanar
-            if P.R.low is not None:
-                self.ref[P.R.low] = Q.R.high
-            elif P.R.high is None:
-                P.R.high = Q.R.high
-            if Q.R.low is not None:
-                P.R.low = Q.R.low
-            if P.L.empty():
-                P.L.high = Q.L.high
+        low = lowpt[ei]
+        while S:
+            Q = S[-1]
+            if Q[3] is not None and lowpt[Q[3]] > low:          # R conflicts
+                Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if Q[3] is not None and lowpt[Q[3]] > low:
+                    raise _NotPlanar
+            elif Q[1] is None or lowpt[Q[1]] <= low:           # L does not
+                break
+            S.pop()
+            if P[2] is not None:
+                ref[P[2]] = Q[3]
+            elif P[3] is None:
+                P[3] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
             else:
-                self.ref[P.L.low] = Q.L.high
-            P.L.low = Q.L.low
-        if not (P.L.empty() and P.R.empty()):
-            self.S.append(P)
-
-    def _conflicting(self, I, b):
-        return (not I.empty()) and self.lowpt[I.high] > self.lowpt[b]
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] is not None or P[1] is not None or P[2] is not None \
+                or P[3] is not None:
+            S.append(P)
 
     def _lowest(self, P):
-        if P.L.empty():
-            return self.lowpt[P.R.low]
-        if P.R.empty():
-            return self.lowpt[P.L.low]
-        return min(self.lowpt[P.L.low], self.lowpt[P.R.low])
+        lowpt = self.lowpt
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
 
     def _remove_back_edges(self, e):
-        u = e[0]
-        while self.S and self._lowest(self._top()) == self.height[u]:
-            P = self.S.pop()
-            if P.L.low is not None:
-                self.side[P.L.low] = -1
-        if self.S:
-            P = self.S.pop()
-            while P.L.high is not None and P.L.high[1] == u:
-                P.L.high = self.ref.get(P.L.high)
-            if P.L.high is None and P.L.low is not None:
-                self.ref[P.L.low] = P.R.low
-                self.side[P.L.low] = -1
-                P.L.low = None
-            while P.R.high is not None and P.R.high[1] == u:
-                P.R.high = self.ref.get(P.R.high)
-            if P.R.high is None and P.R.low is not None:
-                self.ref[P.R.low] = P.L.low
-                self.side[P.R.low] = -1
-                P.R.low = None
-            self.S.append(P)
-        if self.lowpt[e] < self.height[u] and self.S:
-            hl = self._top().L.high
-            hr = self._top().R.high
-            if hl is not None and (hr is None or
-                                   self.lowpt[hl] > self.lowpt[hr]):
-                self.ref[e] = hl
+        S = self.S
+        u = self.src[e]
+        dst = self.dst
+        lowpt = self.lowpt
+        ref = self.ref
+        hu = self.height[u]
+        while S and self._lowest(S[-1]) == hu:
+            S.pop()
+        if S:
+            P = S[-1]
+            while P[1] is not None and dst[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                P[0] = None
+            while P[3] is not None and dst[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                P[2] = None
+        if lowpt[e] < hu and S:
+            hl = S[-1][1]
+            hr = S[-1][3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
             else:
-                self.ref[e] = hr
+                ref[e] = hr
 
 
 def check_planarity(num_nodes, edges) -> bool:
-    """Sound planarity verdict for a simple graph."""
-    simple = {(min(a, b), max(a, b)) for a, b in edges if a != b}
+    """Sound planarity verdict for a simple graph on nodes 0..num_nodes-1."""
+    simple = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
     if num_nodes >= 3 and len(simple) > 3 * num_nodes - 6:
         return False
     adj = [[] for _ in range(num_nodes)]
-    for a, b in sorted(simple):
-        adj[a].append(b)
-        adj[b].append(a)
-    lr = _LRTest(num_nodes, adj)
+    for e, (a, b) in enumerate(simple):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    lr = _LRTest(num_nodes, adj, len(simple))
     lr.orient()
     return lr.test()
 
@@ -539,12 +550,21 @@ def verify_certificate(E, cert) -> list:
     fails = []
     if cert.n != E.n:
         return [f"FAIL shape certificate n {cert.n} != graph n {E.n}"]
+    if cert.d < 3:
+        return [f"FAIL shape certificate d {cert.d} < 3"]
     closure = rebuild_closure(E, cert.d)
     fails += check_containment(closure, cert.mapping, cert.h_edges,
                                cert.num_parts)
     fails += check_tree_decomposition(cert.num_parts, cert.h_edges,
                                       cert.bags, cert.bag_parent)
-    if not check_planarity(cert.num_parts, cert.h_edges):
+    np_ = cert.num_parts
+    h_in_range = []
+    for a, b in cert.h_edges:
+        if 0 <= a < np_ and 0 <= b < np_:
+            h_in_range.append((a, b))
+        else:
+            fails.append(f"FAIL H edge {a}-{b} out of range")
+    if not check_planarity(np_, h_in_range):
         fails.append("FAIL planarity H is not planar")
     root = E.root if E.root is not None else 0
     parent, depth = rebuild_bfs(E, root)
@@ -556,10 +576,7 @@ def verify_certificate(E, cert) -> list:
             fails.append(f"FAIL layering vertex {v} block "
                          f"{cert.mapping.layer[v]} != depth//h")
             break
-    counts = {}
-    for v in range(E.n):
-        key = (cert.mapping.node[v], cert.mapping.layer[v])
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(zip(cert.mapping.node, cert.mapping.layer))
     real_ell = max(counts.values()) if counts else 1
     if real_ell != cert.ell:
         fails.append(f"FAIL ell stated {cert.ell} actual {real_ell}")

@@ -9,7 +9,11 @@ from framedprod.assemble import (
     serialize_certificate,
     width_bound,
 )
-from framedprod.embedding import bfs_structure, from_face_list
+from framedprod.embedding import (
+    EmbeddedMultigraph,
+    bfs_structure,
+    from_face_list,
+)
 from framedprod.errors import DomainError
 from framedprod.generators import (
     gen_framed,
@@ -18,6 +22,12 @@ from framedprod.generators import (
     triangulate_quads,
 )
 from framedprod.verify import verify_certificate
+
+
+# the certificate of a single edge: one part, one bag, two layers
+SMALL = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
+         "p 0 TRIPOD x:  y: 0 1\nLAYERS\nl 0 0\nl 1 1\nMAP\n"
+         "m 0 0 0 0\nm 1 0 1 0\nELL 1\n")
 
 
 class TestBlockLayering:
@@ -131,7 +141,6 @@ class TestDecompose:
         assert verify_certificate(E, cert) == []
 
     def test_disconnected_rejected(self):
-        from framedprod.embedding import EmbeddedMultigraph
         E = EmbeddedMultigraph(2, [], [[], []])
         with pytest.raises(DomainError):
             decompose(E, 3)
@@ -163,8 +172,30 @@ class TestCertificateFormat:
     @pytest.mark.parametrize("bad", [
         "", "cert 3", "cert 3 3 0\nH 2 1\nh 0", "cert 3 3 0\nTD 5\nb 0",
         "cert 3 3 0\nm 0 0", "cert 3 3 0\nELL x",
+        pytest.param(SMALL.replace("m 1 0 1 0\n", ""), id="m-missing"),
+        pytest.param(SMALL.replace("m 1 0 1 0\n", "m 1 0 1 0\nm 1 0 1 0\n"),
+                     id="m-twice"),
+        pytest.param(SMALL.replace("m 1 0 1 0\n", "m -1 0 1 0\n"),
+                     id="m-negative"),
+        pytest.param(SMALL.replace("m 1 0 1 0\n", "m 1 0 1 0\nm 2 0 0 0\n"),
+                     id="m-past-n"),
+        pytest.param(SMALL.replace("l 1 1\n", "l 1 0\n"), id="l-disagrees"),
+        pytest.param(SMALL.replace("l 1 1\n", "l 1 1\nl 1 1\n"), id="l-twice"),
+        pytest.param(SMALL.replace("l 1 1\n", "l 7 1\n"), id="l-past-n"),
+        pytest.param(SMALL.replace("H 1 0", "H 2 0").replace(
+            "PARTS 1\np 0 TRIPOD x:  y: 0 1\n",
+            "PARTS 2\np 0 TRIPOD x:  y: 0\np 0 TRIPOD x:  y: 1\n"),
+            id="pid-twice"),
+        pytest.param(SMALL.replace("p 0 TRIPOD", "p 5 TRIPOD"),
+                     id="pid-past-num-parts"),
     ])
     def test_malformed_certificates_rejected(self, bad):
         from framedprod.errors import FormatError
         with pytest.raises(FormatError):
             parse_certificate(bad)
+
+    def test_small_certificate_parses(self):
+        cert = parse_certificate(SMALL)
+        assert serialize_certificate(cert) == SMALL
+        E = EmbeddedMultigraph(2, [(0, 1, 1)], [[0], [1]])
+        assert verify_certificate(E, cert) == []

@@ -30,14 +30,23 @@ class TestCli:
         run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
         text = cert.read_text()
         lines = text.splitlines()
+        # move vertex 0 two layers, in its l line and its m line alike
         for i, ln in enumerate(lines):
+            if ln.startswith("l 0 "):
+                parts = ln.split()
+                parts[2] = str(int(parts[2]) + 2)
+                lines[i] = " ".join(parts)
             if ln.startswith("m 0 "):
                 parts = ln.split()
-                parts[3] = str(int(parts[3]) + 2)   # move vertex 0 two layers
+                parts[3] = str(int(parts[3]) + 2)
                 lines[i] = " ".join(parts)
-                break
         cert.write_text("\n".join(lines) + "\n")
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
+        # moved in the m line only, the two layers disagree: a parse error
+        lines = [ln for ln in lines if not ln.startswith("l 0 ")]
+        lines.insert(lines.index("LAYERS") + 1, "l 0 0")
+        cert.write_text("\n".join(lines) + "\n")
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 1
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.emg"
@@ -140,3 +149,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL parts vertex 20 out of range" in out
         assert "FAIL parts vertex -1 out of range" in out
+
+    def test_verify_reports_out_of_range_parts(self, tmp_path, capsys):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "30", "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        lines = cert.read_text().splitlines()
+        _, k, ne = lines[1].split()
+        lines[1] = f"H {k} {int(ne) + 2}"
+        lines[2:2] = [f"h {int(k) + 5} 0", "h -1 1"]
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("b 0 "))
+        lines[i] += " 1000000"
+        cert.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
+        out = capsys.readouterr().out
+        assert f"FAIL H edge {int(k) + 5}-0 out of range" in out
+        assert "FAIL H edge -1-1 out of range" in out
+        assert "FAIL td bag 0 node 1000000 out of range" in out
+
+    def test_svg_takes_a_single_input(self, tmp_path, capsys):
+        files = []
+        for i in range(2):
+            f = tmp_path / f"t{i}.emg"
+            run(["gen", "--family", "tri", "--params", "12",
+                 "--seed", str(i), "--out", str(f)])
+            files.append(f)
+        svg = tmp_path / "h.svg"
+        assert run(["decompose", "--d", "3", "--in", str(files[0]),
+                    "--in", str(files[1]), "--svg", str(svg)]) == 1
+        assert "--svg" in capsys.readouterr().err
+        assert not svg.exists()
+        assert not (tmp_path / "t0.emg.cert").exists()

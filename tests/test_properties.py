@@ -156,19 +156,3 @@ class TestToroidalMaps:
         res = map_to_frame(LM, 4)   # every vertex meets 4 nations
         cert = decompose(res.frame, 4, self_verify=False)
         assert verify_certificate(res.frame, cert) == []
-
-
-class TestCutDebugDump:
-    def test_provenance_section(self):
-        from framedprod.cut import serialize_cut_debug
-        E = gen_toroidal_grid(3, 3)
-        T = bfs_structure(E, 0)
-        C = build_Z(E, T)
-        R = cut_along(E, C)
-        text = serialize_cut_debug(R)
-        assert text.startswith("emg ")
-        plines = [ln for ln in text.splitlines() if ln.startswith("p ")]
-        assert len(plines) == R.Gt.n
-        for ln in plines:
-            _, copy, orig = ln.split()
-            assert R.provenance[int(copy)] == int(orig)

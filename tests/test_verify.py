@@ -1,13 +1,22 @@
+import hashlib
+import json
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from framedprod.assemble import decompose
 from framedprod.embedding import from_face_list
 from framedprod.errors import DomainError
-from framedprod.generators import SplitMix64, gen_plane_triangulation, gen_toroidal_grid
+from framedprod.generators import (
+    SplitMix64,
+    gen_framed,
+    gen_plane_triangulation,
+    gen_toroidal_grid,
+    triangulate_quads,
+)
 from framedprod.tripods import Part
 from framedprod.verify import (
     check_part_structure,
@@ -16,8 +25,43 @@ from framedprod.verify import (
     exact_treewidth,
     rebuild_bfs,
     rebuild_closure,
+    rebuild_faces,
     verify_certificate,
 )
+from test_nonorientable import klein_grid, projective_k4
+
+# sha256 digests of the re-traced faces, closures and tamper FAIL lines,
+# recorded from the verifier that kept its states in tuple-keyed dicts
+GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
+                    .read_text())
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def golden_corpus():
+    """Named embeddings whose faces and closures are pinned."""
+    out = {}
+    for n in (3, 30, 200):
+        for s in (0, 1):
+            out[f"tri_{n}_{s}"] = gen_plane_triangulation(n, s)
+    for mr, nc in ((3, 3), (4, 5), (7, 6)):
+        out[f"torus_{mr}x{nc}"] = gen_toroidal_grid(mr, nc)
+    out["torus_tri_4x5"] = triangulate_quads(gen_toroidal_grid(4, 5))
+    for d in (4, 5, 6):
+        for n in (40, 150):
+            out[f"framed_g2_{n}_{d}"] = gen_framed(n, d, 2, 5)
+    out["framed_g0_120_6"] = gen_framed(120, 6, 0, 3)
+    out["projective_k4"] = projective_k4()
+    for s in (3, 4, 5):
+        out[f"klein_{s}"] = klein_grid(s)
+        out[f"klein_tri_{s}"] = triangulate_quads(klein_grid(s))
+    return out
+
+
+def closure_pairs(adj):
+    return sorted((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
 
 
 def adj_from(n, edges):
@@ -123,6 +167,83 @@ class TestRebuild:
         assert depth == T.depth
 
 
+class TestGoldenVerify:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return golden_corpus()
+
+    def test_corpus_is_pinned(self, corpus):
+        assert sorted(corpus) == sorted(GOLDEN["faces"])
+
+    def test_faces(self, corpus):
+        got = {k: _sha(rebuild_faces(E)) for k, E in corpus.items()}
+        assert got == GOLDEN["faces"]
+
+    def test_closures(self, corpus):
+        got = {k: {str(d): _sha(closure_pairs(rebuild_closure(E, d)))
+                   for d in (3, 4, 5, 6)}
+               for k, E in corpus.items()}
+        assert got == GOLDEN["closure"]
+
+
+class TestPlanarityOracle:
+    """check_planarity against networkx on random and known graphs."""
+
+    @pytest.fixture
+    def agree(self):
+        nx = pytest.importorskip("networkx")
+
+        def check(n, edges):
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            G.add_edges_from((a, b) for a, b in edges if a != b)
+            want, _ = nx.check_planarity(G)
+            assert check_planarity(n, edges) == want, (n, edges)
+        return check
+
+    def test_random_graphs(self, agree):
+        rng = SplitMix64(2024)
+        for _ in range(400):
+            n = 1 + rng.below(14)
+            pairs = list(combinations(range(n), 2))
+            m = rng.below(min(len(pairs), 3 * n) + 1)
+            edges = []
+            for _ in range(m):
+                a, b = pairs[rng.below(len(pairs))]
+                edges.append((a, b) if rng.below(2) else (b, a))
+            agree(n, edges)
+
+    @pytest.mark.parametrize("base", ["k5", "k33"])
+    def test_subdivisions(self, agree, base):
+        rng = SplitMix64(7)
+        if base == "k5":
+            core = list(combinations(range(5), 2))
+            n0 = 5
+        else:
+            core = [(a, b + 3) for a in range(3) for b in range(3)]
+            n0 = 6
+        for _ in range(20):
+            edges = []
+            nxt = n0
+            for a, b in core:
+                prev = a
+                for _ in range(rng.below(3)):
+                    edges.append((prev, nxt))
+                    prev = nxt
+                    nxt += 1
+                edges.append((prev, b))
+            agree(nxt, edges)
+            # one core edge cut: planar again
+            agree(nxt, edges[1:])
+
+    def test_pipeline_h_graphs(self, agree):
+        frames = [gen_plane_triangulation(300, 1), gen_toroidal_grid(8, 8),
+                  gen_framed(150, 6, 2, 4), klein_grid(5)]
+        for E, d in zip(frames, (3, 4, 6, 4)):
+            cert = decompose(E, d)
+            agree(cert.num_parts, cert.h_edges)
+
+
 class TestTreeDecompositionCheck:
     def test_single_bag_k4(self):
         fails = check_tree_decomposition(4, list(combinations(range(4), 2)),
@@ -162,6 +283,30 @@ class TestPartStructureCheck:
         fails = check_part_structure(parts, [0, 0], [-1, 0], 0, 4, -1)
         assert fails == ["FAIL parts vertex 5 out of range",
                          "FAIL parts vertex -1 out of range"]
+
+
+class TestOutOfRangeFields:
+    def test_h_edges_and_bag_nodes(self):
+        import copy
+        E = gen_plane_triangulation(30, 1)
+        cert = copy.deepcopy(decompose(E, 3))
+        k = cert.num_parts
+        cert.h_edges += [(k + 5, 0), (-1, 1)]
+        cert.bags[0] = cert.bags[0] + [10 ** 6]
+        fails = verify_certificate(E, cert)
+        assert f"FAIL H edge {k + 5}-0 out of range" in fails
+        assert "FAIL H edge -1-1 out of range" in fails
+        assert "FAIL td bag 0 node 1000000 out of range" in fails
+        assert "FAIL planarity H is not planar" not in fails
+
+    def test_d_below_three(self):
+        import copy
+        E = gen_plane_triangulation(30, 1)
+        cert = copy.deepcopy(decompose(E, 3))
+        for d in (2, 1, 0, -4):
+            cert.d = d
+            assert verify_certificate(E, cert) == [
+                f"FAIL shape certificate d {d} < 3"]
 
 
 class TestTamper:
@@ -214,6 +359,14 @@ class TestTamper:
         for _ in range(60):
             bad = self.tampered(cert, rng, E)
             assert verify_certificate(E, bad) != []
+
+    def test_tampering_fail_lines_pinned(self):
+        rng = SplitMix64(99)
+        E = gen_plane_triangulation(60, 4)
+        cert = decompose(E, 3)
+        got = [sorted(verify_certificate(E, self.tampered(cert, rng, E)))
+               for _ in range(60)]
+        assert _sha(got) == GOLDEN["tamper_fail_lines"]
 
     def test_single_vertex_cell(self):
         E = from_face_list([[0, 1, 2], [2, 1, 0]])
