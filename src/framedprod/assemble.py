@@ -6,8 +6,12 @@ from dataclasses import dataclass
 
 from .cut import RootedTree, attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import EmbeddedMultigraph, bfs_structure, euler_genus, trace_faces
-from .errors import ContractViolation, DomainError, FormatError
-from .frame import close_frame
+from .errors import (
+    ContractViolation,
+    DomainError,
+    FormatError,
+    InvalidFrameError,
+)
 from .tripods import (
     Part,
     project_partition,
@@ -89,30 +93,45 @@ class PartitionCertificate:
         return len(self.parts)
 
 
-def decompose(E: EmbeddedMultigraph, d: int, root: int = None,
+def decompose(E: EmbeddedMultigraph, d: int,
               self_verify: bool = True) -> PartitionCertificate:
-    """Full pipeline: closure, tree, cut (if needed), tripods, mapping."""
-    if not E.is_connected():
-        raise DomainError("decompose needs a connected frame")
-    faces = trace_faces(E)
-    F = close_frame(E, d, faces)          # validates the frame
-    if root is None:
-        root = E.root if E.root is not None else 0
-    T = bfs_structure(E, root)
-    g = euler_genus(E, faces)
+    """Full pipeline: frame check, tree, cut (if needed), tripods, mapping.
 
+    The BFS layering is rooted at ``E.root`` (vertex 0 when unset), the
+    root the verifier rebuilds it from.
+    """
+    # the construction's graphs and face sets are freed before the verifier
+    # builds its own
+    cert = _construct(E, d)
+    if self_verify:
+        from . import verify as _verify
+        report = _verify.verify_certificate(E, cert)
+        if report:
+            raise ContractViolation(
+                "self-verification failed: " + "; ".join(report[:5]))
+    return cert
+
+
+def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
+    # each graph (E, then Gt and G+ when g > 0) has its faces traced once;
+    # a face set is dropped as soon as the stage that reads it is done
+    faces = trace_faces(E)
+    g = euler_genus(E, faces)                 # the connectivity test of E
+    _check_frame(E, d, faces)
+    T = bfs_structure(E, E.root if E.root is not None else 0)
     if g == 0:
         world = triangulate_long_faces(E, d, faces)
+        del faces
         tree = RootedTree(root=T.root, parent=T.parent,
                           parent_edge=T.parent_edge)
-        HPR = tripod_partition(world, tree)
-        projected = HPR
+        projected = tripod_partition(world, tree)
     else:
         C = build_Z(E, T, faces)
-        R = cut_along(E, C, faces)
-        A = attach_apex(R)
+        R, faces = cut_along(E, C, faces)
+        A, faces = attach_apex(R, faces)
         Tp, Pp = build_Tplus(A, T, R, C)
-        world = triangulate_long_faces(A.Gplus, d)
+        world = triangulate_long_faces(A.Gplus, d, faces)
+        del faces
         HPR = tripod_partition(world, Tp, boundary=Pp, blocked=(A.rplus,))
         projected = project_partition(HPR, R, C, E.n)
 
@@ -122,18 +141,23 @@ def decompose(E: EmbeddedMultigraph, d: int, root: int = None,
     if mapping.ell > bound:
         raise ContractViolation(
             f"achieved width {mapping.ell} exceeds the bound {bound}")
-    cert = PartitionCertificate(
+    return PartitionCertificate(
         n=E.n, d=d, genus=g, parts=projected.parts,
         part_of=projected.part_of, h_edges=projected.h_edges,
         bags=projected.bags, bag_parent=projected.bag_parent,
         boundary_part=projected.boundary_part, mapping=mapping, bound=bound)
-    if self_verify:
-        from . import verify as _verify
-        report = _verify.verify_certificate(E, cert)
-        if report:
-            raise ContractViolation(
-                "self-verification failed: " + "; ".join(report[:5]))
-    return cert
+
+
+def _check_frame(E: EmbeddedMultigraph, d: int, faces) -> None:
+    """A frame needs d >= 3, an edge, and every face bounded by a cycle."""
+    if d < 3:
+        raise DomainError("d must be >= 3")
+    if E.m == 0:
+        raise InvalidFrameError("an edgeless graph has no cycle-bounded faces")
+    for i, w in enumerate(faces.vertex_walks(E)):
+        if len(w) < 3 or len(set(w)) != len(w):
+            raise InvalidFrameError(
+                f"face {i} (vertex walk {w}) is not a cycle: not a valid frame")
 
 
 def serialize_certificate(cert: PartitionCertificate) -> str:

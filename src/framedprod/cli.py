@@ -89,7 +89,11 @@ def cmd_verify(args):
     from . import verify as V
     E = parse_embedding(_read(args.input))
     cert = parse_certificate(_read(args.cert))
-    report = V.verify_certificate(E, cert)
+    try:
+        report = V.verify_certificate(E, cert)
+    except Exception as ex:
+        # a verifier fault still answers: a FAIL line, not a traceback
+        report = [f"FAIL internal {type(ex).__name__}"]
     for line in report:
         print(line)
     if report:

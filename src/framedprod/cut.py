@@ -17,7 +17,6 @@ from .embedding import (
     DualGraph,
     EmbeddedMultigraph,
     FaceSet,
-    euler_genus,
     nontree_dual,
     trace_faces,
 )
@@ -66,15 +65,15 @@ def _dual_spanning_tree(D: DualGraph) -> set:
 
 
 def build_Z(E: EmbeddedMultigraph, T: BfsStructure,
-            faces: FaceSet = None, dual: DualGraph = None) -> CutSystem:
+            faces: FaceSet = None) -> CutSystem:
     """Cut system from a dual spanning tree; empty when the genus is 0."""
     if faces is None:
         faces = trace_faces(E)
-    g = euler_genus(E, faces)
+    # Euler's formula; T spans E, so E is connected
+    g = 2 - E.n + E.m - faces.f
     if g == 0:
         return CutSystem(Q=[], z_vertices=[], z_edges=set(), paths=[], genus=0)
-    if dual is None:
-        dual = nontree_dual(E, T, faces)
+    dual = nontree_dual(E, T, faces)
     tstar = _dual_spanning_tree(dual)
     Q = sorted(dual.edges[i][2] for i in range(dual.num_edges)
                if i not in tstar)
@@ -136,8 +135,11 @@ class CutResult:
 
 
 def cut_along(E: EmbeddedMultigraph, C: CutSystem,
-              faces: FaceSet = None) -> CutResult:
-    """Slit the surface along Z; the result is plane with one new face."""
+              faces: FaceSet = None) -> tuple:
+    """Slit the surface along Z; the result is plane with one new face.
+
+    Returns ``(R, gt_faces)``: the cut result and the faces of ``R.Gt``.
+    """
     if C.genus < 1:
         raise DomainError("cut_along needs genus >= 1")
     if faces is None:
@@ -263,7 +265,7 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
         Gt = _normalize_signs(Gt)
 
     fs2 = trace_faces(Gt)
-    g2 = euler_genus(Gt, fs2)
+    g2 = 2 - Gt.n + Gt.m - fs2.f       # Gt is connected
     if g2 != 0:
         raise ContractViolation(f"cut graph has genus {g2}, expected 0")
     if fs2.f != faces.f + 1:
@@ -303,7 +305,7 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
         raise ContractViolation("n' != n + p - 2 + 2g")
     if Gt.m != E.m + p - 1 + g:
         raise ContractViolation("m' != m + p - 1 + g")
-    return R
+    return R, fs2
 
 
 def _normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
@@ -342,14 +344,19 @@ class ApexResult:
     spoke_edges: list        # spoke_edges[i] joins rplus with cf_cycle[i]
 
 
-def attach_apex(R: CutResult) -> ApexResult:
-    """Add an apex inside the new face, joined to every boundary copy."""
+def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
+    """Add an apex inside the new face, joined to every boundary copy.
+
+    ``gt_faces`` are the faces of ``R.Gt`` that ``cut_along`` returned.
+    Returns ``(A, gplus_faces)``: the apex result and the faces of
+    ``A.Gplus``.
+    """
     Gt = R.Gt
     cyc = R.cf_cycle
-    cf_darts = trace_faces(Gt).faces[R.new_face_index]
+    cf_darts = gt_faces.faces[R.new_face_index]
     rplus = Gt.n
     edges = list(Gt.edges)
-    rot = [list(r) for r in Gt.rot]
+    rot = list(Gt.rot)        # a rotation is copied before it changes
     spokes = []
     spoke_darts = []
     for c in cyc:
@@ -361,15 +368,16 @@ def attach_apex(R: CutResult) -> ApexResult:
     # the outgoing boundary dart of the new face
     for i, c in enumerate(cyc):
         out = cf_darts[i]
-        rot[c].insert(rot[c].index(out), 2 * spokes[i] + 1)
+        r = rot[c] = list(rot[c])
+        r.insert(r.index(out), 2 * spokes[i] + 1)
     rot.append(list(reversed(spoke_darts)))
     Gplus = EmbeddedMultigraph(Gt.n + 1, edges, rot)
     fs = trace_faces(Gplus)
-    if euler_genus(Gplus, fs) != 0:
+    if 2 - Gplus.n + Gplus.m - fs.f != 0:    # connected: Gt is, plus spokes
         raise ContractViolation("apex insertion broke planarity")
-    if fs.f != len(cyc) + (len(trace_faces(Gt).faces) - 1):
+    if fs.f != len(cyc) + gt_faces.f - 1:
         raise ContractViolation("apex wheel face count is off")
-    return ApexResult(Gplus=Gplus, rplus=rplus, spoke_edges=spokes)
+    return ApexResult(Gplus=Gplus, rplus=rplus, spoke_edges=spokes), fs
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ContractViolation, DomainError, FormatError
 
@@ -21,7 +22,7 @@ class EmbeddedMultigraph:
     darts to the rotation of its vertex.
     """
 
-    __slots__ = ("n", "edges", "rot", "root", "_tail", "_pos")
+    __slots__ = ("n", "edges", "rot", "root", "_tail")
 
     def __init__(self, n, edges, rot, root=None, validate=True):
         self.n = n
@@ -29,7 +30,6 @@ class EmbeddedMultigraph:
         self.rot = [list(r) for r in rot]
         self.root = root
         self._tail = None
-        self._pos = None
         if validate:
             self.validate()
 
@@ -55,16 +55,6 @@ class EmbeddedMultigraph:
                 t[2 * e + 1] = v
             self._tail = t
         return self._tail
-
-    def positions(self):
-        """Array mapping dart -> index within its vertex rotation."""
-        if self._pos is None:
-            p = [-1] * self.num_darts
-            for v in range(self.n):
-                for i, d in enumerate(self.rot[v]):
-                    p[d] = i
-            self._pos = p
-        return self._pos
 
     def degree(self, v):
         return len(self.rot[v])
@@ -161,69 +151,74 @@ class FaceSet:
 def trace_faces(E: EmbeddedMultigraph) -> FaceSet:
     """Trace the faces of an embedding scheme.
 
-    Works on signed dart states: traversing an edge with signature -1 flips
-    the local sense, so the rotation is then read backwards.  Each face is
-    one orbit; the mirror orbit (same face, opposite sense) is suppressed.
+    A state is a dart ``d`` walked in sense ``sb`` (0 for +1, 1 for -1),
+    stored as the integer ``2*d + sb``; states 4e..4e+3 are (2e, +1),
+    (2e, -1), (2e+1, +1), (2e+1, -1).  A step leaves along ``d`` and turns
+    to the next dart around the head, or the previous one when the sense is
+    -1; crossing an edge with signature -1 flips the sense.  Each face is
+    one orbit; its mirror orbit (same face, opposite sense) is claimed with
+    it.  Plus-side states start walks first, so orientable faces partition
+    the darts.
     """
     m = E.m
     if m == 0:
-        fs = FaceSet(faces=[], slot_face=[], face_of_state=[])
-        return fs
-    tails = E.tails()
-    pos = E.positions()
-    rot = E.rot
-    signs = [0 if s == 1 else 1 for (_, _, s) in E.edges]
+        return FaceSet(faces=[], slot_face=[], face_of_state=[])
+    nd = 2 * m
+    succ = [0] * nd
+    pred = [0] * nd
+    for r in E.rot:
+        for a, b in zip(r, r[1:] + r[:1]):
+            succ[a] = b
+            pred[b] = a
+    # next state: across a +1 edge (d, +1) goes on to (succ[d ^ 1], +1) and
+    # (d, -1) to (pred[d ^ 1], -1); a -1 edge swaps the two
+    ns = 2 * nd
+    nxt = [0] * ns
+    nxt[0::4] = [2 * x for x in succ[1::2]]
+    nxt[1::4] = [2 * x + 1 for x in pred[1::2]]
+    nxt[2::4] = [2 * x for x in succ[0::2]]
+    nxt[3::4] = [2 * x + 1 for x in pred[0::2]]
+    del succ, pred
+    sign = [0 if s == 1 else 1 for _, _, s in E.edges]
+    for e, neg in enumerate(sign):
+        if neg:
+            x = 4 * e
+            nxt[x], nxt[x + 1] = nxt[x + 1], nxt[x]
+            nxt[x + 2], nxt[x + 3] = nxt[x + 3], nxt[x + 2]
 
-    nstates = 4 * m
-    face_of_state = [-1] * nstates
+    face_of_state = [-1] * ns
     faces = []
-    # plus-side states first: orientable faces then partition the darts
-    starts = [2 * d for d in range(2 * m)] + [2 * d + 1 for d in range(2 * m)]
-    for start in starts:
+    for start in chain(range(0, ns, 2), range(1, ns, 2)):
         if face_of_state[start] != -1:
             continue
         fid = len(faces)
         walk = []
-        orbit = []
         s = start
         while True:
             face_of_state[s] = fid
-            orbit.append(s)
-            d, sb = s >> 1, s & 1
-            walk.append(d)
-            sb2 = sb ^ signs[d >> 1]
-            t = d ^ 1
-            v = tails[t]
-            i = pos[t]
-            deg = len(rot[v])
-            if sb2 == 0:
-                nd = rot[v][(i + 1) % deg]
-            else:
-                nd = rot[v][(i - 1) % deg]
-            s = 2 * nd + sb2
+            walk.append(s >> 1)
+            # the mirror state (d ^ 1, -sense * signature) walks the same
+            # face the other way
+            ms = s ^ 3 ^ sign[s >> 2]
+            f = face_of_state[ms]
+            if f == -1:
+                face_of_state[ms] = fid
+            elif f != fid:
+                raise ContractViolation("mirror orbit already claimed")
+            s = nxt[s]
             if s == start:
                 break
             if face_of_state[s] != -1:
                 raise ContractViolation("face walk closed away from its start")
-        # the mirror orbit traverses the same face the other way
-        for s in orbit:
-            d, sb = s >> 1, s & 1
-            ms = 2 * (d ^ 1) + (sb ^ 1 ^ signs[d >> 1])
-            if face_of_state[ms] == -1:
-                face_of_state[ms] = fid
-            elif face_of_state[ms] != fid:
-                raise ContractViolation("mirror orbit already claimed")
         faces.append(walk)
-
-    slot_face = [0] * (2 * m)
-    for e in range(m):
-        slot_face[2 * e] = face_of_state[4 * e]          # state (dart 2e, +1)
-        slot_face[2 * e + 1] = face_of_state[4 * e + 1]  # state (dart 2e, -1)
-    fs = FaceSet(faces=faces, slot_face=slot_face,
-                 face_of_state=face_of_state)
-    if sum(len(w) for w in faces) != 2 * m:
+    if sum(map(len, faces)) != nd:
         raise ContractViolation("face lengths do not sum to 2m")
-    return fs
+
+    slot_face = [0] * nd       # edge slot 2e + sb: the state (dart 2e, sb)
+    slot_face[0::2] = face_of_state[0::4]
+    slot_face[1::2] = face_of_state[1::4]
+    return FaceSet(faces=faces, slot_face=slot_face,
+                   face_of_state=face_of_state)
 
 
 def euler_genus(E: EmbeddedMultigraph, faces: FaceSet = None) -> int:
@@ -256,8 +251,6 @@ def bfs_structure(E: EmbeddedMultigraph, root: int) -> BfsStructure:
     """Breadth-first tree from root; neighbours explored in dart-id order."""
     if not (0 <= root < E.n):
         raise DomainError(f"root {root} is not a vertex")
-    if not E.is_connected():
-        raise DomainError("BFS layering needs a connected graph")
     tails = E.tails()
     parent = [-1] * E.n
     parent_edge = [-1] * E.n
@@ -275,6 +268,8 @@ def bfs_structure(E: EmbeddedMultigraph, root: int) -> BfsStructure:
                 parent[w] = v
                 parent_edge[w] = d >> 1
                 q.append(w)
+    if -1 in depth:
+        raise DomainError("BFS layering needs a connected graph")
     layers = []
     for v in range(E.n):
         dv = depth[v]

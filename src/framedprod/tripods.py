@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .cut import RootedTree
 from .embedding import EmbeddedMultigraph, FaceSet, trace_faces
@@ -45,67 +46,58 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
     """Fan every face longer than d from its smallest vertex.
 
     Faces of length at most d survive as whole polygonal cells; the fan
-    chords are auxiliary and never enter the closure.
+    chords are auxiliary and never enter the closure.  Each edge occurs
+    twice in the face walks; the cell edge of its first occurrence is kept
+    per edge id and paired with the second.
     """
     if faces is None:
         faces = trace_faces(E)
-    walks = faces.vertex_walks(E)
-    for i, w in enumerate(walks):
-        if len(w) < 3 or len(set(w)) != len(w):
-            raise DomainError(f"face {i} is not bounded by a cycle")
-
     cells = []
+    cell_nbrs = []               # per cell: neighbour cell per boundary edge
     aux_chords = []
-    # where each (face, walk position) lands: (cell id, edge position in cell)
-    landing = {}
-    fan_pairs = []               # (cell a, cell b) adjacent through a chord
-    for fi, walk in enumerate(walks):
+    at_cell = [-1] * E.m         # per edge: cell and edge position of the
+    at_pos = [0] * E.m           # occurrence met first
+    for fi, (darts, walk) in enumerate(zip(faces.faces,
+                                           faces.vertex_walks(E))):
         k = len(walk)
-        if k <= d:
-            ci = len(cells)
-            cells.append(list(walk))
-            for i in range(k):
-                landing[(fi, i)] = (ci, i)
-            continue
-        a = min(range(k), key=lambda i: walk[i])
-        rw = walk[a:] + walk[:a]           # rw[0] is the fan apex
+        if k < 3 or len(set(walk)) != k:
+            raise DomainError(f"face {fi} is not bounded by a cycle")
         base = len(cells)
-        for j in range(1, k - 1):
-            cells.append([rw[0], rw[j], rw[j + 1]])
-            if j > 1:
-                aux_chords.append((rw[0], rw[j]))
-                fan_pairs.append((base + j - 2, base + j - 1))
-        # walk position i joins rw positions: i' = (i - a) mod k
-        for i in range(k):
-            ip = (i - a) % k
-            if ip == 0:
-                landing[(fi, i)] = (base, 0)                  # edge rw0-rw1
-            elif ip == k - 1:
-                landing[(fi, i)] = (base + k - 3, 2)          # edge rw_{k-1}-rw0
-            else:
-                landing[(fi, i)] = (base + ip - 1, 1)         # rw_i - rw_{i+1}
-
-    cell_nbrs = [[-1] * len(c) for c in cells]
-    # real edges: pair the two slots of each edge through the face walks
-    pos_in_face = {}
-    for fi, walk in enumerate(faces.faces):
-        for i, dart in enumerate(walk):
-            key = (fi, dart >> 1)
-            if key in pos_in_face:
+        if k <= d:
+            cells.append(walk)
+            cell_nbrs.append([-1] * k)
+            land_cell, land_pos = repeat(base, k), range(k)
+        else:
+            a = walk.index(min(walk))
+            rw = walk[a:] + walk[:a]           # rw[0] is the fan apex
+            for j in range(1, k - 1):
+                cells.append([rw[0], rw[j], rw[j + 1]])
+                cell_nbrs.append([-1, -1, -1])
+                if j > 1:
+                    # fan triangle j-1 shares its closing chord with j
+                    aux_chords.append((rw[0], rw[j]))
+                    cell_nbrs[base + j - 2][2] = base + j - 1
+                    cell_nbrs[base + j - 1][0] = base + j - 2
+            # walk position i is the edge rw[i'] rw[i'+1], i' = (i - a) mod k:
+            # side 0 of the first triangle, side 2 of the last, else side 1
+            # of triangle i' - 1
+            ips = list(chain(range(k - a, k), range(k - a)))
+            land_cell = [base + min(max(ip - 1, 0), k - 3) for ip in ips]
+            land_pos = [0 if ip == 0 else 2 if ip == k - 1 else 1
+                        for ip in ips]
+        for dart, c, p in zip(darts, land_cell, land_pos):
+            e = dart >> 1
+            c2 = at_cell[e]
+            if c2 < 0:
+                at_cell[e] = c
+                at_pos[e] = p
+            elif c2 >= base:
                 raise ContractViolation("edge repeats inside one disk face")
-            pos_in_face[key] = i
-    for e in range(E.m):
-        f1, f2 = faces.edge_slot_faces(e)
-        c1, p1 = landing[(f1, pos_in_face[(f1, e)])]
-        c2, p2 = landing[(f2, pos_in_face[(f2, e)])]
-        cell_nbrs[c1][p1] = c2
-        cell_nbrs[c2][p2] = c1
-    # aux chords: fan triangle j shares its closing chord with triangle j+1
-    for a, b in fan_pairs:
-        cell_nbrs[a][2] = b
-        cell_nbrs[b][0] = a
+            else:
+                cell_nbrs[c][p] = c2
+                cell_nbrs[c2][at_pos[e]] = c
     for c, nb in enumerate(cell_nbrs):
-        if any(x == -1 for x in nb):
+        if -1 in nb:
             raise ContractViolation(f"cell {c} has an unmatched boundary edge")
 
     cells_at = [[] for _ in range(E.n)]

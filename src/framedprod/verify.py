@@ -73,13 +73,19 @@ def rebuild_faces(E):
     return walks
 
 
-def rebuild_closure(E, d):
-    """Closure adjacency sets recomputed from re-traced faces."""
+def rebuild_closure(E, d, walks=None):
+    """Closure adjacency sets recomputed from re-traced faces.
+
+    ``walks`` are the face walks ``rebuild_faces(E)`` returns, when the
+    caller has them.
+    """
+    if walks is None:
+        walks = rebuild_faces(E)
     adj = [set() for _ in range(E.n)]
     for u, v, _ in E.edges:
         adj[u].add(v)
         adj[v].add(u)
-    for walk in rebuild_faces(E):
+    for walk in walks:
         if 3 <= len(walk) <= d and len(set(walk)) == len(walk):
             for u in walk:
                 adj[u].update(walk)
@@ -552,7 +558,13 @@ def verify_certificate(E, cert) -> list:
         return [f"FAIL shape certificate n {cert.n} != graph n {E.n}"]
     if cert.d < 3:
         return [f"FAIL shape certificate d {cert.d} < 3"]
-    closure = rebuild_closure(E, cert.d)
+    walks = rebuild_faces(E)
+    # Euler genus from the re-traced faces; the stated one is only compared
+    g = 2 - E.n + E.m - len(walks)
+    if cert.genus != g:
+        fails.append(f"FAIL genus stated {cert.genus} actual {g}")
+    closure = rebuild_closure(E, cert.d, walks)
+    del walks
     fails += check_containment(closure, cert.mapping, cert.h_edges,
                                cert.num_parts)
     fails += check_tree_decomposition(cert.num_parts, cert.h_edges,
@@ -569,7 +581,7 @@ def verify_certificate(E, cert) -> list:
     root = E.root if E.root is not None else 0
     parent, depth = rebuild_bfs(E, root)
     fails += check_part_structure(cert.parts, cert.part_of, parent,
-                                  cert.genus, cert.d, cert.boundary_part)
+                                  g, cert.d, cert.boundary_part)
     h = cert.d // 2
     for v in range(E.n):
         if cert.mapping.layer[v] != depth[v] // h:
@@ -580,6 +592,7 @@ def verify_certificate(E, cert) -> list:
     real_ell = max(counts.values()) if counts else 1
     if real_ell != cert.ell:
         fails.append(f"FAIL ell stated {cert.ell} actual {real_ell}")
-    if cert.ell > cert.bound:
-        fails.append(f"FAIL bound ell {cert.ell} > {cert.bound}")
+    bound = max(2 * g * h, cert.d + 3 * h - 3)     # the paper's width bound
+    if cert.ell > bound:
+        fails.append(f"FAIL bound ell {cert.ell} > {bound}")
     return fails

@@ -67,7 +67,7 @@ def test_criterion_2_toroidal_grids():
             T = bfs_structure(E, 0)
             g = euler_genus(E, fs)
             C = build_Z(E, T, fs)
-            R = cut_along(E, C, fs)
+            R, _ = cut_along(E, C, fs)
             assert C.q == C.p - 1 + g
             assert R.Gt.n == E.n + C.p - 2 + 2 * g
             assert R.Gt.m == E.m + C.p - 1 + g

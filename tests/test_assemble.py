@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -9,10 +10,13 @@ from framedprod.assemble import (
     serialize_certificate,
     width_bound,
 )
+from framedprod import embedding
 from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
     from_face_list,
+    parse_embedding,
+    serialize_embedding,
 )
 from framedprod.errors import DomainError
 from framedprod.generators import (
@@ -75,7 +79,48 @@ class TestProductMapping:
             assert [c for _, c in members] == list(range(len(members)))
 
 
+def count_traces(monkeypatch):
+    """Route every framedprod binding of trace_faces through a counter;
+    returns the list of graphs traced."""
+    original = embedding.trace_faces
+    traced = []
+
+    def counted(E):
+        traced.append(E)
+        return original(E)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "framedprod" and \
+                getattr(mod, "trace_faces", None) is original:
+            monkeypatch.setattr(mod, "trace_faces", counted)
+    return traced
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("family,d,want", [("torus", 4, 3), ("tri", 3, 1)])
+    def test_one_trace_per_graph(self, monkeypatch, family, d, want):
+        # positive genus traces E, the cut graph Gt and the apexed G+
+        E = (gen_toroidal_grid(6, 6) if family == "torus"
+             else gen_plane_triangulation(60, 3))
+        traced = count_traces(monkeypatch)
+        cert = decompose(E, d)
+        assert len(traced) == want
+        assert len({id(G) for G in traced}) == want
+        assert traced[0] is E
+        assert cert.genus == (2 if family == "torus" else 0)
+
+    def test_root_line_roots_the_layering(self):
+        for E0, d in ((gen_plane_triangulation(30, 2), 3),
+                      (gen_toroidal_grid(5, 5), 4)):
+            text = serialize_embedding(E0).replace("\n", "\nroot 5\n", 1)
+            E = parse_embedding(text)
+            assert E.root == 5
+            cert = decompose(E, d)
+            assert verify_certificate(E, cert) == []
+            depth = bfs_structure(E, 5).depth
+            assert cert.mapping.layer == [x // (d // 2) for x in depth]
+            with pytest.raises(TypeError):
+                decompose(E, d, root=0)
+
     def test_plane_triangulation_bounds(self):
         E = gen_plane_triangulation(100, 9)
         cert = decompose(E, 3)

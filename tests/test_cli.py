@@ -182,3 +182,33 @@ class TestCli:
         assert "--svg" in capsys.readouterr().err
         assert not svg.exists()
         assert not (tmp_path / "t0.emg.cert").exists()
+
+    def test_verify_recomputes_the_genus(self, tmp_path, capsys):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "20", "--seed", "1",
+             "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        text = cert.read_text()
+        assert text.startswith("cert 20 3 0\n")
+        cert.write_text(text.replace("cert 20 3 0\n", "cert 20 3 6\n", 1))
+        capsys.readouterr()
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
+        assert capsys.readouterr().out == "FAIL genus stated 6 actual 0\n"
+
+    def test_verify_fault_is_a_fail_line(self, tmp_path, capsys,
+                                         monkeypatch):
+        from framedprod import verify
+
+        def broken(num_nodes, edges):
+            raise KeyError("boom")
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "20", "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        monkeypatch.setattr(verify, "check_planarity", broken)
+        capsys.readouterr()
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "FAIL internal KeyError\n"
+        assert "Traceback" not in captured.err

@@ -78,7 +78,7 @@ class TestCutAlong:
         E = two_loop_bouquet()
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
-        R = cut_along(E, C)
+        R, _ = cut_along(E, C)
         assert R.Gt.n == 4 and R.Gt.m == 4
         assert sorted(R.cf_cycle) == [0, 1, 2, 3]
         fs = trace_faces(R.Gt)
@@ -91,7 +91,7 @@ class TestCutAlong:
         E = gen_toroidal_grid(mr, nc)
         T = bfs_structure(E, root)
         C = build_Z(E, T)
-        R = cut_along(E, C)
+        R, _ = cut_along(E, C)
         g = C.genus
         assert R.Gt.n == E.n + C.p - 2 + 2 * g
         assert R.Gt.m == E.m + C.p - 1 + g
@@ -123,7 +123,7 @@ class TestCutAlong:
         assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
         T = bfs_structure(E, 0)
         C = build_Z(E, T, fs)
-        R = cut_along(E, C, fs)
+        R, _ = cut_along(E, C, fs)
         assert C.q == C.p - 1 + g
         assert R.Gt.n == E.n + C.p - 2 + 2 * g
         assert R.Gt.m == E.m + C.p - 1 + g
@@ -141,7 +141,7 @@ class TestCutAlong:
         T = bfs_structure(E, 0)
         C = build_Z(E, T, fs)
         assert len(C.Q) == 1
-        R = cut_along(E, C, fs)
+        R, _ = cut_along(E, C, fs)
         assert euler_genus(R.Gt) == 0
         assert all(s == 1 for (_, _, s) in R.Gt.edges)
         assert sorted(R.cf_cycle) == R.zprime
@@ -153,8 +153,8 @@ class TestApexAndTree:
         E = gen_toroidal_grid(mr, nc)
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
-        R = cut_along(E, C)
-        A = attach_apex(R)
+        R, gt_faces = cut_along(E, C)
+        A, _ = attach_apex(R, gt_faces)
         fs = trace_faces(A.Gplus)
         assert euler_genus(A.Gplus, fs) == 0
         # every face touching the apex is a triangle
@@ -169,8 +169,8 @@ class TestApexAndTree:
         E = gen_toroidal_grid(mr, nc)
         T = bfs_structure(E, root)
         C = build_Z(E, T)
-        R = cut_along(E, C)
-        A = attach_apex(R)
+        R, gt_faces = cut_along(E, C)
+        A, _ = attach_apex(R, gt_faces)
         Tp, Pp = build_Tplus(A, T, R, C)
         n = A.Gplus.n
         assert Tp.root == A.rplus
@@ -188,8 +188,8 @@ class TestApexAndTree:
         E = gen_toroidal_grid(4, 4)
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
-        R = cut_along(E, C)
-        A = attach_apex(R)
+        R, gt_faces = cut_along(E, C)
+        A, _ = attach_apex(R, gt_faces)
         Tp, Pp = build_Tplus(A, T, R, C)
         zp = set(R.zprime)
         # climbing from any non-boundary vertex stays inside the original
@@ -206,8 +206,8 @@ class TestApexAndTree:
         E = two_loop_bouquet()
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
-        R = cut_along(E, C)
-        A = attach_apex(R)
+        R, gt_faces = cut_along(E, C)
+        A, _ = attach_apex(R, gt_faces)
         Tp, Pp = build_Tplus(A, T, R, C)
         # T+ is exactly the boundary path plus the apex edge
         assert len(Pp) == 4

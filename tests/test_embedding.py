@@ -1,4 +1,7 @@
+import hashlib
+import json
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,14 @@ from framedprod.embedding import (
     serialize_embedding,
     trace_faces,
 )
+from framedprod.cut import attach_apex, build_Z, cut_along
 from framedprod.errors import DomainError, FormatError
+from test_verify import golden_corpus
+
+# sha256 of (faces, slot_face, face_of_state) per embedding, recorded from
+# the tracer that stepped through rotation positions modulo the degree
+GOLDEN_FACES = json.loads((Path(__file__).parent / "golden_faces.json")
+                          .read_text())
 
 
 def triangle():
@@ -116,6 +126,35 @@ class TestTraceFaces:
             EmbeddedMultigraph(2, [(0, 1, 1)], [[0, 0], [1]])
         with pytest.raises(FormatError):
             EmbeddedMultigraph(2, [(0, 1, 1)], [[1], [0]])
+
+
+class TestGoldenTrace:
+    """The tracer's output on the verifier's golden corpus, plus the cut
+    graph Gt and the apexed graph G+ of every positive-genus member."""
+
+    @staticmethod
+    def digest(fs):
+        blob = json.dumps([fs.faces, fs.slot_face, fs.face_of_state])
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_faces_pinned(self):
+        got = {}
+        for name, E in golden_corpus().items():
+            fs = trace_faces(E)
+            got[name] = self.digest(fs)
+            g = euler_genus(E, fs)
+            if g == 0:
+                continue
+            T = bfs_structure(E, E.root if E.root is not None else 0)
+            C = build_Z(E, T, fs)
+            R, gt_faces = cut_along(E, C, fs)
+            A, gplus_faces = attach_apex(R, gt_faces)
+            got[name + "/Gt"] = self.digest(gt_faces)
+            got[name + "/Gplus"] = self.digest(gplus_faces)
+            # the face sets handed along are what a fresh trace gives
+            assert self.digest(trace_faces(R.Gt)) == got[name + "/Gt"]
+            assert self.digest(trace_faces(A.Gplus)) == got[name + "/Gplus"]
+        assert got == GOLDEN_FACES
 
 
 class TestEulerGenus:

@@ -91,8 +91,8 @@ class TestTreePlusStructure:
             E = gen_toroidal_grid(mr, nc)
             T = bfs_structure(E, root)
             C = build_Z(E, T)
-            R = cut_along(E, C)
-            A = attach_apex(R)
+            R, gt_faces = cut_along(E, C)
+            A, _ = attach_apex(R, gt_faces)
             Tp, Pp = build_Tplus(A, T, R, C)
             zp = set(R.zprime)
             children = [0] * A.Gplus.n

@@ -244,6 +244,50 @@ class TestPlanarityOracle:
             agree(cert.num_parts, cert.h_edges)
 
 
+class TestTreewidthOracle:
+    """exact_treewidth between networkx's degeneracy lower bound and its
+    min-degree and min-fill-in upper bounds on seeded random graphs."""
+
+    def test_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        approx = pytest.importorskip("networkx.algorithms.approximation")
+        rng = SplitMix64(4242)
+        for _ in range(150):
+            n = 1 + rng.below(12)
+            pairs = list(combinations(range(n), 2))
+            m = rng.below(len(pairs) + 1)
+            G = nx.Graph()
+            G.add_nodes_from(range(n))
+            for _ in range(m):
+                G.add_edge(*pairs[rng.below(len(pairs))])
+            tw = exact_treewidth([set(G[v]) for v in range(n)])
+            assert tw <= approx.treewidth_min_degree(G)[0], sorted(G.edges)
+            assert tw <= approx.treewidth_min_fill_in(G)[0], sorted(G.edges)
+            if G.number_of_edges():
+                assert tw >= max(nx.core_number(G).values()), sorted(G.edges)
+
+
+class TestStatedGenus:
+    """The genus is recomputed from the re-traced faces, never trusted."""
+
+    def test_raised_genus_fails(self):
+        import copy
+        E = gen_plane_triangulation(20, 1)
+        cert = copy.deepcopy(decompose(E, 3))
+        cert.genus, cert.bound = 6, 12
+        assert verify_certificate(E, cert) == ["FAIL genus stated 6 actual 0"]
+
+    def test_lowered_genus_keeps_the_true_cap_and_bound(self):
+        # with the stated 0 the Z part's 2g cap and the bound would be
+        # violated; the recomputed genus 2 holds both
+        import copy
+        E = gen_toroidal_grid(6, 6)
+        cert = copy.deepcopy(decompose(E, 4))
+        assert cert.ell > 5          # d + 3h - 3, the genus-0 bound
+        cert.genus, cert.bound = 0, 5
+        assert verify_certificate(E, cert) == ["FAIL genus stated 0 actual 2"]
+
+
 class TestTreeDecompositionCheck:
     def test_single_bag_k4(self):
         fails = check_tree_decomposition(4, list(combinations(range(4), 2)),
