@@ -202,6 +202,10 @@ def _parse_certificate(text: str) -> PartitionCertificate:
         raise FormatError("certificate must start with 'cert <n> <d> <genus>'")
     _, n, d, g = lines[0].split()
     n, d, g = int(n), int(d), int(g)
+    # each vertex needs an m line: a count the text cannot hold is refused
+    # before the per-vertex lists are allocated
+    if n > len(lines):
+        raise FormatError(f"{n} vertices but only {len(lines)} lines")
     idx = 1
     h_edges = []
     bags = []

@@ -65,13 +65,15 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
     """Realize the map graph inside the closure of a dual-based frame."""
     if d < 3:
         raise DomainError("d must be >= 3")
+    # each graph version (the map after each repair, its dual, the frame
+    # after its 2-gons are dropped) is traced once; the face set goes to the
+    # next step that reads it
     LM = LabelledMap(G0=LM.G0, labels=list(LM.labels))
     fs = LM.validate()
     origin = list(range(fs.f))
 
     budget = 10 * (LM.G0.n + LM.G0.m) + 100
     for _ in range(budget):
-        fs = trace_faces(LM.G0)
         walks = fs.vertex_walks(LM.G0)
         action = None
         for fi, walk in enumerate(walks):
@@ -97,16 +99,15 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
                 action = ("cut", fi, walks[fi].index(v))
         kind, fi, pos = action
         if kind == "split":
-            step = _split_two_face(LM, fs, fi)
+            step, fs = _split_two_face(LM, fs, fi)
         elif kind == "cut":
-            step = _cut_triangle_at(LM, fs, fi, pos)
+            step, fs = _cut_triangle_at(LM, fs, fi, pos)
         else:
-            step = _stellate_lake(LM, fs, fi)
+            step, fs = _stellate_lake(LM, fs, fi)
         origin = [origin[o] for o in step]
     else:
         raise ContractViolation("map repairs did not converge")
 
-    fs = trace_faces(LM.G0)
     walks = fs.vertex_walks(LM.G0)
     for fi, walk in enumerate(walks):
         if len(walk) < 3 or len(set(walk)) != len(walk):
@@ -122,11 +123,11 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
         if len(lst) > d:
             raise DomainError(f"vertex {v} touches {len(lst)} nations > d")
 
-    dual, dual_face_of_vertex = _dual_graph(LM.G0, fs)
-    frame = _add_nation_cycles(LM, fs, dual, dual_face_of_vertex, nations_at, d)
-    frame = _drop_two_gons(frame)
+    D, dfs, dual_face_of_vertex = _dual_graph(LM.G0, fs)
+    frame = _add_nation_cycles(LM, D, dfs, dual_face_of_vertex, nations_at)
+    del D, dfs, dual_face_of_vertex, nations_at
+    frame, ffs = _drop_two_gons(frame)
 
-    ffs = trace_faces(frame)
     for i in range(ffs.f):
         if not ffs.is_disk_cycle(frame, i):
             raise ContractViolation("frame face is not a disk cycle")
@@ -163,11 +164,7 @@ def _split_two_face(LM, fs, fi):
     rot[u].insert(rot[u].index(d1), 2 * ezu + 1)
     rot[v].insert(rot[v].index(d2), 2 * ezv + 1)
     G = EmbeddedMultigraph(E.n + 1, edges, rot)
-    labels, came_from = _relabel_after(G, LM, fs, keep_first_dart=d1,
-                                       split_face=fi)
-    LM.G0 = G
-    LM.labels = labels
-    return came_from
+    return _relabel_after(G, LM, fs, keep_first_dart=d1, split_face=fi)
 
 
 def _first_repeat(vertex_walk):
@@ -180,11 +177,11 @@ def _first_repeat(vertex_walk):
 
 
 def _relabel_after(G, LM, fs, keep_first_dart, split_face, lake_darts=()):
-    """Recompute labels after one repair.
+    """Make the repaired graph ``G`` the map's and recompute its labels.
 
     Unchanged faces keep their labels; the split face's pieces are
-    relabelled, the nation surviving on one designated side.  Returns the
-    labels plus, per new face, the old face it came from.
+    relabelled, the nation surviving on one designated side.  Returns, per
+    new face, the old face it came from, and the faces of ``G``.
     """
     old_of_dart = {}
     for fi, walk in enumerate(fs.faces):
@@ -210,7 +207,9 @@ def _relabel_after(G, LM, fs, keep_first_dart, split_face, lake_darts=()):
             labels.append(LAKE)
         else:
             labels.append(NATION)
-    return labels, came_from
+    LM.G0 = G
+    LM.labels = labels
+    return came_from, new_fs
 
 
 def _stellate_lake(LM, fs, fi):
@@ -230,11 +229,7 @@ def _stellate_lake(LM, fs, fi):
         rot[c].insert(rot[c].index(walk[i]), 2 * e + 1)
     rot.append([2 * spokes[0]] + [2 * e for e in reversed(spokes[1:])])
     G = EmbeddedMultigraph(E.n + 1, edges, rot)
-    labels, came_from = _relabel_after(G, LM, fs, keep_first_dart=None,
-                                       split_face=fi)
-    LM.G0 = G
-    LM.labels = labels
-    return came_from
+    return _relabel_after(G, LM, fs, keep_first_dart=None, split_face=fi)
 
 
 def _cut_triangle_at(LM, fs, fi, pos):
@@ -256,24 +251,19 @@ def _cut_triangle_at(LM, fs, fi, pos):
     rot[u].insert(rot[u].index(d_in), 2 * e)
     rot[w].insert(rot[w].index(d_out), 2 * e + 1)
     G = EmbeddedMultigraph(E.n, edges, rot)
-    labels, came_from = _relabel_after(G, LM, fs, keep_first_dart=None,
-                                       split_face=fi,
-                                       lake_darts={2 * e + 1})
-    LM.G0 = G
-    LM.labels = labels
-    return came_from
+    return _relabel_after(G, LM, fs, keep_first_dart=None, split_face=fi,
+                          lake_darts={2 * e + 1})
 
 
 def _dual_graph(E, fs):
-    """Dual multigraph with the inherited rotation system."""
+    """Dual multigraph with the inherited rotation system.
+
+    Returns the dual, its faces, and the dual face of each primal vertex.
+    """
     dual_edges = []
     for e in range(E.m):
         f1, f2 = fs.edge_slot_faces(e)
         dual_edges.append((f1, f2, 1))
-    pos_in_face = {}
-    for fi, walk in enumerate(fs.faces):
-        for i, dart in enumerate(walk):
-            pos_in_face[(fi, dart >> 1)] = i
     rot = []
     for fi, walk in enumerate(fs.faces):
         r = []
@@ -294,26 +284,31 @@ def _dual_graph(E, fs):
     dual_face_of_vertex = {}
     used = set()
     for dfi, walk in enumerate(dfs.faces):
-        cands = None
+        # the candidates are the primal ends shared by every dart's edge:
+        # the two ends of the first edge, each struck out (-1) at the
+        # first edge that misses it
+        e = walk[0] >> 1
+        a, b = tails[2 * e], tails[2 * e + 1]
         for dart in walk:
             e = dart >> 1
-            ends = {tails[2 * e], tails[2 * e + 1]}
-            cands = ends if cands is None else cands & ends
-        cands = sorted(c for c in cands
-                       if c not in used and len(E.rot[c]) == len(walk))
-        if not cands:
+            u, v = tails[2 * e], tails[2 * e + 1]
+            if a != u and a != v:
+                a = -1
+            if b != u and b != v:
+                b = -1
+        x = min((c for c in (a, b) if c >= 0 and c not in used
+                 and len(E.rot[c]) == len(walk)), default=None)
+        if x is None:
             raise ContractViolation("dual face matches no primal vertex")
-        x = cands[0]
         used.add(x)
         dual_face_of_vertex[x] = dfi
-    return D, dual_face_of_vertex
+    return D, dfs, dual_face_of_vertex
 
 
-def _add_nation_cycles(LM, fs, D, dual_face_of_vertex, nations_at, d):
+def _add_nation_cycles(LM, D, dfs, dual_face_of_vertex, nations_at):
     """Insert the cycle of nations around each primal vertex into its
-    dual face."""
+    dual face (``dfs`` holds the faces of the dual ``D``)."""
     E = LM.G0
-    dfs = trace_faces(D)
     edges = list(D.edges)
     rot = [list(r) for r in D.rot]
     tails = D.tails()
@@ -368,6 +363,7 @@ def _drop_two_gons(E):
 
     Degree-2 vertices of the primal map dualize to 2-gons; dropping one
     copy of the pair keeps every adjacency and every longer face intact.
+    Returns the frame and the faces of its last trace.
     """
     while True:
         fs = trace_faces(E)
@@ -380,7 +376,7 @@ def _drop_two_gons(E):
                 target = max(e1, e2)
                 break
         if target is None:
-            return E
+            return E, fs
         edges = [e for i, e in enumerate(E.edges) if i != target]
         rot = []
         for r in E.rot:

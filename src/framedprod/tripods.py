@@ -131,7 +131,6 @@ class HPartitionResult:
     bags: list                  # one bag per creation event, part id lists
     bag_parent: list
     boundary_part: int          # id of the distinguished part, or -1
-    fallback_steps: int = 0
 
 
 def tripod_partition(world: TriWorld, tree: RootedTree,
@@ -154,7 +153,6 @@ def tripod_partition(world: TriWorld, tree: RootedTree,
     bags = []
     bag_parent = []
     boundary_part = -1
-    fallback_steps = 0
 
     if boundary is not None:
         parts.append(Part(pid=0, kind="boundary", legs=[list(boundary)],
@@ -217,9 +215,6 @@ def tripod_partition(world: TriWorld, tree: RootedTree,
                 if any({ps[i], ps[(i + 1) % k]} == {a, b} for i in range(k)):
                     tau = c
                     break
-            if tau is None:
-                tau = candidates[0]
-                fallback_steps += 1
         else:
             want = frozenset(rparts)
             for c in candidates:
@@ -230,9 +225,11 @@ def tripod_partition(world: TriWorld, tree: RootedTree,
                 if got >= want:
                     tau = c
                     break
-            if tau is None:
-                tau = candidates[0]
-                fallback_steps += 1
+        # Sperner: a region bounded by 2 (3) parts holds a cell whose
+        # boundary meets both (all three)
+        if tau is None:
+            raise ContractViolation(
+                f"no cell of the region meets all of parts {sorted(rparts)}")
 
         new_vertices = _consume(world, part_of, parent, parts, tau,
                                 rparts, color_of)
@@ -263,8 +260,7 @@ def tripod_partition(world: TriWorld, tree: RootedTree,
     return HPartitionResult(parts=parts, part_of=part_of,
                             h_edges=sorted(set(h_edges)), bags=bags,
                             bag_parent=bag_parent,
-                            boundary_part=boundary_part,
-                            fallback_steps=fallback_steps)
+                            boundary_part=boundary_part)
 
 
 def _flood(world, part_of, stamp, cur, seed):
@@ -398,5 +394,4 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
     return HPartitionResult(parts=parts, part_of=part_of,
                             h_edges=list(HPR.h_edges), bags=HPR.bags,
                             bag_parent=HPR.bag_parent,
-                            boundary_part=HPR.boundary_part,
-                            fallback_steps=HPR.fallback_steps)
+                            boundary_part=HPR.boundary_part)

@@ -1,4 +1,3 @@
-import sys
 from collections import Counter
 
 import pytest
@@ -10,7 +9,6 @@ from framedprod.assemble import (
     serialize_certificate,
     width_bound,
 )
-from framedprod import embedding
 from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
@@ -79,29 +77,13 @@ class TestProductMapping:
             assert [c for _, c in members] == list(range(len(members)))
 
 
-def count_traces(monkeypatch):
-    """Route every framedprod binding of trace_faces through a counter;
-    returns the list of graphs traced."""
-    original = embedding.trace_faces
-    traced = []
-
-    def counted(E):
-        traced.append(E)
-        return original(E)
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "framedprod" and \
-                getattr(mod, "trace_faces", None) is original:
-            monkeypatch.setattr(mod, "trace_faces", counted)
-    return traced
-
-
 class TestDecompose:
     @pytest.mark.parametrize("family,d,want", [("torus", 4, 3), ("tri", 3, 1)])
-    def test_one_trace_per_graph(self, monkeypatch, family, d, want):
+    def test_one_trace_per_graph(self, count_traces, family, d, want):
         # positive genus traces E, the cut graph Gt and the apexed G+
         E = (gen_toroidal_grid(6, 6) if family == "torus"
              else gen_plane_triangulation(60, 3))
-        traced = count_traces(monkeypatch)
+        traced = count_traces()
         cert = decompose(E, d)
         assert len(traced) == want
         assert len({id(G) for G in traced}) == want

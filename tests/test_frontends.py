@@ -1,9 +1,15 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from framedprod.assemble import decompose
+from framedprod import frontends
+from framedprod.assemble import decompose, serialize_certificate
 from framedprod.embedding import (
     EmbeddedMultigraph,
     from_face_list,
+    serialize_embedding,
     trace_faces,
 )
 from framedprod.errors import DomainError
@@ -28,6 +34,51 @@ from framedprod.generators import (
     k6_oneplane,
 )
 from framedprod.verify import rebuild_closure
+
+# sha256 digests of map_to_frame's frame and of its certificate, recorded
+# from the frontend that re-traced the map, its dual and the frame at every
+# step
+GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
+                    .read_text())
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def two_face_map():
+    """Parallel edges bounding a 2-face, plus an outer 2-face."""
+    E = EmbeddedMultigraph(2, [(0, 1, 1), (0, 1, 1)], [[0, 2], [3, 1]])
+    return LabelledMap(G0=E, labels=[NATION, LAKE])
+
+
+def repeated_vertex_map():
+    """Two triangles glued at vertex 0; the outer walk repeats it."""
+    E = from_face_list([[0, 1, 2], [0, 3, 4], [0, 2, 1, 0, 4, 3]])
+    labels = [NATION if len(w) == 3 else LAKE
+              for w in trace_faces(E).vertex_walks(E)]
+    return LabelledMap(G0=E, labels=labels)
+
+
+def lake_triangle_map():
+    """A nation triangle in a lake; its degree-2 corners stellate the lake."""
+    E = from_face_list([[0, 1, 2], [2, 1, 0]])
+    return LabelledMap(G0=E, labels=[NATION, LAKE])
+
+
+REPAIR_FIXTURES = {"two_face": two_face_map,
+                   "repeated_vertex": repeated_vertex_map,
+                   "lake_triangle": lake_triangle_map}
+
+
+def golden_map(key):
+    """The labelled map and d named by a GOLDEN key: ``<fixture>_d<d>`` or
+    ``gen_<n>_<d>_<seed>`` for gen_labelled_map."""
+    if key.startswith("gen_"):
+        n, d, seed = map(int, key.split("_")[1:])
+        return gen_labelled_map(n, d, seed), d
+    name, d = key.rsplit("_d", 1)
+    return REPAIR_FIXTURES[name](), int(d)
 
 
 class TestMapGraphs:
@@ -139,6 +190,40 @@ class TestMapGraphs:
         back = parse_labelled_map(text)
         assert back.labels == LM.labels
         assert back.G0.edges == LM.G0.edges
+
+
+class TestMapFrameDigests:
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_frame_and_certificate(self, key):
+        LM, d = golden_map(key)
+        frame = map_to_frame(LM, d).frame
+        got = [_sha(serialize_embedding(frame)),
+               _sha(serialize_certificate(decompose(frame, d)))]
+        assert got == GOLDEN[key]
+
+    @pytest.mark.parametrize("name,repair", [
+        ("two_face", "_split_two_face"),
+        ("repeated_vertex", "_cut_triangle_at"),
+        ("lake_triangle", "_stellate_lake")])
+    def test_fixture_runs_its_repair(self, monkeypatch, name, repair):
+        calls = []
+        original = getattr(frontends, repair)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(frontends, repair, counted)
+        map_to_frame(REPAIR_FIXTURES[name](), 4)
+        assert calls
+
+    def test_traces_map_dual_and_frame_once(self, count_traces):
+        LM = gen_labelled_map(60, 5, 1)
+        traced = count_traces()
+        res = map_to_frame(LM, 5)
+        assert len(traced) == 3
+        assert len({id(G) for G in traced}) == 3
+        assert traced[0] is LM.G0
+        assert traced[-1] is res.frame
 
 
 class TestOnePlanar:

@@ -2,11 +2,17 @@ from collections import Counter
 
 import pytest
 
+from framedprod import tripods
 from framedprod.cut import RootedTree
 from framedprod.embedding import bfs_structure, from_face_list, trace_faces
+from framedprod.errors import ContractViolation
 from framedprod.frame import close_frame
 from framedprod.generators import gen_framed, gen_plane_triangulation
-from framedprod.tripods import triangulate_long_faces, tripod_partition
+from framedprod.tripods import (
+    UNASSIGNED,
+    triangulate_long_faces,
+    tripod_partition,
+)
 from framedprod.verify import check_planarity, exact_treewidth
 
 
@@ -128,10 +134,26 @@ class TestTripodPartition:
             assert len(part.absorbed) <= d - 3
 
     def test_no_fallback_on_triangulations(self):
+        # a region with no cell meeting all its parts is a ContractViolation
         for seed in range(10):
             E = gen_plane_triangulation(100, seed)
             _, R = run_partition(E, 3)
-            assert R.fallback_steps == 0
+            assert all(p != UNASSIGNED for p in R.part_of)
+
+    def test_region_without_a_meeting_cell_is_a_contract_violation(
+            self, monkeypatch):
+        # a part that no cell touches cannot be met: no candidate passes
+        # the 2-part test and the step raises instead of guessing a cell
+        flood = tripods._flood
+
+        def phantom_part(*args):
+            rparts, candidates = flood(*args)
+            if len(rparts) == 1:
+                rparts.add(10 ** 6)
+            return rparts, candidates
+        monkeypatch.setattr(tripods, "_flood", phantom_part)
+        with pytest.raises(ContractViolation, match="no cell"):
+            run_partition(gen_plane_triangulation(30, 1), 3)
 
     def test_td_bags_form_tree(self):
         E = gen_plane_triangulation(60, 8)
