@@ -16,13 +16,12 @@ from .embedding import (
     bfs_structure,
     euler_genus,
     from_face_list,
-    nontree_dual,
     parse_embedding,
     serialize_embedding,
     trace_faces,
 )
 from .errors import ContractViolation, DomainError, FormatError, InvalidFrameError
-from .frame import FramedGraph, close_frame, face_cliques
+from .frame import check_frame
 from .frontends import (
     LabelledMap,
     OnePlaneDrawing,

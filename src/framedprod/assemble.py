@@ -4,14 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cut import RootedTree, attach_apex, build_Tplus, build_Z, cut_along
+from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import EmbeddedMultigraph, bfs_structure, euler_genus, trace_faces
-from .errors import (
-    ContractViolation,
-    DomainError,
-    FormatError,
-    InvalidFrameError,
-)
+from .errors import ContractViolation, DomainError, FormatError
+from .frame import check_frame
 from .tripods import (
     Part,
     project_partition,
@@ -117,22 +113,20 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
     # a face set is dropped as soon as the stage that reads it is done
     faces = trace_faces(E)
     g = euler_genus(E, faces)                 # the connectivity test of E
-    _check_frame(E, d, faces)
+    check_frame(E, d, faces)
     T = bfs_structure(E, E.root if E.root is not None else 0)
     if g == 0:
         world = triangulate_long_faces(E, d, faces)
         del faces
-        tree = RootedTree(root=T.root, parent=T.parent,
-                          parent_edge=T.parent_edge)
-        projected = tripod_partition(world, tree)
+        projected = tripod_partition(world, T.parent)
     else:
         C = build_Z(E, T, faces)
         R, faces = cut_along(E, C, faces)
         A, faces = attach_apex(R, faces)
-        Tp, Pp = build_Tplus(A, T, R, C)
+        parent, Pp = build_Tplus(A, T, R, C)
         world = triangulate_long_faces(A.Gplus, d, faces)
         del faces
-        HPR = tripod_partition(world, Tp, boundary=Pp, blocked=(A.rplus,))
+        HPR = tripod_partition(world, parent, boundary=Pp, blocked=(A.rplus,))
         projected = project_partition(HPR, R, C, E.n)
 
     blocks = block_layering(T, d)
@@ -146,18 +140,6 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
         part_of=projected.part_of, h_edges=projected.h_edges,
         bags=projected.bags, bag_parent=projected.bag_parent,
         boundary_part=projected.boundary_part, mapping=mapping, bound=bound)
-
-
-def _check_frame(E: EmbeddedMultigraph, d: int, faces) -> None:
-    """A frame needs d >= 3, an edge, and every face bounded by a cycle."""
-    if d < 3:
-        raise DomainError("d must be >= 3")
-    if E.m == 0:
-        raise InvalidFrameError("an edgeless graph has no cycle-bounded faces")
-    for i, w in enumerate(faces.vertex_walks(E)):
-        if len(w) < 3 or len(set(w)) != len(w):
-            raise InvalidFrameError(
-                f"face {i} (vertex walk {w}) is not a cycle: not a valid frame")
 
 
 def serialize_certificate(cert: PartitionCertificate) -> str:

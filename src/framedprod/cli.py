@@ -154,6 +154,10 @@ def cmd_oneplanar(args):
 
 
 def cmd_stats(args):
+    if args.svg and args.d is None:
+        print("error: --svg draws the H of a decomposition and needs --d",
+              file=sys.stderr)
+        return EXIT_PARSE
     E = parse_embedding(_read(args.input))
     fs = trace_faces(E)
     g = euler_genus(E, fs) if E.is_connected() else None
@@ -164,7 +168,8 @@ def cmd_stats(args):
         hist[len(w)] = hist.get(len(w), 0) + 1
     lines.append("faces " + " ".join(f"{k}:{hist[k]}"
                                      for k in sorted(hist)))
-    if args.d is not None and g is not None:
+    if args.d is not None:
+        # decompose refuses a disconnected graph (exit 1)
         cert = decompose(E, args.d)
         lines.append(f"ell {cert.ell}")
         lines.append(f"bound {width_bound(g, args.d)}")

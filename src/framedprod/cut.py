@@ -12,14 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .embedding import (
-    BfsStructure,
-    DualGraph,
-    EmbeddedMultigraph,
-    FaceSet,
-    nontree_dual,
-    trace_faces,
-)
+from .embedding import BfsStructure, EmbeddedMultigraph, FaceSet, trace_faces
 from .errors import ContractViolation, DomainError
 
 
@@ -42,26 +35,42 @@ class CutSystem:
         return len(self.z_edges)
 
 
-def _dual_spanning_tree(D: DualGraph) -> set:
-    """BFS spanning tree of the dual from face 0, ascending edge order."""
-    adj = [[] for _ in range(D.num_faces)]
-    for i, (a, b, _) in enumerate(D.edges):
-        adj[a].append((i, b))
-        adj[b].append((i, a))
-    for lst in adj:
-        lst.sort()
-    seen = [False] * D.num_faces
-    seen[0] = True
-    tree = set()
+def _dual_cotree(E: EmbeddedMultigraph, T: BfsStructure,
+                 faces: FaceSet) -> list:
+    """Non-tree edges left out of a spanning tree of the non-tree dual.
+
+    The non-tree dual has one vertex per face and one edge per edge of E
+    outside T.  Its spanning tree is the BFS tree from face 0 that scans
+    edges in ascending id order; the edges it leaves out come back
+    ascending.
+    """
+    in_tree = bytearray(E.m)
+    for e in T.parent_edge:
+        if e >= 0:
+            in_tree[e] = 1
+    nontree = [e for e in range(E.m) if not in_tree[e]]
+    if len(nontree) != E.m - (E.n - 1):
+        raise ContractViolation("dual edge count != m - (n-1)")
+    slot_face = faces.slot_face
+    adj = [[] for _ in range(faces.f)]
+    for e in nontree:
+        a, b = slot_face[2 * e], slot_face[2 * e + 1]
+        adj[a].append((e, b))
+        adj[b].append((e, a))
+    seen = bytearray(faces.f)
+    seen[0] = 1
+    reached = 1
     q = deque([0])
     while q:
-        x = q.popleft()
-        for i, y in adj[x]:
+        for e, y in adj[q.popleft()]:
             if not seen[y]:
-                seen[y] = True
-                tree.add(i)
+                seen[y] = 1
+                reached += 1
+                in_tree[e] = 1        # now marks the dual tree edges too
                 q.append(y)
-    return tree
+    if reached != faces.f:
+        raise ContractViolation("non-tree dual is disconnected")
+    return [e for e in nontree if not in_tree[e]]
 
 
 def build_Z(E: EmbeddedMultigraph, T: BfsStructure,
@@ -73,10 +82,7 @@ def build_Z(E: EmbeddedMultigraph, T: BfsStructure,
     g = 2 - E.n + E.m - faces.f
     if g == 0:
         return CutSystem(Q=[], z_vertices=[], z_edges=set(), paths=[], genus=0)
-    dual = nontree_dual(E, T, faces)
-    tstar = _dual_spanning_tree(dual)
-    Q = sorted(dual.edges[i][2] for i in range(dual.num_edges)
-               if i not in tstar)
+    Q = _dual_cotree(E, T, faces)
     if len(Q) != g:
         raise ContractViolation(f"|Q| = {len(Q)} but genus is {g}")
 
@@ -125,13 +131,9 @@ class CutResult:
     provenance: list          # new vertex -> original vertex
     zprime: list              # the copy vertices, ascending
     cf_cycle: list            # vertex cycle of the new face
-    cf_edges: list            # edge ids along the cycle (cf_edges[i] joins
-                              # cf_cycle[i] and cf_cycle[i+1])
     vertex_map: dict          # unsplit original vertex -> new id
     edge_map: dict            # surviving original edge -> new id
-    dart_owner: dict          # original dart at a split vertex -> copy id
     new_face_index: int
-    genus: int
 
 
 def cut_along(E: EmbeddedMultigraph, C: CutSystem,
@@ -289,17 +291,14 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
     cf_darts = fs2.faces[new_face]
     t2 = Gt.tails()
     cf_cycle = [t2[d] for d in cf_darts]
-    cf_edges = [d >> 1 for d in cf_darts]
     if sorted(cf_cycle) != zprime:
         raise ContractViolation("new face is not bounded by exactly Z'")
     if len(set(cf_cycle)) != len(cf_cycle):
         raise ContractViolation("new face repeats a vertex")
 
     R = CutResult(Gt=Gt, provenance=provenance, zprime=zprime,
-                  cf_cycle=cf_cycle, cf_edges=cf_edges,
-                  vertex_map=vertex_map, edge_map=edge_map,
-                  dart_owner=dart_owner, new_face_index=new_face,
-                  genus=C.genus)
+                  cf_cycle=cf_cycle, vertex_map=vertex_map,
+                  edge_map=edge_map, new_face_index=new_face)
     p, q, g = C.p, C.q, C.genus
     if Gt.n != E.n + p - 2 + 2 * g:
         raise ContractViolation("n' != n + p - 2 + 2g")
@@ -341,7 +340,6 @@ def _normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
 class ApexResult:
     Gplus: EmbeddedMultigraph
     rplus: int
-    spoke_edges: list        # spoke_edges[i] joins rplus with cf_cycle[i]
 
 
 def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
@@ -357,19 +355,16 @@ def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
     rplus = Gt.n
     edges = list(Gt.edges)
     rot = list(Gt.rot)        # a rotation is copied before it changes
-    spokes = []
-    spoke_darts = []
+    spoke_darts = []          # the apex end of each spoke
     for c in cyc:
-        e = len(edges)
+        spoke_darts.append(2 * len(edges))
         edges.append((rplus, c, 1))
-        spokes.append(e)
-        spoke_darts.append(2 * e)
     # at each cycle vertex the spoke sits in the slit corner: right before
     # the outgoing boundary dart of the new face
     for i, c in enumerate(cyc):
         out = cf_darts[i]
         r = rot[c] = list(rot[c])
-        r.insert(r.index(out), 2 * spokes[i] + 1)
+        r.insert(r.index(out), spoke_darts[i] + 1)
     rot.append(list(reversed(spoke_darts)))
     Gplus = EmbeddedMultigraph(Gt.n + 1, edges, rot)
     fs = trace_faces(Gplus)
@@ -377,30 +372,20 @@ def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
         raise ContractViolation("apex insertion broke planarity")
     if fs.f != len(cyc) + gt_faces.f - 1:
         raise ContractViolation("apex wheel face count is off")
-    return ApexResult(Gplus=Gplus, rplus=rplus, spoke_edges=spokes), fs
-
-
-@dataclass
-class RootedTree:
-    """Rooted spanning tree as parent pointers (root has parent -1)."""
-
-    root: int
-    parent: list
-    parent_edge: list
+    return ApexResult(Gplus=Gplus, rplus=rplus), fs
 
 
 def build_Tplus(A: ApexResult, T: BfsStructure, R: CutResult,
                 C: CutSystem) -> tuple:
     """Spanning tree of the apexed graph: boundary path + old forest.
 
-    Returns (T_plus, P_plus) where P_plus is the boundary cycle minus the
+    Returns (parent, P_plus): the tree as parent pointers rooted at the
+    apex (which has parent -1), and P_plus, the boundary cycle minus the
     edge between the two smallest copy ids, rooted below the apex.
     """
-    Gp = A.Gplus
-    n = Gp.n
+    n = A.Gplus.n
     parent = [-1] * n
-    parent_edge = [-1] * n
-    cyc, ces = R.cf_cycle, R.cf_edges
+    cyc = R.cf_cycle
     k = len(cyc)
     # remove the boundary edge with lexicographically smallest endpoints
     best = min(range(k), key=lambda i: (min(cyc[i], cyc[(i + 1) % k]),
@@ -409,15 +394,11 @@ def build_Tplus(A: ApexResult, T: BfsStructure, R: CutResult,
     vplus = min(a, b)
     if vplus == a:
         path = [cyc[(best - j) % k] for j in range(k)]
-        path_edges = [ces[(best - 1 - j) % k] for j in range(k - 1)]
     else:
         path = [cyc[(best + 1 + j) % k] for j in range(k)]
-        path_edges = [ces[(best + 1 + j) % k] for j in range(k - 1)]
     parent[vplus] = A.rplus
-    parent_edge[vplus] = A.spoke_edges[cyc.index(vplus)]
     for i in range(1, k):
         parent[path[i]] = path[i - 1]
-        parent_edge[path[i]] = path_edges[i - 1]
     # forest T - V(Z) survives; each component hangs off the copy that kept
     # the dart of its topmost vertex's old tree edge
     zset = set(C.z_vertices)
@@ -426,38 +407,34 @@ def build_Tplus(A: ApexResult, T: BfsStructure, R: CutResult,
             continue
         wn = R.vertex_map[w]
         pv = T.parent[w]
-        pe = T.parent_edge[w]
         if pv in zset:
-            # the surviving copy of edge pe ends at exactly one corner copy
-            ne = R.edge_map[pe]
-            u2, v2, _ = R.Gt.edges[ne]
+            # the surviving copy of w's old tree edge ends at exactly one
+            # corner copy
+            u2, v2, _ = R.Gt.edges[R.edge_map[T.parent_edge[w]]]
             parent[wn] = u2 if v2 == wn else v2
-            parent_edge[wn] = ne
         elif pv != -1:
             parent[wn] = R.vertex_map[pv]
-            parent_edge[wn] = R.edge_map[pe]
-    Tp = RootedTree(root=A.rplus, parent=parent, parent_edge=parent_edge)
-    _check_spanning(Tp, n)
-    return Tp, path
+    _check_spanning(parent, A.rplus, n)
+    return parent, path
 
 
-def _check_spanning(Tp: RootedTree, n: int):
+def _check_spanning(parent: list, root: int, n: int):
     count = 0
     for v in range(n):
-        if Tp.parent[v] == -1:
-            if v != Tp.root:
+        if parent[v] == -1:
+            if v != root:
                 raise ContractViolation(f"vertex {v} detached from the tree")
         else:
             count += 1
     # acyclicity via depth computation (raises on cycles implicitly)
     depth = [-1] * n
-    depth[Tp.root] = 0
+    depth[root] = 0
     for v in range(n):
         chain = []
         x = v
         while depth[x] == -1:
             chain.append(x)
-            x = Tp.parent[x]
+            x = parent[x]
             if len(chain) > n:
                 raise ContractViolation("parent pointers contain a cycle")
         d = depth[x]

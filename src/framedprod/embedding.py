@@ -104,15 +104,6 @@ class EmbeddedMultigraph:
                     stack.append(w)
         return all(seen)
 
-    def simple_adjacency(self):
-        """Neighbour sets of the underlying simple graph (loops dropped)."""
-        adj = [set() for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
-
 
 @dataclass
 class FaceSet:
@@ -243,9 +234,6 @@ class BfsStructure:
     depth: list
     layers: list          # layers[i] = vertices at distance i, ascending ids
 
-    def tree_edge_set(self):
-        return {e for e in self.parent_edge if e >= 0}
-
 
 def bfs_structure(E: EmbeddedMultigraph, root: int) -> BfsStructure:
     """Breadth-first tree from root; neighbours explored in dart-id order."""
@@ -278,56 +266,6 @@ def bfs_structure(E: EmbeddedMultigraph, root: int) -> BfsStructure:
         layers[dv].append(v)
     return BfsStructure(root=root, parent=parent, parent_edge=parent_edge,
                         depth=depth, layers=layers)
-
-
-@dataclass
-class DualGraph:
-    """Non-tree dual: one vertex per face, one edge per non-tree primal edge."""
-
-    num_faces: int
-    edges: list           # (face1, face2, primal edge id)
-
-    @property
-    def num_edges(self):
-        return len(self.edges)
-
-    def is_connected(self):
-        if self.num_faces <= 1:
-            return True
-        adj = [[] for _ in range(self.num_faces)]
-        for a, b, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = [False] * self.num_faces
-        seen[0] = True
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return all(seen)
-
-
-def nontree_dual(E: EmbeddedMultigraph, T: BfsStructure,
-                 faces: FaceSet = None) -> DualGraph:
-    """Dual restricted to edges not crossed by the spanning tree."""
-    if faces is None:
-        faces = trace_faces(E)
-    tree_edges = T.tree_edge_set()
-    dedges = []
-    for e in range(E.m):
-        if e in tree_edges:
-            continue
-        f1, f2 = faces.edge_slot_faces(e)
-        dedges.append((f1, f2, e))
-    D = DualGraph(num_faces=faces.f, edges=dedges)
-    if D.num_edges != E.m - (E.n - 1):
-        raise ContractViolation("dual edge count != m - (n-1)")
-    if not D.is_connected():
-        raise ContractViolation("non-tree dual is disconnected")
-    return D
 
 
 def from_face_list(face_walks, n=None) -> EmbeddedMultigraph:

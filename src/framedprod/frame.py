@@ -1,84 +1,25 @@
-"""Framed closures: add all chords inside short faces of a frame."""
+"""The frame check: every face of a frame is bounded by a cycle."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .embedding import EmbeddedMultigraph, FaceSet, trace_faces
 from .errors import DomainError, InvalidFrameError
 
 
-@dataclass
-class FramedGraph:
-    """A frame plus its distance-d closure, grouped by face.
+def check_frame(E: EmbeddedMultigraph, d: int,
+                faces: FaceSet = None) -> FaceSet:
+    """A frame needs d >= 3, an edge, and every face bounded by a cycle.
 
-    The closure is kept as an abstract simple-graph view (adjacency sets);
-    parallel frame edges collapse to one closure edge.  A chord shared by
-    two faces is stored once but listed under both faces' cliques.
+    Returns the faces of ``E``, traced here when not given.
     """
-
-    frame: EmbeddedMultigraph
-    d: int
-    faces: FaceSet
-    closed_faces: list       # indices of faces with length in {3..d}
-    face_vertices: list      # per closed face: its vertex cycle
-    chords: list             # per closed face: list of added (u, v) pairs
-    adjacency: list          # closure adjacency sets, indexed by vertex
-
-    @property
-    def closure_edge_count(self):
-        return sum(len(a) for a in self.adjacency) // 2
-
-    def closure_edges(self):
-        for u in range(len(self.adjacency)):
-            for v in self.adjacency[u]:
-                if u < v:
-                    yield (u, v)
-
-    def is_closure_edge(self, u, v):
-        return v in self.adjacency[u]
-
-
-def close_frame(E: EmbeddedMultigraph, d: int,
-                faces: FaceSet = None) -> FramedGraph:
-    """Closure of a frame: every face of length <= d becomes a clique."""
     if d < 3:
         raise DomainError("d must be >= 3")
     if E.m == 0:
         raise InvalidFrameError("an edgeless graph has no cycle-bounded faces")
     if faces is None:
         faces = trace_faces(E)
-    walks = faces.vertex_walks(E)
-    for i, w in enumerate(walks):
+    for i, w in enumerate(faces.vertex_walks(E)):
         if len(w) < 3 or len(set(w)) != len(w):
             raise InvalidFrameError(
                 f"face {i} (vertex walk {w}) is not a cycle: not a valid frame")
-    frame_adj = E.simple_adjacency()
-    adjacency = [set(a) for a in frame_adj]
-    closed = []
-    face_vertices = []
-    chords = []
-    for i, w in enumerate(walks):
-        if len(w) > d:
-            continue
-        closed.append(i)
-        face_vertices.append(list(w))
-        added = []
-        k = len(w)
-        for a in range(k):
-            for b in range(a + 1, k):
-                u, v = w[a], w[b]
-                if v not in frame_adj[u]:
-                    # chord of this face even if another face already added it
-                    added.append((u, v) if u < v else (v, u))
-                    adjacency[u].add(v)
-                    adjacency[v].add(u)
-        chords.append(added)
-    return FramedGraph(frame=E, d=d, faces=faces, closed_faces=closed,
-                       face_vertices=face_vertices, chords=chords,
-                       adjacency=adjacency)
-
-
-def face_cliques(F: FramedGraph) -> list:
-    """One vertex set per closed face; set size equals the face length."""
-    return [set(w) for w in F.face_vertices]
+    return faces

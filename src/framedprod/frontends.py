@@ -626,21 +626,24 @@ def parse_labelled_map(text: str) -> LabelledMap:
         else:
             emb_lines.append(s)
     G0 = parse_embedding("\n".join(emb_lines))
-    fs = trace_faces(G0)
-    labels = [None] * fs.f
+    # the ids must be 0..k-1; LabelledMap.validate checks k against the
+    # face count when it traces the map
+    labels = {}
     for ln in face_lines:
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in (NATION, LAKE):
             raise FormatError(f"bad face label line: {ln}")
-        fi = int(parts[1])
-        if not (0 <= fi < fs.f):
-            raise FormatError(f"unknown face id {fi}")
-        if labels[fi] is not None:
+        try:
+            fi = int(parts[1])
+        except ValueError:
+            raise FormatError(f"bad face id in line: {ln}") from None
+        if fi in labels:
             raise FormatError(f"duplicate label for face {fi}")
         labels[fi] = parts[2]
-    if any(lab is None for lab in labels):
-        raise FormatError("every face needs a nation|lake label")
-    return LabelledMap(G0=G0, labels=labels)
+    k = len(labels)
+    if any(not (0 <= fi < k) for fi in labels):
+        raise FormatError(f"face ids must be 0..{k - 1}, each once")
+    return LabelledMap(G0=G0, labels=[labels[fi] for fi in range(k)])
 
 
 def serialize_labelled_map(LM: LabelledMap) -> str:

@@ -17,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .cut import RootedTree
 from .embedding import EmbeddedMultigraph, FaceSet, trace_faces
 from .errors import ContractViolation, DomainError
 
@@ -34,7 +33,6 @@ class TriWorld:
     cells: list                 # vertex cycles, each of length 3..d
     cell_nbrs: list             # per cell: neighbour cell id per boundary edge
     cells_at: list              # per vertex: incident cell ids
-    aux_chords: list            # fan chords added inside long faces
 
     @property
     def num_cells(self):
@@ -54,7 +52,6 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
         faces = trace_faces(E)
     cells = []
     cell_nbrs = []               # per cell: neighbour cell per boundary edge
-    aux_chords = []
     at_cell = [-1] * E.m         # per edge: cell and edge position of the
     at_pos = [0] * E.m           # occurrence met first
     for fi, (darts, walk) in enumerate(zip(faces.faces,
@@ -75,7 +72,6 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
                 cell_nbrs.append([-1, -1, -1])
                 if j > 1:
                     # fan triangle j-1 shares its closing chord with j
-                    aux_chords.append((rw[0], rw[j]))
                     cell_nbrs[base + j - 2][2] = base + j - 1
                     cell_nbrs[base + j - 1][0] = base + j - 2
             # walk position i is the edge rw[i'] rw[i'+1], i' = (i - a) mod k:
@@ -105,7 +101,7 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
         for v in cyc:
             cells_at[v].append(ci)
     return TriWorld(nv=E.n, d=d, cells=cells, cell_nbrs=cell_nbrs,
-                    cells_at=cells_at, aux_chords=aux_chords)
+                    cells_at=cells_at)
 
 
 @dataclass
@@ -133,17 +129,18 @@ class HPartitionResult:
     boundary_part: int          # id of the distinguished part, or -1
 
 
-def tripod_partition(world: TriWorld, tree: RootedTree,
+def tripod_partition(world: TriWorld, parent: list,
                      boundary: list = None, blocked: tuple = ()) -> HPartitionResult:
     """Partition the working graph; every region sees at most 3 parts.
 
+    ``parent``: a spanning tree of the working graph as parent pointers
+    (-1 at the root); the legs of every part are vertical paths in it.
     ``boundary``: optional vertex path pre-assigned as the distinguished
     part (the cut boundary).  ``blocked`` vertices (the apex) belong to no
     part and fence the flood.
     """
     nv = world.nv
     cells = world.cells
-    parent = tree.parent
 
     part_of = [UNASSIGNED] * nv
     for v in blocked:

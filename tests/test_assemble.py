@@ -16,7 +16,7 @@ from framedprod.embedding import (
     parse_embedding,
     serialize_embedding,
 )
-from framedprod.errors import DomainError
+from framedprod.errors import DomainError, InvalidFrameError
 from framedprod.generators import (
     gen_framed,
     gen_plane_triangulation,
@@ -171,6 +171,18 @@ class TestDecompose:
         E = EmbeddedMultigraph(2, [], [[], []])
         with pytest.raises(DomainError):
             decompose(E, 3)
+
+    def test_non_frames_rejected(self):
+        # a face walk that repeats a vertex (a path), and a lone vertex
+        with pytest.raises(InvalidFrameError, match="face 0"):
+            decompose(from_face_list([[0, 1, 2, 1]]), 3)
+        with pytest.raises(InvalidFrameError, match="edgeless"):
+            decompose(EmbeddedMultigraph(1, [], [[]]), 3)
+
+    @pytest.mark.parametrize("d", [2, 0, -1])
+    def test_d_below_3_rejected(self, d):
+        with pytest.raises(DomainError, match="d must be >= 3"):
+            decompose(gen_plane_triangulation(10, 1), d)
 
     def test_deterministic(self):
         E = gen_toroidal_grid(4, 4)

@@ -85,6 +85,26 @@ class TestCli:
         assert "faces 4:9" in text
         assert "ell " in text and "bound 8" in text
 
+    def test_stats_svg_needs_d(self, tmp_path, capsys):
+        frame = tmp_path / "g.emg"
+        svg = tmp_path / "h.svg"
+        run(["gen", "--family", "tri", "--params", "12", "--out", str(frame)])
+        capsys.readouterr()
+        assert run(["stats", "--in", str(frame), "--svg", str(svg)]) == 1
+        captured = capsys.readouterr()
+        assert "--d" in captured.err and captured.out == ""
+        assert not svg.exists()
+
+    def test_stats_d_needs_a_connected_graph(self, tmp_path, capsys):
+        frame = tmp_path / "g.emg"
+        frame.write_text("emg 4 2\ne 0 0 1 1\ne 1 2 3 1\n"
+                         "v 0: 0.0\nv 1: 0.1\nv 2: 1.0\nv 3: 1.1\n")
+        assert run(["stats", "--in", str(frame)]) == 0
+        assert "genus - (disconnected)" in capsys.readouterr().out
+        assert run(["stats", "--in", str(frame), "--d", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "connected" in captured.err and "ell" not in captured.out
+
     def test_svg_emitted(self, tmp_path):
         frame = tmp_path / "g.emg"
         svg = tmp_path / "h.svg"

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import pytest
 
 from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
     euler_genus,
+    from_face_list,
     trace_faces,
 )
-from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
-from framedprod.errors import DomainError
+from framedprod.cut import _dual_cotree, attach_apex, build_Tplus, build_Z, cut_along
+from framedprod.errors import ContractViolation, DomainError
 from framedprod.generators import gen_plane_triangulation, gen_toroidal_grid
 
 
@@ -22,6 +25,47 @@ def projective_k4():
              (2, 3, 1)]
     rot = [[0, 2, 4], [1, 6, 8], [3, 7, 10], [5, 9, 11]]
     return EmbeddedMultigraph(4, edges, rot)
+
+
+class TestDualCotree:
+    """Q: the non-tree edges outside a spanning tree of the non-tree dual."""
+
+    def test_k4(self):
+        # 3 non-tree edges join the 4 faces of a plane graph in a tree
+        E = from_face_list([[0, 1, 2], [0, 2, 3], [0, 3, 1], [3, 2, 1]])
+        T = bfs_structure(E, 0)
+        assert _dual_cotree(E, T, trace_faces(E)) == []
+
+    def test_tree_input_edgeless_dual(self):
+        # star on 3 vertices: m = n-1, one face, no dual edges
+        E = EmbeddedMultigraph(3, [(0, 1, 1), (0, 2, 1)], [[0, 2], [1], [3]])
+        fs = trace_faces(E)
+        assert fs.f == 1
+        assert _dual_cotree(E, bfs_structure(E, 0), fs) == []
+
+    def test_toroidal_counts(self):
+        E = gen_toroidal_grid(3, 3)
+        T = bfs_structure(E, 0)
+        Q = _dual_cotree(E, T, trace_faces(E))
+        tree = set(T.parent_edge)
+        assert len(Q) == euler_genus(E) == 2      # 18 - 8 = 10 = 9 - 1 + 2
+        assert Q == sorted(Q) and not tree & set(Q)
+        assert build_Z(E, T).Q == Q
+
+    def test_contracts(self):
+        E = gen_toroidal_grid(3, 3)
+        fs = trace_faces(E)
+        T = bfs_structure(E, 0)
+        short = SimpleNamespace(parent_edge=T.parent_edge[:-1])
+        with pytest.raises(ContractViolation, match="dual edge count"):
+            _dual_cotree(E, short, fs)
+        # n - 1 "tree" edges that close the boundary of face 0 cut that
+        # face off in the dual
+        ring = sorted({d >> 1 for d in fs.faces[0]})
+        rest = [e for e in range(E.m) if e not in ring][:E.n - 1 - len(ring)]
+        fake = SimpleNamespace(parent_edge=[-1] + ring + rest)
+        with pytest.raises(ContractViolation, match="disconnected"):
+            _dual_cotree(E, fake, fs)
 
 
 class TestBuildZ:
@@ -171,18 +215,18 @@ class TestApexAndTree:
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
         A, _ = attach_apex(R, gt_faces)
-        Tp, Pp = build_Tplus(A, T, R, C)
+        parent, Pp = build_Tplus(A, T, R, C)
         n = A.Gplus.n
-        assert Tp.root == A.rplus
-        assert sum(1 for v in range(n) if Tp.parent[v] == -1) == 1
+        assert parent[A.rplus] == -1
+        assert sum(1 for v in range(n) if parent[v] == -1) == 1
         # edge-count identity
         interior = E.n - C.p
         assert len(Pp) + interior == n - 1
         # P+ covers the whole cut boundary and is a path below the apex
         assert sorted(Pp) == R.zprime
-        assert Tp.parent[Pp[0]] == A.rplus
+        assert parent[Pp[0]] == A.rplus
         for a, b in zip(Pp, Pp[1:]):
-            assert Tp.parent[b] == a
+            assert parent[b] == a
 
     def test_vertical_paths_project_to_original_tree(self):
         E = gen_toroidal_grid(4, 4)
@@ -190,14 +234,14 @@ class TestApexAndTree:
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
         A, _ = attach_apex(R, gt_faces)
-        Tp, Pp = build_Tplus(A, T, R, C)
+        parent, Pp = build_Tplus(A, T, R, C)
         zp = set(R.zprime)
         # climbing from any non-boundary vertex stays inside the original
         # tree until the boundary: each parent step matches T
         for vn in range(A.Gplus.n):
             if vn == A.rplus or vn in zp:
                 continue
-            pn = Tp.parent[vn]
+            pn = parent[vn]
             if pn in zp or pn == A.rplus:
                 continue
             assert T.parent[R.provenance[vn]] == R.provenance[pn]
@@ -208,7 +252,7 @@ class TestApexAndTree:
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
         A, _ = attach_apex(R, gt_faces)
-        Tp, Pp = build_Tplus(A, T, R, C)
+        parent, Pp = build_Tplus(A, T, R, C)
         # T+ is exactly the boundary path plus the apex edge
         assert len(Pp) == 4
-        assert sum(1 for v in range(A.Gplus.n) if Tp.parent[v] != -1) == 4
+        assert sum(1 for v in range(A.Gplus.n) if parent[v] != -1) == 4

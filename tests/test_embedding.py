@@ -12,7 +12,6 @@ from framedprod.embedding import (
     bfs_structure,
     euler_genus,
     from_face_list,
-    nontree_dual,
     parse_embedding,
     serialize_embedding,
     trace_faces,
@@ -218,34 +217,6 @@ class TestBfs:
     def test_bad_root(self):
         with pytest.raises(DomainError):
             bfs_structure(triangle(), 9)
-
-
-class TestNontreeDual:
-    def test_k4(self):
-        E = k4_planar()
-        T = bfs_structure(E, 0)
-        D = nontree_dual(E, T)
-        assert D.num_faces == 4
-        assert D.num_edges == 3
-        assert D.is_connected()
-
-    def test_tree_input_edgeless_dual(self):
-        # star on 3 vertices: m = n-1, one face, no dual edges
-        E = EmbeddedMultigraph(3, [(0, 1, 1), (0, 2, 1)], [[0, 2], [1], [3]])
-        fs = trace_faces(E)
-        assert fs.f == 1
-        T = bfs_structure(E, 0)
-        D = nontree_dual(E, T, fs)
-        assert D.num_faces == 1 and D.num_edges == 0
-
-    def test_toroidal_counts(self):
-        E = toroidal_grid(3, 3)
-        T = bfs_structure(E, 0)
-        D = nontree_dual(E, T)
-        assert D.num_faces == 9
-        assert D.num_edges == 10  # 18 - 8 = 10 = 9 - 1 + 2
-        g = euler_genus(E)
-        assert D.num_edges == D.num_faces - 1 + g
 
 
 class TestFormat:

@@ -12,7 +12,7 @@ from framedprod.embedding import (
     serialize_embedding,
     trace_faces,
 )
-from framedprod.errors import DomainError
+from framedprod.errors import DomainError, FormatError
 from framedprod.frontends import (
     LAKE,
     NATION,
@@ -224,6 +224,49 @@ class TestMapFrameDigests:
         assert len({id(G) for G in traced}) == 3
         assert traced[0] is LM.G0
         assert traced[-1] is res.frame
+
+
+class TestLabelledMapParser:
+    """``f <id> nation|lake`` lines: ids 0..k-1, each once; k = #faces."""
+
+    @staticmethod
+    def text(*label_lines):
+        emb = serialize_labelled_map(lake_triangle_map()).split("f 0 ")[0]
+        return emb + "".join(ln + "\n" for ln in label_lines)
+
+    def test_parses_without_tracing(self, count_traces):
+        traced = count_traces()
+        LM = parse_labelled_map(self.text("f 1 lake", "f 0 nation"))
+        assert LM.labels == [NATION, LAKE]
+        assert traced == []
+
+    @pytest.mark.parametrize("lines,msg", [
+        (("f 0 nation", "f 1"), "bad face label line"),
+        (("f 0 nation", "f 1 lake extra"), "bad face label line"),
+        (("f 0 nation", "f 1 ocean"), "bad face label line"),
+        (("f 0 nation", "f one lake"), "bad face id"),
+        (("f 0 nation", "f 0 lake"), "duplicate label for face 0"),
+        (("f 0 nation", "f 2 lake"), r"face ids must be 0\.\.1"),
+        (("f -1 nation", "f 0 lake"), r"face ids must be 0\.\.1"),
+    ])
+    def test_bad_label_lines_rejected(self, lines, msg):
+        with pytest.raises(FormatError, match=msg):
+            parse_labelled_map(self.text(*lines))
+
+    @pytest.mark.parametrize("lines", [
+        (), ("f 0 nation",), ("f 0 nation", "f 1 lake", "f 2 lake")])
+    def test_label_count_checked_against_the_faces(self, lines):
+        LM = parse_labelled_map(self.text(*lines))
+        with pytest.raises(FormatError, match=f"{len(lines)} labels for 2 "
+                                              "faces"):
+            map_to_frame(LM, 4)
+
+    def test_cli_map_rejects_a_count_mismatch(self, tmp_path, capsys):
+        from framedprod.cli import run
+        path = tmp_path / "m.map"
+        path.write_text(self.text("f 0 nation"))
+        assert run(["map", "--in", str(path), "--d", "4"]) == 1
+        assert "1 labels for 2 faces" in capsys.readouterr().err
 
 
 class TestOnePlanar:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from framedprod.assemble import decompose, serialize_certificate
 from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
 from framedprod.embedding import bfs_structure, euler_genus, trace_faces
-from framedprod.frame import close_frame
 from framedprod.frontends import LAKE, NATION, LabelledMap, map_to_frame
 from framedprod.generators import (
     gen_framed,
@@ -16,6 +15,7 @@ from framedprod.generators import (
     gen_toroidal_grid,
 )
 from framedprod.verify import rebuild_closure, verify_certificate
+from test_frame import simple_adjacency
 
 seeds = st.integers(0, 10_000)
 
@@ -32,9 +32,9 @@ def test_face_double_count(seed, n):
 @settings(max_examples=20, deadline=None)
 def test_closure_edges_span_at_most_half_d(seed, n, d):
     E = gen_framed(n, d, 0, seed)
-    F = close_frame(E, d)
-    adj = E.simple_adjacency()
-    for u, v in F.closure_edges():
+    adj = simple_adjacency(E)
+    closure = rebuild_closure(E, d)
+    for u, v in ((u, v) for u in range(E.n) for v in closure[u] if u < v):
         dist = {u: 0}
         q = deque([u])
         while q and v not in dist:
@@ -52,7 +52,7 @@ def test_bfs_depths_match_brute_force(seed, n):
     E = gen_plane_triangulation(n, seed)
     root = seed % n
     T = bfs_structure(E, root)
-    adj = E.simple_adjacency()
+    adj = simple_adjacency(E)
     depth = {root: 0}
     q = deque([root])
     while q:
@@ -93,12 +93,12 @@ class TestTreePlusStructure:
             C = build_Z(E, T)
             R, gt_faces = cut_along(E, C)
             A, _ = attach_apex(R, gt_faces)
-            Tp, Pp = build_Tplus(A, T, R, C)
+            parent, Pp = build_Tplus(A, T, R, C)
             zp = set(R.zprime)
             children = [0] * A.Gplus.n
             for v in range(A.Gplus.n):
-                if Tp.parent[v] >= 0:
-                    children[Tp.parent[v]] += 1
+                if parent[v] >= 0:
+                    children[parent[v]] += 1
             for leaf in range(A.Gplus.n):
                 if children[leaf] or leaf == A.rplus:
                     continue
@@ -113,7 +113,7 @@ class TestTreePlusStructure:
                         kind = "forest"
                     if not phases or phases[-1] != kind:
                         phases.append(kind)
-                    x = Tp.parent[x]
+                    x = parent[x]
                 assert phases in (["forest", "boundary", "apex"],
                                   ["boundary", "apex"]), phases
 

@@ -3,17 +3,16 @@ from collections import Counter
 import pytest
 
 from framedprod import tripods
-from framedprod.cut import RootedTree
 from framedprod.embedding import bfs_structure, from_face_list, trace_faces
 from framedprod.errors import ContractViolation
-from framedprod.frame import close_frame
 from framedprod.generators import gen_framed, gen_plane_triangulation
 from framedprod.tripods import (
     UNASSIGNED,
     triangulate_long_faces,
     tripod_partition,
 )
-from framedprod.verify import check_planarity, exact_treewidth
+from framedprod.verify import check_planarity, exact_treewidth, rebuild_closure
+from test_frame import simple_adjacency
 
 
 def octahedron():
@@ -34,16 +33,14 @@ def run_partition(E, d, root=0):
     fs = trace_faces(E)
     T = bfs_structure(E, root)
     world = triangulate_long_faces(E, d, fs)
-    tree = RootedTree(root=T.root, parent=T.parent, parent_edge=T.parent_edge)
-    return T, tripod_partition(world, tree)
+    return T, tripod_partition(world, T.parent)
 
 
 class TestTriangulateLongFaces:
     def test_identity_when_faces_short(self):
         E = gen_plane_triangulation(20, 1)
         world = triangulate_long_faces(E, 3)
-        assert world.aux_chords == []
-        assert all(len(c) == 3 for c in world.cells)
+        assert world.cells == trace_faces(E).vertex_walks(E)
 
     def test_six_face_fanned_for_d4(self):
         E = from_face_list([[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]])
@@ -51,14 +48,17 @@ class TestTriangulateLongFaces:
         # each hexagon becomes 4 triangles via 3 chords from vertex 0
         assert len(world.cells) == 8
         assert all(len(c) == 3 for c in world.cells)
-        assert len(world.aux_chords) == 6
-        assert all(c[0] == 0 for c in world.aux_chords)
+        # the fan apex leads every triangle; each face gains 3 chords, each
+        # a side of two of its triangles
+        assert all(c[0] == 0 for c in world.cells)
+        adj = simple_adjacency(E)
+        sides = [(c[i], c[(i + 1) % 3]) for c in world.cells for i in range(3)]
+        assert sum(1 for u, v in sides if v not in adj[u]) == 2 * 6
 
     def test_short_faces_kept_whole(self):
         E = from_face_list([[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]])
         world = triangulate_long_faces(E, 5)
         assert sorted(len(c) for c in world.cells) == [5, 5]
-        assert world.aux_chords == []
 
     def test_neighbour_structure_consistent(self):
         E = gen_framed(40, 6, 0, 5)
@@ -124,12 +124,12 @@ class TestTripodPartition:
     @pytest.mark.parametrize("d,seed", [(4, 3), (5, 4), (6, 5)])
     def test_closure_chords_covered(self, d, seed):
         E = gen_framed(60, d, 0, seed)
-        F = close_frame(E, d)
         T, R = run_partition(E, d)
         he = set(R.h_edges)
-        for u, v in F.closure_edges():
-            a, b = R.part_of[u], R.part_of[v]
-            assert a == b or (min(a, b), max(a, b)) in he
+        for u, nbrs in enumerate(rebuild_closure(E, d)):
+            for v in nbrs:
+                a, b = R.part_of[u], R.part_of[v]
+                assert a == b or (min(a, b), max(a, b)) in he
         for part in R.parts:
             assert len(part.absorbed) <= d - 3
 

@@ -151,12 +151,22 @@ class TestExactTreewidth:
 
 class TestRebuild:
     def test_closure_matches_frame_module(self):
-        from framedprod.frame import close_frame
+        # brute force over the construction's face walks: frame edges plus
+        # every pair on a cycle face of length at most d
+        from framedprod.embedding import trace_faces
+        from framedprod.frame import check_frame
         from framedprod.generators import gen_framed
         E = gen_framed(50, 5, 0, 9)
-        F = close_frame(E, 5)
-        indep = rebuild_closure(E, 5)
-        assert indep == F.adjacency
+        brute = [set() for _ in range(E.n)]
+        pairs = [(u, v) for u, v, _ in E.edges]
+        for w in check_frame(E, 5, trace_faces(E)).vertex_walks(E):
+            if len(w) <= 5:
+                pairs.extend(combinations(w, 2))
+        for u, v in pairs:
+            if u != v:
+                brute[u].add(v)
+                brute[v].add(u)
+        assert rebuild_closure(E, 5) == brute
 
     def test_bfs_matches_embedding_module(self):
         from framedprod.embedding import bfs_structure
@@ -165,6 +175,32 @@ class TestRebuild:
         parent, depth = rebuild_bfs(E, 2)
         assert parent == T.parent
         assert depth == T.depth
+
+
+class TestIndependence:
+    def test_verifier_imports_only_errors_from_the_package(self):
+        # the verifier shares no face walker or BFS with the construction
+        import ast
+
+        from framedprod import verify
+        tree = ast.parse(Path(verify.__file__).read_text())
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                if node.level == 0 and mod.split(".")[0] != "framedprod":
+                    continue
+                if node.level == 0:
+                    mod = mod.partition(".")[2]
+                if mod:
+                    used.add(mod.split(".")[0])
+                else:
+                    used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                used.update(alias.name.partition(".")[2] or alias.name
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "framedprod")
+        assert used == {"errors"}
 
 
 class TestGoldenVerify:
