@@ -60,12 +60,28 @@ def _decompose_one(args_tuple):
     return cert
 
 
+def _summary(cert):
+    return (f"n={cert.n} genus={cert.genus} parts={cert.num_parts} "
+            f"ell={cert.ell} bound={cert.bound}")
+
+
+def _decompose_status(job):
+    """One input of a batch: (exit code, status line); never raises for a
+    bad input, so the batch goes on to the next."""
+    path = job[0]
+    try:
+        return EXIT_OK, f"ok {path} {_summary(_decompose_one(job))}"
+    except (FormatError, DomainError, OSError, ValueError) as ex:
+        return EXIT_PARSE, f"error {path}: {ex}"
+    except ContractViolation as ex:
+        return EXIT_CONTRACT, f"error {path}: contract violation: {ex}"
+
+
 def cmd_decompose(args):
     ins = args.inputs
     if len(ins) == 1:
         cert = _decompose_one((ins[0], args.d, args.out, args.svg))
-        print(f"ok n={cert.n} genus={cert.genus} parts={cert.num_parts} "
-              f"ell={cert.ell} bound={cert.bound}", file=sys.stderr)
+        print(f"ok {_summary(cert)}", file=sys.stderr)
         return EXIT_OK
     if args.out != "-":
         print("error: several inputs write <input>.cert each; --out takes "
@@ -75,14 +91,18 @@ def cmd_decompose(args):
         print("error: --svg draws one H and takes a single input",
               file=sys.stderr)
         return EXIT_PARSE
+    # every input is tried; the exit code is the worst of their codes
     jobs = [(path, args.d, path + ".cert", None) for path in ins]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            list(ex.map(_decompose_one, jobs))
+            results = list(ex.map(_decompose_status, jobs))
     else:
-        for j in jobs:
-            _decompose_one(j)
-    return EXIT_OK
+        results = map(_decompose_status, jobs)
+    worst = EXIT_OK
+    for code, line in results:
+        print(line, file=sys.stderr)
+        worst = max(worst, code)
+    return worst
 
 
 def cmd_verify(args):

@@ -672,8 +672,10 @@ def parse_oneplanar(text: str) -> OnePlaneDrawing:
         parts = ln.split()
         if len(parts) != 6:
             raise FormatError(f"bad crossing line: {ln}")
-        c = int(parts[1])
-        quad = [int(t) for t in parts[2:]]
+        try:
+            c, *quad = map(int, parts[1:])
+        except ValueError:
+            raise FormatError(f"non-integer token in line: {ln}") from None
         crossings.append((c, quad))
     crossings.sort()
     D = OnePlaneDrawing(P=P, crossings=crossings)

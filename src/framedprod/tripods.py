@@ -13,9 +13,9 @@ part plus the region's parts) witnesses treewidth at most 3.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 from .embedding import EmbeddedMultigraph, FaceSet, trace_faces
 from .errors import ContractViolation, DomainError
@@ -31,7 +31,7 @@ class TriWorld:
     nv: int
     d: int
     cells: list                 # vertex cycles, each of length 3..d
-    cell_nbrs: list             # per cell: neighbour cell id per boundary edge
+    spokes: list                # per corner v: (v, cells across out/in edge)
     cells_at: list              # per vertex: incident cell ids
 
     @property
@@ -45,15 +45,18 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
 
     Faces of length at most d survive as whole polygonal cells; the fan
     chords are auxiliary and never enter the closure.  Each edge occurs
-    twice in the face walks; the cell edge of its first occurrence is kept
-    per edge id and paired with the second.
+    twice in the face walks; the cell and corner its first occurrence leaves
+    are kept per edge and paired with the second.  A cell's spokes list its
+    corners v with the cells across the edges leaving and entering v.
     """
     if faces is None:
         faces = trace_faces(E)
-    cells = []
-    cell_nbrs = []               # per cell: neighbour cell per boundary edge
-    at_cell = [-1] * E.m         # per edge: cell and edge position of the
-    at_pos = [0] * E.m           # occurrence met first
+    # per corner, numbered cell by cell: the cell across the edge leaving it
+    out_nbr = [-1] * sum(k if k <= d else 3 * k - 6
+                         for k in map(len, faces.faces))
+    cells, o = [], 0             # o: first corner of the face's cells
+    at_cell = [-1] * E.m         # per edge: cell and corner of the
+    at_corner = [0] * E.m        # occurrence met first
     for fi, (darts, walk) in enumerate(zip(faces.faces,
                                            faces.vertex_walks(E))):
         k = len(walk)
@@ -62,45 +65,51 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
         base = len(cells)
         if k <= d:
             cells.append(walk)
-            cell_nbrs.append([-1] * k)
-            land_cell, land_pos = repeat(base, k), range(k)
+            land_cell, land_corner = repeat(base, k), range(o, o + k)
+            o += k
         else:
             a = walk.index(min(walk))
             rw = walk[a:] + walk[:a]           # rw[0] is the fan apex
-            for j in range(1, k - 1):
-                cells.append([rw[0], rw[j], rw[j + 1]])
-                cell_nbrs.append([-1, -1, -1])
-                if j > 1:
-                    # fan triangle j-1 shares its closing chord with j
-                    cell_nbrs[base + j - 2][2] = base + j - 1
-                    cell_nbrs[base + j - 1][0] = base + j - 2
+            cells.extend([rw[0], rw[j], rw[j + 1]] for j in range(1, k - 1))
+            # fan triangles t and t+1 share a chord: side 2 of t, side 0 of t+1
+            out_nbr[o + 2:o + 3 * k - 7:3] = range(base + 1, base + k - 2)
+            out_nbr[o + 3:o + 3 * k - 6:3] = range(base, base + k - 3)
             # walk position i is the edge rw[i'] rw[i'+1], i' = (i - a) mod k:
             # side 0 of the first triangle, side 2 of the last, else side 1
             # of triangle i' - 1
             ips = list(chain(range(k - a, k), range(k - a)))
             land_cell = [base + min(max(ip - 1, 0), k - 3) for ip in ips]
-            land_pos = [0 if ip == 0 else 2 if ip == k - 1 else 1
-                        for ip in ips]
-        for dart, c, p in zip(darts, land_cell, land_pos):
+            land_corner = [o + (0 if ip == 0 else 3 * k - 7 if ip == k - 1
+                                else 3 * ip - 2) for ip in ips]
+            o += 3 * k - 6
+        for dart, c, x in zip(darts, land_cell, land_corner):
             e = dart >> 1
             c2 = at_cell[e]
             if c2 < 0:
                 at_cell[e] = c
-                at_pos[e] = p
+                at_corner[e] = x
             elif c2 >= base:
                 raise ContractViolation("edge repeats inside one disk face")
             else:
-                cell_nbrs[c][p] = c2
-                cell_nbrs[c2][at_pos[e]] = c
-    for c, nb in enumerate(cell_nbrs):
-        if -1 in nb:
-            raise ContractViolation(f"cell {c} has an unmatched boundary edge")
+                out_nbr[x] = c2
+                out_nbr[at_corner[e]] = c
+    ends = list(accumulate(map(len, cells)))
+    if -1 in out_nbr:
+        c = bisect_right(ends, out_nbr.index(-1))
+        raise ContractViolation(f"cell {c} has an unmatched boundary edge")
+    # the edge entering a corner leaves the corner before it in its cell
+    in_nbr = [-1] + out_nbr[:-1]
+    for x, y in zip(chain((0,), ends), ends):
+        in_nbr[x] = out_nbr[y - 1]
+    corners = tuple(zip(chain.from_iterable(cells), out_nbr, in_nbr))
+    spokes = list(map(corners.__getitem__,
+                      map(slice, chain((0,), ends), ends)))
 
     cells_at = [[] for _ in range(E.n)]
     for ci, cyc in enumerate(cells):
         for v in cyc:
             cells_at[v].append(ci)
-    return TriWorld(nv=E.n, d=d, cells=cells, cell_nbrs=cell_nbrs,
+    return TriWorld(nv=E.n, d=d, cells=cells, spokes=spokes,
                     cells_at=cells_at)
 
 
@@ -162,6 +171,10 @@ def tripod_partition(world: TriWorld, parent: list,
 
     stamp = [0] * world.num_cells
     cur = 0
+    open_corners = [len(cyc) for cyc in cells]  # a cell at 0 seeds no region
+    for v in set(blocked).union(boundary or ()):
+        for c in world.cells_at[v]:
+            open_corners[c] -= 1
 
     # region work-stack: (seed cell, creator bag id)
     root_bag = 0 if boundary is not None else -1
@@ -169,7 +182,7 @@ def tripod_partition(world: TriWorld, parent: list,
 
     while stack:
         seed, creator = stack.pop()
-        if all(part_of[v] != UNASSIGNED for v in cells[seed]):
+        if not open_corners[seed]:
             continue
         cur += 1
         rparts, candidates = _flood(world, part_of, stamp, cur, seed)
@@ -204,13 +217,17 @@ def tripod_partition(world: TriWorld, parent: list,
         if len(rparts) <= 1:
             tau = candidates[0]
         elif len(rparts) == 2:
-            a, b = sorted(rparts)
+            a, b = rparts
             for c in candidates:
                 cyc = cells[c]
-                k = len(cyc)
-                ps = [part_of[v] for v in cyc]
-                if any({ps[i], ps[(i + 1) % k]} == {a, b} for i in range(k)):
-                    tau = c
+                q = part_of[cyc[-1]]
+                for v in cyc:
+                    p = part_of[v]
+                    if p == a and q == b or p == b and q == a:
+                        tau = c
+                        break
+                    q = p
+                if tau is not None:
                     break
         else:
             want = frozenset(rparts)
@@ -231,28 +248,22 @@ def tripod_partition(world: TriWorld, parent: list,
         new_vertices = _consume(world, part_of, parent, parts, tau,
                                 rparts, color_of)
         pid = parts[-1].pid
-        for p in sorted(rparts):
-            h_edges.append((p, pid))
-        bag = sorted(rparts) + [pid]
-        bags.append(bag)
+        h_edges.extend((p, pid) for p in rparts)
+        bags.append(sorted(rparts) + [pid])
         bag_parent.append(creator)
         my_bag = len(bags) - 1
 
         # every pocket is fenced off by a wall with a newly assigned
-        # endpoint, so cells around the new part reach them all
-        seeds = []
-        seen_cells = set()
-        for v in new_vertices:
-            for c in world.cells_at[v]:
-                if c != tau and c not in seen_cells:
-                    seen_cells.add(c)
-                    seeds.append(c)
-        for c in reversed(seeds):
-            stack.append((c, my_bag))
+        # endpoint, so the open cells around the new part reach them all
+        around = [c for v in new_vertices for c in world.cells_at[v]]
+        for c in around:
+            open_corners[c] -= 1
+        stack.extend((c, my_bag) for c in reversed(dict.fromkeys(around))
+                     if open_corners[c])
 
-    leftover = sum(1 for v in range(nv) if part_of[v] == UNASSIGNED)
-    if leftover:
-        raise ContractViolation(f"{leftover} vertices left unassigned")
+    if UNASSIGNED in part_of:
+        raise ContractViolation(
+            f"{part_of.count(UNASSIGNED)} vertices left unassigned")
 
     return HPartitionResult(parts=parts, part_of=part_of,
                             h_edges=sorted(set(h_edges)), bags=bags,
@@ -262,39 +273,28 @@ def tripod_partition(world: TriWorld, parent: list,
 
 def _flood(world, part_of, stamp, cur, seed):
     """Collect the region of the seed: cells joined by not-fully-assigned
-    edges.  Returns (incident parts, cells with an unassigned corner in
-    BFS order)."""
-    cells = world.cells
-    nbrs = world.cell_nbrs
+    edges.  Returns (incident parts, the region's cells in BFS order); a
+    cell is entered only across an edge with an unassigned end, one of its
+    corners, so every cell of the region is a candidate."""
+    spokes = world.spokes
     rparts = set()
     add_part = rparts.add
-    candidates = []
     stamp[seed] = cur
-    q = deque([seed])
-    pop = q.popleft
-    push = q.append
-    while q:
-        c = pop()
-        cyc = cells[c]
-        nb = nbrs[c]
-        open_corner = False
-        for i, v in enumerate(cyc):
+    region = [seed]
+    push = region.append
+    for c in region:
+        for v, n1, n2 in spokes[c]:
             p = part_of[v]
             if p == UNASSIGNED:
-                open_corner = True
-                n1 = nb[i]
                 if stamp[n1] != cur:
                     stamp[n1] = cur
                     push(n1)
-                n2 = nb[i - 1]
                 if stamp[n2] != cur:
                     stamp[n2] = cur
                     push(n2)
             elif p >= 0:
                 add_part(p)
-        if open_corner:
-            candidates.append(c)
-    return rparts, candidates
+    return rparts, region
 
 
 def _consume(world, part_of, parent, parts, tau, rparts, color_of):

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,19 +21,73 @@ from framedprod.embedding import (
     serialize_embedding,
 )
 from framedprod.errors import DomainError, InvalidFrameError
+from framedprod.frontends import oneplanar_to_frame
 from framedprod.generators import (
     gen_framed,
+    gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
     triangulate_quads,
 )
 from framedprod.verify import verify_certificate
+from test_nonorientable import klein_grid, projective_k4
+
+# sha256 of serialize_certificate(decompose(E, d)) per corpus member,
+# recorded from the tripod partition whose flood kept a deque, an
+# open-corner flag and a separate candidate list
+GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
+                    .read_text())
 
 
 # the certificate of a single edge: one part, one bag, two layers
 SMALL = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
          "p 0 TRIPOD x:  y: 0 1\nLAYERS\nl 0 0\nl 1 1\nMAP\n"
          "m 0 0 0 0\nm 1 0 1 0\nELL 1\n")
+
+
+def shuffled(E, seed):
+    """The same embedded graph with vertex and edge ids permuted and every
+    rotation started at a seeded dart."""
+    rng = random.Random(seed)
+    vid = list(range(E.n))
+    rng.shuffle(vid)
+    eid = list(range(E.m))
+    rng.shuffle(eid)
+    edges = [None] * E.m
+    for e, (u, v, s) in enumerate(E.edges):
+        edges[eid[e]] = (vid[u], vid[v], s)
+    rot = [None] * E.n
+    for v, darts in enumerate(E.rot):
+        darts = [2 * eid[x >> 1] + (x & 1) for x in darts]
+        k = rng.randrange(len(darts))
+        rot[vid[v]] = darts[k:] + darts[:k]
+    return EmbeddedMultigraph(E.n, edges, rot)
+
+
+def certificate_corpus():
+    """Named (embedding, d) pairs whose certificates are pinned."""
+    out = {}
+    for n in (20, 200, 2000):
+        for s in (0, 1):
+            out[f"tri_{n}_{s}"] = (gen_plane_triangulation(n, s), 3)
+    for mr, nc, s in ((3, 3, 0), (5, 7, 1), (30, 30, 2)):
+        out[f"torus_{mr}x{nc}_shuffled{s}"] = (
+            shuffled(gen_toroidal_grid(mr, nc), s), 4)
+    for g in (0, 2):
+        for d in (3, 4, 5, 6):
+            out[f"framed_g{g}_d{d}"] = (gen_framed(150, d, g, 7), d)
+        # faces longer than d are fanned into triangles
+        for d in (3, 4):
+            out[f"framed_g{g}_d6_at_d{d}"] = (gen_framed(150, 6, g, 7), d)
+    for s in (3, 4, 5):
+        out[f"klein_{s}_d4"] = (klein_grid(s), 4)
+        out[f"klein_tri_{s}_d3"] = (triangulate_quads(klein_grid(s)), 3)
+    for d in (3, 4, 5):
+        out[f"projective_k4_d{d}"] = (projective_k4(), d)
+    for n, s in ((30, 0), (120, 1)):
+        out[f"oneplanar_{n}_{s}"] = (
+            oneplanar_to_frame(gen_oneplanar(n, s)).frame, 4)
+    return out
 
 
 class TestBlockLayering:
@@ -238,3 +296,19 @@ class TestCertificateFormat:
         assert serialize_certificate(cert) == SMALL
         E = EmbeddedMultigraph(2, [(0, 1, 1)], [[0], [1]])
         assert verify_certificate(E, cert) == []
+
+
+class TestGoldenCertificates:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return certificate_corpus()
+
+    def test_corpus_is_pinned(self, corpus):
+        assert sorted(corpus) == sorted(GOLDEN)
+
+    def test_certificates_match(self, corpus):
+        got = {}
+        for name, (E, d) in corpus.items():
+            text = serialize_certificate(decompose(E, d))
+            got[name] = hashlib.sha256(text.encode()).hexdigest()
+        assert got == GOLDEN

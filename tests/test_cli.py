@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
 from framedprod.cli import run
+from framedprod.errors import ContractViolation
 
 
 class TestCli:
@@ -140,6 +143,54 @@ class TestCli:
         assert run(args) == 0
         for f in files:
             assert (tmp_path / (f.name + ".cert")).exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_batch_goes_on_past_a_bad_input(self, tmp_path, capsys, jobs):
+        a, c = tmp_path / "a.emg", tmp_path / "c.emg"
+        for f, seed in ((a, "0"), (c, "1")):
+            run(["gen", "--family", "tri", "--params", "12",
+                 "--seed", seed, "--out", str(f)])
+        bad = tmp_path / "bad.emg"
+        bad.write_text("not an embedding\n")
+        missing = tmp_path / "missing.emg"
+        capsys.readouterr()
+        assert run(["decompose", "--d", "3", "--jobs", jobs,
+                    "--in", str(a), "--in", str(bad), "--in", str(missing),
+                    "--in", str(c)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [ln.split(" ", 2)[:2] for ln in lines] == [
+            ["ok", str(a)], ["error", f"{bad}:"], ["error", f"{missing}:"],
+            ["ok", str(c)]]
+        assert (tmp_path / "a.emg.cert").exists()
+        assert (tmp_path / "c.emg.cert").exists()
+        assert not (tmp_path / "bad.emg.cert").exists()
+
+    def test_batch_exit_code_is_the_worst(self, tmp_path, capsys,
+                                          monkeypatch):
+        from framedprod import cli
+        files = []
+        for i in range(2):
+            f = tmp_path / f"t{i}.emg"
+            run(["gen", "--family", "tri", "--params", "12",
+                 "--seed", str(i), "--out", str(f)])
+            files.append(f)
+        (tmp_path / "x.emg").write_text("")
+        decompose = cli.decompose
+
+        def failing(E, d):
+            if E.n == 12 and not failing.calls:
+                failing.calls.append(E)
+                raise ContractViolation("injected")
+            return decompose(E, d)
+        failing.calls = []
+        monkeypatch.setattr(cli, "decompose", failing)
+        capsys.readouterr()
+        assert run(["decompose", "--d", "3", "--in", str(files[0]),
+                    "--in", str(tmp_path / "x.emg"),
+                    "--in", str(files[1])]) == 2
+        err = capsys.readouterr().err
+        assert f"error {files[0]}: contract violation: injected" in err
+        assert f"ok {files[1]} " in err
 
     def test_several_inputs_reject_one_out_file(self, tmp_path, capsys):
         files = []

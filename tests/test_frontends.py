@@ -357,3 +357,15 @@ class TestOnePlanar:
         back = parse_oneplanar(text)
         assert back.crossings == D.crossings
         assert back.P.edges == D.P.edges
+
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda t: t[:1] + ["a"] + t[2:], "non-integer token"),   # dummy id
+        (lambda t: t[:3] + ["zz"] + t[4:], "non-integer token"),  # edge id
+        (lambda t: t[:4], "bad crossing line"),                   # too short
+    ])
+    def test_bad_crossing_line_is_a_format_error(self, edit, msg):
+        lines = serialize_oneplanar(gen_oneplanar(12, 1)).splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("x "))
+        lines[i] = " ".join(edit(lines[i].split()))
+        with pytest.raises(FormatError, match=msg):
+            parse_oneplanar("\n".join(lines) + "\n")

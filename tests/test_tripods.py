@@ -1,11 +1,16 @@
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
 from framedprod import tripods
+from framedprod.assemble import decompose
 from framedprod.embedding import bfs_structure, from_face_list, trace_faces
 from framedprod.errors import ContractViolation
-from framedprod.generators import gen_framed, gen_plane_triangulation
+from framedprod.generators import (
+    gen_framed,
+    gen_plane_triangulation,
+    gen_toroidal_grid,
+)
 from framedprod.tripods import (
     UNASSIGNED,
     triangulate_long_faces,
@@ -63,15 +68,83 @@ class TestTriangulateLongFaces:
     def test_neighbour_structure_consistent(self):
         E = gen_framed(40, 6, 0, 5)
         world = triangulate_long_faces(E, 4)
-        for c, nbrs in enumerate(world.cell_nbrs):
+        for c, spokes in enumerate(world.spokes):
             cyc = world.cells[c]
-            for i, nb in enumerate(nbrs):
+            assert [v for v, _, _ in spokes] == cyc
+            for i, (v, nb, entering) in enumerate(spokes):
+                # the edge entering v is the edge leaving its predecessor
+                assert entering == spokes[i - 1][1]
                 u, w = cyc[i], cyc[(i + 1) % len(cyc)]
-                back = world.cell_nbrs[nb]
-                pairs = [{world.cells[nb][j], world.cells[nb][(j + 1) % len(world.cells[nb])]}
-                         for j in range(len(world.cells[nb]))]
+                other = world.cells[nb]
+                pairs = [{other[j], other[(j + 1) % len(other)]}
+                         for j in range(len(other))]
                 assert {u, w} in pairs
-                assert c in back
+                assert c in [n1 for _, n1, _ in world.spokes[nb]]
+
+
+def deque_flood(world, part_of, stamp, cur, seed):
+    """Reference flood: a deque, an open-corner flag per cell and a separate
+    candidate list, over neighbour lists rebuilt from the spokes."""
+    cells = world.cells
+    rparts = set()
+    candidates = []
+    stamp[seed] = cur
+    q = deque([seed])
+    while q:
+        c = q.popleft()
+        nb = [n1 for _, n1, _ in world.spokes[c]]
+        open_corner = False
+        for i, v in enumerate(cells[c]):
+            p = part_of[v]
+            if p == UNASSIGNED:
+                open_corner = True
+                for n in (nb[i], nb[i - 1]):
+                    if stamp[n] != cur:
+                        stamp[n] = cur
+                        q.append(n)
+            elif p >= 0:
+                rparts.add(p)
+        if open_corner:
+            candidates.append(c)
+    return rparts, candidates
+
+
+class TestFloodOracle:
+    """Every call of the flood during whole partitions returns what the
+    deque flood returns, and every seed it gets has an unassigned corner."""
+
+    @pytest.fixture
+    def checked_flood(self, monkeypatch):
+        flood = tripods._flood
+        calls = []
+
+        def checked(world, part_of, stamp, cur, seed):
+            assert any(part_of[v] == UNASSIGNED for v in world.cells[seed])
+            want = deque_flood(world, part_of, list(stamp), cur, seed)
+            got = flood(world, part_of, stamp, cur, seed)
+            assert got == want
+            calls.append(seed)
+            return got
+        monkeypatch.setattr(tripods, "_flood", checked)
+        return calls
+
+    @pytest.mark.parametrize("n,seed", [(30, 0), (200, 1), (600, 2)])
+    def test_triangulations(self, checked_flood, n, seed):
+        _, R = run_partition(gen_plane_triangulation(n, seed), 3)
+        assert len(checked_flood) == len(R.parts)
+
+    def test_torus_apex_graph(self, checked_flood):
+        # positive genus: the flood runs on G+ with the cut boundary
+        # pre-assigned and the apex blocked
+        cert = decompose(gen_toroidal_grid(9, 11), 4, self_verify=False)
+        assert len(checked_flood) == cert.num_parts - 1
+
+    @pytest.mark.parametrize("g", [0, 2])
+    @pytest.mark.parametrize("d", [6, 4])
+    def test_framed_d6(self, checked_flood, g, d):
+        # at d = 4 the 5- and 6-faces are fanned into triangles
+        decompose(gen_framed(300, 6, g, 4), d, self_verify=False)
+        assert checked_flood
 
 
 class TestTripodPartition:
