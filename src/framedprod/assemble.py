@@ -5,7 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cut import attach_apex, build_Tplus, build_Z, cut_along
-from .embedding import EmbeddedMultigraph, bfs_structure, euler_genus, trace_faces
+from .embedding import (
+    EmbeddedMultigraph,
+    bfs_structure,
+    by_id,
+    euler_genus,
+    int_columns,
+    tagged_columns,
+    trace_faces,
+)
 from .errors import ContractViolation, DomainError, FormatError
 from .frame import check_frame
 from .tripods import (
@@ -169,6 +177,16 @@ def serialize_certificate(cert: PartitionCertificate) -> str:
 
 
 def parse_certificate(text: str) -> PartitionCertificate:
+    """Parse the text ``serialize_certificate`` writes.
+
+    The sections come in the order they are written, each exactly once:
+    ``cert <n> <d> <genus>``; ``H <parts> <edges>`` and one ``h`` line per
+    edge; ``TD <bags>`` and one ``b`` line per bag, ids in order; ``PARTS
+    <parts>`` and one ``p`` line per part; ``LAYERS`` and one ``l`` line
+    per vertex; ``MAP`` and one ``m`` line per vertex; ``ELL <ell>``.  The
+    ``l`` and ``m`` lines may list the vertices in any order.  Blank lines
+    and lines starting with '#' are skipped.
+    """
     try:
         return _parse_certificate(text)
     except (ValueError, IndexError) as ex:
@@ -177,109 +195,94 @@ def parse_certificate(text: str) -> PartitionCertificate:
         raise FormatError(f"malformed certificate: {ex}") from None
 
 
+def _header(lines, i, tag, count):
+    """The integers of line ``i``, which must be ``tag`` and ``count`` more."""
+    toks = lines[i].split() if i < len(lines) else ["<end of text>"]
+    if toks[0] != tag or len(toks) != count + 1:
+        want = " ".join([tag] + ["<int>"] * count)
+        raise FormatError(f"expected '{want}', got: {' '.join(toks)}")
+    return [int(t) for t in toks[1:]]
+
+
+def _block(lines, i, count, tag):
+    """Lines ``i .. i+count-1``: a section body of ``count`` lines."""
+    if count < 0 or i + count > len(lines):
+        raise FormatError(f"{count} '{tag}' lines do not fit the text")
+    return lines[i:i + count]
+
+
 def _parse_certificate(text: str) -> PartitionCertificate:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("cert "):
-        raise FormatError("certificate must start with 'cert <n> <d> <genus>'")
-    _, n, d, g = lines[0].split()
-    n, d, g = int(n), int(d), int(g)
-    # each vertex needs an m line: a count the text cannot hold is refused
-    # before the per-vertex lists are allocated
-    if n > len(lines):
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    n, d, g = _header(lines, 0, "cert", 3)
+    # each vertex needs an l and an m line: a count the text cannot hold is
+    # refused before the per-vertex lists are allocated
+    if not 0 <= 2 * n <= len(lines):
         raise FormatError(f"{n} vertices but only {len(lines)} lines")
-    idx = 1
-    h_edges = []
-    bags = []
-    bag_parent = []
-    parts = []
-    boundary_part = -1
-    node = [0] * n
-    layer = [0] * n
-    copy = [0] * n
-    mapped = bytearray(n)      # vertices with an m line
-    stated = [None] * n        # per vertex: the layer of its l line
-    ell = 1
-    num_parts = 0
-    while idx < len(lines):
-        ln = lines[idx]
-        if ln.startswith("H "):
-            _, np_, ne = ln.split()
-            num_parts = int(np_)
-            for k in range(int(ne)):
-                idx += 1
-                _, a, b = lines[idx].split()
-                h_edges.append((int(a), int(b)))
-        elif ln.startswith("TD "):
-            nb = int(ln.split()[1])
-            for k in range(nb):
-                idx += 1
-                head, toks = lines[idx].split(":")
-                _, bid, par = head.split()
-                if int(bid) != len(bags):
-                    raise FormatError("bag ids must be sequential")
-                bags.append([int(t) for t in toks.split()])
-                bag_parent.append(int(par))
-        elif ln.startswith("PARTS"):
-            cnt = int(ln.split()[1])
-            for k in range(cnt):
-                idx += 1
-                body = lines[idx]
-                if not body.startswith("p "):
-                    raise FormatError(f"bad part line: {body}")
-                head, rest = body.split(" x: ", 1)
-                _, pid, kind = head.split()
-                pid = int(pid)
-                xs_txt, ys_txt = rest.split(" y:", 1)
-                absorbed = [int(t) for t in xs_txt.split()]
-                legs = []
-                for seg in ys_txt.split("|"):
-                    seg = seg.strip()
-                    if seg:
-                        legs.append([int(t) for t in seg.split()])
-                if kind == "Z":
-                    boundary_part = pid
-                parts.append(Part(pid=pid, kind="boundary" if kind == "Z"
-                                  else "tripod", legs=legs, absorbed=absorbed))
-        elif ln.startswith("LAYERS"):
-            pass
-        elif ln.startswith("l "):
-            _, v, b = ln.split()
-            v = int(v)
-            if not (0 <= v < n) or stated[v] is not None:
-                raise FormatError(f"l line for a vertex out of range or "
-                                  f"listed twice: {ln}")
-            stated[v] = int(b)
-        elif ln == "MAP":
-            pass
-        elif ln.startswith("m "):
-            _, v, nd, la, cp = ln.split()
-            v = int(v)
-            if not (0 <= v < n) or mapped[v]:
-                raise FormatError(f"m line for a vertex out of range or "
-                                  f"listed twice: {ln}")
-            mapped[v] = 1
-            node[v], layer[v], copy[v] = int(nd), int(la), int(cp)
-        elif ln.startswith("ELL"):
-            ell = int(ln.split()[1])
-        else:
-            raise FormatError(f"unknown certificate line: {ln}")
-        idx += 1
-    if len(parts) != num_parts:
+    num_parts, ne = _header(lines, 1, "H", 2)
+    i = 2
+    a, b = int_columns(_block(lines, i, ne, "h"), "h", 2)
+    h_edges = list(zip(a, b))
+    i += ne
+
+    (nb,) = _header(lines, i, "TD", 1)
+    i += 1
+    block = _block(lines, i, nb, "b")
+    i += nb
+    bids, bag_parent = int_columns([ln.partition(":")[0] for ln in block],
+                                   "b", 2)
+    if bids != list(range(nb)):
+        raise FormatError("bag ids must be sequential")
+    # a ':' past the first of its line lands in a bag and fails int() there
+    if "".join(block).count(":") != nb:
+        raise FormatError("every 'b' line needs one ':' before its bag")
+    bags = [[int(t) for t in ln.partition(":")[2].split()] for ln in block]
+
+    (cnt,) = _header(lines, i, "PARTS", 1)
+    i += 1
+    if cnt != num_parts:
         raise FormatError("part count mismatch")
-    pids = sorted(part.pid for part in parts)
-    if pids != list(range(num_parts)):
+    block = _block(lines, i, cnt, "p")
+    i += cnt
+    pids, kinds = tagged_columns([ln.partition(" x: ")[0] for ln in block],
+                                 "p", 2)
+    pids = list(map(int, pids))
+    if sorted(pids) != list(range(num_parts)):
         raise FormatError("part ids must be 0..num_parts-1, each once")
-    if mapped.count(0):
-        raise FormatError(f"vertex {mapped.index(0)} has no m line")
+    nz = kinds.count("Z")
+    if nz + kinds.count("TRIPOD") != cnt or nz > 1:
+        raise FormatError("a part kind must be Z (at most once) or TRIPOD")
+    boundary_part = pids[kinds.index("Z")] if nz else -1
+    parts = []
+    for pid, kind, ln in zip(pids, kinds, block):
+        xs, sep, ys = ln.partition(" x: ")[2].partition(" y:")
+        if not sep:
+            raise FormatError(f"part {pid} needs ' x: <absorbed> y: <paths>'")
+        legs = [[int(t) for t in seg.split()] for seg in ys.split("|")]
+        if legs == [[]]:                      # a part with no path
+            legs = []
+        elif [] in legs:
+            raise FormatError(f"part {pid} has an empty path")
+        parts.append(Part(pid, "boundary" if kind == "Z" else "tripod", legs,
+                          [int(t) for t in xs.split()]))
+
+    _header(lines, i, "LAYERS", 0)
+    i += 1
+    (stated,) = by_id(int_columns(_block(lines, i, n, "l"), "l", 2), n, "'l'")
+    i += n
+    _header(lines, i, "MAP", 0)
+    i += 1
+    node, layer, copy = by_id(int_columns(_block(lines, i, n, "m"), "m", 4),
+                              n, "'m'")
+    i += n
+    (ell,) = _header(lines, i, "ELL", 1)
+    if i + 1 != len(lines):
+        raise FormatError(f"unexpected line after ELL: {lines[i + 1]}")
     if stated != layer:
-        for v, b in enumerate(stated):
-            if b is not None and b != layer[v]:
-                raise FormatError(f"vertex {v}: l layer {b} != m layer "
-                                  f"{layer[v]}")
-    part_of = list(node)
+        v = next(v for v in range(n) if stated[v] != layer[v])
+        raise FormatError(f"vertex {v}: l layer {stated[v]} != m layer "
+                          f"{layer[v]}")
     mapping = ProductMapping(node=node, layer=layer, copy=copy, ell=ell)
     return PartitionCertificate(
-        n=n, d=d, genus=g, parts=parts, part_of=part_of, h_edges=h_edges,
+        n=n, d=d, genus=g, parts=parts, part_of=list(node), h_edges=h_edges,
         bags=bags, bag_parent=bag_parent, boundary_part=boundary_part,
         mapping=mapping, bound=width_bound(g, d))

@@ -332,12 +332,86 @@ def from_face_list(face_walks, n=None) -> EmbeddedMultigraph:
     return E
 
 
+def tagged_columns(block, tag, width):
+    """The ``width`` token columns of ``block``, whose lines must each be
+    ``tag`` and ``width`` more tokens (shared by the text parsers).
+
+    The lines are joined with a ';' token between them and split once.  Every
+    ``width + 2``-th token must then be ';' and the token after it ``tag``;
+    a field holding ';' or ``tag`` fails the caller's int() or kind test, so
+    no line has another token count.
+    """
+    k = len(block)
+    if not k:
+        return [[] for _ in range(width)]
+    step = width + 2
+    toks = " ; ".join(block).split()
+    if (len(toks) != step * k - 1 or toks[0::step].count(tag) != k
+            or toks[step - 1::step].count(";") != k - 1):
+        bad = next((ln for ln in block if ln.split()[0] != tag
+                    or len(ln.split()) != width + 1), block[0])
+        raise FormatError(f"bad '{tag}' line: {bad}")
+    return [toks[j::step] for j in range(1, width + 1)]
+
+
+# lines converted per bulk step: bounds the transient token lists
+CHUNK_LINES = 1024
+
+
+def int_columns(block, tag, width):
+    """``tagged_columns`` with every field an integer."""
+    cols = [[] for _ in range(width)]
+    for lo in range(0, len(block), CHUNK_LINES):
+        chunk = block[lo:lo + CHUNK_LINES]
+        for col, toks in zip(cols, tagged_columns(chunk, tag, width)):
+            col += map(int, toks)
+    return cols
+
+
+def by_id(cols, count, what):
+    """``cols[1:]`` reordered so that index i holds the line whose first
+    column reads i; the first column must hold each of 0..count-1 once."""
+    ids = cols[0]
+    want = list(range(count))
+    if ids == want:
+        return cols[1:]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    if [ids[j] for j in order] != want:
+        raise FormatError(f"{what} lines must give the ids 0..{count - 1}, "
+                          f"each once")
+    return [[col[j] for j in order] for col in cols[1:]]
+
+
+def _rotations(bodies, m):
+    """The dart lists of rotation bodies ``<edge>.<side> ...``, converted all
+    at once: every whitespace token must be one dart, so the tokens around
+    the dots come as edge, '.', side triples."""
+    text = " ".join(bodies)
+    k = len(text.split())
+    toks = text.replace(".", " . ").split()
+    if len(toks) != 3 * k or toks[1::3].count(".") != k:
+        raise FormatError("a dart must read <edge>.<0|1>")
+    es = list(map(int, toks[0::3]))
+    sides = list(map(int, toks[2::3]))
+    if k and (min(es) < 0 or max(es) >= m):
+        raise FormatError("a dart names an unknown edge")
+    if sides.count(0) + sides.count(1) != k:
+        raise FormatError("a dart side must be 0 or 1")
+    darts = [2 * e + side for e, side in zip(es, sides)]
+    rot = []
+    pos = 0
+    for body in bodies:                     # one dot per dart
+        rot.append(darts[pos:pos + body.count(".")])
+        pos += len(rot[-1])
+    return rot
+
+
 def parse_embedding(text: str) -> EmbeddedMultigraph:
     """Parse the embedding text format.
 
-    Line 1: ``emg <n> <m>``; then ``e <id> <u> <v> <sign>`` per edge and
-    ``v <id>: <edge>.<0|1> ...`` per vertex, rotation in cyclic order.
-    '#' starts a comment.
+    Line 1: ``emg <n> <m>``; then one ``e <id> <u> <v> <sign>`` per edge and
+    one ``v <id>: <edge>.<0|1> ...`` per vertex, rotation in cyclic order, in
+    any order, and at most one ``root <v>``.  '#' starts a comment.
     """
     try:
         return _parse_embedding(text)
@@ -348,11 +422,10 @@ def parse_embedding(text: str) -> EmbeddedMultigraph:
 
 
 def _parse_embedding(text: str) -> EmbeddedMultigraph:
-    lines = []
-    for raw in text.splitlines():
-        s = raw.split("#", 1)[0].strip()
-        if s:
-            lines.append(s)
+    raw = text.splitlines()
+    if "#" in text:
+        raw = [ln.split("#", 1)[0] for ln in raw]
+    lines = [s for s in map(str.strip, raw) if s]
     if not lines:
         raise FormatError("empty embedding file")
     head = lines[0].split()
@@ -362,49 +435,36 @@ def _parse_embedding(text: str) -> EmbeddedMultigraph:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise FormatError("bad counts in header") from None
-    edges = [None] * m
-    rot = [None] * n
+    elines = []
+    vlines = []
     root = None
     for ln in lines[1:]:
-        parts = ln.replace(":", " : ").split()
-        if parts[0] == "e":
-            if len(parts) != 5:
-                raise FormatError(f"bad edge line: {ln}")
-            eid, u, v, s = (int(parts[1]), int(parts[2]),
-                            int(parts[3]), int(parts[4]))
-            if not (0 <= eid < m):
-                raise FormatError(f"unknown edge id {eid}")
-            if edges[eid] is not None:
-                raise FormatError(f"duplicate edge id {eid}")
-            edges[eid] = (u, v, s)
-        elif parts[0] == "v":
-            if ":" not in parts:
-                raise FormatError(f"bad vertex line: {ln}")
-            ci = parts.index(":")
-            vid = int(parts[1])
-            if not (0 <= vid < n):
-                raise FormatError(f"unknown vertex id {vid}")
-            if rot[vid] is not None:
-                raise FormatError(f"duplicate vertex id {vid}")
-            darts = []
-            for tok in parts[ci + 1:]:
-                if "." not in tok:
-                    raise FormatError(f"bad dart token {tok}")
-                es, ss = tok.split(".", 1)
-                e, side = int(es), int(ss)
-                if not (0 <= e < m) or side not in (0, 1):
-                    raise FormatError(f"unknown dart {tok}")
-                darts.append(2 * e + side)
-            rot[vid] = darts
-        elif parts[0] == "root":
-            root = int(parts[1])
+        if ln[0] == "e":
+            elines.append(ln)
+        elif ln[0] == "v":
+            vlines.append(ln)
         else:
-            raise FormatError(f"unknown line: {ln}")
-    if any(e is None for e in edges):
-        raise FormatError("missing edge line")
-    for v in range(n):
-        if rot[v] is None:
-            rot[v] = []
+            parts = ln.split()
+            if parts[0] != "root":
+                raise FormatError(f"unknown line: {ln}")
+            if len(parts) != 2 or root is not None:
+                raise FormatError(f"bad or repeated root line: {ln}")
+            root = int(parts[1])
+    # every count checked against the lines before a per-id list is built
+    if len(elines) != m or len(vlines) != n:
+        raise FormatError(f"{len(elines)} edge and {len(vlines)} vertex "
+                          f"lines for {m} edges and {n} vertices")
+    edges = list(zip(*by_id(int_columns(elines, "e", 4), m, "edge")))
+
+    # a ':' past the first of its line lands among the darts and fails there
+    if "".join(vlines).count(":") != n:
+        raise FormatError("a vertex line must read 'v <id>: <darts>'")
+    vids = int_columns([ln.partition(":")[0] for ln in vlines], "v", 1)
+    rot = []
+    for lo in range(0, n, CHUNK_LINES):
+        chunk = vlines[lo:lo + CHUNK_LINES]
+        rot += _rotations([ln.partition(":")[2] for ln in chunk], m)
+    (rot,) = by_id(vids + [rot], n, "vertex")
     return EmbeddedMultigraph(n, edges, rot, root=root)
 
 

@@ -77,7 +77,9 @@ def rebuild_closure(E, d, walks=None):
     """Closure adjacency sets recomputed from re-traced faces.
 
     ``walks`` are the face walks ``rebuild_faces(E)`` returns, when the
-    caller has them.
+    caller has them.  A facial cycle of length 4..d makes its vertices
+    pairwise adjacent; a facial triangle joins only pairs that are edges of
+    ``E`` already, so it is skipped.
     """
     if walks is None:
         walks = rebuild_faces(E)
@@ -86,7 +88,7 @@ def rebuild_closure(E, d, walks=None):
         adj[u].add(v)
         adj[v].add(u)
     for walk in walks:
-        if 3 <= len(walk) <= d and len(set(walk)) == len(walk):
+        if 4 <= len(walk) <= d and len(set(walk)) == len(walk):
             for u in walk:
                 adj[u].update(walk)
     for u, nbrs in enumerate(adj):
@@ -300,50 +302,72 @@ class _LRTest:
         self.ordered = [sorted(out, key=key) for out in self.out_edges]
 
     def _dfs1(self, root):
+        # finishing an edge e out of v sets its nesting depth and folds its
+        # low points into v's parent edge; a back edge finishes at once, a
+        # tree edge when its head is popped
         adj = self.adj
         height = self.height
+        parent_edge = self.parent_edge
         oriented = self.oriented
+        src = self.src
+        dst = self.dst
         lowpt = self.lowpt
+        lowpt2 = self.lowpt2
+        nesting = self.nesting
+        out_edges = self.out_edges
         stack = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
-            descended = False
+            hv = height[v]
+            pe = parent_edge[v]
             for w, e in it:
                 if oriented[e]:
                     continue
                 oriented[e] = 1
-                self.src[e] = v
-                self.dst[e] = w
-                lowpt[e] = height[v]
-                self.lowpt2[e] = height[v]
-                self.out_edges[v].append(e)
-                if height[w] == -1:
-                    self.parent_edge[w] = e
-                    height[w] = height[v] + 1
+                src[e] = v
+                dst[e] = w
+                out_edges[v].append(e)
+                hw = height[w]
+                if hw == -1:
+                    parent_edge[w] = e
+                    height[w] = hv + 1
+                    lowpt[e] = hv
+                    lowpt2[e] = hv
                     stack.append((w, iter(adj[w])))
-                    descended = True
                     break
-                lowpt[e] = height[w]
-                self._finish(e, v)
-            if not descended:
-                stack.pop()
-                pe = self.parent_edge[v]
+                # a back edge: lowpt hw, lowpt2 hv, so its nesting is 2 hw
+                lowpt[e] = hw
+                lowpt2[e] = hv
+                nesting[e] = 2 * hw
                 if pe is not None:
-                    self._finish(pe, self.src[pe])
-
-    def _finish(self, e, v):
-        lowpt = self.lowpt
-        lowpt2 = self.lowpt2
-        self.nesting[e] = 2 * lowpt[e] + (lowpt2[e] < self.height[v])
-        pe = self.parent_edge[v]
-        if pe is not None:
-            if lowpt[e] < lowpt[pe]:
-                lowpt2[pe] = min(lowpt[pe], lowpt2[e])
-                lowpt[pe] = lowpt[e]
-            elif lowpt[e] > lowpt[pe]:
-                lowpt2[pe] = min(lowpt2[pe], lowpt[e])
+                    lp = lowpt[pe]
+                    if hw < lp:
+                        lowpt2[pe] = lp if lp < hv else hv
+                        lowpt[pe] = hw
+                    elif hw > lp:
+                        if hw < lowpt2[pe]:
+                            lowpt2[pe] = hw
+                    elif hv < lowpt2[pe]:
+                        lowpt2[pe] = hv
             else:
-                lowpt2[pe] = min(lowpt2[pe], lowpt2[e])
+                stack.pop()
+                if pe is None:
+                    continue
+                # finish the tree edge pe out of v's parent, at height hv - 1
+                low = lowpt[pe]
+                low2 = lowpt2[pe]
+                nesting[pe] = 2 * low + (low2 < hv - 1)
+                ppe = parent_edge[src[pe]]
+                if ppe is not None:
+                    lp = lowpt[ppe]
+                    if low < lp:
+                        lowpt2[ppe] = lp if lp < low2 else low2
+                        lowpt[ppe] = low
+                    elif low > lp:
+                        if low < lowpt2[ppe]:
+                            lowpt2[ppe] = low
+                    elif low2 < lowpt2[ppe]:
+                        lowpt2[ppe] = low2
 
     # -- phase 2: testing ------------------------------------------------
     # A conflict pair is a list [L.low, L.high, R.low, R.high] of edge ids;
@@ -439,14 +463,6 @@ class _LRTest:
                 or P[3] is not None:
             S.append(P)
 
-    def _lowest(self, P):
-        lowpt = self.lowpt
-        if P[0] is None and P[1] is None:
-            return lowpt[P[2]]
-        if P[2] is None and P[3] is None:
-            return lowpt[P[0]]
-        return min(lowpt[P[0]], lowpt[P[2]])
-
     def _remove_back_edges(self, e):
         S = self.S
         u = self.src[e]
@@ -454,7 +470,17 @@ class _LRTest:
         lowpt = self.lowpt
         ref = self.ref
         hu = self.height[u]
-        while S and self._lowest(S[-1]) == hu:
+        # drop the conflict pairs whose lowest return edge ends at u
+        while S:
+            P = S[-1]
+            if P[0] is None and P[1] is None:
+                low = lowpt[P[2]]
+            elif P[2] is None and P[3] is None:
+                low = lowpt[P[0]]
+            else:
+                low = min(lowpt[P[0]], lowpt[P[2]])
+            if low != hu:
+                break
             S.pop()
         if S:
             P = S[-1]
@@ -479,14 +505,20 @@ class _LRTest:
 
 def check_planarity(num_nodes, edges) -> bool:
     """Sound planarity verdict for a simple graph on nodes 0..num_nodes-1."""
-    simple = sorted({(min(a, b), max(a, b)) for a, b in edges if a != b})
-    if num_nodes >= 3 and len(simple) > 3 * num_nodes - 6:
+    # edge ab as the key a*N + b with a < b: ascending keys are the pairs in
+    # lexicographic order
+    N = num_nodes
+    keys = sorted({a * N + b if a < b else b * N + a
+                   for a, b in edges if a != b})
+    m = len(keys)
+    if N >= 3 and m > 3 * N - 6:
         return False
-    adj = [[] for _ in range(num_nodes)]
-    for e, (a, b) in enumerate(simple):
+    adj = [[] for _ in range(N)]
+    for e, key in enumerate(keys):
+        a, b = divmod(key, N)
         adj[a].append((b, e))
         adj[b].append((a, e))
-    lr = _LRTest(num_nodes, adj, len(simple))
+    lr = _LRTest(N, adj, m)
     lr.orient()
     return lr.test()
 

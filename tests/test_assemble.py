@@ -14,6 +14,7 @@ from framedprod.assemble import (
     width_bound,
 )
 from framedprod.embedding import (
+    CHUNK_LINES,
     EmbeddedMultigraph,
     bfs_structure,
     from_face_list,
@@ -43,6 +44,10 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
 SMALL = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
          "p 0 TRIPOD x:  y: 0 1\nLAYERS\nl 0 0\nl 1 1\nMAP\n"
          "m 0 0 0 0\nm 1 0 1 0\nELL 1\n")
+# the same path split into two parts joined in H
+TWO_PARTS = ("cert 2 3 0\nH 2 1\nh 0 1\nTD 1\nb 0 -1 : 0 1\nPARTS 2\n"
+             "p 0 Z x:  y: 0\np 1 TRIPOD x:  y: 1\nLAYERS\nl 0 0\nl 1 1\n"
+             "MAP\nm 0 0 0 0\nm 1 1 1 0\nELL 1\n")
 
 
 def shuffled(E, seed):
@@ -285,11 +290,64 @@ class TestCertificateFormat:
             id="pid-twice"),
         pytest.param(SMALL.replace("p 0 TRIPOD", "p 5 TRIPOD"),
                      id="pid-past-num-parts"),
+        pytest.param(SMALL.replace("H 1 0\n", "H 1 1\nx 0 0\n"),
+                     id="h-line-tag"),
+        pytest.param(SMALL.replace("b 0 -1 : 0", "q 0 -1 : 0"),
+                     id="b-line-tag"),
+        pytest.param(SMALL.replace("p 0 TRIPOD", "p 0 TRIPOS"),
+                     id="part-kind"),
+        pytest.param(TWO_PARTS.replace("p 1 TRIPOD", "p 1 Z"), id="Z-twice"),
+        pytest.param(SMALL.replace("y: 0 1", "y: 0 | | 1"), id="empty-path"),
+        pytest.param(SMALL.replace("LAYERS\n", "LAYERS junk\n"),
+                     id="layers-junk"),
+        pytest.param(SMALL.replace("l 1 1\n", ""), id="l-missing"),
+        pytest.param(SMALL.replace("ELL 1\n", ""), id="ell-missing"),
+        pytest.param(SMALL + "ELL 1\n", id="ell-twice"),
+        pytest.param(SMALL.replace("ELL 1\n", "ELL 1 2\n"), id="ell-junk"),
+        pytest.param(SMALL.replace("H 1 0\n", "H 1 0\nH 1 0\n"),
+                     id="h-section-twice"),
+        pytest.param(SMALL.replace("MAP\n", "LAYERS\nMAP\n"),
+                     id="layers-section-twice"),
+        pytest.param(SMALL.replace("MAP\n", "MAP\nMAP\n"),
+                     id="map-section-twice"),
+        pytest.param(SMALL.replace("ELL 1\n", "").replace(
+            "H 1 0\n", "ELL 1\nH 1 0\n"), id="sections-out-of-order"),
     ])
     def test_malformed_certificates_rejected(self, bad):
         from framedprod.errors import FormatError
         with pytest.raises(FormatError):
             parse_certificate(bad)
+
+    def test_two_part_certificate_parses(self):
+        cert = parse_certificate(TWO_PARTS)
+        assert serialize_certificate(cert) == TWO_PARTS
+        assert cert.boundary_part == 0
+
+    def test_texts_past_a_conversion_chunk(self):
+        # more edge, vertex, h, l and m lines than CHUNK_LINES, each section
+        # shuffled where the format allows it
+        E = gen_plane_triangulation(1500, 3)
+        assert E.m > 4 * CHUNK_LINES and E.n > CHUNK_LINES
+        rng = random.Random(5)
+        head, *body = serialize_embedding(E).splitlines()
+        rng.shuffle(body)
+        back = parse_embedding("\n".join([head] + body))
+        assert (back.edges, back.rot) == (E.edges, E.rot)
+        text = serialize_certificate(decompose(E, 3))
+        lines = text.splitlines()
+        for head in ("LAYERS", "MAP"):
+            i = lines.index(head) + 1
+            section = lines[i:i + E.n]
+            rng.shuffle(section)
+            lines[i:i + E.n] = section
+        cert = parse_certificate("\n".join(lines))
+        assert len(cert.h_edges) > CHUNK_LINES
+        assert serialize_certificate(cert) == text
+        assert verify_certificate(back, cert) == []
+
+    def test_comments_and_blank_lines_skipped(self):
+        text = "# a path\n\n" + SMALL.replace("MAP\n", "  MAP  \n\n# map\n")
+        assert serialize_certificate(parse_certificate(text)) == SMALL
 
     def test_small_certificate_parses(self):
         cert = parse_certificate(SMALL)

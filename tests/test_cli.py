@@ -130,6 +130,17 @@ class TestCli:
         assert dec.returncode == 0
         assert dec.stdout.startswith("cert ")
 
+    def test_python_m_framedprod_verifies(self, tmp_path, child_env):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "20", "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        done = subprocess.run(
+            [sys.executable, "-m", "framedprod", "verify", "--in", str(frame),
+             "--cert", str(cert)],
+            capture_output=True, text=True, env=child_env)
+        assert done.returncode == 0, done.stderr
+
     def test_multi_input_jobs(self, tmp_path):
         files = []
         for i in range(3):

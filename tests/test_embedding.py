@@ -237,6 +237,40 @@ class TestFormat:
         assert E.root == 1
         assert trace_faces(E).f == 2
 
+    TRIANGLE = ("emg 3 3\nroot 1\ne 0 0 1 1\ne 1 1 2 1\ne 2 2 0 1\n"
+                "v 0: 0.0 2.1\nv 1: 0.1 1.0\nv 2: 1.1 2.0\n")
+
+    @pytest.mark.parametrize("old,new", [
+        ("v 2: 1.1", "v 2 junk: 1.1"),
+        ("v 2: 1.1", "v 2 7: 1.1"),
+        ("root 1\n", "root 1 2\n"),
+        ("root 1\n", "root 1\nroot 2\n"),
+        ("root 1\n", "root 1\nroot 1\n"),
+    ], ids=["vertex-junk-token", "vertex-two-ids", "root-two-tokens",
+            "root-twice", "root-repeated"])
+    def test_loose_lines_rejected(self, old, new):
+        parse_embedding(self.TRIANGLE)
+        with pytest.raises(FormatError):
+            parse_embedding(self.TRIANGLE.replace(old, new))
+
+    def test_every_vertex_needs_a_line(self):
+        # vertex 3 is isolated: it still needs its (empty) rotation line
+        text = self.TRIANGLE.replace("emg 3 3", "emg 4 3")
+        with pytest.raises(FormatError):
+            parse_embedding(text)
+        E = parse_embedding(text + "v 3:\n")
+        assert E.rot[3] == [] and E.rot[:3] == parse_embedding(
+            self.TRIANGLE).rot
+
+    def test_lines_in_any_order(self):
+        head, root, *body = self.TRIANGLE.splitlines()
+        E = parse_embedding("\n".join([head] + body[::-1] + [root]))
+        assert serialize_embedding(E) == self.TRIANGLE
+
+    def test_huge_counts_rejected_before_allocating(self):
+        with pytest.raises(FormatError):
+            parse_embedding("emg 1000000000000000 1000000000000000\n")
+
     def test_unknown_ids_rejected(self):
         bad = "emg 2 1\ne 0 0 1 1\nv 0: 0.0 3.0\nv 1: 0.1\n"
         with pytest.raises(FormatError):

@@ -249,6 +249,22 @@ class TestPlanarityOracle:
                 edges.append((a, b) if rng.below(2) else (b, a))
             agree(n, edges)
 
+    def test_near_planar_graphs(self, agree):
+        # a triangulation with edges dropped and up to two random edges
+        # added: planar and non-planar graphs whose DFS has long back edges
+        rng = SplitMix64(31)
+        for _ in range(250):
+            n = 40 + rng.below(80)
+            E = gen_plane_triangulation(n, rng.below(10 ** 6))
+            edges = [(u, v) for u, v, _ in E.edges]
+            for i in range(len(edges) - 1, 0, -1):
+                j = rng.below(i + 1)
+                edges[i], edges[j] = edges[j], edges[i]
+            del edges[n + rng.below(len(edges) - n + 1):]
+            for _ in range(rng.below(3)):
+                edges.append((rng.below(n), rng.below(n)))
+            agree(n, edges)
+
     @pytest.mark.parametrize("base", ["k5", "k33"])
     def test_subdivisions(self, agree, base):
         rng = SplitMix64(7)

@@ -50,7 +50,9 @@ mutations = st.tuples(st.sampled_from(("drop", "dup", "token")),
                       st.integers(0, 10 ** 6), st.integers(-3, 40))
 
 
-def mutate(text, ops):
+def mutate(text, ops, token=INT_TOKEN):
+    """``text`` with each op applied: drop a line, duplicate one, or put an
+    integer in place of a ``token`` match."""
     lines = text.splitlines()
     for kind, at, value in ops:
         if not lines:
@@ -62,7 +64,7 @@ def mutate(text, ops):
             lines.insert(i, lines[i])
         else:
             joined = "\n".join(lines)
-            spots = list(INT_TOKEN.finditer(joined))
+            spots = list(token.finditer(joined))
             if spots:
                 s = spots[at % len(spots)]
                 joined = joined[:s.start()] + str(value) + joined[s.end():]
