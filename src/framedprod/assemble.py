@@ -10,6 +10,7 @@ from .embedding import (
     bfs_structure,
     by_id,
     euler_genus,
+    gc_paused,
     int_columns,
     tagged_columns,
     trace_faces,
@@ -97,6 +98,7 @@ class PartitionCertificate:
         return len(self.parts)
 
 
+@gc_paused
 def decompose(E: EmbeddedMultigraph, d: int,
               self_verify: bool = True) -> PartitionCertificate:
     """Full pipeline: frame check, tree, cut (if needed), tripods, mapping.
@@ -150,6 +152,7 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
         boundary_part=projected.boundary_part, mapping=mapping, bound=bound)
 
 
+@gc_paused
 def serialize_certificate(cert: PartitionCertificate) -> str:
     out = [f"cert {cert.n} {cert.d} {cert.genus}"]
     out.append(f"H {cert.num_parts} {len(cert.h_edges)}")
@@ -165,9 +168,6 @@ def serialize_certificate(cert: PartitionCertificate) -> str:
         xs = " ".join(str(v) for v in part.absorbed)
         ys = " | ".join(" ".join(str(v) for v in leg) for leg in part.legs)
         out.append(f"p {part.pid} {kind} x: {xs} y: {ys}")
-    out.append("LAYERS")
-    for v in range(cert.n):
-        out.append(f"l {v} {cert.mapping.layer[v]}")
     out.append("MAP")
     for v in range(cert.n):
         out.append(f"m {v} {cert.mapping.node[v]} {cert.mapping.layer[v]} "
@@ -176,16 +176,17 @@ def serialize_certificate(cert: PartitionCertificate) -> str:
     return "\n".join(out) + "\n"
 
 
+@gc_paused
 def parse_certificate(text: str) -> PartitionCertificate:
     """Parse the text ``serialize_certificate`` writes.
 
     The sections come in the order they are written, each exactly once:
     ``cert <n> <d> <genus>``; ``H <parts> <edges>`` and one ``h`` line per
     edge; ``TD <bags>`` and one ``b`` line per bag, ids in order; ``PARTS
-    <parts>`` and one ``p`` line per part; ``LAYERS`` and one ``l`` line
-    per vertex; ``MAP`` and one ``m`` line per vertex; ``ELL <ell>``.  The
-    ``l`` and ``m`` lines may list the vertices in any order.  Blank lines
-    and lines starting with '#' are skipped.
+    <parts>`` and one ``p`` line per part; ``MAP`` and one ``m`` line per
+    vertex, which holds its only layer; ``ELL <ell>``.  The ``m`` lines may
+    list the vertices in any order.  Blank lines and lines starting with '#'
+    are skipped.
     """
     try:
         return _parse_certificate(text)
@@ -214,9 +215,9 @@ def _block(lines, i, count, tag):
 def _parse_certificate(text: str) -> PartitionCertificate:
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     n, d, g = _header(lines, 0, "cert", 3)
-    # each vertex needs an l and an m line: a count the text cannot hold is
-    # refused before the per-vertex lists are allocated
-    if not 0 <= 2 * n <= len(lines):
+    # each vertex needs an m line: a count the text cannot hold is refused
+    # before the per-vertex lists are allocated
+    if not 0 <= n <= len(lines):
         raise FormatError(f"{n} vertices but only {len(lines)} lines")
     num_parts, ne = _header(lines, 1, "H", 2)
     i = 2
@@ -265,10 +266,6 @@ def _parse_certificate(text: str) -> PartitionCertificate:
         parts.append(Part(pid, "boundary" if kind == "Z" else "tripod", legs,
                           [int(t) for t in xs.split()]))
 
-    _header(lines, i, "LAYERS", 0)
-    i += 1
-    (stated,) = by_id(int_columns(_block(lines, i, n, "l"), "l", 2), n, "'l'")
-    i += n
     _header(lines, i, "MAP", 0)
     i += 1
     node, layer, copy = by_id(int_columns(_block(lines, i, n, "m"), "m", 4),
@@ -277,10 +274,6 @@ def _parse_certificate(text: str) -> PartitionCertificate:
     (ell,) = _header(lines, i, "ELL", 1)
     if i + 1 != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[i + 1]}")
-    if stated != layer:
-        v = next(v for v in range(n) if stated[v] != layer[v])
-        raise FormatError(f"vertex {v}: l layer {stated[v]} != m layer "
-                          f"{layer[v]}")
     mapping = ProductMapping(node=node, layer=layer, copy=copy, ell=ell)
     return PartitionCertificate(
         n=n, d=d, genus=g, parts=parts, part_of=list(node), h_edges=h_edges,

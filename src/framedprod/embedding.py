@@ -8,6 +8,8 @@ non-orientable surfaces; all +1 means the rotation alone defines the surface.
 
 from __future__ import annotations
 
+import functools
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -15,19 +17,42 @@ from itertools import chain
 from .errors import ContractViolation, DomainError, FormatError
 
 
+def gc_paused(fn):
+    """``fn`` with the cyclic garbage collector paused for the call.
+
+    The bulk stages allocate many containers and form no reference cycles,
+    so collections during them find nothing and only cost time.  The
+    collector's state on entry is restored on return and on a raise; when
+    it is already off (a caller paused it, or an outer stage did) the call
+    leaves it off.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 class EmbeddedMultigraph:
     """Multigraph embedded in a surface, given by rotations and signatures.
 
     Loops and parallel edges are allowed.  A loop contributes both of its
-    darts to the rotation of its vertex.
+    darts to the rotation of its vertex.  The graph keeps the ``edges`` list
+    of ``(u, v, sign)`` tuples and the ``rot`` list of dart lists it is
+    given: a caller that goes on changing a list copies it first.
     """
 
     __slots__ = ("n", "edges", "rot", "root", "_tail")
 
     def __init__(self, n, edges, rot, root=None, validate=True):
         self.n = n
-        self.edges = [(u, v, s) for (u, v, s) in edges]
-        self.rot = [list(r) for r in rot]
+        self.edges = edges
+        self.rot = rot
         self.root = root
         self._tail = None
         if validate:
@@ -406,6 +431,7 @@ def _rotations(bodies, m):
     return rot
 
 
+@gc_paused
 def parse_embedding(text: str) -> EmbeddedMultigraph:
     """Parse the embedding text format.
 
@@ -468,6 +494,7 @@ def _parse_embedding(text: str) -> EmbeddedMultigraph:
     return EmbeddedMultigraph(n, edges, rot, root=root)
 
 
+@gc_paused
 def serialize_embedding(E: EmbeddedMultigraph) -> str:
     out = [f"emg {E.n} {E.m}"]
     if E.root is not None:

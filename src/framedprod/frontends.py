@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import EmbeddedMultigraph, FaceSet, euler_genus, trace_faces
+from .embedding import (
+    EmbeddedMultigraph,
+    FaceSet,
+    euler_genus,
+    gc_paused,
+    trace_faces,
+)
 from .errors import ContractViolation, DomainError, FormatError
 
 NATION = "nation"
@@ -61,6 +67,7 @@ class MapFrameResult:
     nation_origin: dict       # repaired nation face id -> input face id
 
 
+@gc_paused
 def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
     """Realize the map graph inside the closure of a dual-based frame."""
     if d < 3:
@@ -460,6 +467,7 @@ class OnePlanarFrameResult:
     original_edges: list
 
 
+@gc_paused
 def oneplanar_to_frame(Dw: OnePlaneDrawing) -> OnePlanarFrameResult:
     """Augment, delete crossing pairs, and return a {3,4}-face frame."""
     Dw.validate()
@@ -612,6 +620,7 @@ def _delete_crossings(P, crossings):
 # file formats
 # ---------------------------------------------------------------------------
 
+@gc_paused
 def parse_labelled_map(text: str) -> LabelledMap:
     """Embedding format plus one ``f <faceid> nation|lake`` line per face."""
     from .embedding import parse_embedding
@@ -646,6 +655,7 @@ def parse_labelled_map(text: str) -> LabelledMap:
     return LabelledMap(G0=G0, labels=[labels[fi] for fi in range(k)])
 
 
+@gc_paused
 def serialize_labelled_map(LM: LabelledMap) -> str:
     from .embedding import serialize_embedding
     out = serialize_embedding(LM.G0)
@@ -653,6 +663,7 @@ def serialize_labelled_map(LM: LabelledMap) -> str:
     return out + "\n".join(lines) + "\n"
 
 
+@gc_paused
 def parse_oneplanar(text: str) -> OnePlaneDrawing:
     """Embedding of the planarization plus ``x <dummy> <e1> <e2> <e3> <e4>``."""
     from .embedding import parse_embedding
@@ -683,6 +694,7 @@ def parse_oneplanar(text: str) -> OnePlaneDrawing:
     return D
 
 
+@gc_paused
 def serialize_oneplanar(D: OnePlaneDrawing) -> str:
     from .embedding import serialize_embedding
     out = serialize_embedding(D.P)

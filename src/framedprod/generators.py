@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .embedding import EmbeddedMultigraph, trace_faces
+from .embedding import EmbeddedMultigraph, gc_paused, trace_faces
 from .errors import ContractViolation, DomainError
 
 MASK64 = (1 << 64) - 1
@@ -39,6 +39,7 @@ class SplitMix64:
         return SplitMix64(self.next())
 
 
+@gc_paused
 def gen_toroidal_grid(mrows: int, ncols: int) -> EmbeddedMultigraph:
     """C_m x C_n torus grid with the N,E,S,W rotation at every vertex."""
     if mrows < 3 or ncols < 3:
@@ -106,6 +107,7 @@ class _TriBuilder:
         return EmbeddedMultigraph(len(self.rot), self.edges, self.rot)
 
 
+@gc_paused
 def gen_plane_triangulation(n: int, seed: int) -> EmbeddedMultigraph:
     """Stacked plane triangulation on n vertices by seeded face insertion."""
     if n < 3:
@@ -200,6 +202,7 @@ class _LiveEdges:
         return pos
 
 
+@gc_paused
 def gen_framed(n: int, d: int, g: int, seed: int) -> EmbeddedMultigraph:
     """Frame with face lengths in {3..d} via seeded edge deletion.
 
@@ -307,6 +310,7 @@ def _attempt_deletions(E: EmbeddedMultigraph, d: int,
     return live.alive
 
 
+@gc_paused
 def gen_labelled_map(n: int, d: int, seed: int):
     """Plane labelled map: seeded nation/lake labels under the d budget."""
     from .frontends import LAKE, NATION, LabelledMap
@@ -360,6 +364,7 @@ def _planarize_quads(E: EmbeddedMultigraph):
     return P, crossings
 
 
+@gc_paused
 def gen_oneplanar(n: int, seed: int):
     """Seeded 1-plane drawing: a {3,4}-face frame with crossed diagonals."""
     from .frontends import OnePlaneDrawing

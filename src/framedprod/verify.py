@@ -8,6 +8,7 @@ machine-readable ``FAIL <check> <detail>`` strings.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter, deque
 from itertools import chain
 
@@ -584,7 +585,21 @@ def exact_treewidth(adj_sets, cap: int = 12) -> int:
 # ---------------------------------------------------------------------------
 
 def verify_certificate(E, cert) -> list:
-    """Run every check against the embedding; returns FAIL lines."""
+    """Run every check against the embedding; returns FAIL lines.
+
+    The cyclic garbage collector is paused for the run, as in the
+    construction's bulk stages, and its state on entry restored after.
+    """
+    if not gc.isenabled():
+        return _verify_certificate(E, cert)
+    gc.disable()
+    try:
+        return _verify_certificate(E, cert)
+    finally:
+        gc.enable()
+
+
+def _verify_certificate(E, cert) -> list:
     fails = []
     if cert.n != E.n:
         return [f"FAIL shape certificate n {cert.n} != graph n {E.n}"]

@@ -21,7 +21,7 @@ from framedprod.embedding import (
     parse_embedding,
     serialize_embedding,
 )
-from framedprod.errors import DomainError, InvalidFrameError
+from framedprod.errors import DomainError, FormatError, InvalidFrameError
 from framedprod.frontends import oneplanar_to_frame
 from framedprod.generators import (
     gen_framed,
@@ -35,19 +35,19 @@ from test_nonorientable import klein_grid, projective_k4
 
 # sha256 of serialize_certificate(decompose(E, d)) per corpus member,
 # recorded from the tripod partition whose flood kept a deque, an
-# open-corner flag and a separate candidate list
+# open-corner flag and a separate candidate list; each is the digest of
+# that text with its former LAYERS block deleted
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
 
 # the certificate of a single edge: one part, one bag, two layers
 SMALL = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
-         "p 0 TRIPOD x:  y: 0 1\nLAYERS\nl 0 0\nl 1 1\nMAP\n"
-         "m 0 0 0 0\nm 1 0 1 0\nELL 1\n")
+         "p 0 TRIPOD x:  y: 0 1\nMAP\nm 0 0 0 0\nm 1 0 1 0\nELL 1\n")
 # the same path split into two parts joined in H
 TWO_PARTS = ("cert 2 3 0\nH 2 1\nh 0 1\nTD 1\nb 0 -1 : 0 1\nPARTS 2\n"
-             "p 0 Z x:  y: 0\np 1 TRIPOD x:  y: 1\nLAYERS\nl 0 0\nl 1 1\n"
-             "MAP\nm 0 0 0 0\nm 1 1 1 0\nELL 1\n")
+             "p 0 Z x:  y: 0\np 1 TRIPOD x:  y: 1\nMAP\nm 0 0 0 0\n"
+             "m 1 1 1 0\nELL 1\n")
 
 
 def shuffled(E, seed):
@@ -281,9 +281,6 @@ class TestCertificateFormat:
                      id="m-negative"),
         pytest.param(SMALL.replace("m 1 0 1 0\n", "m 1 0 1 0\nm 2 0 0 0\n"),
                      id="m-past-n"),
-        pytest.param(SMALL.replace("l 1 1\n", "l 1 0\n"), id="l-disagrees"),
-        pytest.param(SMALL.replace("l 1 1\n", "l 1 1\nl 1 1\n"), id="l-twice"),
-        pytest.param(SMALL.replace("l 1 1\n", "l 7 1\n"), id="l-past-n"),
         pytest.param(SMALL.replace("H 1 0", "H 2 0").replace(
             "PARTS 1\np 0 TRIPOD x:  y: 0 1\n",
             "PARTS 2\np 0 TRIPOD x:  y: 0\np 0 TRIPOD x:  y: 1\n"),
@@ -298,25 +295,37 @@ class TestCertificateFormat:
                      id="part-kind"),
         pytest.param(TWO_PARTS.replace("p 1 TRIPOD", "p 1 Z"), id="Z-twice"),
         pytest.param(SMALL.replace("y: 0 1", "y: 0 | | 1"), id="empty-path"),
-        pytest.param(SMALL.replace("LAYERS\n", "LAYERS junk\n"),
+        pytest.param(SMALL.replace("MAP\n", "LAYERS junk\nMAP\n"),
                      id="layers-junk"),
-        pytest.param(SMALL.replace("l 1 1\n", ""), id="l-missing"),
         pytest.param(SMALL.replace("ELL 1\n", ""), id="ell-missing"),
         pytest.param(SMALL + "ELL 1\n", id="ell-twice"),
         pytest.param(SMALL.replace("ELL 1\n", "ELL 1 2\n"), id="ell-junk"),
         pytest.param(SMALL.replace("H 1 0\n", "H 1 0\nH 1 0\n"),
                      id="h-section-twice"),
-        pytest.param(SMALL.replace("MAP\n", "LAYERS\nMAP\n"),
-                     id="layers-section-twice"),
         pytest.param(SMALL.replace("MAP\n", "MAP\nMAP\n"),
                      id="map-section-twice"),
         pytest.param(SMALL.replace("ELL 1\n", "").replace(
             "H 1 0\n", "ELL 1\nH 1 0\n"), id="sections-out-of-order"),
     ])
     def test_malformed_certificates_rejected(self, bad):
-        from framedprod.errors import FormatError
         with pytest.raises(FormatError):
             parse_certificate(bad)
+
+    @pytest.mark.parametrize("at", range(len(SMALL.splitlines()) + 1))
+    def test_layers_section_rejected(self, at):
+        # the section that once repeated MAP's layer column, anywhere in
+        # the text, as the old format wrote it
+        lines = SMALL.splitlines()
+        lines[at:at] = ["LAYERS", "l 0 0", "l 1 1"]
+        with pytest.raises(FormatError):
+            parse_certificate("\n".join(lines))
+
+    @pytest.mark.parametrize("at", range(len(SMALL.splitlines()) + 1))
+    def test_l_line_rejected(self, at):
+        lines = SMALL.splitlines()
+        lines.insert(at, "l 1 1")
+        with pytest.raises(FormatError):
+            parse_certificate("\n".join(lines))
 
     def test_two_part_certificate_parses(self):
         cert = parse_certificate(TWO_PARTS)
@@ -324,7 +333,7 @@ class TestCertificateFormat:
         assert cert.boundary_part == 0
 
     def test_texts_past_a_conversion_chunk(self):
-        # more edge, vertex, h, l and m lines than CHUNK_LINES, each section
+        # more edge, vertex, h and m lines than CHUNK_LINES, each section
         # shuffled where the format allows it
         E = gen_plane_triangulation(1500, 3)
         assert E.m > 4 * CHUNK_LINES and E.n > CHUNK_LINES
@@ -335,11 +344,10 @@ class TestCertificateFormat:
         assert (back.edges, back.rot) == (E.edges, E.rot)
         text = serialize_certificate(decompose(E, 3))
         lines = text.splitlines()
-        for head in ("LAYERS", "MAP"):
-            i = lines.index(head) + 1
-            section = lines[i:i + E.n]
-            rng.shuffle(section)
-            lines[i:i + E.n] = section
+        i = lines.index("MAP") + 1
+        section = lines[i:i + E.n]
+        rng.shuffle(section)
+        lines[i:i + E.n] = section
         cert = parse_certificate("\n".join(lines))
         assert len(cert.h_edges) > CHUNK_LINES
         assert serialize_certificate(cert) == text

@@ -265,6 +265,17 @@ class TestPlanarityOracle:
                 edges.append((rng.below(n), rng.below(n)))
             agree(n, edges)
 
+    def test_gnm_random_graphs(self, agree):
+        # sparse to dense random graphs around the planarity threshold: the
+        # set that catches a wrong back-edge nesting depth in the first DFS
+        nx = pytest.importorskip("networkx")
+        rng = SplitMix64(11)
+        for seed in range(3000):
+            n = 5 + rng.below(25)
+            m = n + rng.below(2 * n + 1)
+            G = nx.gnm_random_graph(n, m, seed=seed)
+            agree(n, list(G.edges()))
+
     @pytest.mark.parametrize("base", ["k5", "k33"])
     def test_subdivisions(self, agree, base):
         rng = SplitMix64(7)

@@ -95,7 +95,6 @@ def test_mutated_certificate_is_rejected_or_checked(name, ops):
 
 def test_huge_vertex_count_is_rejected_before_allocating():
     text = ("cert 1000000000000000 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\n"
-            "PARTS 1\np 0 TRIPOD x:  y: 0\nLAYERS\nl 0 0\nMAP\n"
-            "m 0 0 0 0\nELL 1\n")
+            "PARTS 1\np 0 TRIPOD x:  y: 0\nMAP\nm 0 0 0 0\nELL 1\n")
     with pytest.raises(FormatError, match="vertices but only"):
         parse_certificate(text)
