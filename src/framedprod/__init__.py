@@ -2,11 +2,9 @@
 
 from .assemble import (
     PartitionCertificate,
-    ProductMapping,
     block_layering,
     decompose,
     parse_certificate,
-    product_mapping,
     serialize_certificate,
     width_bound,
 )
@@ -34,7 +32,7 @@ from .verify import (
     check_part_structure,
     check_planarity,
     check_tree_decomposition,
-    exact_treewidth,
+    stated_decomposition,
     verify_certificate,
 )
 

@@ -1,18 +1,16 @@
-"""Assemble decompositions: layering blocks, product mapping, certificates."""
+"""Assemble decompositions: layering blocks, the width, certificates."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import (
     EmbeddedMultigraph,
     bfs_structure,
-    by_id,
     euler_genus,
     gc_paused,
-    int_columns,
-    tagged_columns,
     trace_faces,
 )
 from .errors import ContractViolation, DomainError, FormatError
@@ -45,53 +43,14 @@ def block_layering(T, d: int) -> list:
 
 
 @dataclass
-class ProductMapping:
-    node: list               # per vertex: part id
-    layer: list              # per vertex: block index
-    copy: list               # per vertex: rank within its (part, block) cell
-    ell: int
-
-    def triple(self, v):
-        return (self.node[v], self.layer[v], self.copy[v])
-
-
-def product_mapping(part_of: list, blocks: list, n: int) -> ProductMapping:
-    """Assign copy indices per (part, block) cell in ascending vertex order."""
-    node = list(part_of[:n])
-    layer = [0] * n
-    for j, blk in enumerate(blocks):
-        for v in blk:
-            layer[v] = j
-    cells = {}
-    for v in range(n):
-        cells.setdefault((node[v], layer[v]), []).append(v)
-    copy = [0] * n
-    ell = 1
-    for key in cells:
-        members = sorted(cells[key])
-        ell = max(ell, len(members))
-        for i, v in enumerate(members):
-            copy[v] = i
-    return ProductMapping(node=node, layer=layer, copy=copy, ell=ell)
-
-
-@dataclass
 class PartitionCertificate:
     n: int
     d: int
     genus: int
     parts: list               # Part records over original vertices
-    part_of: list
-    h_edges: list
-    bags: list
-    bag_parent: list
     boundary_part: int        # the Z part for positive genus, else -1
-    mapping: ProductMapping
+    ell: int                  # the most vertices of one (part, block) cell
     bound: int
-
-    @property
-    def ell(self):
-        return self.mapping.ell
 
     @property
     def num_parts(self):
@@ -101,7 +60,7 @@ class PartitionCertificate:
 @gc_paused
 def decompose(E: EmbeddedMultigraph, d: int,
               self_verify: bool = True) -> PartitionCertificate:
-    """Full pipeline: frame check, tree, cut (if needed), tripods, mapping.
+    """Full pipeline: frame check, tree, cut (if needed), tripods, width.
 
     The BFS layering is rooted at ``E.root`` (vertex 0 when unset), the
     root the verifier rebuilds it from.
@@ -139,39 +98,30 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
         HPR = tripod_partition(world, parent, boundary=Pp, blocked=(A.rplus,))
         projected = project_partition(HPR, R, C, E.n)
 
-    blocks = block_layering(T, d)
-    mapping = product_mapping(projected.part_of, blocks, E.n)
+    # a vertex goes to (its part, its block, its rank in that cell) of the
+    # product, so the width is the size of the largest cell
+    part_of = projected.part_of
+    ell = max(max(Counter(map(part_of.__getitem__, blk)).values())
+              for blk in block_layering(T, d))
     bound = width_bound(g, d)
-    if mapping.ell > bound:
+    if ell > bound:
         raise ContractViolation(
-            f"achieved width {mapping.ell} exceeds the bound {bound}")
+            f"achieved width {ell} exceeds the bound {bound}")
     return PartitionCertificate(
         n=E.n, d=d, genus=g, parts=projected.parts,
-        part_of=projected.part_of, h_edges=projected.h_edges,
-        bags=projected.bags, bag_parent=projected.bag_parent,
-        boundary_part=projected.boundary_part, mapping=mapping, bound=bound)
+        boundary_part=projected.boundary_part, ell=ell, bound=bound)
 
 
 @gc_paused
 def serialize_certificate(cert: PartitionCertificate) -> str:
-    out = [f"cert {cert.n} {cert.d} {cert.genus}"]
-    out.append(f"H {cert.num_parts} {len(cert.h_edges)}")
-    for a, b in cert.h_edges:
-        out.append(f"h {a} {b}")
-    out.append(f"TD {len(cert.bags)}")
-    for i, bag in enumerate(cert.bags):
-        toks = " ".join(str(p) for p in bag)
-        out.append(f"b {i} {cert.bag_parent[i]} : {toks}")
-    out.append(f"PARTS {cert.num_parts}")
+    out = [f"cert {cert.n} {cert.d} {cert.genus}", f"PARTS {cert.num_parts}"]
     for part in cert.parts:
         kind = "Z" if part.pid == cert.boundary_part else "TRIPOD"
-        xs = " ".join(str(v) for v in part.absorbed)
-        ys = " | ".join(" ".join(str(v) for v in leg) for leg in part.legs)
-        out.append(f"p {part.pid} {kind} x: {xs} y: {ys}")
-    out.append("MAP")
-    for v in range(cert.n):
-        out.append(f"m {v} {cert.mapping.node[v]} {cert.mapping.layer[v]} "
-                   f"{cert.mapping.copy[v]}")
+        head = " ".join(map(str, [part.pid, kind, part.creator,
+                                  *part.attachments]))
+        xs = " ".join(map(str, part.absorbed))
+        ys = " | ".join(" ".join(map(str, leg)) for leg in part.legs)
+        out.append(f"p {head} x: {xs} y: {ys}")
     out.append(f"ELL {cert.ell}")
     return "\n".join(out) + "\n"
 
@@ -181,12 +131,10 @@ def parse_certificate(text: str) -> PartitionCertificate:
     """Parse the text ``serialize_certificate`` writes.
 
     The sections come in the order they are written, each exactly once:
-    ``cert <n> <d> <genus>``; ``H <parts> <edges>`` and one ``h`` line per
-    edge; ``TD <bags>`` and one ``b`` line per bag, ids in order; ``PARTS
-    <parts>`` and one ``p`` line per part; ``MAP`` and one ``m`` line per
-    vertex, which holds its only layer; ``ELL <ell>``.  The ``m`` lines may
-    list the vertices in any order.  Blank lines and lines starting with '#'
-    are skipped.
+    ``cert <n> <d> <genus>``; ``PARTS <parts>`` and one line per part,
+    ``p <id> <Z|TRIPOD> <creator> <attachments...> x: <absorbed> y: <paths>``
+    with the paths separated by ``|`` and the ids in any order; ``ELL
+    <ell>``.  Blank lines and lines starting with '#' are skipped.
     """
     try:
         return _parse_certificate(text)
@@ -205,77 +153,39 @@ def _header(lines, i, tag, count):
     return [int(t) for t in toks[1:]]
 
 
-def _block(lines, i, count, tag):
-    """Lines ``i .. i+count-1``: a section body of ``count`` lines."""
-    if count < 0 or i + count > len(lines):
-        raise FormatError(f"{count} '{tag}' lines do not fit the text")
-    return lines[i:i + count]
-
-
 def _parse_certificate(text: str) -> PartitionCertificate:
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     n, d, g = _header(lines, 0, "cert", 3)
-    # each vertex needs an m line: a count the text cannot hold is refused
-    # before the per-vertex lists are allocated
-    if not 0 <= n <= len(lines):
-        raise FormatError(f"{n} vertices but only {len(lines)} lines")
-    num_parts, ne = _header(lines, 1, "H", 2)
-    i = 2
-    a, b = int_columns(_block(lines, i, ne, "h"), "h", 2)
-    h_edges = list(zip(a, b))
-    i += ne
-
-    (nb,) = _header(lines, i, "TD", 1)
-    i += 1
-    block = _block(lines, i, nb, "b")
-    i += nb
-    bids, bag_parent = int_columns([ln.partition(":")[0] for ln in block],
-                                   "b", 2)
-    if bids != list(range(nb)):
-        raise FormatError("bag ids must be sequential")
-    # a ':' past the first of its line lands in a bag and fails int() there
-    if "".join(block).count(":") != nb:
-        raise FormatError("every 'b' line needs one ':' before its bag")
-    bags = [[int(t) for t in ln.partition(":")[2].split()] for ln in block]
-
-    (cnt,) = _header(lines, i, "PARTS", 1)
-    i += 1
-    if cnt != num_parts:
-        raise FormatError("part count mismatch")
-    block = _block(lines, i, cnt, "p")
-    i += cnt
-    pids, kinds = tagged_columns([ln.partition(" x: ")[0] for ln in block],
-                                 "p", 2)
-    pids = list(map(int, pids))
-    if sorted(pids) != list(range(num_parts)):
-        raise FormatError("part ids must be 0..num_parts-1, each once")
-    nz = kinds.count("Z")
-    if nz + kinds.count("TRIPOD") != cnt or nz > 1:
-        raise FormatError("a part kind must be Z (at most once) or TRIPOD")
-    boundary_part = pids[kinds.index("Z")] if nz else -1
-    parts = []
-    for pid, kind, ln in zip(pids, kinds, block):
-        xs, sep, ys = ln.partition(" x: ")[2].partition(" y:")
-        if not sep:
-            raise FormatError(f"part {pid} needs ' x: <absorbed> y: <paths>'")
-        legs = [[int(t) for t in seg.split()] for seg in ys.split("|")]
+    (k,) = _header(lines, 1, "PARTS", 1)
+    if not 0 <= k <= len(lines) - 3:
+        raise FormatError(f"{k} 'p' lines do not fit the text")
+    parts = [None] * k
+    boundary_part = -1
+    for ln in lines[2:2 + k]:
+        head, sep, rest = ln.partition(" x: ")
+        xs, sep2, ys = rest.partition(" y:")
+        toks = head.split()
+        if not sep or not sep2 or len(toks) < 4 or toks[0] != "p":
+            raise FormatError(f"bad 'p' line: {ln}")
+        pid = int(toks[1])
+        if not 0 <= pid < k or parts[pid] is not None:
+            raise FormatError("part ids must be 0..num_parts-1, each once")
+        kind = toks[2]
+        if kind == "Z" and boundary_part == -1:
+            boundary_part = pid
+        elif kind != "TRIPOD":
+            raise FormatError("a part kind must be Z (at most once) or TRIPOD")
+        legs = [list(map(int, seg.split())) for seg in ys.split("|")]
         if legs == [[]]:                      # a part with no path
             legs = []
         elif [] in legs:
             raise FormatError(f"part {pid} has an empty path")
-        parts.append(Part(pid, "boundary" if kind == "Z" else "tripod", legs,
-                          [int(t) for t in xs.split()]))
-
-    _header(lines, i, "MAP", 0)
-    i += 1
-    node, layer, copy = by_id(int_columns(_block(lines, i, n, "m"), "m", 4),
-                              n, "'m'")
-    i += n
-    (ell,) = _header(lines, i, "ELL", 1)
-    if i + 1 != len(lines):
-        raise FormatError(f"unexpected line after ELL: {lines[i + 1]}")
-    mapping = ProductMapping(node=node, layer=layer, copy=copy, ell=ell)
+        parts[pid] = Part(pid, "boundary" if kind == "Z" else "tripod", legs,
+                          list(map(int, xs.split())), int(toks[3]),
+                          list(map(int, toks[4:])))
+    (ell,) = _header(lines, 2 + k, "ELL", 1)
+    if 3 + k != len(lines):
+        raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")
     return PartitionCertificate(
-        n=n, d=d, genus=g, parts=parts, part_of=list(node), h_edges=h_edges,
-        bags=bags, bag_parent=bag_parent, boundary_part=boundary_part,
-        mapping=mapping, bound=width_bound(g, d))
+        n=n, d=d, genus=g, parts=parts, boundary_part=boundary_part, ell=ell,
+        bound=width_bound(g, d))

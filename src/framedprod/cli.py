@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .assemble import (
     decompose,
@@ -50,13 +49,10 @@ def _write(path, text):
             fh.write(text)
 
 
-def _decompose_one(args_tuple):
-    path, d, out, svg = args_tuple
+def _decompose_one(path, d, out):
     E = parse_embedding(_read(path))
     cert = decompose(E, d)
     _write(out, serialize_certificate(cert))
-    if svg:
-        _write(svg, render_svg(cert))
     return cert
 
 
@@ -65,12 +61,12 @@ def _summary(cert):
             f"ell={cert.ell} bound={cert.bound}")
 
 
-def _decompose_status(job):
+def _decompose_status(path, d):
     """One input of a batch: (exit code, status line); never raises for a
     bad input, so the batch goes on to the next."""
-    path = job[0]
     try:
-        return EXIT_OK, f"ok {path} {_summary(_decompose_one(job))}"
+        cert = _decompose_one(path, d, path + ".cert")
+        return EXIT_OK, f"ok {path} {_summary(cert)}"
     except (FormatError, DomainError, OSError, ValueError) as ex:
         return EXIT_PARSE, f"error {path}: {ex}"
     except ContractViolation as ex:
@@ -80,26 +76,17 @@ def _decompose_status(job):
 def cmd_decompose(args):
     ins = args.inputs
     if len(ins) == 1:
-        cert = _decompose_one((ins[0], args.d, args.out, args.svg))
+        cert = _decompose_one(ins[0], args.d, args.out)
         print(f"ok {_summary(cert)}", file=sys.stderr)
         return EXIT_OK
     if args.out != "-":
         print("error: several inputs write <input>.cert each; --out takes "
               "a single input", file=sys.stderr)
         return EXIT_PARSE
-    if args.svg:
-        print("error: --svg draws one H and takes a single input",
-              file=sys.stderr)
-        return EXIT_PARSE
     # every input is tried; the exit code is the worst of their codes
-    jobs = [(path, args.d, path + ".cert", None) for path in ins]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_decompose_status, jobs))
-    else:
-        results = map(_decompose_status, jobs)
     worst = EXIT_OK
-    for code, line in results:
+    for path in ins:
+        code, line = _decompose_status(path, args.d)
         print(line, file=sys.stderr)
         worst = max(worst, code)
     return worst
@@ -174,10 +161,6 @@ def cmd_oneplanar(args):
 
 
 def cmd_stats(args):
-    if args.svg and args.d is None:
-        print("error: --svg draws the H of a decomposition and needs --d",
-              file=sys.stderr)
-        return EXIT_PARSE
     E = parse_embedding(_read(args.input))
     fs = trace_faces(E)
     g = euler_genus(E, fs) if E.is_connected() else None
@@ -193,49 +176,8 @@ def cmd_stats(args):
         cert = decompose(E, args.d)
         lines.append(f"ell {cert.ell}")
         lines.append(f"bound {width_bound(g, args.d)}")
-        if args.svg:
-            _write(args.svg, render_svg(cert))
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def render_svg(cert) -> str:
-    """Static picture: H nodes placed by layer bands, edges as chords."""
-    first_layer = {}
-    for v in range(cert.n):
-        p = cert.mapping.node[v]
-        first_layer[p] = min(first_layer.get(p, 1 << 30),
-                             cert.mapping.layer[v])
-    per_layer = {}
-    pos = {}
-    for p in range(cert.num_parts):
-        lay = first_layer.get(p, 0)
-        idx = per_layer.get(lay, 0)
-        per_layer[lay] = idx + 1
-        pos[p] = (40 + idx * 60, 40 + lay * 80)
-    width = max(x for x, _ in pos.values()) + 40 if pos else 100
-    height = max(y for _, y in pos.values()) + 40 if pos else 100
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}">']
-    nlayers = max(per_layer) + 1 if per_layer else 1
-    for lay in range(nlayers):
-        y = 40 + lay * 80
-        out.append(f'<line x1="0" y1="{y}" x2="{width}" y2="{y}" '
-                   'stroke="#eeeeee"/>')
-        out.append(f'<text x="4" y="{y - 6}" font-size="10" '
-                   f'fill="#999999">layer {lay}</text>')
-    for a, b in cert.h_edges:
-        x1, y1 = pos[a]
-        x2, y2 = pos[b]
-        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-                   'stroke="#888888" stroke-width="1"/>')
-    for p, (x, y) in pos.items():
-        fill = "#cc4444" if p == cert.boundary_part else "#4477cc"
-        out.append(f'<circle cx="{x}" cy="{y}" r="9" fill="{fill}"/>')
-        out.append(f'<text x="{x - 4}" y="{y + 4}" font-size="9" '
-                   f'fill="white">{p}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
 
 
 def build_parser():
@@ -250,8 +192,6 @@ def build_parser():
                    help="embedding file ('-' for stdin); repeatable")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("verify", help="verify a certificate against a frame")
@@ -283,7 +223,6 @@ def build_parser():
     p = sub.add_parser("stats", help="print instance statistics")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--svg", default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_stats)
     return ap

@@ -359,7 +359,7 @@ def from_face_list(face_walks, n=None) -> EmbeddedMultigraph:
 
 def tagged_columns(block, tag, width):
     """The ``width`` token columns of ``block``, whose lines must each be
-    ``tag`` and ``width`` more tokens (shared by the text parsers).
+    ``tag`` and ``width`` more tokens.
 
     The lines are joined with a ';' token between them and split once.  Every
     ``width + 2``-th token must then be ';' and the token after it ``tag``;

@@ -119,6 +119,9 @@ class Part:
     kind: str                   # "boundary" or "tripod"
     legs: list                  # vertical paths, topmost vertex first
     absorbed: list              # the small leftover set (size <= d-3)
+    creator: int                # the part whose step made this part's
+                                # region (-1 for the first part)
+    attachments: list           # the <= 3 earlier parts the region saw
 
     def vertices(self):
         out = []
@@ -132,9 +135,6 @@ class Part:
 class HPartitionResult:
     parts: list
     part_of: list               # per vertex; BLOCKED for the apex
-    h_edges: list               # sorted pairs of part ids
-    bags: list                  # one bag per creation event, part id lists
-    bag_parent: list
     boundary_part: int          # id of the distinguished part, or -1
 
 
@@ -155,19 +155,14 @@ def tripod_partition(world: TriWorld, parent: list,
     for v in blocked:
         part_of[v] = BLOCKED
     parts = []
-    h_edges = []
-    bags = []
-    bag_parent = []
     boundary_part = -1
 
     if boundary is not None:
         parts.append(Part(pid=0, kind="boundary", legs=[list(boundary)],
-                          absorbed=[]))
+                          absorbed=[], creator=-1, attachments=[]))
         for v in boundary:
             part_of[v] = 0
         boundary_part = 0
-        bags.append([0])
-        bag_parent.append(-1)
 
     stamp = [0] * world.num_cells
     cur = 0
@@ -176,9 +171,9 @@ def tripod_partition(world: TriWorld, parent: list,
         for c in world.cells_at[v]:
             open_corners[c] -= 1
 
-    # region work-stack: (seed cell, creator bag id)
-    root_bag = 0 if boundary is not None else -1
-    stack = [(c, root_bag) for c in range(world.num_cells - 1, -1, -1)]
+    # region work-stack: (seed cell, the part whose step left the region)
+    root = 0 if boundary is not None else -1
+    stack = [(c, root) for c in range(world.num_cells - 1, -1, -1)]
 
     while stack:
         seed, creator = stack.pop()
@@ -246,19 +241,15 @@ def tripod_partition(world: TriWorld, parent: list,
                 f"no cell of the region meets all of parts {sorted(rparts)}")
 
         new_vertices = _consume(world, part_of, parent, parts, tau,
-                                rparts, color_of)
+                                rparts, color_of, creator)
         pid = parts[-1].pid
-        h_edges.extend((p, pid) for p in rparts)
-        bags.append(sorted(rparts) + [pid])
-        bag_parent.append(creator)
-        my_bag = len(bags) - 1
 
         # every pocket is fenced off by a wall with a newly assigned
         # endpoint, so the open cells around the new part reach them all
         around = [c for v in new_vertices for c in world.cells_at[v]]
         for c in around:
             open_corners[c] -= 1
-        stack.extend((c, my_bag) for c in reversed(dict.fromkeys(around))
+        stack.extend((c, pid) for c in reversed(dict.fromkeys(around))
                      if open_corners[c])
 
     if UNASSIGNED in part_of:
@@ -266,8 +257,6 @@ def tripod_partition(world: TriWorld, parent: list,
             f"{part_of.count(UNASSIGNED)} vertices left unassigned")
 
     return HPartitionResult(parts=parts, part_of=part_of,
-                            h_edges=sorted(set(h_edges)), bags=bags,
-                            bag_parent=bag_parent,
                             boundary_part=boundary_part)
 
 
@@ -297,9 +286,10 @@ def _flood(world, part_of, stamp, cur, seed):
     return rparts, region
 
 
-def _consume(world, part_of, parent, parts, tau, rparts, color_of):
+def _consume(world, part_of, parent, parts, tau, rparts, color_of, creator):
     """Create one part from cell ``tau``: legs from up to three corners,
-    the remaining unassigned corners absorbed."""
+    the remaining unassigned corners absorbed; it attaches to the region's
+    parts ``rparts``."""
     cyc = world.cells[tau]
     k = len(cyc)
     anchor = min(range(k), key=lambda i: cyc[i])
@@ -348,7 +338,8 @@ def _consume(world, part_of, parent, parts, tau, rparts, color_of):
             f"absorbed set has {len(absorbed)} vertices, cap is {world.d - 3}")
     if not legs and not absorbed:
         raise ContractViolation("step created an empty part")
-    parts.append(Part(pid=pid, kind="tripod", legs=legs, absorbed=absorbed))
+    parts.append(Part(pid=pid, kind="tripod", legs=legs, absorbed=absorbed,
+                      creator=creator, attachments=sorted(rparts)))
     new_vertices = [v for leg in legs for v in leg]
     new_vertices.extend(absorbed)
     return new_vertices
@@ -369,7 +360,8 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
         if part.pid == HPR.boundary_part:
             parts.append(Part(pid=part.pid, kind="boundary",
                               legs=[list(p) for p in cut_system.paths],
-                              absorbed=[]))
+                              absorbed=[], creator=part.creator,
+                              attachments=part.attachments))
             continue
         legs = []
         for leg in part.legs:
@@ -379,7 +371,8 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
             legs.append([prov[x] for x in leg])
         absorbed = [prov[x] for x in part.absorbed]
         parts.append(Part(pid=part.pid, kind="tripod", legs=legs,
-                          absorbed=absorbed))
+                          absorbed=absorbed, creator=part.creator,
+                          attachments=part.attachments))
     part_of = [None] * n_original
     for new_id, old_id in enumerate(prov):
         p = HPR.part_of[new_id]
@@ -389,6 +382,4 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
     if any(p is None for p in part_of):
         raise ContractViolation("projection left a vertex unmapped")
     return HPartitionResult(parts=parts, part_of=part_of,
-                            h_edges=list(HPR.h_edges), bags=HPR.bags,
-                            bag_parent=HPR.bag_parent,
                             boundary_part=HPR.boundary_part)

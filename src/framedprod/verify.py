@@ -1,8 +1,10 @@
-"""Independent certificate verification and small-graph oracles.
+"""Independent certificate verification.
 
 Nothing here reuses the construction pipeline's face walker or BFS: the
 closure and distances are rebuilt from the embedding with separate code, so
-a bug upstream cannot silently vouch for itself.  Failures are returned as
+a bug upstream cannot silently vouch for itself.  The certificate states
+only its parts; the mapping into ``H x P x K_ell``, ``H`` and the tree
+decomposition are derived from them here.  Failures are returned as
 machine-readable ``FAIL <check> <detail>`` strings.
 """
 
@@ -121,29 +123,35 @@ def rebuild_bfs(E, root):
 # certificate checks
 # ---------------------------------------------------------------------------
 
-def check_containment(closure_adj, mapping, h_edges, num_parts):
-    """Injectivity plus the product-adjacency test, edge by edge."""
+def stated_decomposition(parts):
+    """``H``'s edges, the bags and the bag parents that the parts state.
+
+    Part ``i`` with attachments ``A`` and creator ``c`` gives the edges
+    ``a-i`` for ``a`` in ``A``, and bag ``i``, ``sorted(A) + [i]``, whose
+    parent is bag ``c`` (-1 at the root).
+    """
+    h_edges = []
+    bags = [[] for _ in parts]
+    bag_parent = [-1] * len(parts)
+    for part in parts:
+        i = part.pid
+        h_edges += [(a, i) for a in part.attachments]
+        bags[i] = sorted(part.attachments) + [i]
+        bag_parent[i] = part.creator
+    return h_edges, bags, bag_parent
+
+
+def check_containment(closure_adj, node, layer, h_edges):
+    """The product-adjacency test, closure edge by closure edge: the parts
+    of its ends are equal or adjacent in ``H``, their blocks at most one
+    apart."""
     fails = []
-    n = len(closure_adj)
-    triples = {}
-    for v in range(n):
-        t = (mapping.node[v], mapping.layer[v], mapping.copy[v])
-        if not (0 <= t[0] < num_parts):
-            fails.append(f"FAIL containment vertex {v} node {t[0]} out of range")
-        if not (0 <= t[2] < mapping.ell):
-            fails.append(f"FAIL containment vertex {v} copy {t[2]} >= ell")
-        if t in triples:
-            fails.append(f"FAIL containment vertices {triples[t]} and {v} "
-                         f"share triple {t}")
-        triples[t] = v
     hset = set(h_edges)
     hset.update([(b, a) for a, b in h_edges])
-    node = mapping.node
-    layer = mapping.layer
-    for u in range(n):
+    for u, nbrs in enumerate(closure_adj):
         a = node[u]
         lu = layer[u]
-        for v in closure_adj[u]:
+        for v in nbrs:
             if u >= v:
                 continue
             b = node[v]
@@ -157,13 +165,17 @@ def check_containment(closure_adj, mapping, h_edges, num_parts):
 
 
 def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
-    """Edge coverage, subtree connectivity, and width at most 3."""
+    """Edge coverage, subtree connectivity, width at most 3 and no node
+    twice in one bag."""
     fails = []
     if not bags:
         return ["FAIL td no bags"]
-    for i, bag in enumerate(bags):
+    bag_sets = [set(b) for b in bags]
+    for i, (bag, s) in enumerate(zip(bags, bag_sets)):
         if len(bag) > 4:
             fails.append(f"FAIL td bag {i} has size {len(bag)}")
+        if len(s) != len(bag):
+            fails.append(f"FAIL td bag {i} repeats a node")
         for x in bag:
             if not (0 <= x < num_nodes):
                 fails.append(f"FAIL td bag {i} node {x} out of range")
@@ -188,7 +200,6 @@ def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
             return fails
         for j in walk:
             state[j] = 2
-    bag_sets = [set(b) for b in bags]
     holding = {}                   # node -> ids of the bags that hold it
     for i, s in enumerate(bag_sets):
         for x in s:
@@ -214,23 +225,22 @@ def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
     return fails
 
 
-def check_part_structure(parts, part_of, tree_parent, g, d, boundary_part):
-    """Z splits into <= 2g vertical tree paths; other parts are tripods."""
+def check_part_structure(parts, tree_parent, g, d, boundary_part):
+    """Every vertex in exactly one part; Z splits into <= 2g vertical tree
+    paths, other parts are tripods.  -> (FAIL lines, the part of each
+    vertex, -1 where none)."""
     fails = []
-    n = len(part_of)
-    seen = [False] * n
+    n = len(tree_parent)
+    node = [-1] * n
     for part in parts:
-        verts = part.vertices()
-        for v in verts:
+        pid = part.pid
+        for v in part.vertices():
             if not (0 <= v < n):
                 fails.append(f"FAIL parts vertex {v} out of range")
-                continue
-            if seen[v]:
+            elif node[v] != -1:
                 fails.append(f"FAIL parts vertex {v} in two parts")
-            seen[v] = True
-            if part_of[v] != part.pid:
-                fails.append(f"FAIL parts vertex {v} labelled {part_of[v]} "
-                             f"but listed in part {part.pid}")
+            else:
+                node[v] = pid
         limit = 2 * g if part.pid == boundary_part else 3
         if len(part.legs) > limit:
             fails.append(f"FAIL parts part {part.pid} has {len(part.legs)} "
@@ -253,10 +263,10 @@ def check_part_structure(parts, part_of, tree_parent, g, d, boundary_part):
             if claimed & set(leg):
                 fails.append(f"FAIL parts part {part.pid} paths overlap")
             claimed.update(leg)
-    missing = seen.count(False)
+    missing = node.count(-1)
     if missing:
         fails.append(f"FAIL parts {missing} vertices in no part")
-    return fails
+    return fails, node
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +519,9 @@ def check_planarity(num_nodes, edges) -> bool:
     # edge ab as the key a*N + b with a < b: ascending keys are the pairs in
     # lexicographic order
     N = num_nodes
+    for a, b in edges:
+        if not (0 <= a < N and 0 <= b < N):
+            raise DomainError(f"edge {a}-{b} leaves the nodes 0..{N - 1}")
     keys = sorted({a * N + b if a < b else b * N + a
                    for a, b in edges if a != b})
     m = len(keys)
@@ -525,67 +538,16 @@ def check_planarity(num_nodes, edges) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact treewidth for small graphs
-# ---------------------------------------------------------------------------
-
-def exact_treewidth(adj_sets, cap: int = 12) -> int:
-    """Exhaustive treewidth via the elimination-ordering subset DP."""
-    n = len(adj_sets)
-    if n > cap:
-        raise DomainError(f"exact treewidth capped at {cap} vertices")
-    if n == 0:
-        return -1
-    masks = [0] * n
-    for v, s in enumerate(adj_sets):
-        for w in s:
-            if w != v:
-                masks[v] |= 1 << w
-    full = (1 << n) - 1
-
-    def elim_degree(R, v):
-        # neighbours of v outside R, reachable through eliminated R vertices
-        comp = 1 << v
-        frontier = comp
-        nbrs = 0
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                x = (f & -f).bit_length() - 1
-                f &= f - 1
-                reach |= masks[x]
-            nbrs |= reach
-            grow = reach & R & ~comp
-            comp |= grow
-            frontier = grow
-        return bin(nbrs & ~R & ~(1 << v)).count("1")
-
-    memo = [0] * (1 << n)
-    memo[0] = -1
-    order = sorted(range(1, 1 << n), key=lambda s: bin(s).count("1"))
-    for S in order:
-        best = n
-        s = S
-        while s:
-            v = (s & -s).bit_length() - 1
-            s &= s - 1
-            R = S & ~(1 << v)
-            cand = memo[R]
-            fd = elim_degree(R, v)
-            if fd > cand:
-                cand = fd
-            if cand < best:
-                best = cand
-        memo[S] = best
-    return memo[full]
-
-
-# ---------------------------------------------------------------------------
 # the full suite
 # ---------------------------------------------------------------------------
 
 def verify_certificate(E, cert) -> list:
     """Run every check against the embedding; returns FAIL lines.
+
+    A vertex maps to the part that lists it, the block ``depth // (d // 2)``
+    of its depth in the rebuilt BFS, and a rank in that (part, block) cell,
+    so ``ell`` is the size of the largest cell.  ``H`` and the tree
+    decomposition are ``stated_decomposition(cert.parts)``.
 
     The cyclic garbage collector is paused for the run, as in the
     construction's bulk stages, and its state on entry restored after.
@@ -612,31 +574,25 @@ def _verify_certificate(E, cert) -> list:
         fails.append(f"FAIL genus stated {cert.genus} actual {g}")
     closure = rebuild_closure(E, cert.d, walks)
     del walks
-    fails += check_containment(closure, cert.mapping, cert.h_edges,
-                               cert.num_parts)
-    fails += check_tree_decomposition(cert.num_parts, cert.h_edges,
-                                      cert.bags, cert.bag_parent)
+    parent, depth = rebuild_bfs(E, E.root if E.root is not None else 0)
+    part_fails, node = check_part_structure(cert.parts, parent, g, cert.d,
+                                            cert.boundary_part)
+    fails += part_fails
+    h = cert.d // 2
+    layer = [x // h for x in depth]
     np_ = cert.num_parts
+    h_edges, bags, bag_parent = stated_decomposition(cert.parts)
+    fails += check_containment(closure, node, layer, h_edges)
+    fails += check_tree_decomposition(np_, h_edges, bags, bag_parent)
     h_in_range = []
-    for a, b in cert.h_edges:
+    for a, b in h_edges:
         if 0 <= a < np_ and 0 <= b < np_:
             h_in_range.append((a, b))
         else:
             fails.append(f"FAIL H edge {a}-{b} out of range")
     if not check_planarity(np_, h_in_range):
         fails.append("FAIL planarity H is not planar")
-    root = E.root if E.root is not None else 0
-    parent, depth = rebuild_bfs(E, root)
-    fails += check_part_structure(cert.parts, cert.part_of, parent,
-                                  g, cert.d, cert.boundary_part)
-    h = cert.d // 2
-    for v in range(E.n):
-        if cert.mapping.layer[v] != depth[v] // h:
-            fails.append(f"FAIL layering vertex {v} block "
-                         f"{cert.mapping.layer[v]} != depth//h")
-            break
-    counts = Counter(zip(cert.mapping.node, cert.mapping.layer))
-    real_ell = max(counts.values()) if counts else 1
+    real_ell = max(Counter(zip(node, layer)).values())
     if real_ell != cert.ell:
         fails.append(f"FAIL ell stated {cert.ell} actual {real_ell}")
     bound = max(2 * g * h, cert.d + 3 * h - 3)     # the paper's width bound

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import copy
 import time
 
 from framedprod.assemble import decompose, serialize_certificate, width_bound
@@ -23,10 +22,12 @@ from framedprod.generators import (
 )
 from framedprod.verify import (
     check_planarity,
-    exact_treewidth,
     rebuild_closure,
+    stated_decomposition,
     verify_certificate,
 )
+from test_verify import tampered
+from treewidth import exact_treewidth
 
 SMALL_H = []          # (cert, label) with at most 12 H-nodes, criterion 6
 
@@ -46,8 +47,9 @@ def test_criterion_1_planar_triangulations():
         fails = verify_certificate(E, cert)
         assert fails == [], (n, i, fails[:3])
         assert cert.ell <= 3
-        assert check_planarity(cert.num_parts, cert.h_edges)
-        assert max(len(b) for b in cert.bags) <= 4
+        h_edges, bags, _ = stated_decomposition(cert.parts)
+        assert check_planarity(cert.num_parts, h_edges)
+        assert max(len(b) for b in bags) <= 4
         worst = max(worst, cert.ell)
         if cert.num_parts <= 12:
             SMALL_H.append((cert, f"tri{n}s{i}"))
@@ -163,7 +165,7 @@ def test_criterion_6_oracles_and_tampering():
     assert len(SMALL_H) >= 10, "not enough small H graphs collected"
     for cert, label in SMALL_H:
         adj = [set() for _ in range(cert.num_parts)]
-        for a, b in cert.h_edges:
+        for a, b in stated_decomposition(cert.parts)[0]:
             adj[a].add(b)
             adj[b].add(a)
         tw = exact_treewidth(adj)
@@ -173,41 +175,9 @@ def test_criterion_6_oracles_and_tampering():
     cert = decompose(E, 3, self_verify=False)
     assert verify_certificate(E, cert) == []
     rng = SplitMix64(2024)
-    edges = [(u, v) for u, v, _ in E.edges]
-    hset = {(min(a, b), max(a, b)) for a, b in cert.h_edges}
     detected = 0
     for _ in range(1000):
-        bad = copy.deepcopy(cert)
-        mode = rng.below(3)
-        if mode == 0:
-            u, v = edges[rng.below(len(edges))]
-            bad.mapping.layer[u] = bad.mapping.layer[v] + 2
-        elif mode == 1:
-            done = False
-            for u, v in edges:
-                a = bad.mapping.node[v]
-                choices = [p for p in range(bad.num_parts)
-                           if p != a and p != bad.mapping.node[u]
-                           and (min(p, a), max(p, a)) not in hset]
-                if choices:
-                    bad.mapping.node[u] = choices[rng.below(len(choices))]
-                    done = True
-                    break
-            if not done:
-                u, v = edges[0]
-                bad.mapping.layer[u] = bad.mapping.layer[v] + 2
-        else:
-            cells = {}
-            for x in range(bad.n):
-                cells.setdefault((bad.mapping.node[x], bad.mapping.layer[x]),
-                                 []).append(x)
-            big = [mm for mm in cells.values() if len(mm) >= 2]
-            if big:
-                mm = big[rng.below(len(big))]
-                bad.mapping.copy[mm[0]] = bad.mapping.copy[mm[1]]
-            else:
-                u, v = edges[0]
-                bad.mapping.layer[u] = bad.mapping.layer[v] + 2
+        bad = tampered(cert, rng, E)
         if verify_certificate(E, bad):
             detected += 1
     elapsed = time.monotonic() - t0

@@ -21,7 +21,12 @@ from framedprod.embedding import (
     parse_embedding,
     serialize_embedding,
 )
-from framedprod.errors import DomainError, FormatError, InvalidFrameError
+from framedprod.errors import (
+    ContractViolation,
+    DomainError,
+    FormatError,
+    InvalidFrameError,
+)
 from framedprod.frontends import oneplanar_to_frame
 from framedprod.generators import (
     gen_framed,
@@ -36,18 +41,40 @@ from test_nonorientable import klein_grid, projective_k4
 # sha256 of serialize_certificate(decompose(E, d)) per corpus member,
 # recorded from the tripod partition whose flood kept a deque, an
 # open-corner flag and a separate candidate list; each is the digest of
-# that text with its former LAYERS block deleted
+# that text with its former LAYERS, H, TD and MAP sections deleted and each
+# part's creator bag and attachments written into its p line
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
 
-# the certificate of a single edge: one part, one bag, two layers
-SMALL = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
-         "p 0 TRIPOD x:  y: 0 1\nMAP\nm 0 0 0 0\nm 1 0 1 0\nELL 1\n")
-# the same path split into two parts joined in H
-TWO_PARTS = ("cert 2 3 0\nH 2 1\nh 0 1\nTD 1\nb 0 -1 : 0 1\nPARTS 2\n"
-             "p 0 Z x:  y: 0\np 1 TRIPOD x:  y: 1\nMAP\nm 0 0 0 0\n"
-             "m 1 1 1 0\nELL 1\n")
+# the certificate of a single edge: one part, two layers
+SMALL = "cert 2 3 0\nPARTS 1\np 0 TRIPOD -1 x:  y: 0 1\nELL 1\n"
+# the same path split into two parts, the second attached to the first
+TWO_PARTS = ("cert 2 3 0\nPARTS 2\np 0 Z -1 x:  y: 0\n"
+             "p 1 TRIPOD 0 0 x:  y: 1\nELL 1\n")
+# every position of both texts, for inserting a line that does not belong
+POSITIONS = [(text, at) for text in (SMALL, TWO_PARTS)
+             for at in range(len(text.splitlines()) + 1)]
+# the sections of the format before parts-only certificates, as it wrote
+# them for SMALL
+OLD_SECTIONS = {"H": ["H 1 0"], "TD": ["TD 1", "b 0 -1 : 0"],
+                "MAP": ["MAP", "m 0 0 0 0", "m 1 0 1 0"]}
+
+
+def part_of(cert):
+    """The part of each vertex, as the p lines list them."""
+    out = [None] * cert.n
+    for part in cert.parts:
+        for v in part.vertices():
+            out[v] = part.pid
+    return out
+
+
+def cells(cert, E):
+    """Vertices per (part, block) cell, the blocks from E's root line."""
+    depth = bfs_structure(E, E.root or 0).depth
+    h = cert.d // 2
+    return Counter((p, depth[v] // h) for v, p in enumerate(part_of(cert)))
 
 
 def shuffled(E, seed):
@@ -118,28 +145,6 @@ class TestBlockLayering:
         assert len(blocks) == (len(T.layers) + 1) // 2
 
 
-class TestProductMapping:
-    def test_copy_indices_distinct_per_cell(self):
-        E = gen_plane_triangulation(80, 5)
-        cert = decompose(E, 3)
-        seen = set()
-        for v in range(E.n):
-            t = cert.mapping.triple(v)
-            assert t not in seen
-            seen.add(t)
-
-    def test_copies_ascending_by_vertex_id(self):
-        E = gen_plane_triangulation(40, 6)
-        cert = decompose(E, 3)
-        cells = {}
-        for v in range(E.n):
-            key = (cert.mapping.node[v], cert.mapping.layer[v])
-            cells.setdefault(key, []).append((v, cert.mapping.copy[v]))
-        for members in cells.values():
-            members.sort()
-            assert [c for _, c in members] == list(range(len(members)))
-
-
 class TestDecompose:
     @pytest.mark.parametrize("family,d,want", [("torus", 4, 3), ("tri", 3, 1)])
     def test_one_trace_per_graph(self, count_traces, family, d, want):
@@ -161,8 +166,7 @@ class TestDecompose:
             assert E.root == 5
             cert = decompose(E, d)
             assert verify_certificate(E, cert) == []
-            depth = bfs_structure(E, 5).depth
-            assert cert.mapping.layer == [x // (d // 2) for x in depth]
+            assert max(cells(cert, E).values()) == cert.ell
             with pytest.raises(TypeError):
                 decompose(E, d, root=0)
 
@@ -204,19 +208,13 @@ class TestDecompose:
             cert = decompose(E, d)
             zid = cert.boundary_part
             assert zid != -1
-            cnt = Counter()
-            for v in range(E.n):
-                if cert.part_of[v] == zid:
-                    cnt[cert.mapping.layer[v]] += 1
-            assert max(cnt.values()) <= 2 * cert.genus * (d // 2)
+            z_cells = [c for (p, _), c in cells(cert, E).items() if p == zid]
+            assert max(z_cells) <= 2 * cert.genus * (d // 2)
 
     def test_tripod_parts_block_width(self):
         E = gen_framed(80, 5, 0, 3)
         cert = decompose(E, 5)
-        cnt = Counter()
-        for v in range(E.n):
-            cnt[(cert.part_of[v], cert.mapping.layer[v])] += 1
-        for (pid, _), c in cnt.items():
+        for (pid, _), c in cells(cert, E).items():
             if pid != cert.boundary_part:
                 assert c <= (5 - 3) + 3 * 2
 
@@ -229,6 +227,13 @@ class TestDecompose:
         cert = decompose(E, d)
         assert cert.ell <= width_bound(cert.genus, d)
         assert verify_certificate(E, cert) == []
+
+    def test_width_past_the_bound_is_a_contract_violation(self,
+                                                          monkeypatch):
+        from framedprod import assemble
+        monkeypatch.setattr(assemble, "width_bound", lambda g, d: 0)
+        with pytest.raises(ContractViolation, match="exceeds the bound 0"):
+            decompose(gen_plane_triangulation(20, 1), 3)
 
     def test_disconnected_rejected(self):
         E = EmbeddedMultigraph(2, [], [[], []])
@@ -274,58 +279,70 @@ class TestCertificateFormat:
     @pytest.mark.parametrize("bad", [
         "", "cert 3", "cert 3 3 0\nH 2 1\nh 0", "cert 3 3 0\nTD 5\nb 0",
         "cert 3 3 0\nm 0 0", "cert 3 3 0\nELL x",
-        pytest.param(SMALL.replace("m 1 0 1 0\n", ""), id="m-missing"),
-        pytest.param(SMALL.replace("m 1 0 1 0\n", "m 1 0 1 0\nm 1 0 1 0\n"),
-                     id="m-twice"),
-        pytest.param(SMALL.replace("m 1 0 1 0\n", "m -1 0 1 0\n"),
-                     id="m-negative"),
-        pytest.param(SMALL.replace("m 1 0 1 0\n", "m 1 0 1 0\nm 2 0 0 0\n"),
-                     id="m-past-n"),
-        pytest.param(SMALL.replace("H 1 0", "H 2 0").replace(
-            "PARTS 1\np 0 TRIPOD x:  y: 0 1\n",
-            "PARTS 2\np 0 TRIPOD x:  y: 0\np 0 TRIPOD x:  y: 1\n"),
+        pytest.param(SMALL.replace(
+            "PARTS 1\np 0 TRIPOD -1 x:  y: 0 1\n",
+            "PARTS 2\np 0 TRIPOD -1 x:  y: 0\np 0 TRIPOD -1 x:  y: 1\n"),
             id="pid-twice"),
         pytest.param(SMALL.replace("p 0 TRIPOD", "p 5 TRIPOD"),
                      id="pid-past-num-parts"),
-        pytest.param(SMALL.replace("H 1 0\n", "H 1 1\nx 0 0\n"),
-                     id="h-line-tag"),
-        pytest.param(SMALL.replace("b 0 -1 : 0", "q 0 -1 : 0"),
-                     id="b-line-tag"),
+        pytest.param(SMALL.replace("p 0 TRIPOD", "q 0 TRIPOD"),
+                     id="p-line-tag"),
         pytest.param(SMALL.replace("p 0 TRIPOD", "p 0 TRIPOS"),
                      id="part-kind"),
         pytest.param(TWO_PARTS.replace("p 1 TRIPOD", "p 1 Z"), id="Z-twice"),
+        pytest.param(SMALL.replace(" -1 x:", " x:"), id="creator-missing"),
+        pytest.param(TWO_PARTS.replace("TRIPOD 0 0", "TRIPOD 0 a"),
+                     id="attachment-junk"),
+        pytest.param(SMALL.replace(" x: ", " "), id="x-missing"),
+        pytest.param(SMALL.replace(" y:", ""), id="y-missing"),
         pytest.param(SMALL.replace("y: 0 1", "y: 0 | | 1"), id="empty-path"),
-        pytest.param(SMALL.replace("MAP\n", "LAYERS junk\nMAP\n"),
+        pytest.param(SMALL.replace("PARTS 1", "PARTS 3"),
+                     id="parts-past-the-text"),
+        pytest.param(SMALL.replace("ELL 1\n", "LAYERS junk\nELL 1\n"),
                      id="layers-junk"),
         pytest.param(SMALL.replace("ELL 1\n", ""), id="ell-missing"),
         pytest.param(SMALL + "ELL 1\n", id="ell-twice"),
         pytest.param(SMALL.replace("ELL 1\n", "ELL 1 2\n"), id="ell-junk"),
-        pytest.param(SMALL.replace("H 1 0\n", "H 1 0\nH 1 0\n"),
-                     id="h-section-twice"),
-        pytest.param(SMALL.replace("MAP\n", "MAP\nMAP\n"),
-                     id="map-section-twice"),
         pytest.param(SMALL.replace("ELL 1\n", "").replace(
-            "H 1 0\n", "ELL 1\nH 1 0\n"), id="sections-out-of-order"),
+            "PARTS 1\n", "ELL 1\nPARTS 1\n"), id="sections-out-of-order"),
     ])
     def test_malformed_certificates_rejected(self, bad):
         with pytest.raises(FormatError):
             parse_certificate(bad)
 
-    @pytest.mark.parametrize("at", range(len(SMALL.splitlines()) + 1))
+    @pytest.mark.parametrize("at", range(len(POSITIONS)))
     def test_layers_section_rejected(self, at):
         # the section that once repeated MAP's layer column, anywhere in
         # the text, as the old format wrote it
-        lines = SMALL.splitlines()
-        lines[at:at] = ["LAYERS", "l 0 0", "l 1 1"]
+        text, i = POSITIONS[at]
+        lines = text.splitlines()
+        lines[i:i] = ["LAYERS", "l 0 0", "l 1 1"]
+        with pytest.raises(FormatError):
+            parse_certificate("\n".join(lines))
+
+    @pytest.mark.parametrize("at", range(len(POSITIONS)))
+    def test_l_line_rejected(self, at):
+        text, i = POSITIONS[at]
+        lines = text.splitlines()
+        lines.insert(i, "l 1 1")
         with pytest.raises(FormatError):
             parse_certificate("\n".join(lines))
 
     @pytest.mark.parametrize("at", range(len(SMALL.splitlines()) + 1))
-    def test_l_line_rejected(self, at):
+    @pytest.mark.parametrize("section", sorted(OLD_SECTIONS))
+    def test_old_sections_rejected(self, section, at):
+        # H, the tree decomposition and the mapping are derived by the
+        # verifier; a text that states them is in the old format
         lines = SMALL.splitlines()
-        lines.insert(at, "l 1 1")
+        lines[at:at] = OLD_SECTIONS[section]
         with pytest.raises(FormatError):
             parse_certificate("\n".join(lines))
+
+    def test_old_format_rejected(self):
+        old = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
+               "p 0 TRIPOD x:  y: 0 1\nMAP\nm 0 0 0 0\nm 1 0 1 0\nELL 1\n")
+        with pytest.raises(FormatError):
+            parse_certificate(old)
 
     def test_two_part_certificate_parses(self):
         cert = parse_certificate(TWO_PARTS)
@@ -333,8 +350,8 @@ class TestCertificateFormat:
         assert cert.boundary_part == 0
 
     def test_texts_past_a_conversion_chunk(self):
-        # more edge, vertex, h and m lines than CHUNK_LINES, each section
-        # shuffled where the format allows it
+        # more edge and vertex lines than CHUNK_LINES, each section shuffled
+        # where the format allows it
         E = gen_plane_triangulation(1500, 3)
         assert E.m > 4 * CHUNK_LINES and E.n > CHUNK_LINES
         rng = random.Random(5)
@@ -344,17 +361,17 @@ class TestCertificateFormat:
         assert (back.edges, back.rot) == (E.edges, E.rot)
         text = serialize_certificate(decompose(E, 3))
         lines = text.splitlines()
-        i = lines.index("MAP") + 1
-        section = lines[i:i + E.n]
+        section = lines[2:-1]
         rng.shuffle(section)
-        lines[i:i + E.n] = section
+        lines[2:-1] = section
         cert = parse_certificate("\n".join(lines))
-        assert len(cert.h_edges) > CHUNK_LINES
+        assert [p.pid for p in cert.parts] == list(range(len(section)))
         assert serialize_certificate(cert) == text
         assert verify_certificate(back, cert) == []
 
     def test_comments_and_blank_lines_skipped(self):
-        text = "# a path\n\n" + SMALL.replace("MAP\n", "  MAP  \n\n# map\n")
+        text = "# a path\n\n" + SMALL.replace("PARTS 1\n",
+                                             "  PARTS 1  \n\n# parts\n")
         assert serialize_certificate(parse_certificate(text)) == SMALL
 
     def test_small_certificate_parses(self):

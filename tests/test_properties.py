@@ -14,7 +14,12 @@ from framedprod.generators import (
     gen_plane_triangulation,
     gen_toroidal_grid,
 )
-from framedprod.verify import rebuild_closure, verify_certificate
+from framedprod.verify import (
+    rebuild_closure,
+    stated_decomposition,
+    verify_certificate,
+)
+from test_assemble import part_of
 from test_frame import simple_adjacency
 
 seeds = st.integers(0, 10_000)
@@ -124,13 +129,15 @@ class TestTreePlusStructure:
             E = gen_toroidal_grid(mr, nc)
             cert = decompose(E, 4, self_verify=False)
             closure = rebuild_closure(E, 4)
+            node = part_of(cert)
             induced = set()
             for u in range(E.n):
                 for v in closure[u]:
-                    a, b = cert.part_of[u], cert.part_of[v]
+                    a, b = node[u], node[v]
                     if a != b:
                         induced.add((min(a, b), max(a, b)))
-            declared = {(min(a, b), max(a, b)) for a, b in cert.h_edges}
+            declared = {(min(a, b), max(a, b))
+                        for a, b in stated_decomposition(cert.parts)[0]}
             assert induced <= declared
 
 

@@ -16,8 +16,13 @@ from framedprod.tripods import (
     triangulate_long_faces,
     tripod_partition,
 )
-from framedprod.verify import check_planarity, exact_treewidth, rebuild_closure
+from framedprod.verify import (
+    check_planarity,
+    rebuild_closure,
+    stated_decomposition,
+)
 from test_frame import simple_adjacency
+from treewidth import exact_treewidth
 
 
 def octahedron():
@@ -159,10 +164,11 @@ class TestTripodPartition:
         T, R = run_partition(E, 3)
         assert all(not p.absorbed for p in R.parts)
         assert all(len(p.legs) <= 3 for p in R.parts)
-        assert check_planarity(len(R.parts), R.h_edges)
+        h_edges = stated_decomposition(R.parts)[0]
+        assert check_planarity(len(R.parts), h_edges)
         if len(R.parts) <= 12:
             adj = [set() for _ in range(len(R.parts))]
-            for a, b in R.h_edges:
+            for a, b in h_edges:
                 adj[a].add(b)
                 adj[b].add(a)
             assert exact_treewidth(adj) <= 3
@@ -180,7 +186,8 @@ class TestTripodPartition:
         E = gen_plane_triangulation(n, seed)
         T, R = run_partition(E, 3)
         # every real edge joins same or H-adjacent parts
-        he = set(R.h_edges)
+        he, bags, _ = stated_decomposition(R.parts)
+        he = set(he)
         for u, v, _ in E.edges:
             a, b = R.part_of[u], R.part_of[v]
             assert a == b or (min(a, b), max(a, b)) in he
@@ -192,13 +199,13 @@ class TestTripodPartition:
                 seen.update(leg)
                 for a, b in zip(leg, leg[1:]):
                     assert T.parent[b] == a
-        assert max(len(b) for b in R.bags) <= 4
+        assert max(len(b) for b in bags) <= 4
 
     @pytest.mark.parametrize("d,seed", [(4, 3), (5, 4), (6, 5)])
     def test_closure_chords_covered(self, d, seed):
         E = gen_framed(60, d, 0, seed)
         T, R = run_partition(E, d)
-        he = set(R.h_edges)
+        he = set(stated_decomposition(R.parts)[0])
         for u, nbrs in enumerate(rebuild_closure(E, d)):
             for v in nbrs:
                 a, b = R.part_of[u], R.part_of[v]
@@ -231,7 +238,8 @@ class TestTripodPartition:
     def test_td_bags_form_tree(self):
         E = gen_plane_triangulation(60, 8)
         _, R = run_partition(E, 3)
-        roots = [i for i, p in enumerate(R.bag_parent) if p == -1]
+        bag_parent = stated_decomposition(R.parts)[2]
+        roots = [i for i, p in enumerate(bag_parent) if p == -1]
         assert len(roots) == 1
-        for i, p in enumerate(R.bag_parent):
+        for i, p in enumerate(bag_parent):
             assert p == -1 or p < i

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import subprocess
@@ -7,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from framedprod.assemble import decompose
+from framedprod.assemble import (
+    decompose,
+    parse_certificate,
+    serialize_certificate,
+)
 from framedprod.embedding import from_face_list
 from framedprod.errors import DomainError
 from framedprod.generators import (
@@ -19,19 +24,23 @@ from framedprod.generators import (
 )
 from framedprod.tripods import Part
 from framedprod.verify import (
+    check_containment,
     check_part_structure,
     check_planarity,
     check_tree_decomposition,
-    exact_treewidth,
     rebuild_bfs,
     rebuild_closure,
     rebuild_faces,
+    stated_decomposition,
     verify_certificate,
 )
 from test_nonorientable import klein_grid, projective_k4
+from treewidth import exact_treewidth
 
-# sha256 digests of the re-traced faces, closures and tamper FAIL lines,
-# recorded from the verifier that kept its states in tuple-keyed dicts
+# sha256 digests of the re-traced faces and closures, recorded from the
+# verifier that kept its states in tuple-keyed dicts, and of the FAIL lines
+# of TestTamper's edits of the parts, recorded when the certificate came to
+# state only its parts
 GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
                     .read_text())
 
@@ -72,6 +81,63 @@ def adj_from(n, edges):
     return a
 
 
+def h_edges(cert):
+    return stated_decomposition(cert.parts)[0]
+
+
+def tampered(cert, rng, E):
+    """One guaranteed-invalid edit of the parts of a valid certificate."""
+    c = copy.deepcopy(cert)
+    parts = c.parts
+    node = [None] * c.n
+    for part in parts:
+        for v in part.vertices():
+            node[v] = part.pid
+    edges = [(u, v) for u, v, _ in E.edges]
+    mode = rng.below(5)
+    if mode == 0:
+        # move u into the absorbed set of a part that is neither v's part
+        # nor adjacent to it in H: the edge uv leaves H
+        hset = {(min(a, b), max(a, b)) for a, b in h_edges(c)}
+        for u, v in edges:
+            a = node[v]
+            choices = [p for p in range(c.num_parts)
+                       if p != a and p != node[u]
+                       and (min(p, a), max(p, a)) not in hset]
+            if choices:
+                old = parts[node[u]]
+                old.legs = [[x for x in leg if x != u] for leg in old.legs]
+                old.legs = [leg for leg in old.legs if leg]
+                old.absorbed = [x for x in old.absorbed if x != u]
+                parts[choices[rng.below(len(choices))]].absorbed.append(u)
+                return c
+        mode = 4
+    if mode == 1:
+        # a leg read bottom up is no longer a vertical path
+        legs = [leg for part in parts for leg in part.legs if len(leg) > 1]
+        if legs:
+            legs[rng.below(len(legs))].reverse()
+            return c
+        mode = 4
+    if mode == 2:
+        # a creator pointing at a part it created closes a cycle; with no
+        # such part it points past the last bag
+        i = rng.below(c.num_parts)
+        kids = [part.pid for part in parts if part.creator == i]
+        parts[i].creator = kids[0] if kids else c.num_parts
+        return c
+    if mode == 3:
+        # an attachment the edge uv needs is dropped: H loses the edge
+        cut = [(u, v) for u, v in edges if node[u] != node[v]]
+        if cut:
+            u, v = cut[rng.below(len(cut))]
+            a, b = sorted((node[u], node[v]))
+            parts[b].attachments.remove(a)
+            return c
+    c.ell -= 1
+    return c
+
+
 class TestPlanarity:
     def test_k4_planar(self):
         assert check_planarity(4, list(combinations(range(4), 2)))
@@ -88,6 +154,13 @@ class TestPlanarity:
              + [(i, i + 5) for i in range(5)]
              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
         assert not check_planarity(10, e)
+
+    def test_nodes_out_of_range_rejected(self):
+        # an edge key a*N + b decodes to another pair when a or b is not
+        # in 0..N-1
+        for bad in ((0, 4), (-1, 2), (3, 9)):
+            with pytest.raises(DomainError, match="leaves the nodes"):
+                check_planarity(4, [(0, 1), bad])
 
     def test_edge_budget_shortcut(self):
         # 9 vertices, 22 > 3*9-6 edges: must fail without running the test
@@ -145,7 +218,7 @@ class TestExactTreewidth:
         E = gen_plane_triangulation(14, 5)
         cert = decompose(E, 3)
         if cert.num_parts <= 12:
-            adj = adj_from(cert.num_parts, cert.h_edges)
+            adj = adj_from(cert.num_parts, h_edges(cert))
             assert exact_treewidth(adj) <= 3
 
 
@@ -304,7 +377,7 @@ class TestPlanarityOracle:
                   gen_framed(150, 6, 2, 4), klein_grid(5)]
         for E, d in zip(frames, (3, 4, 6, 4)):
             cert = decompose(E, d)
-            agree(cert.num_parts, cert.h_edges)
+            agree(cert.num_parts, h_edges(cert))
 
 
 class TestTreewidthOracle:
@@ -334,7 +407,6 @@ class TestStatedGenus:
     """The genus is recomputed from the re-traced faces, never trusted."""
 
     def test_raised_genus_fails(self):
-        import copy
         E = gen_plane_triangulation(20, 1)
         cert = copy.deepcopy(decompose(E, 3))
         cert.genus, cert.bound = 6, 12
@@ -343,7 +415,6 @@ class TestStatedGenus:
     def test_lowered_genus_keeps_the_true_cap_and_bound(self):
         # with the stated 0 the Z part's 2g cap and the bound would be
         # violated; the recomputed genus 2 holds both
-        import copy
         E = gen_toroidal_grid(6, 6)
         cert = copy.deepcopy(decompose(E, 4))
         assert cert.ell > 5          # d + 3h - 3, the genus-0 bound
@@ -384,30 +455,52 @@ class TestTreeDecompositionCheck:
         assert all("FAIL td bag_parent has a cycle" in ln for ln in lines)
 
 
+class TestContainmentCheck:
+    def test_parts_and_blocks_per_closure_edge(self):
+        # a path 0-1-2-3: parts 0, 0, 1, 2 with H = {0-1}; blocks 0, 0, 2, 3
+        closure = [{1}, {0, 2}, {1, 3}, {2}]
+        fails = check_containment(closure, [0, 0, 1, 2], [0, 0, 2, 3],
+                                  [(0, 1)])
+        assert fails == ["FAIL containment edge 1-2: layers 0,2",
+                         "FAIL containment edge 2-3: parts 1,2 not "
+                         "adjacent in H"]
+        assert check_containment(closure, [0, 0, 1, 2], [0, 0, 1, 2],
+                                 [(1, 0), (2, 1)]) == []
+
+
 class TestPartStructureCheck:
     def test_out_of_range_vertices(self):
-        parts = [Part(pid=0, kind="tripod", legs=[[0, 1, 5]], absorbed=[-1])]
-        fails = check_part_structure(parts, [0, 0], [-1, 0], 0, 4, -1)
+        parts = [Part(pid=0, kind="tripod", legs=[[0, 1, 5]], absorbed=[-1],
+                      creator=-1, attachments=[])]
+        fails, node = check_part_structure(parts, [-1, 0], 0, 4, -1)
         assert fails == ["FAIL parts vertex 5 out of range",
                          "FAIL parts vertex -1 out of range"]
+        assert node == [0, 0]
+
+    def test_each_vertex_in_exactly_one_part(self):
+        parts = [Part(0, "tripod", [[0, 1]], [], -1, []),
+                 Part(1, "tripod", [[1]], [], 0, [0])]
+        fails, node = check_part_structure(parts, [-1, 0, 1], 0, 4, -1)
+        assert fails == ["FAIL parts vertex 1 in two parts",
+                         "FAIL parts 1 vertices in no part"]
+        assert node == [0, 0, -1]
 
 
 class TestOutOfRangeFields:
     def test_h_edges_and_bag_nodes(self):
-        import copy
         E = gen_plane_triangulation(30, 1)
         cert = copy.deepcopy(decompose(E, 3))
         k = cert.num_parts
-        cert.h_edges += [(k + 5, 0), (-1, 1)]
-        cert.bags[0] = cert.bags[0] + [10 ** 6]
+        cert.parts[0].attachments.append(k + 5)
+        cert.parts[1].attachments.insert(0, -1)
         fails = verify_certificate(E, cert)
         assert f"FAIL H edge {k + 5}-0 out of range" in fails
         assert "FAIL H edge -1-1 out of range" in fails
-        assert "FAIL td bag 0 node 1000000 out of range" in fails
+        assert f"FAIL td bag 0 node {k + 5} out of range" in fails
+        assert "FAIL td bag 1 node -1 out of range" in fails
         assert "FAIL planarity H is not planar" not in fails
 
     def test_d_below_three(self):
-        import copy
         E = gen_plane_triangulation(30, 1)
         cert = copy.deepcopy(decompose(E, 3))
         for d in (2, 1, 0, -4):
@@ -416,43 +509,63 @@ class TestOutOfRangeFields:
                 f"FAIL shape certificate d {d} < 3"]
 
 
-class TestTamper:
-    def tampered(self, cert, rng, E):
-        """Produce one guaranteed-invalid mutation of a valid certificate."""
-        import copy
-        c = copy.deepcopy(cert)
-        mode = rng.below(3)
-        edges = [(u, v) for u, v, _ in E.edges]
-        if mode == 0:
-            u, v = edges[rng.below(len(edges))]
-            c.mapping.layer[u] = c.mapping.layer[v] + 2
-        elif mode == 1:
-            hset = {(min(a, b), max(a, b)) for a, b in c.h_edges}
-            for u, v in edges:
-                a = c.mapping.node[v]
-                choices = [p for p in range(c.num_parts)
-                           if p != a and p != c.mapping.node[u]
-                           and (min(p, a), max(p, a)) not in hset]
-                if choices:
-                    c.mapping.node[u] = choices[rng.below(len(choices))]
-                    break
-            else:
-                u, v = edges[0]
-                c.mapping.layer[u] = c.mapping.layer[v] + 2
-        else:
-            cells = {}
-            for x in range(c.n):
-                cells.setdefault((c.mapping.node[x], c.mapping.layer[x]),
-                                 []).append(x)
-            big = [m for m in cells.values() if len(m) >= 2]
-            if big:
-                m = big[rng.below(len(big))]
-                c.mapping.copy[m[0]] = c.mapping.copy[m[1]]
-            else:
-                u, v = edges[0]
-                c.mapping.layer[u] = c.mapping.layer[v] + 2
-        return c
+class TestStatedDecomposition:
+    """H and the bags come from the p lines; a bad creator or attachment
+    gives FAIL lines, never an exception."""
 
+    @pytest.fixture(scope="class")
+    def case(self):
+        E = gen_plane_triangulation(40, 3)
+        return E, serialize_certificate(decompose(E, 3))
+
+    def test_derived_from_the_parts(self, case):
+        _, text = case
+        cert = parse_certificate(text)
+        edges, bags, parent = stated_decomposition(cert.parts)
+        assert parent[0] == -1
+        for part in cert.parts:
+            i = part.pid
+            assert bags[i] == sorted(part.attachments) + [i]
+            assert parent[i] == part.creator
+            assert [(a, i) for a in part.attachments] == [
+                e for e in edges if e[1] == i]
+
+    @staticmethod
+    def edit(text, pid, fn):
+        """``text`` with the head tokens of part ``pid``'s p line (id,
+        kind, creator, attachments) replaced by ``fn(tokens)``."""
+        lines = text.splitlines()
+        i = next(j for j, ln in enumerate(lines)
+                 if ln.startswith(f"p {pid} "))
+        head, sep, rest = lines[i].partition(" x: ")
+        toks = head.split()
+        lines[i] = " ".join(toks[:1] + fn(toks[1:])) + sep + rest
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("pid,fn,want", [
+        (2, lambda t: t[:2] + ["99"] + t[3:],
+         "FAIL td bag 2 parent 99 out of range"),
+        (2, lambda t: t[:2] + ["-7"] + t[3:],
+         "FAIL td bag 2 parent -7 out of range"),
+        (3, lambda t: t + ["99"], "FAIL H edge 99-3 out of range"),
+        (3, lambda t: t + ["-2"], "FAIL td bag 3 node -2 out of range"),
+        (3, lambda t: t + [t[3]], "FAIL td bag 3 repeats a node"),
+        (3, lambda t: t + ["3"], "FAIL td bag 3 repeats a node"),
+        (2, lambda t: t[:2] + ["2"] + t[3:], "FAIL td bag_parent has a cycle"),
+        (0, lambda t: t[:2] + ["1"] + t[3:], "FAIL td bag_parent has a cycle"),
+        (1, lambda t: t[:2] + ["-1"] + t[3:], "FAIL td 2 roots"),
+    ], ids=["creator-past-the-bags", "creator-negative", "attachment-past",
+            "attachment-negative", "attachment-twice", "attachment-self",
+            "creator-self", "creator-cycle", "two-roots"])
+    def test_bad_creator_or_attachment(self, case, pid, fn, want):
+        E, text = case
+        cert = parse_certificate(self.edit(text, pid, fn))
+        fails = verify_certificate(E, cert)
+        assert want in fails
+        assert all(f.startswith("FAIL ") for f in fails)
+
+
+class TestTamper:
     def test_valid_certificates_pass(self):
         for E, d in ((gen_plane_triangulation(40, 2), 3),
                      (gen_toroidal_grid(4, 4), 4)):
@@ -464,14 +577,14 @@ class TestTamper:
         E = gen_plane_triangulation(60, 4)
         cert = decompose(E, 3)
         for _ in range(60):
-            bad = self.tampered(cert, rng, E)
+            bad = tampered(cert, rng, E)
             assert verify_certificate(E, bad) != []
 
     def test_tampering_fail_lines_pinned(self):
         rng = SplitMix64(99)
         E = gen_plane_triangulation(60, 4)
         cert = decompose(E, 3)
-        got = [sorted(verify_certificate(E, self.tampered(cert, rng, E)))
+        got = [sorted(verify_certificate(E, tampered(cert, rng, E)))
                for _ in range(60)]
         assert _sha(got) == GOLDEN["tamper_fail_lines"]
 
