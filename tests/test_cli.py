@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from framedprod.cli import run
 from framedprod.errors import ContractViolation
 
@@ -130,24 +132,29 @@ class TestCli:
         for f in files:
             assert (tmp_path / (f.name + ".cert")).exists()
 
-    def test_batch_goes_on_past_a_bad_input(self, tmp_path, capsys):
-        a, c = tmp_path / "a.emg", tmp_path / "c.emg"
-        for f, seed in ((a, "0"), (c, "1")):
+    @pytest.mark.parametrize("bad_at", [1, 2])
+    def test_batch_goes_on_past_a_bad_input(self, tmp_path, capsys, bad_at):
+        # an unparseable and a missing input at position bad_at of the batch,
+        # with good inputs on both sides
+        good = [tmp_path / f"{name}.emg" for name in "ace"]
+        for seed, f in enumerate(good):
             run(["gen", "--family", "tri", "--params", "12",
-                 "--seed", seed, "--out", str(f)])
+                 "--seed", str(seed), "--out", str(f)])
         bad = tmp_path / "bad.emg"
         bad.write_text("not an embedding\n")
         missing = tmp_path / "missing.emg"
+        batch = good[:bad_at] + [bad, missing] + good[bad_at:]
+        args = ["decompose", "--d", "3"]
+        for f in batch:
+            args += ["--in", str(f)]
         capsys.readouterr()
-        assert run(["decompose", "--d", "3",
-                    "--in", str(a), "--in", str(bad), "--in", str(missing),
-                    "--in", str(c)]) == 1
+        assert run(args) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert [ln.split(" ", 2)[:2] for ln in lines] == [
-            ["ok", str(a)], ["error", f"{bad}:"], ["error", f"{missing}:"],
-            ["ok", str(c)]]
-        assert (tmp_path / "a.emg.cert").exists()
-        assert (tmp_path / "c.emg.cert").exists()
+        want = [["ok", str(f)] for f in good]
+        want[bad_at:bad_at] = [["error", f"{bad}:"], ["error", f"{missing}:"]]
+        assert [ln.split(" ", 2)[:2] for ln in lines] == want
+        for f in good:
+            assert (tmp_path / (f.name + ".cert")).exists()
         assert not (tmp_path / "bad.emg.cert").exists()
 
     def test_batch_exit_code_is_the_worst(self, tmp_path, capsys,
