@@ -32,7 +32,6 @@ from .verify import (
     check_part_structure,
     check_planarity,
     check_tree_decomposition,
-    stated_decomposition,
     verify_certificate,
 )
 

@@ -162,10 +162,10 @@ def _parse_certificate(text: str) -> PartitionCertificate:
     parts = [None] * k
     boundary_part = -1
     for ln in lines[2:2 + k]:
-        head, sep, rest = ln.partition(" x: ")
-        xs, sep2, ys = rest.partition(" y:")
-        toks = head.split()
-        if not sep or not sep2 or len(toks) < 4 or toks[0] != "p":
+        toks = ln.split()
+        xi = toks.index("x:") if "x:" in toks else 0
+        yi = toks.index("y:", xi) if "y:" in toks[xi:] else 0
+        if xi < 4 or not yi or toks[0] != "p":
             raise FormatError(f"bad 'p' line: {ln}")
         pid = int(toks[1])
         if not 0 <= pid < k or parts[pid] is not None:
@@ -175,14 +175,15 @@ def _parse_certificate(text: str) -> PartitionCertificate:
             boundary_part = pid
         elif kind != "TRIPOD":
             raise FormatError("a part kind must be Z (at most once) or TRIPOD")
-        legs = [list(map(int, seg.split())) for seg in ys.split("|")]
+        legs = [list(map(int, seg.split()))
+                for seg in " ".join(toks[yi + 1:]).split("|")]
         if legs == [[]]:                      # a part with no path
             legs = []
         elif [] in legs:
             raise FormatError(f"part {pid} has an empty path")
         parts[pid] = Part(pid, "boundary" if kind == "Z" else "tripod", legs,
-                          list(map(int, xs.split())), int(toks[3]),
-                          list(map(int, toks[4:])))
+                          list(map(int, toks[xi + 1:yi])), int(toks[3]),
+                          list(map(int, toks[4:xi])))
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")

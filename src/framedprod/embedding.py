@@ -66,11 +66,6 @@ class EmbeddedMultigraph:
     def num_darts(self):
         return 2 * len(self.edges)
 
-    def dart_tail(self, d):
-        e, side = d >> 1, d & 1
-        u, v, _ = self.edges[e]
-        return v if side else u
-
     def tails(self):
         """Array mapping dart -> tail vertex."""
         if self._tail is None:

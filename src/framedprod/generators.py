@@ -371,44 +371,3 @@ def gen_oneplanar(n: int, seed: int):
     E = gen_framed(n, 4, 0, seed)
     P, crossings = _planarize_quads(E)
     return OnePlaneDrawing(P=P, crossings=crossings)
-
-
-def k5_oneplane():
-    """K5 drawn with one crossing; vertex 5 is the crossing dummy."""
-    from .embedding import from_face_list
-    from .frontends import OnePlaneDrawing
-    P = from_face_list([[0, 1, 4], [0, 4, 2], [1, 5, 4], [4, 5, 2],
-                        [0, 2, 3], [0, 3, 1], [5, 1, 3], [5, 3, 2]])
-    quad = _crossing_record(P, 5, ((4, 3), (1, 2)))
-    return OnePlaneDrawing(P=P, crossings=[(5, quad)])
-
-
-def k6_oneplane():
-    """K6 drawn with three crossings (dummies 6, 7, 8)."""
-    from .embedding import from_face_list
-    from .frontends import OnePlaneDrawing
-    P = from_face_list([
-        [0, 2, 3], [5, 1, 4],
-        [0, 1, 6], [0, 6, 2], [5, 2, 6], [5, 6, 1],
-        [0, 7, 1], [7, 4, 1], [0, 3, 7], [3, 4, 7],
-        [5, 8, 2], [8, 3, 2], [5, 4, 8], [4, 3, 8],
-    ])
-    crossings = [(6, _crossing_record(P, 6, ((0, 5), (1, 2)))),
-                 (7, _crossing_record(P, 7, ((0, 4), (1, 3)))),
-                 (8, _crossing_record(P, 8, ((5, 3), (2, 4))))]
-    return OnePlaneDrawing(P=P, crossings=crossings)
-
-
-def _crossing_record(P, c, originals):
-    """Edge record at dummy c, rotation order, opposite pairs checked."""
-    tails = P.tails()
-    rot_edges = [dd >> 1 for dd in P.rot[c]]
-    if len(rot_edges) != 4:
-        raise ValueError(f"dummy {c} is not degree 4")
-    far = [P.edges[e][0] if P.edges[e][1] == c else P.edges[e][1]
-           for e in rot_edges]
-    for a, b in originals:
-        ia, ib = far.index(a), far.index(b)
-        if (ia - ib) % 4 != 2:
-            raise ValueError(f"halves of {a}-{b} are not opposite at {c}")
-    return rot_edges

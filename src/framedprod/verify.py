@@ -123,28 +123,10 @@ def rebuild_bfs(E, root):
 # certificate checks
 # ---------------------------------------------------------------------------
 
-def stated_decomposition(parts):
-    """``H``'s edges, the bags and the bag parents that the parts state.
-
-    Part ``i`` with attachments ``A`` and creator ``c`` gives the edges
-    ``a-i`` for ``a`` in ``A``, and bag ``i``, ``sorted(A) + [i]``, whose
-    parent is bag ``c`` (-1 at the root).
-    """
-    h_edges = []
-    bags = [[] for _ in parts]
-    bag_parent = [-1] * len(parts)
-    for part in parts:
-        i = part.pid
-        h_edges += [(a, i) for a in part.attachments]
-        bags[i] = sorted(part.attachments) + [i]
-        bag_parent[i] = part.creator
-    return h_edges, bags, bag_parent
-
-
 def check_containment(closure_adj, node, layer, h_edges):
     """The product-adjacency test, closure edge by closure edge: the parts
     of its ends are equal or adjacent in ``H``, their blocks at most one
-    apart."""
+    apart.  An edge with an end in no part (-1) skips the parts test."""
     fails = []
     hset = set(h_edges)
     hset.update([(b, a) for a, b in h_edges])
@@ -155,7 +137,7 @@ def check_containment(closure_adj, node, layer, h_edges):
             if u >= v:
                 continue
             b = node[v]
-            if a != b and (a, b) not in hset:
+            if a != b and (a, b) not in hset and a != -1 and b != -1:
                 fails.append(f"FAIL containment edge {u}-{v}: parts {a},{b} "
                              "not adjacent in H")
             if abs(lu - layer[v]) > 1:
@@ -164,65 +146,69 @@ def check_containment(closure_adj, node, layer, h_edges):
     return fails
 
 
-def check_tree_decomposition(num_nodes, h_edges, bags, bag_parent):
-    """Edge coverage, subtree connectivity, width at most 3 and no node
-    twice in one bag."""
+def check_tree_decomposition(parts):
+    """The tree decomposition of ``H`` that the parts state: width at most
+    3, no node twice in a bag, one tree and the subtree property.
+
+    Bag ``i`` is ``parts[i].attachments`` plus ``i`` and hangs under the
+    bag of part ``i``'s creator; ``H`` has the edges ``a-i``, each inside
+    bag ``i``.  -> (FAIL lines, the ``H`` edges with both ends in range).
+    """
+    k = len(parts)
+    if not k:
+        return ["FAIL td no bags"], []
     fails = []
-    if not bags:
-        return ["FAIL td no bags"]
-    bag_sets = [set(b) for b in bags]
-    for i, (bag, s) in enumerate(zip(bags, bag_sets)):
-        if len(bag) > 4:
-            fails.append(f"FAIL td bag {i} has size {len(bag)}")
-        if len(s) != len(bag):
+    h_edges = []
+    bag_sets = []
+    for i, part in enumerate(parts):
+        atts = part.attachments
+        bag = set(atts)
+        bag.add(i)
+        bag_sets.append(bag)
+        if len(atts) > 3:
+            fails.append(f"FAIL td bag {i} has size {len(atts) + 1}")
+        if len(bag) <= len(atts):
             fails.append(f"FAIL td bag {i} repeats a node")
-        for x in bag:
-            if not (0 <= x < num_nodes):
-                fails.append(f"FAIL td bag {i} node {x} out of range")
-    roots = [i for i, p in enumerate(bag_parent) if p == -1]
-    if len(roots) != 1:
-        fails.append(f"FAIL td {len(roots)} roots")
-    for i, p in enumerate(bag_parent):
-        if p != -1 and not (0 <= p < len(bags)):
+        for a in sorted(atts):
+            if 0 <= a < k:
+                h_edges.append((a, i))
+            else:
+                bag.discard(a)
+                fails.append(f"FAIL td bag {i} node {a} out of range")
+    creators = [part.creator for part in parts]
+    roots = creators.count(-1)
+    if roots != 1:
+        fails.append(f"FAIL td {roots} roots")
+    for i, p in enumerate(creators):
+        if p != -1 and not (0 <= p < k):
             fails.append(f"FAIL td bag {i} parent {p} out of range")
-            return fails
+            return fails, h_edges
     # a tree decomposition hangs from one root with acyclic parent pointers
-    state = [0] * len(bags)        # 0 unseen, 1 on the current walk, 2 done
-    for i in range(len(bags)):
+    state = [0] * k                # 0 unseen, 1 on the current walk, 2 done
+    for i in range(k):
         walk = []
         j = i
         while j != -1 and state[j] == 0:
             state[j] = 1
             walk.append(j)
-            j = bag_parent[j]
+            j = creators[j]
         if j != -1 and state[j] == 1:
             fails.append("FAIL td bag_parent has a cycle")
-            return fails
+            return fails, h_edges
         for j in walk:
             state[j] = 2
-    holding = {}                   # node -> ids of the bags that hold it
-    for i, s in enumerate(bag_sets):
-        for x in s:
-            holding.setdefault(x, set()).add(i)
-    for a, b in h_edges:
-        ha = holding.get(a)
-        hb = holding.get(b)
-        if not ha or not hb or ha.isdisjoint(hb):
-            fails.append(f"FAIL td edge {a}-{b} not inside any bag")
     # the bags holding x form one subtree iff exactly one of them is the
     # top of its run: the root, or a bag whose parent does not hold x
-    tops = {}
-    for s, p in zip(bag_sets, bag_parent):
+    tops = [0] * k
+    for bag, p in zip(bag_sets, creators):
         up = bag_sets[p] if p != -1 else ()
-        for x in s:
+        for x in bag:
             if x not in up:
-                tops[x] = tops.get(x, 0) + 1
-    for x in range(num_nodes):
-        if x not in tops:
-            fails.append(f"FAIL td node {x} in no bag")
-        elif tops[x] != 1:
-            fails.append(f"FAIL td node {x} spans {tops[x]} subtrees")
-    return fails
+                tops[x] += 1
+    for x, t in enumerate(tops):
+        if t != 1:
+            fails.append(f"FAIL td node {x} spans {t} subtrees")
+    return fails, h_edges
 
 
 def check_part_structure(parts, tree_parent, g, d, boundary_part):
@@ -547,7 +533,7 @@ def verify_certificate(E, cert) -> list:
     A vertex maps to the part that lists it, the block ``depth // (d // 2)``
     of its depth in the rebuilt BFS, and a rank in that (part, block) cell,
     so ``ell`` is the size of the largest cell.  ``H`` and the tree
-    decomposition are ``stated_decomposition(cert.parts)``.
+    decomposition are read from the parts by ``check_tree_decomposition``.
 
     The cyclic garbage collector is paused for the run, as in the
     construction's bulk stages, and its state on entry restored after.
@@ -580,17 +566,10 @@ def _verify_certificate(E, cert) -> list:
     fails += part_fails
     h = cert.d // 2
     layer = [x // h for x in depth]
-    np_ = cert.num_parts
-    h_edges, bags, bag_parent = stated_decomposition(cert.parts)
+    td_fails, h_edges = check_tree_decomposition(cert.parts)
     fails += check_containment(closure, node, layer, h_edges)
-    fails += check_tree_decomposition(np_, h_edges, bags, bag_parent)
-    h_in_range = []
-    for a, b in h_edges:
-        if 0 <= a < np_ and 0 <= b < np_:
-            h_in_range.append((a, b))
-        else:
-            fails.append(f"FAIL H edge {a}-{b} out of range")
-    if not check_planarity(np_, h_in_range):
+    fails += td_fails
+    if not check_planarity(cert.num_parts, h_edges):
         fails.append("FAIL planarity H is not planar")
     real_ell = max(Counter(zip(node, layer)).values())
     if real_ell != cert.ell:

@@ -16,18 +16,16 @@ from framedprod.generators import (
     gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
-    k5_oneplane,
-    k6_oneplane,
     triangulate_quads,
 )
 from framedprod.verify import (
     check_planarity,
     rebuild_closure,
-    stated_decomposition,
     verify_certificate,
 )
+from test_frontends import k5_oneplane, k6_oneplane
 from test_verify import tampered
-from treewidth import exact_treewidth
+from treewidth import exact_treewidth, stated_decomposition
 
 SMALL_H = []          # (cert, label) with at most 12 H-nodes, criterion 6
 

@@ -276,6 +276,18 @@ class TestCertificateFormat:
         assert back.boundary_part == cert.boundary_part
         assert verify_certificate(E, back) == []
 
+    def test_p_line_tokens_split_on_any_whitespace(self):
+        # x: and y: are tokens: an empty absorbed set written with one
+        # space, or tabs between the tokens, parse as the serializer's text
+        E = gen_plane_triangulation(40, 3)
+        text = serialize_certificate(decompose(E, 3))
+        assert "x:  y:" in text
+        cert = parse_certificate(text)
+        one_space = text.replace("x:  y:", "x: y:")
+        tabs = "\n".join("\t".join(ln.split()) for ln in text.splitlines())
+        assert parse_certificate(one_space) == cert
+        assert parse_certificate(tabs) == cert
+
     @pytest.mark.parametrize("bad", [
         "", "cert 3", "cert 3 3 0\nH 2 1\nh 0", "cert 3 3 0\nTD 5\nb 0",
         "cert 3 3 0\nm 0 0", "cert 3 3 0\nELL x",
@@ -295,6 +307,9 @@ class TestCertificateFormat:
                      id="attachment-junk"),
         pytest.param(SMALL.replace(" x: ", " "), id="x-missing"),
         pytest.param(SMALL.replace(" y:", ""), id="y-missing"),
+        pytest.param(SMALL.replace("x:  y:", "x:5 y:"), id="x-glued"),
+        pytest.param(SMALL.replace("y: 0", "y:0"), id="y-glued"),
+        pytest.param(SMALL.replace("x:  y:", "y:  x:"), id="y-before-x"),
         pytest.param(SMALL.replace("y: 0 1", "y: 0 | | 1"), id="empty-path"),
         pytest.param(SMALL.replace("PARTS 1", "PARTS 3"),
                      id="parts-past-the-text"),

@@ -16,11 +16,11 @@ from framedprod.generators import (
 )
 from framedprod.verify import (
     rebuild_closure,
-    stated_decomposition,
     verify_certificate,
 )
 from test_assemble import part_of
 from test_frame import simple_adjacency
+from treewidth import stated_decomposition
 
 seeds = st.integers(0, 10_000)
 

@@ -19,10 +19,9 @@ from framedprod.tripods import (
 from framedprod.verify import (
     check_planarity,
     rebuild_closure,
-    stated_decomposition,
 )
 from test_frame import simple_adjacency
-from treewidth import exact_treewidth
+from treewidth import exact_treewidth, stated_decomposition
 
 
 def octahedron():

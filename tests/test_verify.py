@@ -31,11 +31,10 @@ from framedprod.verify import (
     rebuild_bfs,
     rebuild_closure,
     rebuild_faces,
-    stated_decomposition,
     verify_certificate,
 )
 from test_nonorientable import klein_grid, projective_k4
-from treewidth import exact_treewidth
+from treewidth import exact_treewidth, stated_decomposition
 
 # sha256 digests of the re-traced faces and closures, recorded from the
 # verifier that kept its states in tuple-keyed dicts, and of the FAIL lines
@@ -422,31 +421,72 @@ class TestStatedGenus:
         assert verify_certificate(E, cert) == ["FAIL genus stated 0 actual 2"]
 
 
-class TestTreeDecompositionCheck:
-    def test_single_bag_k4(self):
-        fails = check_tree_decomposition(4, list(combinations(range(4), 2)),
-                                         [[0, 1, 2, 3]], [-1])
-        assert fails == []
+def td_parts(spec):
+    """Parts with no vertices whose (creator, attachments) are spec[i]."""
+    return [Part(i, "tripod", [], [], c, list(a))
+            for i, (c, a) in enumerate(spec)]
 
-    def test_missing_edge_pair(self):
-        fails = check_tree_decomposition(3, [(0, 2)], [[0, 1], [1, 2]], [-1, 0])
-        assert any("not inside any bag" in f for f in fails)
+
+class TestTreeDecompositionCheck:
+    """Bag i is part i's attachments plus i, under its creator's bag."""
+
+    def test_k4_creator_chain(self):
+        # bags {0}, {0,1}, {0,1,2}, {0,1,2,3}: H is K4
+        fails, h = check_tree_decomposition(
+            td_parts([(-1, []), (0, [0]), (1, [0, 1]), (2, [0, 1, 2])]))
+        assert fails == []
+        assert sorted(h) == sorted((a, b) for b in range(4) for a in range(b))
+        assert check_tree_decomposition([]) == (["FAIL td no bags"], [])
 
     def test_disconnected_subtree_detected(self):
-        bags = [[0, 1], [1, 2], [0, 2]]
-        fails = check_tree_decomposition(3, [(0, 1), (1, 2)], bags, [-1, 0, 1])
-        assert any("spans" in f for f in fails)
+        # node 0 is in bags 0 and 2 but not in bag 1 between them
+        fails, _ = check_tree_decomposition(
+            td_parts([(-1, []), (0, []), (1, [0])]))
+        assert fails == ["FAIL td node 0 spans 2 subtrees"]
 
     def test_oversized_bag(self):
-        fails = check_tree_decomposition(5, [], [[0, 1, 2, 3, 4]], [-1])
-        assert any("size 5" in f for f in fails)
+        fails, h = check_tree_decomposition(
+            td_parts([(-1, []), (0, [0]), (1, [0, 1]), (2, [0, 1, 2]),
+                      (3, [0, 1, 2, 3])]))
+        assert fails == ["FAIL td bag 4 has size 5"]
+        assert len(h) == 10
+
+    def test_repeated_node(self):
+        fails, h = check_tree_decomposition(
+            td_parts([(-1, []), (0, [0, 0]), (1, [2])]))
+        assert fails == ["FAIL td bag 1 repeats a node",
+                         "FAIL td bag 2 repeats a node"]
+        assert h == [(0, 1), (0, 1), (2, 2)]
+
+    def test_node_out_of_range(self):
+        # one line per bad attachment, in sorted order; H keeps the rest
+        fails, h = check_tree_decomposition(
+            td_parts([(-1, []), (0, [9, 0, 5]), (1, [1, -1])]))
+        assert fails == ["FAIL td bag 1 node 5 out of range",
+                         "FAIL td bag 1 node 9 out of range",
+                         "FAIL td bag 2 node -1 out of range"]
+        assert h == [(0, 1), (1, 2)]
+
+    def test_parent_out_of_range(self):
+        fails, h = check_tree_decomposition(
+            td_parts([(-1, []), (7, [0]), (-3, [0])]))
+        assert fails == ["FAIL td bag 1 parent 7 out of range"]
+        assert h == [(0, 1), (0, 2)]
+
+    def test_two_roots(self):
+        fails, _ = check_tree_decomposition(td_parts([(-1, []), (-1, [0])]))
+        assert fails == ["FAIL td 2 roots", "FAIL td node 0 spans 2 subtrees"]
 
     def test_parent_cycle_fails_in_bounded_time(self, child_env):
         # a cycle whose bags share a node once made the anchor walk spin;
         # run in a child process so a hang fails the test instead of the suite
-        code = ("from framedprod.verify import check_tree_decomposition as c\n"
-                "print(c(2, [(0, 1)], [[0, 1], [0, 1]], [1, 0]))\n"
-                "print(c(2, [(0, 1)], [[0], [0, 1], [0, 1]], [-1, 2, 1]))\n")
+        code = ("from framedprod.tripods import Part\n"
+                "from framedprod.verify import check_tree_decomposition as c\n"
+                "def ps(spec):\n"
+                "    return [Part(i, 'tripod', [], [], p, a)\n"
+                "            for i, (p, a) in enumerate(spec)]\n"
+                "print(c(ps([(1, [1]), (0, [0])]))[0])\n"
+                "print(c(ps([(-1, []), (2, [0]), (1, [0, 1])]))[0])\n")
         res = subprocess.run([sys.executable, "-c", code], env=child_env,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
@@ -466,6 +506,20 @@ class TestContainmentCheck:
                          "adjacent in H"]
         assert check_containment(closure, [0, 0, 1, 2], [0, 0, 1, 2],
                                  [(1, 0), (2, 1)]) == []
+
+    def test_vertex_in_no_part_skips_the_parts_test(self):
+        closure = [{1}, {0, 2}, {1}]
+        assert check_containment(closure, [0, -1, 1], [0, 0, 3], []) == [
+            "FAIL containment edge 1-2: layers 0,3"]
+
+    def test_emptied_part_gives_only_the_parts_line(self):
+        # part 5 of this certificate holds one vertex with 43 closure edges
+        E = gen_plane_triangulation(2000, 1)
+        cert = copy.deepcopy(decompose(E, 3))
+        assert cert.parts[5].vertices() == [121]
+        cert.parts[5].legs = []
+        assert verify_certificate(E, cert) == [
+            "FAIL parts 1 vertices in no part"]
 
 
 class TestPartStructureCheck:
@@ -494,10 +548,10 @@ class TestOutOfRangeFields:
         cert.parts[0].attachments.append(k + 5)
         cert.parts[1].attachments.insert(0, -1)
         fails = verify_certificate(E, cert)
-        assert f"FAIL H edge {k + 5}-0 out of range" in fails
-        assert "FAIL H edge -1-1 out of range" in fails
-        assert f"FAIL td bag 0 node {k + 5} out of range" in fails
-        assert "FAIL td bag 1 node -1 out of range" in fails
+        # one line per bad attachment; its H edge is left out, not reported
+        assert [f for f in fails if "out of range" in f] == [
+            f"FAIL td bag 0 node {k + 5} out of range",
+            "FAIL td bag 1 node -1 out of range"]
         assert "FAIL planarity H is not planar" not in fails
 
     def test_d_below_three(self):
@@ -529,6 +583,10 @@ class TestStatedDecomposition:
             assert parent[i] == part.creator
             assert [(a, i) for a in part.attachments] == [
                 e for e in edges if e[1] == i]
+        # the check reads the same H from the parts
+        fails, h = check_tree_decomposition(cert.parts)
+        assert fails == []
+        assert sorted(h) == sorted(edges)
 
     @staticmethod
     def edit(text, pid, fn):
@@ -547,7 +605,7 @@ class TestStatedDecomposition:
          "FAIL td bag 2 parent 99 out of range"),
         (2, lambda t: t[:2] + ["-7"] + t[3:],
          "FAIL td bag 2 parent -7 out of range"),
-        (3, lambda t: t + ["99"], "FAIL H edge 99-3 out of range"),
+        (3, lambda t: t + ["99"], "FAIL td bag 3 node 99 out of range"),
         (3, lambda t: t + ["-2"], "FAIL td bag 3 node -2 out of range"),
         (3, lambda t: t + [t[3]], "FAIL td bag 3 repeats a node"),
         (3, lambda t: t + ["3"], "FAIL td bag 3 repeats a node"),
@@ -561,7 +619,7 @@ class TestStatedDecomposition:
         E, text = case
         cert = parse_certificate(self.edit(text, pid, fn))
         fails = verify_certificate(E, cert)
-        assert want in fails
+        assert fails.count(want) == 1
         assert all(f.startswith("FAIL ") for f in fails)
 
 

@@ -1,6 +1,25 @@
-"""Exact treewidth of small graphs: a test oracle for the width-3 claim."""
+"""Test oracles for the width-3 claim: the tree decomposition the parts
+state, and the exact treewidth of small graphs."""
 
 from framedprod.errors import DomainError
+
+
+def stated_decomposition(parts):
+    """``H``'s edges, the bags and the bag parents that the parts state.
+
+    Part ``i`` with attachments ``A`` and creator ``c`` gives the edges
+    ``a-i`` for ``a`` in ``A``, and bag ``i``, ``sorted(A) + [i]``, whose
+    parent is bag ``c`` (-1 at the root).
+    """
+    h_edges = []
+    bags = [[] for _ in parts]
+    bag_parent = [-1] * len(parts)
+    for part in parts:
+        i = part.pid
+        h_edges += [(a, i) for a in part.attachments]
+        bags[i] = sorted(part.attachments) + [i]
+        bag_parent[i] = part.creator
+    return h_edges, bags, bag_parent
 
 
 def exact_treewidth(adj_sets, cap: int = 12) -> int:
