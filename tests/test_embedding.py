@@ -16,7 +16,7 @@ from framedprod.embedding import (
     serialize_embedding,
     trace_faces,
 )
-from framedprod.cut import attach_apex, build_Z, cut_along
+from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
 from framedprod.errors import DomainError, FormatError
 from test_verify import golden_corpus
 
@@ -24,6 +24,9 @@ from test_verify import golden_corpus
 # the tracer that stepped through rotation positions modulo the degree
 GOLDEN_FACES = json.loads((Path(__file__).parent / "golden_faces.json")
                           .read_text())
+# sha256 of the cut and apexed graphs and T+, per positive-genus embedding
+GOLDEN_CUT = json.loads((Path(__file__).parent / "golden_cut.json")
+                        .read_text())
 
 
 def triangle():
@@ -154,6 +157,32 @@ class TestGoldenTrace:
             assert self.digest(trace_faces(R.Gt)) == got[name + "/Gt"]
             assert self.digest(trace_faces(A.Gplus)) == got[name + "/Gplus"]
         assert got == GOLDEN_FACES
+
+
+def cut_pins():
+    """sha256 of the cut graph, the apexed graph and T+ per positive-genus
+    member of the golden corpus: which copy owns each dart, and the bank
+    order, are pinned here, beyond the face walks."""
+    pins = {}
+    for name, E in golden_corpus().items():
+        fs = trace_faces(E)
+        if euler_genus(E, fs) == 0:
+            continue
+        T = bfs_structure(E, E.root if E.root is not None else 0)
+        C = build_Z(E, T, fs)
+        R, gt_faces = cut_along(E, C, fs)
+        A, _ = attach_apex(R, gt_faces)
+        parent, Pp = build_Tplus(A, T, R, C)
+        Gt, Gplus = R.Gt, A.Gplus
+        blob = json.dumps([Gt.edges, Gt.rot, R.provenance, R.cf_cycle,
+                           Gplus.edges, Gplus.rot, parent, Pp])
+        pins[name] = hashlib.sha256(blob.encode()).hexdigest()
+    return pins
+
+
+class TestGoldenCut:
+    def test_cut_pinned(self):
+        assert cut_pins() == GOLDEN_CUT
 
 
 class TestEulerGenus:
