@@ -91,11 +91,12 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
     else:
         C = build_Z(E, T, faces)
         R, faces = cut_along(E, C, faces)
-        A, faces = attach_apex(R, faces)
-        parent, Pp = build_Tplus(A, T, R, C)
-        world = triangulate_long_faces(A.Gplus, d, faces)
+        Gplus, faces = attach_apex(R, faces)
+        parent, Pp = build_Tplus(Gplus, T, R)
+        world = triangulate_long_faces(Gplus, d, faces)
         del faces
-        HPR = tripod_partition(world, parent, boundary=Pp, blocked=(A.rplus,))
+        HPR = tripod_partition(world, parent, boundary=Pp,
+                               blocked=(Gplus.n - 1,))
         projected = project_partition(HPR, R, C, E.n)
 
     # a vertex goes to (its part, its block, its rank in that cell) of the

@@ -5,12 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .assemble import (
-    decompose,
-    parse_certificate,
-    serialize_certificate,
-    width_bound,
-)
+from .assemble import decompose, parse_certificate, serialize_certificate
 from .embedding import euler_genus, parse_embedding, serialize_embedding, trace_faces
 from .errors import ContractViolation, DomainError, FormatError
 from .frontends import (
@@ -175,7 +170,7 @@ def cmd_stats(args):
         # decompose refuses a disconnected graph (exit 1)
         cert = decompose(E, args.d)
         lines.append(f"ell {cert.ell}")
-        lines.append(f"bound {width_bound(g, args.d)}")
+        lines.append(f"bound {cert.bound}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -87,36 +87,25 @@ def build_Z(E: EmbeddedMultigraph, T: BfsStructure,
         raise ContractViolation(f"|Q| = {len(Q)} but genus is {g}")
 
     z_edges = set(Q)
-    z_vertices = set()
     covered = set()
     paths = []
-    endpoints = []
     for e in Q:
-        u, v, _ = E.edges[e]
-        endpoints.extend((u, v))
-    for x in endpoints:
-        # root path of x in T; keep the still-uncovered deepest segment
-        chain = []
-        v = x
-        while v != -1 and v not in covered:
-            chain.append(v)
-            v = T.parent[v]
-        if chain:
-            chain.reverse()   # topmost vertex first: a vertical path
-            paths.append(chain)
-            covered.update(chain)
-        v = x
-        while v != -1:
-            z_vertices.add(v)
-            pe = T.parent_edge[v]
-            if pe != -1:
-                z_edges.add(pe)
-            v = T.parent[v]
-    if covered != z_vertices:
-        raise ContractViolation("vertical paths do not cover V(Z)")
+        for x in E.edges[e][:2]:
+            # the still-uncovered part of x's root path in T: a new vertical
+            # path, and new vertices and tree edges of Z
+            chain = []
+            while x != -1 and x not in covered:
+                chain.append(x)
+                x = T.parent[x]
+            if chain:
+                chain.reverse()   # topmost vertex first
+                paths.append(chain)
+                covered.update(chain)
+                z_edges.update(T.parent_edge[v] for v in chain)
+    z_edges.discard(-1)       # the root has no tree edge
     if len(paths) > 2 * g:
         raise ContractViolation("more than 2g vertical paths in Z")
-    C = CutSystem(Q=Q, z_vertices=sorted(z_vertices), z_edges=z_edges,
+    C = CutSystem(Q=Q, z_vertices=sorted(covered), z_edges=z_edges,
                   paths=paths, genus=g)
     if C.q != C.p - 1 + g:
         raise ContractViolation(f"q = {C.q} != p - 1 + g = {C.p - 1 + g}")
@@ -131,8 +120,8 @@ class CutResult:
     provenance: list          # new vertex -> original vertex
     zprime: list              # the copy vertices, ascending
     cf_cycle: list            # vertex cycle of the new face
-    vertex_map: dict          # unsplit original vertex -> new id
-    edge_map: dict            # surviving original edge -> new id
+    vertex_map: list          # original vertex -> new id, -1 if split
+    edge_map: list            # original edge -> new id, -1 on Z
     new_face_index: int
 
 
@@ -140,123 +129,80 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
               faces: FaceSet = None) -> tuple:
     """Slit the surface along Z; the result is plane with one new face.
 
+    The unsplit vertices come first, ascending, then the corner copies of
+    each Z-vertex: copy t takes the corner after the t-th Z-dart of its
+    rotation.  The ns surviving edges keep their order; the i-th Z-edge,
+    ascending, becomes the banks A = ns + 2i and B = ns + 2i + 1.
+
     Returns ``(R, gt_faces)``: the cut result and the faces of ``R.Gt``.
     """
     if C.genus < 1:
         raise DomainError("cut_along needs genus >= 1")
     if faces is None:
         faces = trace_faces(E)
-    zset = set(C.z_vertices)
-    tails = E.tails()
+    z_sorted = sorted(C.z_edges)
+    z_rank = [-1] * E.m
+    for i, e in enumerate(z_sorted):
+        z_rank[e] = i
+    edge_map = [-1] * E.m
+    signs = []                # per new edge
+    for e, (_, _, s) in enumerate(E.edges):
+        if z_rank[e] < 0:
+            edge_map[e] = len(signs)
+            signs.append(s)
+    ns = len(signs)
+    for e in z_sorted:
+        signs += [E.edges[e][2]] * 2     # banks A and B
 
-    # new vertex ids: unsplit originals first (ascending), then corner copies
-    vertex_map = {}
-    provenance = []
-    for v in range(E.n):
-        if v not in zset:
-            vertex_map[v] = len(provenance)
-            provenance.append(v)
-    copy_id = {}              # (vertex, corner index) -> new id
-    corner_of = {}            # original z-dart -> its corner index at tail
-    z_darts_at = {}
-    for v in C.z_vertices:
-        zd = [d for d in E.rot[v] if (d >> 1) in C.z_edges]
-        if not zd:
-            raise ContractViolation(f"Z-vertex {v} has no Z-dart")
-        z_darts_at[v] = zd
-        for t, d in enumerate(zd):
-            corner_of[d] = t
-        for t in range(len(zd)):
-            copy_id[(v, t)] = len(provenance)
-            provenance.append(v)
-    zprime = [i for i in range(len(provenance)) if provenance[i] in zset]
-
-    def owner_of_corner(v, t):
-        return copy_id[(v, len(z_darts_at[v]) + t) if t < 0 else (v, t)]
-
-    # owner of every original dart: corner copies for split vertices
-    dart_owner = {}
-    for v in C.z_vertices:
-        rot = E.rot[v]
-        k = len(rot)
-        zpos = [i for i, d in enumerate(rot) if (d >> 1) in C.z_edges]
-        for idx in range(len(zpos)):
-            start = zpos[idx]
-            end = zpos[(idx + 1) % len(zpos)]
-            cid = copy_id[(v, idx)]
-            j = (start + 1) % k
-            while j != end:
-                dart_owner[rot[j]] = cid
-                j = (j + 1) % k
-            dart_owner[rot[start]] = cid   # z-dart keyed to its after-corner
-
-    def owner_vertex(d):
-        t = tails[d]
-        if t in zset:
-            return dart_owner[d]
-        return vertex_map[t]
-
-    # surviving edges keep their relative order; banks appended after
-    new_edges = []
-    edge_map = {}
-    for e, (u, v, s) in enumerate(E.edges):
-        if e in C.z_edges:
-            continue
-        edge_map[e] = len(new_edges)
-        new_edges.append((owner_vertex(2 * e), owner_vertex(2 * e + 1), s))
-    bankA = {}
-    bankB = {}
-    for e in sorted(C.z_edges):
-        d1, d2 = 2 * e, 2 * e + 1
-        v1, t1 = tails[d1], corner_of[d1]
-        v2, t2 = tails[d2], corner_of[d2]
-        s = E.edges[e][2]
-        bankA[e] = len(new_edges)
-        bankB[e] = len(new_edges) + 1
-        if s == 1:
-            # consistent local frames: a side flanks "after" at one end
-            # and "before" at the other
-            new_edges.append((copy_id[(v1, t1)], owner_of_corner(v2, t2 - 1), 1))
-            new_edges.append((copy_id[(v2, t2)], owner_of_corner(v1, t1 - 1), 1))
-        else:
-            # the reflection along a -1 edge swaps the far end's flanks
-            new_edges.append((copy_id[(v1, t1)], copy_id[(v2, t2)], -1))
-            new_edges.append((owner_of_corner(v1, t1 - 1),
-                              owner_of_corner(v2, t2 - 1), -1))
-
+    # consistent local frames: a side of a +1 edge flanks "after" at one end
+    # and "before" at the other; the reflection along a -1 edge swaps the
+    # far end's flanks
     def after_dart(d):
-        e = d >> 1
-        if E.edges[e][2] == 1:
-            return 2 * bankA[e] if (d & 1) == 0 else 2 * bankB[e]
-        return 2 * bankA[e] if (d & 1) == 0 else 2 * bankA[e] + 1
+        a = 2 * ns + 4 * z_rank[d >> 1]      # dart 2A; 2B is a + 2
+        if E.edges[d >> 1][2] == 1:
+            return a + 2 * (d & 1)           # 2A, 2B
+        return a + (d & 1)                   # 2A, 2A + 1
 
     def before_dart(d):
-        e = d >> 1
-        if E.edges[e][2] == 1:
-            return 2 * bankB[e] + 1 if (d & 1) == 0 else 2 * bankA[e] + 1
-        return 2 * bankB[e] if (d & 1) == 0 else 2 * bankB[e] + 1
+        a = 2 * ns + 4 * z_rank[d >> 1]
+        if E.edges[d >> 1][2] == 1:
+            return a + 3 - 2 * (d & 1)       # 2B + 1, 2A + 1
+        return a + 2 + (d & 1)               # 2B, 2B + 1
 
-    def remap_dart(d):
-        return 2 * edge_map[d >> 1] + (d & 1)
-
-    nrot = [None] * len(provenance)
-    for v in range(E.n):
-        if v not in zset:
-            nrot[vertex_map[v]] = [remap_dart(d) for d in E.rot[v]]
+    vertex_map = [0] * E.n
     for v in C.z_vertices:
-        rot = E.rot[v]
-        k = len(rot)
-        zd = z_darts_at[v]
-        zpos = [i for i, d in enumerate(rot) if (d >> 1) in C.z_edges]
-        for t in range(len(zd)):
-            start, end = zpos[t], zpos[(t + 1) % len(zd)]
-            sector = []
-            j = (start + 1) % k
-            while j != end:
-                sector.append(remap_dart(rot[j]))
-                j = (j + 1) % k
-            cyc = [after_dart(rot[start])] + sector + [before_dart(rot[end])]
-            nrot[copy_id[(v, t)]] = cyc
+        vertex_map[v] = -1
+    provenance = [v for v in range(E.n) if vertex_map[v] == 0]
+    for i, v in enumerate(provenance):
+        vertex_map[v] = i
+    nrot = [[2 * edge_map[d >> 1] + (d & 1) for d in E.rot[v]]
+            for v in provenance]
+    nu = len(provenance)
+    for v in C.z_vertices:
+        # the darts ahead of the first Z-dart close the last copy's sector
+        cyc = head = []
+        for d in E.rot[v]:
+            if z_rank[d >> 1] < 0:
+                cyc.append(2 * edge_map[d >> 1] + (d & 1))
+                continue
+            if cyc is head:
+                first = d
+            else:
+                cyc.append(before_dart(d))
+            cyc = [after_dart(d)]
+            nrot.append(cyc)
+            provenance.append(v)
+        if cyc is head:
+            raise ContractViolation(f"Z-vertex {v} has no Z-dart")
+        cyc += head
+        cyc.append(before_dart(first))
+    owner = [0] * (2 * len(signs))           # new dart -> its tail
+    for x, r in enumerate(nrot):
+        for d in r:
+            owner[d] = x
+    new_edges = [(owner[2 * i], owner[2 * i + 1], s)
+                 for i, s in enumerate(signs)]
+    zprime = list(range(nu, len(provenance)))
 
     Gt = EmbeddedMultigraph(len(provenance), new_edges, nrot)
     if not Gt.is_connected():
@@ -277,15 +223,14 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
     # the slit face walks along every bank edge; an old disk face only ever
     # sees one side of each Z-edge.  Non-disk old faces can tie (bouquets):
     # the corner glued after a Z-dart then decides.
-    bank_ids = set(bankA.values()) | set(bankB.values())
+    bank_ids = set(range(ns, Gt.m))
     candidates = [i for i, walk in enumerate(fs2.faces)
                   if len(walk) == 2 * C.q and {d >> 1 for d in walk} == bank_ids]
     if len(candidates) == 1:
         new_face = candidates[0]
     else:
-        v0 = C.z_vertices[0]
-        probe = after_dart(z_darts_at[v0][0])
-        new_face = fs2.face_of_state[2 * probe]
+        # the first copy's rotation, as built, opens with that bank dart
+        new_face = fs2.face_of_state[2 * nrot[nu][0]]
         if new_face not in candidates:
             raise ContractViolation("slit face not found")
     cf_darts = fs2.faces[new_face]
@@ -336,18 +281,12 @@ def _normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
     return EmbeddedMultigraph(E.n, edges, rot, root=E.root)
 
 
-@dataclass
-class ApexResult:
-    Gplus: EmbeddedMultigraph
-    rplus: int
-
-
 def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
     """Add an apex inside the new face, joined to every boundary copy.
 
     ``gt_faces`` are the faces of ``R.Gt`` that ``cut_along`` returned.
-    Returns ``(A, gplus_faces)``: the apex result and the faces of
-    ``A.Gplus``.
+    Returns ``(Gplus, gplus_faces)``: the apexed graph, whose last vertex
+    ``Gplus.n - 1`` is the apex, and its faces.
     """
     Gt = R.Gt
     cyc = R.cf_cycle
@@ -372,18 +311,20 @@ def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
         raise ContractViolation("apex insertion broke planarity")
     if fs.f != len(cyc) + gt_faces.f - 1:
         raise ContractViolation("apex wheel face count is off")
-    return ApexResult(Gplus=Gplus, rplus=rplus), fs
+    return Gplus, fs
 
 
-def build_Tplus(A: ApexResult, T: BfsStructure, R: CutResult,
-                C: CutSystem) -> tuple:
+def build_Tplus(Gplus: EmbeddedMultigraph, T: BfsStructure,
+                R: CutResult) -> tuple:
     """Spanning tree of the apexed graph: boundary path + old forest.
 
     Returns (parent, P_plus): the tree as parent pointers rooted at the
-    apex (which has parent -1), and P_plus, the boundary cycle minus the
-    edge between the two smallest copy ids, rooted below the apex.
+    apex ``Gplus.n - 1`` (which has parent -1), and P_plus, the boundary
+    cycle minus the edge between the two smallest copy ids, rooted below
+    the apex.
     """
-    n = A.Gplus.n
+    n = Gplus.n
+    rplus = n - 1
     parent = [-1] * n
     cyc = R.cf_cycle
     k = len(cyc)
@@ -396,50 +337,41 @@ def build_Tplus(A: ApexResult, T: BfsStructure, R: CutResult,
         path = [cyc[(best - j) % k] for j in range(k)]
     else:
         path = [cyc[(best + 1 + j) % k] for j in range(k)]
-    parent[vplus] = A.rplus
+    parent[vplus] = rplus
     for i in range(1, k):
         parent[path[i]] = path[i - 1]
     # forest T - V(Z) survives; each component hangs off the copy that kept
     # the dart of its topmost vertex's old tree edge
-    zset = set(C.z_vertices)
-    for w in range(len(T.parent)):
-        if w in zset:
+    vertex_map = R.vertex_map
+    for w, pv in enumerate(T.parent):
+        wn = vertex_map[w]
+        if wn == -1 or pv == -1:
             continue
-        wn = R.vertex_map[w]
-        pv = T.parent[w]
-        if pv in zset:
+        pn = vertex_map[pv]
+        if pn == -1:
             # the surviving copy of w's old tree edge ends at exactly one
             # corner copy
             u2, v2, _ = R.Gt.edges[R.edge_map[T.parent_edge[w]]]
             parent[wn] = u2 if v2 == wn else v2
-        elif pv != -1:
-            parent[wn] = R.vertex_map[pv]
-    _check_spanning(parent, A.rplus, n)
+        else:
+            parent[wn] = pn
+    _check_spanning(parent, rplus)
     return parent, path
 
 
-def _check_spanning(parent: list, root: int, n: int):
-    count = 0
-    for v in range(n):
-        if parent[v] == -1:
-            if v != root:
-                raise ContractViolation(f"vertex {v} detached from the tree")
-        else:
-            count += 1
-    # acyclicity via depth computation (raises on cycles implicitly)
-    depth = [-1] * n
-    depth[root] = 0
-    for v in range(n):
-        chain = []
-        x = v
-        while depth[x] == -1:
-            chain.append(x)
-            x = parent[x]
-            if len(chain) > n:
-                raise ContractViolation("parent pointers contain a cycle")
-        d = depth[x]
-        for y in reversed(chain):
-            d += 1
-            depth[y] = d
-    if count != n - 1:
-        raise ContractViolation("tree edge count != n - 1")
+def _check_spanning(parent: list, root: int):
+    """Raise unless ``parent`` is a tree on all its vertices with one root,
+    ``root``."""
+    if parent.count(-1) != 1 or parent[root] != -1:
+        raise ContractViolation(f"the tree must have one root, {root}")
+    children = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p != -1:
+            children[p].append(v)
+    reached = 0
+    stack = [root]
+    while stack:
+        reached += 1
+        stack.extend(children[stack.pop()])
+    if reached != len(parent):
+        raise ContractViolation("parent pointers contain a cycle")

@@ -76,9 +76,6 @@ class EmbeddedMultigraph:
             self._tail = t
         return self._tail
 
-    def degree(self, v):
-        return len(self.rot[v])
-
     def validate(self):
         nd = self.num_darts
         if self.n < 1:

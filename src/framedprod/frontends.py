@@ -620,20 +620,25 @@ def _delete_crossings(P, crossings):
 # file formats
 # ---------------------------------------------------------------------------
 
+def _tagged_lines(text: str, tag: str) -> tuple:
+    """The lines whose first token is ``tag``, and the embedding lines.
+
+    Comments and blank lines are dropped; tokens are split on any
+    whitespace, as the embedding parser splits them.
+    """
+    tagged, rest = [], []
+    for raw in text.splitlines():
+        s = raw.split("#", 1)[0].strip()
+        if s:
+            (tagged if s.split(None, 1)[0] == tag else rest).append(s)
+    return tagged, rest
+
+
 @gc_paused
 def parse_labelled_map(text: str) -> LabelledMap:
     """Embedding format plus one ``f <faceid> nation|lake`` line per face."""
     from .embedding import parse_embedding
-    emb_lines = []
-    face_lines = []
-    for raw in text.splitlines():
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        if s.startswith("f "):
-            face_lines.append(s)
-        else:
-            emb_lines.append(s)
+    face_lines, emb_lines = _tagged_lines(text, "f")
     G0 = parse_embedding("\n".join(emb_lines))
     # the ids must be 0..k-1; LabelledMap.validate checks k against the
     # face count when it traces the map
@@ -667,16 +672,7 @@ def serialize_labelled_map(LM: LabelledMap) -> str:
 def parse_oneplanar(text: str) -> OnePlaneDrawing:
     """Embedding of the planarization plus ``x <dummy> <e1> <e2> <e3> <e4>``."""
     from .embedding import parse_embedding
-    emb_lines = []
-    xlines = []
-    for raw in text.splitlines():
-        s = raw.split("#", 1)[0].strip()
-        if not s:
-            continue
-        if s.startswith("x "):
-            xlines.append(s)
-        else:
-            emb_lines.append(s)
+    xlines, emb_lines = _tagged_lines(text, "x")
     P = parse_embedding("\n".join(emb_lines))
     crossings = []
     for ln in xlines:

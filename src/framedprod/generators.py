@@ -35,9 +35,6 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next() % bound
 
-    def split(self) -> "SplitMix64":
-        return SplitMix64(self.next())
-
 
 @gc_paused
 def gen_toroidal_grid(mrows: int, ncols: int) -> EmbeddedMultigraph:

@@ -48,6 +48,10 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
     twice in the face walks; the cell and corner its first occurrence leaves
     are kept per edge and paired with the second.  A cell's spokes list its
     corners v with the cells across the edges leaving and entering v.
+
+    Every face must be a cycle: ``check_frame`` tests a plane frame's, and
+    G+ has the frame's faces plus apex triangles over the slit cycle, which
+    ``cut_along`` tests.  Here only a face shorter than 3 is refused.
     """
     if faces is None:
         faces = trace_faces(E)
@@ -60,7 +64,7 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
     for fi, (darts, walk) in enumerate(zip(faces.faces,
                                            faces.vertex_walks(E))):
         k = len(walk)
-        if k < 3 or len(set(walk)) != k:
+        if k < 3:
             raise DomainError(f"face {fi} is not bounded by a cycle")
         base = len(cells)
         if k <= d:

@@ -9,7 +9,14 @@ from framedprod.embedding import (
     from_face_list,
     trace_faces,
 )
-from framedprod.cut import _dual_cotree, attach_apex, build_Tplus, build_Z, cut_along
+from framedprod.cut import (
+    _check_spanning,
+    _dual_cotree,
+    attach_apex,
+    build_Tplus,
+    build_Z,
+    cut_along,
+)
 from framedprod.errors import ContractViolation, DomainError
 from framedprod.generators import gen_plane_triangulation, gen_toroidal_grid
 
@@ -198,15 +205,15 @@ class TestApexAndTree:
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
-        A, _ = attach_apex(R, gt_faces)
-        fs = trace_faces(A.Gplus)
-        assert euler_genus(A.Gplus, fs) == 0
+        Gplus, _ = attach_apex(R, gt_faces)
+        fs = trace_faces(Gplus)
+        assert euler_genus(Gplus, fs) == 0
         # every face touching the apex is a triangle
-        walks = fs.vertex_walks(A.Gplus)
-        apex_faces = [w for w in walks if A.rplus in w]
+        walks = fs.vertex_walks(Gplus)
+        apex_faces = [w for w in walks if Gplus.n - 1 in w]
         assert len(apex_faces) == len(R.cf_cycle)
         assert all(len(w) == 3 for w in apex_faces)
-        assert all(fs.is_disk_cycle(A.Gplus, i) for i in range(fs.f))
+        assert all(fs.is_disk_cycle(Gplus, i) for i in range(fs.f))
 
     @pytest.mark.parametrize("mr,nc,root", [(3, 3, 0), (4, 4, 9), (5, 4, 2)])
     def test_tree_plus_spans(self, mr, nc, root):
@@ -214,17 +221,17 @@ class TestApexAndTree:
         T = bfs_structure(E, root)
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
-        A, _ = attach_apex(R, gt_faces)
-        parent, Pp = build_Tplus(A, T, R, C)
-        n = A.Gplus.n
-        assert parent[A.rplus] == -1
+        Gplus, _ = attach_apex(R, gt_faces)
+        parent, Pp = build_Tplus(Gplus, T, R)
+        n = Gplus.n
+        assert parent[Gplus.n - 1] == -1
         assert sum(1 for v in range(n) if parent[v] == -1) == 1
         # edge-count identity
         interior = E.n - C.p
         assert len(Pp) + interior == n - 1
         # P+ covers the whole cut boundary and is a path below the apex
         assert sorted(Pp) == R.zprime
-        assert parent[Pp[0]] == A.rplus
+        assert parent[Pp[0]] == Gplus.n - 1
         for a, b in zip(Pp, Pp[1:]):
             assert parent[b] == a
 
@@ -233,16 +240,16 @@ class TestApexAndTree:
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
-        A, _ = attach_apex(R, gt_faces)
-        parent, Pp = build_Tplus(A, T, R, C)
+        Gplus, _ = attach_apex(R, gt_faces)
+        parent, Pp = build_Tplus(Gplus, T, R)
         zp = set(R.zprime)
         # climbing from any non-boundary vertex stays inside the original
         # tree until the boundary: each parent step matches T
-        for vn in range(A.Gplus.n):
-            if vn == A.rplus or vn in zp:
+        for vn in range(Gplus.n):
+            if vn == Gplus.n - 1 or vn in zp:
                 continue
             pn = parent[vn]
-            if pn in zp or pn == A.rplus:
+            if pn in zp or pn == Gplus.n - 1:
                 continue
             assert T.parent[R.provenance[vn]] == R.provenance[pn]
 
@@ -251,8 +258,26 @@ class TestApexAndTree:
         T = bfs_structure(E, 0)
         C = build_Z(E, T)
         R, gt_faces = cut_along(E, C)
-        A, _ = attach_apex(R, gt_faces)
-        parent, Pp = build_Tplus(A, T, R, C)
+        Gplus, _ = attach_apex(R, gt_faces)
+        parent, Pp = build_Tplus(Gplus, T, R)
         # T+ is exactly the boundary path plus the apex edge
         assert len(Pp) == 4
-        assert sum(1 for v in range(A.Gplus.n) if parent[v] != -1) == 4
+        assert sum(1 for v in range(Gplus.n) if parent[v] != -1) == 4
+
+
+class TestCheckSpanning:
+    """Parent pointers of a tree on every vertex, with one root."""
+
+    def test_valid_tree(self):
+        _check_spanning([-1, 0, 0, 1, 3], 0)
+        _check_spanning([2, 2, -1], 2)
+
+    @pytest.mark.parametrize("parent,msg", [
+        ([-1, 0, -1, 2], "one root"),               # a second root
+        ([1, -1, 1], "one root"),                   # the root has a parent
+        ([-1, 2, 1], "cycle"),                      # a 2-cycle
+        ([-1, 0, 1, 5, 3, 4, 3], "cycle"),          # path 0-1-2; cycle 3-5-4
+    ])
+    def test_broken_trees_rejected(self, parent, msg):
+        with pytest.raises(ContractViolation, match=msg):
+            _check_spanning(parent, 0)

@@ -150,12 +150,12 @@ class TestGoldenTrace:
             T = bfs_structure(E, E.root if E.root is not None else 0)
             C = build_Z(E, T, fs)
             R, gt_faces = cut_along(E, C, fs)
-            A, gplus_faces = attach_apex(R, gt_faces)
+            Gplus, gplus_faces = attach_apex(R, gt_faces)
             got[name + "/Gt"] = self.digest(gt_faces)
             got[name + "/Gplus"] = self.digest(gplus_faces)
             # the face sets handed along are what a fresh trace gives
             assert self.digest(trace_faces(R.Gt)) == got[name + "/Gt"]
-            assert self.digest(trace_faces(A.Gplus)) == got[name + "/Gplus"]
+            assert self.digest(trace_faces(Gplus)) == got[name + "/Gplus"]
         assert got == GOLDEN_FACES
 
 
@@ -171,9 +171,9 @@ def cut_pins():
         T = bfs_structure(E, E.root if E.root is not None else 0)
         C = build_Z(E, T, fs)
         R, gt_faces = cut_along(E, C, fs)
-        A, _ = attach_apex(R, gt_faces)
-        parent, Pp = build_Tplus(A, T, R, C)
-        Gt, Gplus = R.Gt, A.Gplus
+        Gplus, _ = attach_apex(R, gt_faces)
+        parent, Pp = build_Tplus(Gplus, T, R)
+        Gt = R.Gt
         blob = json.dumps([Gt.edges, Gt.rot, R.provenance, R.cf_cycle,
                            Gplus.edges, Gplus.rot, parent, Pp])
         pins[name] = hashlib.sha256(blob.encode()).hexdigest()

@@ -295,6 +295,17 @@ class TestLabelledMapParser:
                                               "faces"):
             map_to_frame(LM, 4)
 
+    def test_tab_separated_tokens(self):
+        LM = gen_labelled_map(12, 5, 1)
+        back = parse_labelled_map(
+            serialize_labelled_map(LM).replace(" ", "\t"))
+        assert back.labels == LM.labels
+        assert (back.G0.edges, back.G0.rot) == (LM.G0.edges, LM.G0.rot)
+
+    def test_glued_tag_rejected(self):
+        with pytest.raises(FormatError, match="unknown line: f0 lake"):
+            parse_labelled_map(self.text("f0 lake", "f 1 nation"))
+
     def test_cli_map_rejects_a_count_mismatch(self, tmp_path, capsys):
         from framedprod.cli import run
         path = tmp_path / "m.map"
@@ -391,6 +402,17 @@ class TestOnePlanar:
         back = parse_oneplanar(text)
         assert back.crossings == D.crossings
         assert back.P.edges == D.P.edges
+
+    def test_tab_separated_tokens(self):
+        D = gen_oneplanar(30, 0)
+        back = parse_oneplanar(serialize_oneplanar(D).replace(" ", "\t"))
+        assert back.crossings == D.crossings
+        assert (back.P.edges, back.P.rot) == (D.P.edges, D.P.rot)
+
+    def test_glued_tag_rejected(self):
+        text = serialize_oneplanar(gen_oneplanar(12, 1)).replace("\nx ", "\nx")
+        with pytest.raises(FormatError, match="unknown line: x"):
+            parse_oneplanar(text)
 
     @pytest.mark.parametrize("edit,msg", [
         (lambda t: t[:1] + ["a"] + t[2:], "non-integer token"),   # dummy id

@@ -97,20 +97,20 @@ class TestTreePlusStructure:
             T = bfs_structure(E, root)
             C = build_Z(E, T)
             R, gt_faces = cut_along(E, C)
-            A, _ = attach_apex(R, gt_faces)
-            parent, Pp = build_Tplus(A, T, R, C)
+            Gplus, _ = attach_apex(R, gt_faces)
+            parent, Pp = build_Tplus(Gplus, T, R)
             zp = set(R.zprime)
-            children = [0] * A.Gplus.n
-            for v in range(A.Gplus.n):
+            children = [0] * Gplus.n
+            for v in range(Gplus.n):
                 if parent[v] >= 0:
                     children[parent[v]] += 1
-            for leaf in range(A.Gplus.n):
-                if children[leaf] or leaf == A.rplus:
+            for leaf in range(Gplus.n):
+                if children[leaf] or leaf == Gplus.n - 1:
                     continue
                 phases = []
                 x = leaf
                 while x != -1:
-                    if x == A.rplus:
+                    if x == Gplus.n - 1:
                         kind = "apex"
                     elif x in zp:
                         kind = "boundary"
