@@ -159,9 +159,11 @@ def cmd_stats(args):
     E = parse_embedding(_read(args.input))
     fs = trace_faces(E)
     g = euler_genus(E, fs) if E.is_connected() else None
-    lines = [f"n {E.n}", f"m {E.m}", f"f {fs.f}"]
+    # a vertex with no darts is a face of its own, of length 0
+    isolated = E.rot.count([])
+    lines = [f"n {E.n}", f"m {E.m}", f"f {fs.f + isolated}"]
     lines.append(f"genus {g}" if g is not None else "genus - (disconnected)")
-    hist = {}
+    hist = {0: isolated} if isolated else {}
     for w in fs.faces:
         hist[len(w)] = hist.get(len(w), 0) + 1
     lines.append("faces " + " ".join(f"{k}:{hist[k]}"
@@ -228,7 +230,7 @@ def run(argv) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except (FormatError, DomainError, FileNotFoundError, ValueError) as ex:
+    except (FormatError, DomainError, OSError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE
     except ContractViolation as ex:

@@ -70,9 +70,8 @@ class EmbeddedMultigraph:
         """Array mapping dart -> tail vertex."""
         if self._tail is None:
             t = [0] * self.num_darts
-            for e, (u, v, _) in enumerate(self.edges):
-                t[2 * e] = u
-                t[2 * e + 1] = v
+            t[0::2] = [u for u, _, _ in self.edges]
+            t[1::2] = [v for _, v, _ in self.edges]
             self._tail = t
         return self._tail
 
@@ -159,6 +158,64 @@ class FaceSet:
 def trace_faces(E: EmbeddedMultigraph) -> FaceSet:
     """Trace the faces of an embedding scheme.
 
+    A scheme whose signatures are all +1 is orientable, and its faces are
+    the orbits of one dart permutation (``_trace_orientable``); any -1 edge
+    takes the signed walk (``_trace_signed``).  Both give the same
+    ``FaceSet`` on an all-+1 scheme.
+    """
+    if E.m == 0:
+        return FaceSet(faces=[], slot_face=[], face_of_state=[])
+    if [s for _, _, s in E.edges].count(1) == E.m:
+        return _trace_orientable(E)
+    return _trace_signed(E)
+
+
+def _trace_orientable(E: EmbeddedMultigraph) -> FaceSet:
+    """Faces of an all-+1 scheme: the orbits of ``phi(d) = succ[d ^ 1]``,
+    the dart after ``d``'s twin in the rotation at ``d``'s head.
+
+    Each orbit starts at its smallest dart, so the faces come in the order
+    the signed walk's plus states give them.  In its terms, state ``2d``
+    (``d`` walked in sense +1) lies on the face of ``d`` and state
+    ``2d + 1`` (sense -1) on the face of ``d ^ 1``, which walks the same
+    sides the other way; the side slots are the darts themselves.
+    """
+    nd = 2 * E.m
+    phi = [0] * nd
+    for r in E.rot:
+        if r:
+            a = r[-1]            # b follows a around their vertex
+            for b in r:
+                phi[a ^ 1] = b
+                a = b
+    face_of = [-1] * nd
+    faces = []
+    for start in range(nd):
+        if face_of[start] != -1:
+            continue
+        fid = len(faces)
+        walk = []
+        d = start
+        while True:
+            face_of[d] = fid
+            walk.append(d)
+            d = phi[d]
+            if d == start:
+                break
+            if face_of[d] != -1:
+                raise ContractViolation("face walk closed away from its start")
+        faces.append(walk)
+    face_of_state = [0] * (2 * nd)
+    face_of_state[0::2] = face_of
+    face_of_state[1::4] = face_of[1::2]
+    face_of_state[3::4] = face_of[0::2]
+    return FaceSet(faces=faces, slot_face=face_of,
+                   face_of_state=face_of_state)
+
+
+def _trace_signed(E: EmbeddedMultigraph) -> FaceSet:
+    """Faces of any scheme, walked on signed dart states.
+
     A state is a dart ``d`` walked in sense ``sb`` (0 for +1, 1 for -1),
     stored as the integer ``2*d + sb``; states 4e..4e+3 are (2e, +1),
     (2e, -1), (2e+1, +1), (2e+1, -1).  A step leaves along ``d`` and turns
@@ -168,10 +225,7 @@ def trace_faces(E: EmbeddedMultigraph) -> FaceSet:
     it.  Plus-side states start walks first, so orientable faces partition
     the darts.
     """
-    m = E.m
-    if m == 0:
-        return FaceSet(faces=[], slot_face=[], face_of_state=[])
-    nd = 2 * m
+    nd = 2 * E.m
     succ = [0] * nd
     pred = [0] * nd
     for r in E.rot:
@@ -230,14 +284,18 @@ def trace_faces(E: EmbeddedMultigraph) -> FaceSet:
 
 
 def euler_genus(E: EmbeddedMultigraph, faces: FaceSet = None) -> int:
-    """Euler genus of the embedding: 2 - n + m - f for connected graphs."""
+    """Euler genus of the embedding: 2 - n + m - f for connected graphs.
+
+    A lone vertex (m = 0) bounds one face, which no dart walk traces.
+    """
     if not E.is_connected():
         raise DomainError("Euler genus needs a connected graph")
     if faces is None:
         faces = trace_faces(E)
-    g = 2 - E.n + E.m - faces.f
+    f = faces.f if E.m else 1
+    g = 2 - E.n + E.m - f
     if g < 0:
-        raise ContractViolation(f"negative genus {g} from face count {faces.f}")
+        raise ContractViolation(f"negative genus {g} from face count {f}")
     return g
 
 

@@ -22,7 +22,50 @@ from .errors import DomainError
 # ---------------------------------------------------------------------------
 
 def rebuild_faces(E):
-    """Face vertex walks recomputed from scratch (signed corner walking).
+    """Face vertex walks recomputed from scratch.
+
+    All +1 signatures: the walks are the cycles of one dart permutation
+    (``_orientable_walks``).  Any -1 edge: signed corner walking
+    (``_signed_walks``).  Both list the faces in the same order.
+    """
+    tail = [0] * (2 * E.m)
+    tail[0::2] = [u for u, _, _ in E.edges]
+    tail[1::2] = [v for _, v, _ in E.edges]
+    if [sgn for _, _, sgn in E.edges].count(1) == E.m:
+        return _orientable_walks(E, tail)
+    return _signed_walks(E, tail)
+
+
+def _orientable_walks(E, tail):
+    """Face walks of an all-+1 scheme: a walk goes on from dart ``d`` to
+    ``turn[d]``, the dart after ``d ^ 1`` in the rotation at ``d``'s head.
+    A walk starts at each dart no earlier walk took, in ascending order."""
+    nd = len(tail)
+    turn = [0] * nd
+    for r in E.rot:
+        prev = r[-1] if r else 0
+        for d in r:
+            turn[prev ^ 1] = d
+            prev = d
+    seen = bytearray(nd)
+    walks = []
+    for start in range(nd):
+        if seen[start]:
+            continue
+        walk = []
+        d = start
+        while True:
+            seen[d] = 1
+            walk.append(tail[d])
+            d = turn[d]
+            if d == start:
+                break
+        walks.append(walk)
+    return walks
+
+
+def _signed_walks(E, tail):
+    """Face vertex walks by signed corner walking.
 
     A state is a dart ``d`` walked with sign ``s``, stored as the integer
     ``2*d + (s == -1)``.  A step leaves along ``d``, multiplies the sign by
@@ -38,9 +81,6 @@ def rebuild_faces(E):
         for a, b in zip(r, r[1:] + r[:1]):
             succ[a] = b
             pred[b] = a
-    tail = [0] * nd
-    tail[0::2] = [u for u, _, _ in E.edges]
-    tail[1::2] = [v for _, v, _ in E.edges]
     # nxt: state -> next state of its walk; rev: (d, s) -> (d ^ 1, -s * sign).
     # Across a +1 edge, (d, +1) goes on to (succ[d ^ 1], +1) and (d, -1) to
     # (pred[d ^ 1], -1); a -1 edge flips the sign, which swaps the two.
@@ -554,8 +594,9 @@ def _verify_certificate(E, cert) -> list:
     if cert.d < 3:
         return [f"FAIL shape certificate d {cert.d} < 3"]
     walks = rebuild_faces(E)
-    # Euler genus from the re-traced faces; the stated one is only compared
-    g = 2 - E.n + E.m - len(walks)
+    # Euler genus from the re-traced faces; the stated one is only compared.
+    # A vertex with no darts is a face of its own that no walk traces.
+    g = 2 - E.n + E.m - len(walks) - E.rot.count([])
     if cert.genus != g:
         fails.append(f"FAIL genus stated {cert.genus} actual {g}")
     closure = rebuild_closure(E, cert.d, walks)

@@ -82,6 +82,35 @@ class TestCli:
         assert "faces 4:9" in text
         assert "ell " in text and "bound 8" in text
 
+    def test_stats_single_vertex_sphere(self, tmp_path, capsys):
+        # a lone vertex bounds one face of length 0: the sphere
+        frame = tmp_path / "v.emg"
+        frame.write_text("emg 1 0\nv 0:\n")
+        assert run(["stats", "--in", str(frame)]) == 0
+        assert capsys.readouterr().out == ("n 1\nm 0\nf 1\ngenus 0\n"
+                                           "faces 0:1\n")
+
+    @pytest.mark.parametrize("which", ["stats-in", "decompose-in",
+                                       "decompose-out", "verify-cert"])
+    def test_directory_path_is_an_error_line(self, tmp_path, capsys, which):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "10", "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        folder = str(tmp_path)
+        argv = {
+            "stats-in": ["stats", "--in", folder],
+            "decompose-in": ["decompose", "--in", folder, "--d", "3"],
+            "decompose-out": ["decompose", "--in", str(frame), "--d", "3",
+                              "--out", folder],
+            "verify-cert": ["verify", "--in", str(frame), "--cert", folder],
+        }[which]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "directory" in err
+        assert "Traceback" not in err
+
     def test_stats_d_needs_a_connected_graph(self, tmp_path, capsys):
         frame = tmp_path / "g.emg"
         frame.write_text("emg 4 2\ne 0 0 1 1\ne 1 2 3 1\n"

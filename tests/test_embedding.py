@@ -1,14 +1,19 @@
 import hashlib
 import json
-from collections import deque
+import subprocess
+import sys
+from collections import Counter, deque
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedprod.assemble import parse_certificate
 from framedprod.embedding import (
     EmbeddedMultigraph,
+    FaceSet,
     bfs_structure,
     euler_genus,
     from_face_list,
@@ -17,7 +22,8 @@ from framedprod.embedding import (
     trace_faces,
 )
 from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
-from framedprod.errors import DomainError, FormatError
+from framedprod.errors import ContractViolation, DomainError, FormatError
+from framedprod.verify import rebuild_faces, verify_certificate
 from test_verify import golden_corpus
 
 # sha256 of (faces, slot_face, face_of_state) per embedding, recorded from
@@ -63,6 +69,94 @@ def toroidal_grid(mr, nc):
             rot[v] = [2 * down[up] + 1, 2 * right[v], 2 * down[v],
                       2 * right[left] + 1]
     return EmbeddedMultigraph(n, edges, rot)
+
+
+def signed_trace_faces(E):
+    """The reference tracer: every scheme walked on signed dart states.
+
+    A state is a dart ``d`` walked in sense ``sb`` (0 for +1, 1 for -1),
+    stored as ``2*d + sb``.  A step leaves along ``d`` and turns to the next
+    dart around the head, or the previous one in sense -1; a -1 edge flips
+    the sense.  Each orbit claims its mirror orbit; plus states start walks
+    first.
+    """
+    m = E.m
+    if m == 0:
+        return FaceSet(faces=[], slot_face=[], face_of_state=[])
+    nd = 2 * m
+    succ = [0] * nd
+    pred = [0] * nd
+    for r in E.rot:
+        for a, b in zip(r, r[1:] + r[:1]):
+            succ[a] = b
+            pred[b] = a
+    ns = 2 * nd
+    nxt = [0] * ns
+    nxt[0::4] = [2 * x for x in succ[1::2]]
+    nxt[1::4] = [2 * x + 1 for x in pred[1::2]]
+    nxt[2::4] = [2 * x for x in succ[0::2]]
+    nxt[3::4] = [2 * x + 1 for x in pred[0::2]]
+    sign = [0 if s == 1 else 1 for _, _, s in E.edges]
+    for e, neg in enumerate(sign):
+        if neg:
+            x = 4 * e
+            nxt[x], nxt[x + 1] = nxt[x + 1], nxt[x]
+            nxt[x + 2], nxt[x + 3] = nxt[x + 3], nxt[x + 2]
+    face_of_state = [-1] * ns
+    faces = []
+    for start in chain(range(0, ns, 2), range(1, ns, 2)):
+        if face_of_state[start] != -1:
+            continue
+        fid = len(faces)
+        walk = []
+        s = start
+        while True:
+            face_of_state[s] = fid
+            walk.append(s >> 1)
+            ms = s ^ 3 ^ sign[s >> 2]
+            f = face_of_state[ms]
+            if f == -1:
+                face_of_state[ms] = fid
+            elif f != fid:
+                raise ContractViolation("mirror orbit already claimed")
+            s = nxt[s]
+            if s == start:
+                break
+            if face_of_state[s] != -1:
+                raise ContractViolation("face walk closed away from its start")
+        faces.append(walk)
+    if sum(map(len, faces)) != nd:
+        raise ContractViolation("face lengths do not sum to 2m")
+    slot_face = [0] * nd
+    slot_face[0::2] = face_of_state[0::4]
+    slot_face[1::2] = face_of_state[1::4]
+    return FaceSet(faces=faces, slot_face=slot_face,
+                   face_of_state=face_of_state)
+
+
+@st.composite
+def orientable_schemes(draw):
+    """Random all-+1 rotation systems: loops, parallel edges, several
+    components and isolated vertices all occur."""
+    n = draw(st.integers(1, 8))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=14))
+    edges = [(u, v, 1) for u, v in ends]
+    darts = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(ends):
+        darts[u].append(2 * e)
+        darts[v].append(2 * e + 1)
+    rot = [draw(st.permutations(ds)) for ds in darts]
+    return EmbeddedMultigraph(n, edges, rot)
+
+
+def flipped(E, v):
+    """The same surface with vertex ``v`` flipped: its rotation reversed
+    and the signature of each non-loop edge at it negated."""
+    edges = [(a, b, -s if (a == v) != (b == v) else s)
+             for a, b, s in E.edges]
+    rot = [r[::-1] if x == v else r for x, r in enumerate(E.rot)]
+    return EmbeddedMultigraph(E.n, edges, rot)
 
 
 def brute_bfs_depths(E, root):
@@ -122,6 +216,49 @@ class TestTraceFaces:
         assert fs.f == 1
         assert sum(len(w) for w in fs.faces) == 2
         assert euler_genus(E, fs) == 1
+
+    @given(orientable_schemes())
+    @settings(max_examples=300, deadline=None)
+    def test_orientable_walk_matches_the_signed_reference(self, E):
+        fs = trace_faces(E)
+        ref = signed_trace_faces(E)
+        assert fs.faces == ref.faces
+        assert fs.slot_face == ref.slot_face
+        assert fs.face_of_state == ref.face_of_state
+        assert rebuild_faces(E) == fs.vertex_walks(E)
+
+    @pytest.mark.parametrize("name", [
+        k for k, E in golden_corpus().items()
+        if all(s == 1 for _, _, s in E.edges)])
+    def test_flipped_vertex_takes_the_signed_path(self, name):
+        # one all-+1 scheme and an equivalent one with -1 edges: both
+        # walkers find the same faces on each
+        E = golden_corpus()[name]
+        F = flipped(E, E.n // 2)
+        assert any(s == -1 for _, _, s in F.edges)
+        want = Counter(map(len, trace_faces(E).faces))
+        for G in (E, F):
+            assert Counter(map(len, trace_faces(G).faces)) == want
+            assert Counter(map(len, rebuild_faces(G))) == want
+
+    def test_repeated_dart_fails_in_bounded_time(self, child_env):
+        # vertex 0 lists dart 0 twice and drops dart 5: the walk from dart 1
+        # runs into the closed face 0 -> 2 -> 4 and never returns to 1; run
+        # in a child process so a hang fails the test instead of the suite
+        code = ("from framedprod.embedding import EmbeddedMultigraph, "
+                "trace_faces\n"
+                "from framedprod.errors import ContractViolation\n"
+                "E = EmbeddedMultigraph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)],\n"
+                "                       [[0, 0], [1, 2], [3, 4]],\n"
+                "                       validate=False)\n"
+                "try:\n"
+                "    trace_faces(E)\n"
+                "except ContractViolation as ex:\n"
+                "    print(ex)\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "face walk closed away from its start\n"
 
     def test_malformed_rotation_rejected(self):
         with pytest.raises(FormatError):
@@ -195,6 +332,17 @@ class TestEulerGenus:
         fs = trace_faces(E)
         assert (E.n, E.m, fs.f) == (16, 32, 16)
         assert euler_genus(E, fs) == 2
+
+    def test_single_vertex_sphere(self):
+        # one vertex, no edge: one face, which no dart walk traces
+        E = EmbeddedMultigraph(1, [], [[]])
+        assert trace_faces(E).f == 0 and rebuild_faces(E) == []
+        assert euler_genus(E) == 0
+        # the verifier's 2 - n + m - f agrees
+        for g, fails in ((0, []), (1, ["FAIL genus stated 1 actual 0"])):
+            cert = parse_certificate(f"cert 1 3 {g}\nPARTS 1\n"
+                                     "p 0 TRIPOD -1 x:  y: 0\nELL 1\n")
+            assert verify_certificate(E, cert) == fails
 
     def test_disconnected_rejected(self):
         E = EmbeddedMultigraph(4, [(0, 1, 1), (2, 3, 1)],
