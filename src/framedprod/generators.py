@@ -311,6 +311,8 @@ def _attempt_deletions(E: EmbeddedMultigraph, d: int,
 def gen_labelled_map(n: int, d: int, seed: int):
     """Plane labelled map: seeded nation/lake labels under the d budget."""
     from .frontends import LAKE, NATION, LabelledMap
+    if d < 3:
+        raise DomainError("d must be >= 3")
     E = gen_plane_triangulation(n, seed)
     fs = trace_faces(E)
     walks = fs.vertex_walks(E)

@@ -179,65 +179,63 @@ def tripod_partition(world: TriWorld, parent: list,
     root = 0 if boundary is not None else -1
     stack = [(c, root) for c in range(world.num_cells - 1, -1, -1)]
 
+    colors = {}             # per region: vertex -> its tree ancestors' part
+
+    def color_of(v):
+        got = colors.get(v)
+        if got is not None:
+            return got
+        chain = []
+        x = v
+        while part_of[x] == UNASSIGNED:
+            got = colors.get(x)
+            if got is not None:
+                break
+            chain.append(x)
+            x = parent[x]
+            if x < 0:
+                raise ContractViolation("ancestor chain left the graph")
+        if part_of[x] == BLOCKED:
+            raise ContractViolation("ancestor chain reached the apex")
+        c = got if got is not None else part_of[x]
+        for y in chain:
+            colors[y] = c
+        return c
+
+    def meets(c, rparts):
+        """Does cell c's boundary meet every part of the region?  Two parts
+        must meet across one of its edges; with three, an unassigned corner
+        counts as the part its tree ancestors reach."""
+        if len(rparts) <= 1:
+            return True
+        cyc = cells[c]
+        if len(rparts) == 2:
+            a, b = rparts
+            q = part_of[cyc[-1]]
+            for v in cyc:
+                p = part_of[v]
+                if p == a and q == b or p == b and q == a:
+                    return True
+                q = p
+            return False
+        got = set()
+        for v in cyc:
+            p = part_of[v]
+            got.add(p if p != UNASSIGNED else color_of(v))
+        return got >= rparts
+
     while stack:
         seed, creator = stack.pop()
         if not open_corners[seed]:
             continue
         cur += 1
-        rparts, candidates = _flood(world, part_of, stamp, cur, seed)
-        if len(rparts) > 3:
-            raise ContractViolation(
-                f"region sees {len(rparts)} parts: {sorted(rparts)}")
-
-        colors = {}
-
-        def color_of(v):
-            got = colors.get(v)
-            if got is not None:
-                return got
-            chain = []
-            x = v
-            while part_of[x] == UNASSIGNED:
-                got = colors.get(x)
-                if got is not None:
-                    break
-                chain.append(x)
-                x = parent[x]
-                if x < 0:
-                    raise ContractViolation("ancestor chain left the graph")
-            if part_of[x] == BLOCKED:
-                raise ContractViolation("ancestor chain reached the apex")
-            c = got if got is not None else part_of[x]
-            for y in chain:
-                colors[y] = c
-            return c
-
-        tau = None
-        if len(rparts) <= 1:
-            tau = candidates[0]
-        elif len(rparts) == 2:
-            a, b = rparts
-            for c in candidates:
-                cyc = cells[c]
-                q = part_of[cyc[-1]]
-                for v in cyc:
-                    p = part_of[v]
-                    if p == a and q == b or p == b and q == a:
-                        tau = c
-                        break
-                    q = p
-                if tau is not None:
-                    break
-        else:
-            want = frozenset(rparts)
-            for c in candidates:
-                got = set()
-                for v in cells[c]:
-                    p = part_of[v]
-                    got.add(p if p != UNASSIGNED else color_of(v))
-                if got >= want:
-                    tau = c
-                    break
+        colors.clear()
+        # the stack is LIFO and a step assigns only inside its region, so
+        # the seed opens an untouched pocket of its creator's step, whose
+        # parts are the creator and the parts the creator's region saw
+        bag = ({creator, *parts[creator].attachments} if creator >= 0
+               else frozenset())
+        rparts, tau = _flood(world, part_of, stamp, cur, seed, bag, meets)
         # Sperner: a region bounded by 2 (3) parts holds a cell whose
         # boundary meets both (all three)
         if tau is None:
@@ -264,18 +262,31 @@ def tripod_partition(world: TriWorld, parent: list,
                             boundary_part=boundary_part)
 
 
-def _flood(world, part_of, stamp, cur, seed):
-    """Collect the region of the seed: cells joined by not-fully-assigned
-    edges.  Returns (incident parts, the region's cells in BFS order); a
-    cell is entered only across an edge with an unassigned end, one of its
-    corners, so every cell of the region is a candidate."""
+def _flood(world, part_of, stamp, cur, seed, bag, meets):
+    """Flood the region of the seed until its parts are settled; return
+    (the parts, the first cell in flood order that ``meets`` them, or None).
+
+    The region is the cells joined by not-fully-assigned edges; a cell is
+    entered only across an edge with an unassigned end, one of its corners,
+    so every cell of the region is a candidate.  Every part the flood meets
+    must lie in ``bag`` and there are at most 3 of them, so the set is
+    settled once it holds 3 or the whole bag.  From then on the cells are
+    tested in the order the flood appended them, and the flood goes on
+    only while none has passed; a full flood appends them in that order.
+    """
     spokes = world.spokes
     rparts = set()
-    add_part = rparts.add
     stamp[seed] = cur
     region = [seed]
     push = region.append
+    settled = not bag
+    tested = 0                  # no cell of region[:tested] passes
     for c in region:
+        if settled:
+            while tested < len(region):
+                if meets(region[tested], rparts):
+                    return rparts, region[tested]
+                tested += 1
         for v, n1, n2 in spokes[c]:
             p = part_of[v]
             if p == UNASSIGNED:
@@ -285,9 +296,20 @@ def _flood(world, part_of, stamp, cur, seed):
                 if stamp[n2] != cur:
                     stamp[n2] = cur
                     push(n2)
-            elif p >= 0:
-                add_part(p)
-    return rparts, region
+            elif p >= 0 and p not in rparts:
+                if p not in bag:
+                    raise ContractViolation(
+                        f"region meets part {p} outside its creator's bag "
+                        f"{sorted(bag)}")
+                rparts.add(p)
+                if len(rparts) > 3:
+                    raise ContractViolation(
+                        f"region sees {len(rparts)} parts: {sorted(rparts)}")
+                settled = len(rparts) == 3 or len(rparts) == len(bag)
+    for c in region[tested:]:
+        if meets(c, rparts):
+            return rparts, c
+    return rparts, None
 
 
 def _consume(world, part_of, parent, parts, tau, rparts, color_of, creator):

@@ -26,20 +26,28 @@ def rebuild_faces(E):
 
     All +1 signatures: the walks are the cycles of one dart permutation
     (``_orientable_walks``).  Any -1 edge: signed corner walking
-    (``_signed_walks``).  Both list the faces in the same order.
+    (``_signed_walks``).  Both list the faces in the same order.  A walk
+    that closes away from its start, which rotations that are not a
+    permutation of the darts make, raises ``DomainError``.
     """
     tail = [0] * (2 * E.m)
     tail[0::2] = [u for u, _, _ in E.edges]
     tail[1::2] = [v for _, v, _ in E.edges]
     if [sgn for _, _, sgn in E.edges].count(1) == E.m:
-        return _orientable_walks(E, tail)
-    return _signed_walks(E, tail)
+        walks = _orientable_walks(E, tail)
+    else:
+        walks = _signed_walks(E, tail)
+    if walks is None:
+        raise DomainError("a face walk closes away from its start: the "
+                          "rotations are not a permutation of the darts")
+    return walks
 
 
 def _orientable_walks(E, tail):
     """Face walks of an all-+1 scheme: a walk goes on from dart ``d`` to
     ``turn[d]``, the dart after ``d ^ 1`` in the rotation at ``d``'s head.
-    A walk starts at each dart no earlier walk took, in ascending order."""
+    A walk starts at each dart no earlier walk took, in ascending order.
+    Returns None if a walk runs into a taken dart other than its start."""
     nd = len(tail)
     turn = [0] * nd
     for r in E.rot:
@@ -58,8 +66,10 @@ def _orientable_walks(E, tail):
             seen[d] = 1
             walk.append(tail[d])
             d = turn[d]
-            if d == start:
+            if seen[d]:
                 break
+        if d != start:
+            return None
         walks.append(walk)
     return walks
 
@@ -73,6 +83,8 @@ def _signed_walks(E, tail):
     previous one when the sign is -1).  Each walk also marks the reverse
     states of its orbit, which trace the same face the other way round.
     States are tried in the order (d, +1) for every dart, then (d, -1).
+    A walk stops at the first state some walk took, never at one only
+    marked as a reverse, and returns None if that state is not its start.
     """
     nd = 2 * E.m
     succ = [0] * nd
@@ -98,7 +110,8 @@ def _signed_walks(E, tail):
                 nxt[x], nxt[x + 1] = nxt[x + 1], nxt[x]
                 rev[x] ^= 1
                 rev[x + 1] ^= 1
-    seen = bytearray(ns)
+    seen = bytearray(ns)            # taken by a walk or the reverse of one
+    taken = bytearray(ns)
     walks = []
     for start in chain(range(0, ns, 2), range(1, ns, 2)):
         if seen[start]:
@@ -106,12 +119,13 @@ def _signed_walks(E, tail):
         walk = []
         state = start
         while True:
-            seen[state] = 1
-            seen[rev[state]] = 1
+            taken[state] = seen[state] = seen[rev[state]] = 1
             walk.append(tail[state >> 1])
             state = nxt[state]
-            if state == start:
+            if taken[state]:
                 break
+        if state != start:
+            return None
         walks.append(walk)
     return walks
 
@@ -593,7 +607,10 @@ def _verify_certificate(E, cert) -> list:
         return [f"FAIL shape certificate n {cert.n} != graph n {E.n}"]
     if cert.d < 3:
         return [f"FAIL shape certificate d {cert.d} < 3"]
-    walks = rebuild_faces(E)
+    try:
+        walks = rebuild_faces(E)
+    except DomainError as ex:
+        return [f"FAIL shape {ex}"]
     # Euler genus from the re-traced faces; the stated one is only compared.
     # A vertex with no darts is a face of its own that no walk traces.
     g = 2 - E.n + E.m - len(walks) - E.rot.count([])

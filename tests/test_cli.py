@@ -59,6 +59,12 @@ class TestCli:
                     "--out", str(cert)]) == 0
         assert cert.read_text().startswith("cert ")
 
+    def test_map_d_below_3_exit_code(self, tmp_path):
+        mp = tmp_path / "m.map"
+        assert run(["gen", "--family", "map", "--params", "30,0",
+                    "--out", str(mp)]) == 1
+        assert not mp.exists()
+
     def test_oneplanar_chain(self, tmp_path):
         xf = tmp_path / "o.xemg"
         frame = tmp_path / "o.emg"

@@ -18,6 +18,7 @@ from framedprod.generators import (
     _attempt_deletions,
     _LiveEdges,
     gen_framed,
+    gen_labelled_map,
     gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
@@ -135,6 +136,15 @@ class TestGenFramed:
         with pytest.raises(ContractViolation):
             _attempt_deletions(EmbeddedMultigraph(G.n, edges, G.rot), 6,
                                SplitMix64(0))
+
+
+
+class TestGenLabelledMap:
+    @pytest.mark.parametrize("d", [2, 0, -3])
+    def test_d_below_3_rejected(self, d):
+        # a budget below 3 once fell back to a one-nation map
+        with pytest.raises(DomainError, match="d must be >= 3"):
+            gen_labelled_map(30, d, 1)
 
 
 class TestGoldenDigests:

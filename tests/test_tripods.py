@@ -2,7 +2,7 @@ from collections import Counter, deque
 
 import pytest
 
-from framedprod import tripods
+from framedprod import assemble, tripods
 from framedprod.assemble import decompose
 from framedprod.embedding import bfs_structure, from_face_list, trace_faces
 from framedprod.errors import ContractViolation
@@ -11,11 +11,7 @@ from framedprod.generators import (
     gen_plane_triangulation,
     gen_toroidal_grid,
 )
-from framedprod.tripods import (
-    UNASSIGNED,
-    triangulate_long_faces,
-    tripod_partition,
-)
+from framedprod.tripods import UNASSIGNED, triangulate_long_faces
 from framedprod.verify import (
     check_planarity,
     rebuild_closure,
@@ -42,7 +38,7 @@ def run_partition(E, d, root=0):
     fs = trace_faces(E)
     T = bfs_structure(E, root)
     world = triangulate_long_faces(E, d, fs)
-    return T, tripod_partition(world, T.parent)
+    return T, tripods.tripod_partition(world, T.parent)
 
 
 class TestTriangulateLongFaces:
@@ -113,29 +109,79 @@ def deque_flood(world, part_of, stamp, cur, seed):
     return rparts, candidates
 
 
+def first_meeting_cell(world, part_of, parent, rparts, candidates):
+    """The selection rule: the first candidate whose boundary meets every
+    part of the region.  Two parts must meet across one of its edges; with
+    three, an unassigned corner counts as the part its tree ancestors
+    reach.  A region of at most one part takes its first candidate."""
+    def color(v):
+        while part_of[v] == UNASSIGNED:
+            v = parent[v]
+        return part_of[v]
+
+    for c in candidates:
+        cyc = world.cells[c]
+        if len(rparts) <= 1:
+            return c
+        if len(rparts) == 2:
+            sides = {frozenset((part_of[u], part_of[v]))
+                     for u, v in zip(cyc[-1:] + cyc[:-1], cyc)}
+            if frozenset(rparts) in sides:
+                return c
+        elif {color(v) for v in cyc} >= rparts:
+            return c
+    return None
+
+
+PHANTOM = 10 ** 6               # a part id no partition reaches
+
+
 class TestFloodOracle:
-    """Every call of the flood during whole partitions returns what the
-    deque flood returns, and every seed it gets has an unassigned corner."""
+    """Every call of the flood during whole partitions returns the parts
+    the full deque flood finds and the first of its candidates the
+    selection rule accepts; every seed it gets has an unassigned corner,
+    the region's parts lie in the bag it is given, and a bag lacking one
+    of them is a contract violation."""
 
     @pytest.fixture
     def checked_flood(self, monkeypatch):
         flood = tripods._flood
+        partition = tripods.tripod_partition
+        trees = []
         calls = []
 
-        def checked(world, part_of, stamp, cur, seed):
+        def recording(world, parent, *args, **kwargs):
+            trees.append(parent)
+            return partition(world, parent, *args, **kwargs)
+
+        def checked(world, part_of, stamp, cur, seed, bag, meets):
             assert any(part_of[v] == UNASSIGNED for v in world.cells[seed])
-            want = deque_flood(world, part_of, list(stamp), cur, seed)
-            got = flood(world, part_of, stamp, cur, seed)
-            assert got == want
-            calls.append(seed)
+            want, candidates = deque_flood(world, part_of, list(stamp), cur,
+                                           seed)
+            assert want <= set(bag)
+            # the phantom keeps the bag from filling, so the flood cannot
+            # settle before it meets p
+            for p in want:
+                with pytest.raises(ContractViolation, match=f"part {p} out"):
+                    flood(world, part_of, list(stamp), cur, seed,
+                          set(bag) - {p} | {PHANTOM}, meets)
+            got = flood(world, part_of, stamp, cur, seed, bag, meets)
+            assert got == (want, first_meeting_cell(
+                world, part_of, trees[-1], want, candidates))
+            calls.append((stamp.count(cur), len(candidates)))
             return got
         monkeypatch.setattr(tripods, "_flood", checked)
+        monkeypatch.setattr(tripods, "tripod_partition", recording)
+        monkeypatch.setattr(assemble, "tripod_partition", recording)
         return calls
 
     @pytest.mark.parametrize("n,seed", [(30, 0), (200, 1), (600, 2)])
     def test_triangulations(self, checked_flood, n, seed):
         _, R = run_partition(gen_plane_triangulation(n, seed), 3)
         assert len(checked_flood) == len(R.parts)
+        # the floods stop early: they visit well under the full regions
+        visited, full = map(sum, zip(*checked_flood))
+        assert visited < 0.75 * full
 
     def test_torus_apex_graph(self, checked_flood):
         # positive genus: the flood runs on G+ with the cut boundary
@@ -221,17 +267,30 @@ class TestTripodPartition:
 
     def test_region_without_a_meeting_cell_is_a_contract_violation(
             self, monkeypatch):
-        # a part that no cell touches cannot be met: no candidate passes
-        # the 2-part test and the step raises instead of guessing a cell
+        # when no cell of a region of two or more parts passes the
+        # selection test, the step raises instead of guessing a cell
         flood = tripods._flood
 
-        def phantom_part(*args):
-            rparts, candidates = flood(*args)
-            if len(rparts) == 1:
-                rparts.add(10 ** 6)
-            return rparts, candidates
-        monkeypatch.setattr(tripods, "_flood", phantom_part)
-        with pytest.raises(ContractViolation, match="no cell"):
+        def never_meets(world, part_of, stamp, cur, seed, bag, meets):
+            return flood(world, part_of, stamp, cur, seed, bag,
+                         lambda c, rparts: len(rparts) < 2)
+        monkeypatch.setattr(tripods, "_flood", never_meets)
+        with pytest.raises(ContractViolation,
+                           match=r"no cell .* parts \[\d+, \d+"):
+            run_partition(gen_plane_triangulation(30, 1), 3)
+
+    def test_region_meeting_a_part_outside_its_bag_is_a_contract_violation(
+            self, monkeypatch):
+        # a bag without the creator's smallest part: the phantom keeps it
+        # from filling, so the flood meets that part before it can stop
+        flood = tripods._flood
+
+        def shrunk_bag(world, part_of, stamp, cur, seed, bag, meets):
+            if bag:
+                bag = set(bag) - {min(bag)} | {PHANTOM}
+            return flood(world, part_of, stamp, cur, seed, bag, meets)
+        monkeypatch.setattr(tripods, "_flood", shrunk_bag)
+        with pytest.raises(ContractViolation, match="outside its creator's"):
             run_partition(gen_plane_triangulation(30, 1), 3)
 
     def test_td_bags_form_tree(self):

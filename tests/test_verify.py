@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from ast import literal_eval
 from itertools import combinations
 from pathlib import Path
 
@@ -247,6 +248,34 @@ class TestRebuild:
         parent, depth = rebuild_bfs(E, 2)
         assert parent == T.parent
         assert depth == T.depth
+
+    def test_rotations_not_a_permutation_fail_in_bounded_time(self,
+                                                              child_env):
+        # vertex 0 lists dart 0 twice and drops dart 5: the all-+1 walk from
+        # dart 1 runs into the closed face 0 -> 2 -> 4 and once grew until
+        # memory ran out; the signed walk (edge 2-0 flipped) must stop as
+        # well.  A child process with capped memory turns a hang into a
+        # failed test instead of a stalled suite.
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from framedprod.assemble import decompose\n"
+                "from framedprod.embedding import EmbeddedMultigraph, "
+                "from_face_list\n"
+                "from framedprod.verify import verify_certificate\n"
+                "cert = decompose(from_face_list([[0, 1, 2], [2, 1, 0]]), 3)\n"
+                "for sg in (1, -1):\n"
+                "    E = EmbeddedMultigraph(3, [(0, 1, 1), (1, 2, 1), "
+                "(2, 0, sg)],\n"
+                "                           [[0, 0], [1, 2], [3, 4]],\n"
+                "                           validate=False)\n"
+                "    print(verify_certificate(E, cert))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        plus, signed = map(literal_eval, res.stdout.splitlines())
+        assert plus == ["FAIL shape a face walk closes away from its start: "
+                        "the rotations are not a permutation of the darts"]
+        assert signed and all(ln.startswith("FAIL ") for ln in signed)
 
 
 class TestIndependence:
