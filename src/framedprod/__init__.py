@@ -32,6 +32,7 @@ from .verify import (
     check_part_structure,
     check_planarity,
     check_tree_decomposition,
+    closure_pairs,
     verify_certificate,
 )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 from collections import Counter, deque
 from itertools import chain
+from operator import itemgetter, sub
 
 from .errors import DomainError
 
@@ -26,35 +27,53 @@ def rebuild_faces(E):
 
     All +1 signatures: the walks are the cycles of one dart permutation
     (``_orientable_walks``).  Any -1 edge: signed corner walking
-    (``_signed_walks``).  Both list the faces in the same order.  A walk
-    that closes away from its start, which rotations that are not a
-    permutation of the darts make, raises ``DomainError``.
+    (``_signed_walks``).  Both list the faces in the same order.
+
+    Raises ``DomainError`` on a graph the walks cannot index: a rotation
+    count other than ``n``, an edge end that is not a vertex, a signature
+    other than +1 or -1 or a dart out of range.  So does a walk that
+    closes away from its start, which rotations that are not a
+    permutation of the darts make.
     """
+    if len(E.rot) != E.n:
+        raise DomainError(f"{len(E.rot)} rotations for {E.n} vertices")
     tail = [0] * (2 * E.m)
     tail[0::2] = [u for u, _, _ in E.edges]
     tail[1::2] = [v for _, v, _ in E.edges]
-    if [sgn for _, _, sgn in E.edges].count(1) == E.m:
-        walks = _orientable_walks(E, tail)
-    else:
-        walks = _signed_walks(E, tail)
-    if walks is None:
-        raise DomainError("a face walk closes away from its start: the "
-                          "rotations are not a permutation of the darts")
-    return walks
+    if tail and (min(tail) < 0 or max(tail) >= E.n):
+        raise DomainError("an edge end is not a vertex")
+    sign = [sgn for _, _, sgn in E.edges]
+    plus = sign.count(1)
+    if plus == E.m:
+        return _orientable_walks(E, tail)
+    if plus + sign.count(-1) != E.m:
+        raise DomainError("an edge signature is not +1 or -1")
+    return _signed_walks(E, tail)
+
+
+_DART_RANGE = "a rotation lists a dart out of range"
+_CLOSES_AWAY = ("a face walk closes away from its start: the rotations are "
+                "not a permutation of the darts")
 
 
 def _orientable_walks(E, tail):
     """Face walks of an all-+1 scheme: a walk goes on from dart ``d`` to
     ``turn[d]``, the dart after ``d ^ 1`` in the rotation at ``d``'s head.
     A walk starts at each dart no earlier walk took, in ascending order.
-    Returns None if a walk runs into a taken dart other than its start."""
+    A dart past the last one fails the index into ``turn``, and a negative
+    one leaves a negative entry in it."""
     nd = len(tail)
     turn = [0] * nd
-    for r in E.rot:
-        prev = r[-1] if r else 0
-        for d in r:
-            turn[prev ^ 1] = d
-            prev = d
+    try:
+        for r in E.rot:
+            prev = r[-1] if r else 0
+            for d in r:
+                turn[prev ^ 1] = d
+                prev = d
+    except IndexError:
+        raise DomainError(_DART_RANGE) from None
+    if turn and min(turn) < 0:
+        raise DomainError(_DART_RANGE)
     seen = bytearray(nd)
     walks = []
     for start in range(nd):
@@ -69,7 +88,7 @@ def _orientable_walks(E, tail):
             if seen[d]:
                 break
         if d != start:
-            return None
+            raise DomainError(_CLOSES_AWAY)
         walks.append(walk)
     return walks
 
@@ -84,15 +103,21 @@ def _signed_walks(E, tail):
     states of its orbit, which trace the same face the other way round.
     States are tried in the order (d, +1) for every dart, then (d, -1).
     A walk stops at the first state some walk took, never at one only
-    marked as a reverse, and returns None if that state is not its start.
+    marked as a reverse, and raises ``DomainError`` if that state is not
+    its start.
     """
     nd = 2 * E.m
     succ = [0] * nd
     pred = [0] * nd
-    for r in E.rot:
-        for a, b in zip(r, r[1:] + r[:1]):
-            succ[a] = b
-            pred[b] = a
+    try:
+        for r in E.rot:
+            for a, b in zip(r, r[1:] + r[:1]):
+                succ[a] = b
+                pred[b] = a
+    except IndexError:
+        raise DomainError(_DART_RANGE) from None
+    if succ and min(succ) < 0:
+        raise DomainError(_DART_RANGE)
     # nxt: state -> next state of its walk; rev: (d, s) -> (d ^ 1, -s * sign).
     # Across a +1 edge, (d, +1) goes on to (succ[d ^ 1], +1) and (d, -1) to
     # (pred[d ^ 1], -1); a -1 edge flips the sign, which swaps the two.
@@ -125,31 +150,45 @@ def _signed_walks(E, tail):
             if taken[state]:
                 break
         if state != start:
-            return None
+            raise DomainError(_CLOSES_AWAY)
         walks.append(walk)
     return walks
 
 
-def rebuild_closure(E, d, walks=None):
-    """Closure adjacency sets recomputed from re-traced faces.
+def closure_pairs(E, d, walks):
+    """The closure ``G^(d)`` as two vertex columns ``(us, vs)``.
 
-    ``walks`` are the face walks ``rebuild_faces(E)`` returns, when the
-    caller has them.  A facial cycle of length 4..d makes its vertices
-    pairwise adjacent; a facial triangle joins only pairs that are edges of
-    ``E`` already, so it is skipped.
+    ``walks`` are the face walks ``rebuild_faces(E)`` returns.  The columns
+    hold ``E``'s edges in edge order, then, face length by face length from
+    4 to ``d``, the non-consecutive vertex pairs of every facial cycle of
+    that length with no repeated vertex.  A cycle's consecutive pairs are
+    edges of ``E`` already, so a facial triangle adds nothing.  A pair may
+    repeat, in either orientation, and a loop of ``E`` stays in.
     """
-    if walks is None:
-        walks = rebuild_faces(E)
-    adj = [set() for _ in range(E.n)]
-    for u, v, _ in E.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    us = list(map(itemgetter(0), E.edges))
+    vs = list(map(itemgetter(1), E.edges))
+    cycles = {}
     for walk in walks:
-        if 4 <= len(walk) <= d and len(set(walk)) == len(walk):
-            for u in walk:
-                adj[u].update(walk)
-    for u, nbrs in enumerate(adj):
-        nbrs.discard(u)
+        k = len(walk)
+        if 4 <= k <= d and len(set(walk)) == k:
+            cycles.setdefault(k, []).append(walk)
+    for k in sorted(cycles):
+        group = cycles[k]
+        for i in range(k - 2):
+            for j in range(i + 2, k - (i == 0)):
+                us += map(itemgetter(i), group)
+                vs += map(itemgetter(j), group)
+    return us, vs
+
+
+def rebuild_closure(E, d):
+    """Closure adjacency sets: the pairs of ``closure_pairs`` without
+    loops, for the callers that look up neighbours."""
+    adj = [set() for _ in range(E.n)]
+    for u, v in zip(*closure_pairs(E, d, rebuild_faces(E))):
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
     return adj
 
 
@@ -177,26 +216,39 @@ def rebuild_bfs(E, root):
 # certificate checks
 # ---------------------------------------------------------------------------
 
-def check_containment(closure_adj, node, layer, h_edges):
-    """The product-adjacency test, closure edge by closure edge: the parts
-    of its ends are equal or adjacent in ``H``, their blocks at most one
-    apart.  An edge with an end in no part (-1) skips the parts test."""
-    fails = []
+def check_containment(us, vs, node, layer, h_edges):
+    """The product-adjacency test over the closure pairs ``us[i]-vs[i]``:
+    the parts of a pair's ends are equal or adjacent in ``H``, their blocks
+    at most one apart.  A pair with an end in no part (-1) skips the parts
+    test.
+
+    A pass is settled in bulk: every pair's part pair lies in ``hset`` (the
+    ``H`` edges both ways and every equal pair), and the largest block gap
+    is at most 1.  Only a failure, or an end in no part, walks the distinct
+    closure pairs, in ascending order, and gives each one line per failed
+    test, the parts line first.
+    """
     hset = set(h_edges)
     hset.update([(b, a) for a, b in h_edges])
-    for u, nbrs in enumerate(closure_adj):
+    hset.update(zip(node, node))
+    part_of = node.__getitem__
+    layer_of = layer.__getitem__
+    parts_ok = all(map(hset.__contains__,
+                       zip(map(part_of, us), map(part_of, vs))))
+    if parts_ok and max(map(abs, map(sub, map(layer_of, us),
+                                      map(layer_of, vs))), default=0) <= 1:
+        return []
+    fails = []
+    for u, v in sorted({(u, v) if u < v else (v, u)
+                        for u, v in zip(us, vs) if u != v}):
         a = node[u]
-        lu = layer[u]
-        for v in nbrs:
-            if u >= v:
-                continue
-            b = node[v]
-            if a != b and (a, b) not in hset and a != -1 and b != -1:
-                fails.append(f"FAIL containment edge {u}-{v}: parts {a},{b} "
-                             "not adjacent in H")
-            if abs(lu - layer[v]) > 1:
-                fails.append(f"FAIL containment edge {u}-{v}: layers "
-                             f"{lu},{layer[v]}")
+        b = node[v]
+        if (a, b) not in hset and a != -1 and b != -1:
+            fails.append(f"FAIL containment edge {u}-{v}: parts {a},{b} "
+                         "not adjacent in H")
+        if abs(layer[u] - layer[v]) > 1:
+            fails.append(f"FAIL containment edge {u}-{v}: layers "
+                         f"{layer[u]},{layer[v]}")
     return fails
 
 
@@ -607,6 +659,9 @@ def _verify_certificate(E, cert) -> list:
         return [f"FAIL shape certificate n {cert.n} != graph n {E.n}"]
     if cert.d < 3:
         return [f"FAIL shape certificate d {cert.d} < 3"]
+    root = E.root if E.root is not None else 0
+    if not 0 <= root < E.n:
+        return [f"FAIL shape root {root} is not a vertex"]
     try:
         walks = rebuild_faces(E)
     except DomainError as ex:
@@ -616,16 +671,16 @@ def _verify_certificate(E, cert) -> list:
     g = 2 - E.n + E.m - len(walks) - E.rot.count([])
     if cert.genus != g:
         fails.append(f"FAIL genus stated {cert.genus} actual {g}")
-    closure = rebuild_closure(E, cert.d, walks)
+    us, vs = closure_pairs(E, cert.d, walks)
     del walks
-    parent, depth = rebuild_bfs(E, E.root if E.root is not None else 0)
+    parent, depth = rebuild_bfs(E, root)
     part_fails, node = check_part_structure(cert.parts, parent, g, cert.d,
                                             cert.boundary_part)
     fails += part_fails
     h = cert.d // 2
     layer = [x // h for x in depth]
     td_fails, h_edges = check_tree_decomposition(cert.parts)
-    fails += check_containment(closure, node, layer, h_edges)
+    fails += check_containment(us, vs, node, layer, h_edges)
     fails += td_fails
     if not check_planarity(cert.num_parts, h_edges):
         fails.append("FAIL planarity H is not planar")

@@ -14,7 +14,7 @@ from framedprod.assemble import (
     parse_certificate,
     serialize_certificate,
 )
-from framedprod.embedding import from_face_list
+from framedprod.embedding import EmbeddedMultigraph, from_face_list
 from framedprod.errors import DomainError
 from framedprod.generators import (
     SplitMix64,
@@ -29,6 +29,7 @@ from framedprod.verify import (
     check_part_structure,
     check_planarity,
     check_tree_decomposition,
+    closure_pairs,
     rebuild_bfs,
     rebuild_closure,
     rebuild_faces,
@@ -40,7 +41,8 @@ from treewidth import exact_treewidth, stated_decomposition
 # sha256 digests of the re-traced faces and closures, recorded from the
 # verifier that kept its states in tuple-keyed dicts, and of the FAIL lines
 # of TestTamper's edits of the parts, recorded when the certificate came to
-# state only its parts
+# state only its parts; the d >= 4 ones (face chords) were recorded from the
+# containment check that walked per-vertex adjacency sets
 GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
                     .read_text())
 
@@ -69,7 +71,7 @@ def golden_corpus():
     return out
 
 
-def closure_pairs(adj):
+def sorted_pairs(adj):
     return sorted((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
 
 
@@ -278,6 +280,65 @@ class TestRebuild:
         assert signed and all(ln.startswith("FAIL ") for ln in signed)
 
 
+class TestShape:
+    """Graphs built with ``validate=False`` against a triangle's
+    certificate: each fault the walks cannot index is one ``FAIL shape``
+    line, never an exception."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        E = from_face_list([[0, 1, 2], [2, 1, 0]])
+        return E, decompose(E, 3)
+
+    @staticmethod
+    def run(case, edges=None, rot=None, root=None):
+        E, cert = case
+        F = EmbeddedMultigraph(
+            E.n, list(E.edges) if edges is None else edges,
+            [list(r) for r in E.rot] if rot is None else rot,
+            root=root, validate=False)
+        return verify_certificate(F, cert)
+
+    def test_the_triangle_passes(self, case):
+        assert self.run(case) == []
+
+    @pytest.mark.parametrize("end", [7, 3, -1])
+    def test_edge_end_not_a_vertex(self, case, end):
+        edges = list(case[0].edges)
+        edges[1] = (1, end, 1)
+        assert self.run(case, edges=edges) == [
+            "FAIL shape an edge end is not a vertex"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("dart", [9, 6, -1, -7])
+    def test_dart_out_of_range(self, case, dart, sign):
+        E = case[0]
+        edges = [(u, v, sign if e == 0 else 1)
+                 for e, (u, v, _) in enumerate(E.edges)]
+        rot = [list(r) for r in E.rot]
+        rot[1][0] = dart
+        assert self.run(case, edges=edges, rot=rot) == [
+            "FAIL shape a rotation lists a dart out of range"]
+
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_signature_not_plus_or_minus_one(self, case, sign):
+        edges = [(u, v, sign) for u, v, _ in case[0].edges]
+        assert self.run(case, edges=edges) == [
+            "FAIL shape an edge signature is not +1 or -1"]
+
+    def test_rotation_count_not_n(self, case):
+        rot = [list(r) for r in case[0].rot]
+        assert self.run(case, rot=rot + [[]]) == [
+            "FAIL shape 4 rotations for 3 vertices"]
+        assert self.run(case, rot=rot[:2]) == [
+            "FAIL shape 2 rotations for 3 vertices"]
+
+    @pytest.mark.parametrize("root", [5, 3, -1])
+    def test_root_not_a_vertex(self, case, root):
+        assert self.run(case, root=root) == [
+            f"FAIL shape root {root} is not a vertex"]
+
+
 class TestIndependence:
     def test_verifier_imports_only_errors_from_the_package(self):
         # the verifier shares no face walker or BFS with the construction
@@ -317,7 +378,7 @@ class TestGoldenVerify:
         assert got == GOLDEN["faces"]
 
     def test_closures(self, corpus):
-        got = {k: {str(d): _sha(closure_pairs(rebuild_closure(E, d)))
+        got = {k: {str(d): _sha(sorted_pairs(rebuild_closure(E, d)))
                    for d in (3, 4, 5, 6)}
                for k, E in corpus.items()}
         assert got == GOLDEN["closure"]
@@ -527,19 +588,19 @@ class TestTreeDecompositionCheck:
 class TestContainmentCheck:
     def test_parts_and_blocks_per_closure_edge(self):
         # a path 0-1-2-3: parts 0, 0, 1, 2 with H = {0-1}; blocks 0, 0, 2, 3
-        closure = [{1}, {0, 2}, {1, 3}, {2}]
-        fails = check_containment(closure, [0, 0, 1, 2], [0, 0, 2, 3],
+        us, vs = [0, 2, 2], [1, 1, 3]
+        fails = check_containment(us, vs, [0, 0, 1, 2], [0, 0, 2, 3],
                                   [(0, 1)])
         assert fails == ["FAIL containment edge 1-2: layers 0,2",
                          "FAIL containment edge 2-3: parts 1,2 not "
                          "adjacent in H"]
-        assert check_containment(closure, [0, 0, 1, 2], [0, 0, 1, 2],
+        assert check_containment(us, vs, [0, 0, 1, 2], [0, 0, 1, 2],
                                  [(1, 0), (2, 1)]) == []
 
     def test_vertex_in_no_part_skips_the_parts_test(self):
-        closure = [{1}, {0, 2}, {1}]
-        assert check_containment(closure, [0, -1, 1], [0, 0, 3], []) == [
-            "FAIL containment edge 1-2: layers 0,3"]
+        assert check_containment([0, 1], [1, 2], [0, -1, 1], [0, 0, 3],
+                                 []) == ["FAIL containment edge 1-2: layers "
+                                         "0,3"]
 
     def test_emptied_part_gives_only_the_parts_line(self):
         # part 5 of this certificate holds one vertex with 43 closure edges
@@ -549,6 +610,123 @@ class TestContainmentCheck:
         cert.parts[5].legs = []
         assert verify_certificate(E, cert) == [
             "FAIL parts 1 vertices in no part"]
+
+
+    @staticmethod
+    def pairs(faces, d):
+        E = from_face_list(faces)
+        return closure_pairs(E, d, rebuild_faces(E))
+
+    def test_edge_that_is_also_a_chord_gives_one_line(self):
+        # the quad 0-1-2-3 with its diagonal 0-2 drawn outside: 0-2 is an
+        # edge of E and a chord of the quad face
+        us, vs = self.pairs([[0, 1, 2, 3], [1, 0, 2], [3, 2, 0]], 4)
+        assert sorted(zip(us, vs)).count((0, 2)) == 2
+        assert check_containment(us, vs, [0, 2, 1, 2], [0, 1, 2, 1],
+                                 [(0, 2), (1, 2)]) == [
+            "FAIL containment edge 0-2: parts 0,1 not adjacent in H",
+            "FAIL containment edge 0-2: layers 0,2"]
+
+    def test_chord_of_two_faces_gives_one_line(self):
+        # a 4-cycle on the sphere: both faces have the chords 0-2 and 1-3
+        us, vs = self.pairs([[0, 1, 2, 3], [3, 2, 1, 0]], 4)
+        assert sorted(map(sorted, zip(us, vs))).count([0, 2]) == 2
+        assert check_containment(us, vs, [0, 0, 0, 0], [0, 1, 2, 1],
+                                 []) == [
+            "FAIL containment edge 0-2: layers 0,2"]
+
+    def test_lines_in_ascending_pair_order(self):
+        us, vs = self.pairs([[0, 1, 2, 3, 4, 5], [3, 2, 1, 0, 5, 4]], 6)
+        fails = check_containment(us, vs, list(range(6)), [0] * 6, [])
+        assert fails == [f"FAIL containment edge {u}-{v}: parts {u},{v} "
+                         "not adjacent in H"
+                         for u, v in combinations(range(6), 2)]
+
+
+class TestContainmentOracle:
+    """The column check against the set-based check it replaced, over the
+    golden corpus and graphs with parallel edges and loops, under seeded
+    random part, block and H assignments."""
+
+    @staticmethod
+    def reference_closure(E, d):
+        adj = [set() for _ in range(E.n)]
+        for u, v, _ in E.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        for walk in rebuild_faces(E):
+            if 4 <= len(walk) <= d and len(set(walk)) == len(walk):
+                for u in walk:
+                    adj[u].update(walk)
+        for u, nbrs in enumerate(adj):
+            nbrs.discard(u)
+        return adj
+
+    @staticmethod
+    def reference_containment(closure_adj, node, layer, h_edges):
+        fails = []
+        hset = set(h_edges)
+        hset.update([(b, a) for a, b in h_edges])
+        for u, nbrs in enumerate(closure_adj):
+            a = node[u]
+            lu = layer[u]
+            for v in nbrs:
+                if u >= v:
+                    continue
+                b = node[v]
+                if a != b and (a, b) not in hset and a != -1 and b != -1:
+                    fails.append(f"FAIL containment edge {u}-{v}: parts "
+                                 f"{a},{b} not adjacent in H")
+                if abs(lu - layer[v]) > 1:
+                    fails.append(f"FAIL containment edge {u}-{v}: layers "
+                                 f"{lu},{layer[v]}")
+        return fails
+
+    @staticmethod
+    def line_key(line):
+        u, v = line.split()[3].rstrip(":").split("-")
+        return int(u), int(v), "layers" in line
+
+    @staticmethod
+    def assignments(rng, n):
+        """A passing start (one part, one block), then a few vertices moved
+        to random parts (-1 included) and blocks, and a random H."""
+        k = 1 + rng.below(5)
+        node = [0] * n
+        layer = [0] * n
+        for _ in range(rng.below(4)):
+            node[rng.below(n)] = rng.below(k + 1) - 1
+        for _ in range(rng.below(4)):
+            layer[rng.below(n)] = rng.below(5) - 2
+        h = [(rng.below(k), rng.below(k)) for _ in range(rng.below(2 * k))]
+        return node, layer, h
+
+    def test_same_fail_lines_as_the_set_based_check(self):
+        corpus = golden_corpus()
+        corpus["parallel_quad"] = from_face_list(
+            [[0, 1, 2, 3], [1, 0], [3, 2, 1, 0]])
+        corpus["parallel_pentagon"] = from_face_list(
+            [[0, 1, 2, 3, 4], [1, 0], [4, 3, 2, 1, 0]])
+        corpus["loop_triangle"] = from_face_list(
+            [[0], [0, 0, 1, 2], [2, 1, 0]])
+        # one face 0-1-0-2 repeats vertex 0, so its pair 1-2 is no chord
+        corpus["path_of_two"] = from_face_list([[0, 1, 0, 2]])
+        rng = SplitMix64(2026)
+        passed = failed = 0
+        for E in corpus.values():
+            walks = rebuild_faces(E)
+            for d in (4, 5, 6):
+                us, vs = closure_pairs(E, d, walks)
+                ref = self.reference_closure(E, d)
+                assert rebuild_closure(E, d) == ref
+                for _ in range(12):
+                    node, layer, h = self.assignments(rng, E.n)
+                    got = check_containment(us, vs, node, layer, h)
+                    want = self.reference_containment(ref, node, layer, h)
+                    assert got == sorted(want, key=self.line_key)
+                    passed += not got
+                    failed += bool(got)
+        assert passed > 100 and failed > 100
 
 
 class TestPartStructureCheck:
@@ -674,6 +852,18 @@ class TestTamper:
         got = [sorted(verify_certificate(E, tampered(cert, rng, E)))
                for _ in range(60)]
         assert _sha(got) == GOLDEN["tamper_fail_lines"]
+
+    def test_chord_tampering_fail_lines_pinned(self):
+        # d >= 4: the closure has face chords, so some FAIL lines name a
+        # pair of vertices that no edge of E joins
+        got = []
+        for E, d in ((gen_toroidal_grid(4, 4), 4),
+                     (gen_framed(60, 6, 0, 1), 6)):
+            rng = SplitMix64(7)
+            cert = decompose(E, d)
+            got.append([sorted(verify_certificate(E, tampered(cert, rng, E)))
+                        for _ in range(60)])
+        assert _sha(got) == GOLDEN["tamper_chord_fail_lines"]
 
     def test_single_vertex_cell(self):
         E = from_face_list([[0, 1, 2], [2, 1, 0]])
