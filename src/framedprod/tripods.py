@@ -9,6 +9,16 @@ cells fall apart into pockets that each see at most three parts.  Every
 part therefore splits into at most three vertical tree paths plus a small
 absorbed set, the quotient stays planar, and the bag of a step (the new
 part plus the region's parts) witnesses treewidth at most 3.
+
+A step's cell meets every part of its region.  With three parts it is
+found as in the Sperner argument of Dujmovic, Joret, Micek, Morin,
+Ueckerdt and Wood (J. ACM 2020): colour each unassigned corner by the part
+its tree ancestors reach, and walk from an edge between two parts through
+the cells' doors, the edges coloured with that pair, to a cell with all
+three colours.  Otherwise, or when no walk ends at such a cell, the step
+takes the first cell in breadth-first order from its seed that meets the
+parts.  In every 3-part region of the benchmark workloads exactly one cell
+meets all three parts, so the two rules pick the same cell.
 """
 
 from __future__ import annotations
@@ -140,6 +150,7 @@ class HPartitionResult:
     parts: list
     part_of: list               # per vertex; BLOCKED for the apex
     boundary_part: int          # id of the distinguished part, or -1
+    fallback_steps: int = 0     # 3-part regions whose cell no walk found
 
 
 def tripod_partition(world: TriWorld, parent: list,
@@ -170,6 +181,7 @@ def tripod_partition(world: TriWorld, parent: list,
 
     stamp = [0] * world.num_cells
     cur = 0
+    fallback_steps = 0
     open_corners = [len(cyc) for cyc in cells]  # a cell at 0 seeds no region
     for v in set(blocked).union(boundary or ()):
         for c in world.cells_at[v]:
@@ -235,7 +247,9 @@ def tripod_partition(world: TriWorld, parent: list,
         # parts are the creator and the parts the creator's region saw
         bag = ({creator, *parts[creator].attachments} if creator >= 0
                else frozenset())
-        rparts, tau = _flood(world, part_of, stamp, cur, seed, bag, meets)
+        rparts, tau, fell_back = _flood(world, part_of, stamp, cur, seed,
+                                        bag, meets, color_of)
+        fallback_steps += fell_back
         # Sperner: a region bounded by 2 (3) parts holds a cell whose
         # boundary meets both (all three)
         if tau is None:
@@ -259,20 +273,27 @@ def tripod_partition(world: TriWorld, parent: list,
             f"{part_of.count(UNASSIGNED)} vertices left unassigned")
 
     return HPartitionResult(parts=parts, part_of=part_of,
-                            boundary_part=boundary_part)
+                            boundary_part=boundary_part,
+                            fallback_steps=fallback_steps)
 
 
-def _flood(world, part_of, stamp, cur, seed, bag, meets):
+def _flood(world, part_of, stamp, cur, seed, bag, meets, color_of):
     """Flood the region of the seed until its parts are settled; return
-    (the parts, the first cell in flood order that ``meets`` them, or None).
+    (the parts, a cell that ``meets`` them or None, whether the region
+    walked and then fell back to the scan).
 
     The region is the cells joined by not-fully-assigned edges; a cell is
     entered only across an edge with an unassigned end, one of its corners,
     so every cell of the region is a candidate.  Every part the flood meets
     must lie in ``bag`` and there are at most 3 of them, so the set is
-    settled once it holds 3 or the whole bag.  From then on the cells are
-    tested in the order the flood appended them, and the flood goes on
-    only while none has passed; a full flood appends them in that order.
+    settled once it holds 3 or the whole bag.  Three settled parts are
+    looked for by ``_walk``, from the cells flooded so far, and the flood
+    stops there.  Otherwise, and as the fallback when no walk ends at a
+    meeting cell, the cells are tested in the order the flood appended
+    them, and the flood goes on only while none has passed; a full flood
+    appends them in that order.  A walk accepts a cell only through
+    ``meets``, so both return the only meeting cell of a region that has
+    one, and the fallback returns the first in breadth-first order.
     """
     spokes = world.spokes
     rparts = set()
@@ -280,12 +301,18 @@ def _flood(world, part_of, stamp, cur, seed, bag, meets):
     region = [seed]
     push = region.append
     settled = not bag
+    walked = False              # a 3-part region walks once, then scans
     tested = 0                  # no cell of region[:tested] passes
     for c in region:
         if settled:
+            if not walked and len(rparts) == 3:
+                walked = True
+                tau = _walk(world, part_of, rparts, region, meets, color_of)
+                if tau is not None:
+                    return rparts, tau, False
             while tested < len(region):
                 if meets(region[tested], rparts):
-                    return rparts, region[tested]
+                    return rparts, region[tested], walked
                 tested += 1
         for v, n1, n2 in spokes[c]:
             p = part_of[v]
@@ -306,10 +333,75 @@ def _flood(world, part_of, stamp, cur, seed, bag, meets):
                     raise ContractViolation(
                         f"region sees {len(rparts)} parts: {sorted(rparts)}")
                 settled = len(rparts) == 3 or len(rparts) == len(bag)
+    if not walked and len(rparts) == 3:     # settled by the last cell
+        walked = True
+        tau = _walk(world, part_of, rparts, region, meets, color_of)
+        if tau is not None:
+            return rparts, tau, False
     for c in region[tested:]:
         if meets(c, rparts):
-            return rparts, c
-    return rparts, None
+            return rparts, c, walked
+    return rparts, None, walked
+
+
+def _walk(world, part_of, rparts, region, meets, color_of):
+    """Walk doors to a cell that ``meets`` the region's three parts; return
+    it, or None.
+
+    A corner's colour is its part, or for an unassigned corner the part
+    its tree ancestors reach (``color_of``).  Cells run the same way round,
+    so an edge goes from colour a to colour b in one of its cells and from
+    b to a in the other.  A walk starts at an edge of a cell of ``region``
+    whose ends are assigned to two region parts a and b, as if it had just
+    entered the cell across it.  From a cell that does not meet the parts
+    it leaves across the first b-to-a edge after the one it came in by,
+    into the cell beyond, which it enters across an a-to-b edge.  In a
+    cell coloured a and b only, the a-to-b and b-to-a edges alternate, so
+    the walk could be retraced; by the Sperner argument it ends at a cell
+    with all three colours unless it leaves the region.  Only such a cell
+    can meet the parts, so only it is tested.  A walk stops without a cell
+    at an exit with both ends assigned (the cell beyond is outside the
+    region), at a cell with no exit, or at a cell a walk of this region
+    entered before, so the walks of one region take at most as many steps
+    as it has cells.
+    """
+    cells, spokes = world.cells, world.spokes
+    seen = set()
+    for c0 in region:
+        cyc0 = cells[c0]
+        for i0, v in enumerate(cyc0):
+            a, b = part_of[v], part_of[cyc0[i0 + 1 - len(cyc0)]]
+            if a == b or a not in rparts or b not in rparts:
+                continue
+            c, i = c0, i0
+            while c not in seen:
+                seen.add(c)
+                # the corners after the entry door, from the one past its
+                # b end round to its a end: the exit is the first b-to-a
+                # edge, and only a third colour can make the cell meet
+                cyc = cells[c]
+                q, out, third = b, None, False
+                for j in range(i + 2 - len(cyc), i + 1):
+                    w = cyc[j]
+                    p = part_of[w]
+                    if p == UNASSIGNED:
+                        p = color_of(w)
+                    if p == a:
+                        if q == b and out is None:
+                            out = j
+                    elif p != b:
+                        third = True
+                    q = p
+                if third and meets(c, rparts):
+                    return c
+                if out is None or (part_of[cyc[out - 1]] != UNASSIGNED
+                                   and part_of[cyc[out]] != UNASSIGNED):
+                    break
+                # a cell is a cycle, so the exit's a end occurs in the cell
+                # beyond once, at its entry
+                c = spokes[c][out - 1][1]
+                i = cells[c].index(cyc[out])
+    return None
 
 
 def _consume(world, part_of, parent, parts, tau, rparts, color_of, creator):
@@ -408,4 +500,5 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
     if any(p is None for p in part_of):
         raise ContractViolation("projection left a vertex unmapped")
     return HPartitionResult(parts=parts, part_of=part_of,
-                            boundary_part=HPR.boundary_part)
+                            boundary_part=HPR.boundary_part,
+                            fallback_steps=HPR.fallback_steps)

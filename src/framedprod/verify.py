@@ -31,9 +31,9 @@ def rebuild_faces(E):
 
     Raises ``DomainError`` on a graph the walks cannot index: a rotation
     count other than ``n``, an edge end that is not a vertex, a signature
-    other than +1 or -1 or a dart out of range.  So does a walk that
-    closes away from its start, which rotations that are not a
-    permutation of the darts make.
+    other than +1 or -1, a dart out of range, or rotations that are not a
+    permutation of the darts.  A permutation makes every walk a cycle that
+    closes at its start.
     """
     if len(E.rot) != E.n:
         raise DomainError(f"{len(E.rot)} rotations for {E.n} vertices")
@@ -42,6 +42,8 @@ def rebuild_faces(E):
     tail[1::2] = [v for _, v, _ in E.edges]
     if tail and (min(tail) < 0 or max(tail) >= E.n):
         raise DomainError("an edge end is not a vertex")
+    if sum(map(len, E.rot)) != 2 * E.m:
+        raise DomainError(_NOT_A_PERMUTATION)
     sign = [sgn for _, _, sgn in E.edges]
     plus = sign.count(1)
     if plus == E.m:
@@ -52,18 +54,28 @@ def rebuild_faces(E):
 
 
 _DART_RANGE = "a rotation lists a dart out of range"
-_CLOSES_AWAY = ("a face walk closes away from its start: the rotations are "
-                "not a permutation of the darts")
+_NOT_A_PERMUTATION = ("a face walk closes away from its start: the rotations "
+                      "are not a permutation of the darts")
+
+
+def _check_permutation(E, table):
+    """Raise unless ``table``, filled with -1 and then written once per
+    listed dart, is a permutation.  The rotations list ``2m`` darts, so
+    every slot is written iff no two darts share one, and a negative dart
+    past the other tests shows as a negative value."""
+    if table and min(table) < 0:
+        if min(map(min, filter(None, E.rot))) < 0:
+            raise DomainError(_DART_RANGE)
+        raise DomainError(_NOT_A_PERMUTATION)
 
 
 def _orientable_walks(E, tail):
     """Face walks of an all-+1 scheme: a walk goes on from dart ``d`` to
     ``turn[d]``, the dart after ``d ^ 1`` in the rotation at ``d``'s head.
     A walk starts at each dart no earlier walk took, in ascending order.
-    A dart past the last one fails the index into ``turn``, and a negative
-    one leaves a negative entry in it."""
+    A dart past the last one fails the index into ``turn``."""
     nd = len(tail)
-    turn = [0] * nd
+    turn = [-1] * nd
     try:
         for r in E.rot:
             prev = r[-1] if r else 0
@@ -72,8 +84,7 @@ def _orientable_walks(E, tail):
                 prev = d
     except IndexError:
         raise DomainError(_DART_RANGE) from None
-    if turn and min(turn) < 0:
-        raise DomainError(_DART_RANGE)
+    _check_permutation(E, turn)
     seen = bytearray(nd)
     walks = []
     for start in range(nd):
@@ -85,10 +96,8 @@ def _orientable_walks(E, tail):
             seen[d] = 1
             walk.append(tail[d])
             d = turn[d]
-            if seen[d]:
+            if d == start:
                 break
-        if d != start:
-            raise DomainError(_CLOSES_AWAY)
         walks.append(walk)
     return walks
 
@@ -99,16 +108,15 @@ def _signed_walks(E, tail):
     A state is a dart ``d`` walked with sign ``s``, stored as the integer
     ``2*d + (s == -1)``.  A step leaves along ``d``, multiplies the sign by
     the edge's signature and turns to the next dart around the head (the
-    previous one when the sign is -1).  Each walk also marks the reverse
-    states of its orbit, which trace the same face the other way round.
-    States are tried in the order (d, +1) for every dart, then (d, -1).
-    A walk stops at the first state some walk took, never at one only
-    marked as a reverse, and raises ``DomainError`` if that state is not
-    its start.
+    previous one when the sign is -1).  With ``succ`` a permutation, so is
+    the step, and each walk closes at its start.  Each walk also marks the
+    reverse states of its orbit, which trace the same face the other way
+    round.  States are tried in the order (d, +1) for every dart, then
+    (d, -1), skipping every state marked.
     """
     nd = 2 * E.m
-    succ = [0] * nd
-    pred = [0] * nd
+    succ = [-1] * nd
+    pred = [-1] * nd
     try:
         for r in E.rot:
             for a, b in zip(r, r[1:] + r[:1]):
@@ -116,8 +124,8 @@ def _signed_walks(E, tail):
                 pred[b] = a
     except IndexError:
         raise DomainError(_DART_RANGE) from None
-    if succ and min(succ) < 0:
-        raise DomainError(_DART_RANGE)
+    # pred is written at the same darts as succ, with the same values
+    _check_permutation(E, succ)
     # nxt: state -> next state of its walk; rev: (d, s) -> (d ^ 1, -s * sign).
     # Across a +1 edge, (d, +1) goes on to (succ[d ^ 1], +1) and (d, -1) to
     # (pred[d ^ 1], -1); a -1 edge flips the sign, which swaps the two.
@@ -136,7 +144,6 @@ def _signed_walks(E, tail):
                 rev[x] ^= 1
                 rev[x + 1] ^= 1
     seen = bytearray(ns)            # taken by a walk or the reverse of one
-    taken = bytearray(ns)
     walks = []
     for start in chain(range(0, ns, 2), range(1, ns, 2)):
         if seen[start]:
@@ -144,13 +151,11 @@ def _signed_walks(E, tail):
         walk = []
         state = start
         while True:
-            taken[state] = seen[state] = seen[rev[state]] = 1
+            seen[state] = seen[rev[state]] = 1
             walk.append(tail[state >> 1])
             state = nxt[state]
-            if taken[state]:
+            if state == start:
                 break
-        if state != start:
-            raise DomainError(_CLOSES_AWAY)
         walks.append(walk)
     return walks
 

@@ -1,9 +1,12 @@
+import subprocess
+import sys
+from ast import literal_eval
 from collections import Counter, deque
 
 import pytest
 
 from framedprod import assemble, tripods
-from framedprod.assemble import decompose
+from framedprod.assemble import decompose, serialize_certificate
 from framedprod.embedding import bfs_structure, from_face_list, trace_faces
 from framedprod.errors import ContractViolation
 from framedprod.generators import (
@@ -154,7 +157,7 @@ class TestFloodOracle:
             trees.append(parent)
             return partition(world, parent, *args, **kwargs)
 
-        def checked(world, part_of, stamp, cur, seed, bag, meets):
+        def checked(world, part_of, stamp, cur, seed, bag, meets, color_of):
             assert any(part_of[v] == UNASSIGNED for v in world.cells[seed])
             want, candidates = deque_flood(world, part_of, list(stamp), cur,
                                            seed)
@@ -164,10 +167,13 @@ class TestFloodOracle:
             for p in want:
                 with pytest.raises(ContractViolation, match=f"part {p} out"):
                     flood(world, part_of, list(stamp), cur, seed,
-                          set(bag) - {p} | {PHANTOM}, meets)
-            got = flood(world, part_of, stamp, cur, seed, bag, meets)
-            assert got == (want, first_meeting_cell(
+                          set(bag) - {p} | {PHANTOM}, meets, color_of)
+            got = flood(world, part_of, stamp, cur, seed, bag, meets,
+                        color_of)
+            assert got[:2] == (want, first_meeting_cell(
                 world, part_of, trees[-1], want, candidates))
+            # only a region of three parts walks, so only one falls back
+            assert got[2] is False or len(want) == 3
             calls.append((stamp.count(cur), len(candidates)))
             return got
         monkeypatch.setattr(tripods, "_flood", checked)
@@ -271,9 +277,10 @@ class TestTripodPartition:
         # selection test, the step raises instead of guessing a cell
         flood = tripods._flood
 
-        def never_meets(world, part_of, stamp, cur, seed, bag, meets):
+        def never_meets(world, part_of, stamp, cur, seed, bag, meets,
+                        color_of):
             return flood(world, part_of, stamp, cur, seed, bag,
-                         lambda c, rparts: len(rparts) < 2)
+                         lambda c, rparts: len(rparts) < 2, color_of)
         monkeypatch.setattr(tripods, "_flood", never_meets)
         with pytest.raises(ContractViolation,
                            match=r"no cell .* parts \[\d+, \d+"):
@@ -285,10 +292,10 @@ class TestTripodPartition:
         # from filling, so the flood meets that part before it can stop
         flood = tripods._flood
 
-        def shrunk_bag(world, part_of, stamp, cur, seed, bag, meets):
+        def shrunk_bag(world, part_of, stamp, cur, seed, bag, *rest):
             if bag:
                 bag = set(bag) - {min(bag)} | {PHANTOM}
-            return flood(world, part_of, stamp, cur, seed, bag, meets)
+            return flood(world, part_of, stamp, cur, seed, bag, *rest)
         monkeypatch.setattr(tripods, "_flood", shrunk_bag)
         with pytest.raises(ContractViolation, match="outside its creator's"):
             run_partition(gen_plane_triangulation(30, 1), 3)
@@ -301,3 +308,133 @@ class TestTripodPartition:
         assert len(roots) == 1
         for i, p in enumerate(bag_parent):
             assert p == -1 or p < i
+
+
+def partitions(monkeypatch, E, d):
+    """(the certificate text of E at d, the partition results it made)."""
+    results = []
+    partition = tripods.tripod_partition
+
+    def recording(*args, **kwargs):
+        results.append(partition(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(assemble, "tripod_partition", recording)
+    return serialize_certificate(decompose(E, d)), results
+
+
+WALK_CASES = [(lambda: gen_plane_triangulation(400, 3), 3),
+              (lambda: gen_toroidal_grid(9, 11), 4),
+              (lambda: gen_framed(300, 6, 0, 4), 6),
+              (lambda: gen_framed(300, 6, 2, 4), 4)]
+
+
+class TestWalk:
+    """The door walk finds the cell the breadth-first scan would; the scan
+    stays as the fallback, and a walk that cannot end stops."""
+
+    @pytest.mark.parametrize("make,d", WALK_CASES)
+    def test_every_walk_failing_falls_back_to_the_same_certificate(
+            self, monkeypatch, make, d):
+        E = make()
+        text, results = partitions(monkeypatch, E, d)
+        monkeypatch.setattr(tripods, "_walk", lambda *args: None)
+        fallback_text, fallback_results = partitions(monkeypatch, E, d)
+        assert fallback_text == text
+        (hpr,), (fallback_hpr,) = results, fallback_results
+        # a part's attachments are the parts its region saw
+        three = sum(len(p.attachments) == 3 for p in hpr.parts)
+        assert three > 0
+        assert fallback_hpr.fallback_steps == three
+        assert hpr.fallback_steps < three
+
+    def test_fallback_count_repeats(self, monkeypatch):
+        E = gen_toroidal_grid(12, 12)
+        counts = [partitions(monkeypatch, E, 4)[1][0].fallback_steps
+                  for _ in range(2)]
+        assert counts[0] == counts[1]
+
+    def test_three_part_region_without_a_meeting_cell_is_a_violation(
+            self, monkeypatch):
+        # only 3-part regions fail the test: they walk, fall back to the
+        # scan, and then raise
+        flood = tripods._flood
+
+        def never_meets_three(world, part_of, stamp, cur, seed, bag, meets,
+                              color_of):
+            return flood(world, part_of, stamp, cur, seed, bag,
+                         lambda c, rparts: len(rparts) < 3
+                         and meets(c, rparts), color_of)
+        monkeypatch.setattr(tripods, "_flood", never_meets_three)
+        with pytest.raises(ContractViolation,
+                           match=r"no cell .* parts \[\d+, \d+, \d+\]"):
+            run_partition(gen_plane_triangulation(60, 1), 3)
+
+    def test_walk_stays_in_the_region(self):
+        # pentagon R = 0 1 3 4 5 coloured a b b b a, with 3 the one
+        # unassigned corner; triangle X = 5 4 2 across R's edge 4-5 has all
+        # three parts but no unassigned corner, so it is outside R's region,
+        # which is R and the outer face 0 5 2 4 3 1.  From R's door 0 -> 1
+        # the exit is 4 -> 5, with both ends assigned: the walk must stop
+        # there, and the next walk, from the outer face's edge 5 -> 2, ends
+        # at once in the outer face, the region's only meeting cell
+        E = from_face_list([[0, 1, 3, 4, 5], [5, 4, 2], [0, 5, 2, 4, 3, 1]])
+        world = triangulate_long_faces(E, 6)
+        part_of = [0, 1, 2, UNASSIGNED, 1, 0]
+        colour = {3: 1}.__getitem__
+
+        def meets(c, rparts):
+            return {colour(v) if part_of[v] == UNASSIGNED else part_of[v]
+                    for v in world.cells[c]} >= rparts
+        pentagon = world.cells.index([0, 1, 3, 4, 5])
+        outer = world.cells.index([1, 0, 5, 2, 4, 3])
+        assert tripods._flood(world, part_of, [0] * world.num_cells, 1,
+                              pentagon, {0, 1, 2}, meets, colour) == (
+            {0, 1, 2}, outer, False)
+
+    def test_walk_leaves_by_the_first_exit(self):
+        # pentagon R = 0 1 3 4 5 coloured a b a b a, with 3 unassigned;
+        # entered by its door 0 -> 1, its exits are 1 -> 3 and then 4 -> 5.
+        # The first leads into triangle Y = 3 1 6, where the unassigned 6
+        # has colour c, so Y meets the parts; the second has both ends
+        # assigned.  The outer face 0 5 4 3 6 2 meets them too and comes
+        # first in breadth-first order, so the walk picks another cell
+        # than the scan would
+        E = from_face_list([[0, 1, 3, 4, 5], [3, 1, 6], [6, 1, 0, 2],
+                            [0, 5, 4, 3, 6, 2]])
+        world = triangulate_long_faces(E, 6)
+        part_of = [0, 1, 2, UNASSIGNED, 1, 0, UNASSIGNED]
+        colour = {3: 0, 6: 2}.__getitem__
+
+        def meets(c, rparts):
+            return {colour(v) if part_of[v] == UNASSIGNED else part_of[v]
+                    for v in world.cells[c]} >= rparts
+        pentagon = world.cells.index([0, 1, 3, 4, 5])
+        triangle = world.cells.index([3, 1, 6])
+        assert tripods._flood(world, part_of, [0] * world.num_cells, 1,
+                              pentagon, {0, 1, 2}, meets, colour) == (
+            {0, 1, 2}, triangle, False)
+
+    def test_door_cycle_stops_in_bounded_time(self, child_env):
+        # hexagon H = 0..5 coloured a b c a b a, triangle N = 5 4 3 across
+        # H's edges 3-4 and 4-5, outer face 0 5 3 2 1.  Vertex 4 is
+        # unassigned with colour b and 5 unassigned with colour a.  From
+        # H's door 0 -> 1 the walk leaves H across 4 -> 5 into N, leaves N
+        # across 4 -> 3 back into H, whose next b-to-a door is 4 -> 5 again.
+        # With no cell meeting the parts the flood must return none, which
+        # the step reports as a contract violation; a child process turns
+        # a hang into a failed test.
+        code = ("from framedprod.embedding import from_face_list\n"
+                "from framedprod.tripods import (UNASSIGNED, _flood, "
+                "triangulate_long_faces)\n"
+                "E = from_face_list([[0, 1, 2, 3, 4, 5], [5, 4, 3], "
+                "[0, 5, 3, 2, 1]])\n"
+                "world = triangulate_long_faces(E, 6)\n"
+                "hexagon = world.cells.index([0, 1, 2, 3, 4, 5])\n"
+                "part_of = [0, 1, 2, 0, UNASSIGNED, UNASSIGNED]\n"
+                "print(_flood(world, part_of, [0] * world.num_cells, 1, "
+                "hexagon, {0, 1, 2}, lambda c, rparts: False, "
+                "{4: 1, 5: 0}.__getitem__))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert literal_eval(res.stdout) == ({0, 1, 2}, None, True)

@@ -338,6 +338,44 @@ class TestShape:
         assert self.run(case, root=root) == [
             f"FAIL shape root {root} is not a vertex"]
 
+    def test_darts_not_a_permutation_fail_in_bounded_time(self, child_env):
+        # against the triangle's certificate: vertex 0 lists dart 5 twice
+        # and drops dart 0; seven darts, dart 1 twice, so that every slot
+        # of the walk's table is written and only the count tells (the walk
+        # from dart 0 would cycle 1 -> 5 -> 3 without returning); five
+        # darts.  Each with edge 2-0 signed +1 and -1.  Then, against the
+        # 3x3 torus grid's certificate, -5 in place of dart 0 at vertex 0
+        # ([31, -5, 18, 5]): the next write goes to slot -5 ^ 1 = -6, the
+        # one -5 was written to.  The first and the last once returned only
+        # a FAIL genus line.  A child process with capped memory turns a
+        # hang into a failed test instead of a stalled suite.
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from framedprod.assemble import decompose\n"
+                "from framedprod.embedding import EmbeddedMultigraph, "
+                "from_face_list\n"
+                "from framedprod.generators import gen_toroidal_grid\n"
+                "from framedprod.verify import verify_certificate\n"
+                "cert = decompose(from_face_list([[0, 1, 2], [2, 1, 0]]), 3)\n"
+                "for rot in ([[5, 5], [1, 2], [3, 4]], "
+                "[[0, 5, 1], [1, 2], [3, 4]], [[0, 5], [1, 2], [3]]):\n"
+                "    for sg in (1, -1):\n"
+                "        E = EmbeddedMultigraph(3, [(0, 1, 1), (1, 2, 1), "
+                "(2, 0, sg)], rot, validate=False)\n"
+                "        print(verify_certificate(E, cert))\n"
+                "E = gen_toroidal_grid(3, 3)\n"
+                "rot = [list(r) for r in E.rot]\n"
+                "rot[0][rot[0].index(0)] = -5\n"
+                "F = EmbeddedMultigraph(E.n, E.edges, rot, validate=False)\n"
+                "print(verify_certificate(F, decompose(E, 4)))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert list(map(literal_eval, res.stdout.splitlines())) == [[
+            "FAIL shape a face walk closes away from its start: "
+            "the rotations are not a permutation of the darts"]] * 6 + [[
+                "FAIL shape a rotation lists a dart out of range"]]
+
 
 class TestIndependence:
     def test_verifier_imports_only_errors_from_the_package(self):
