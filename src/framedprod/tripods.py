@@ -10,15 +10,19 @@ part therefore splits into at most three vertical tree paths plus a small
 absorbed set, the quotient stays planar, and the bag of a step (the new
 part plus the region's parts) witnesses treewidth at most 3.
 
-A step's cell meets every part of its region.  With three parts it is
-found as in the Sperner argument of Dujmovic, Joret, Micek, Morin,
-Ueckerdt and Wood (J. ACM 2020): colour each unassigned corner by the part
-its tree ancestors reach, and walk from an edge between two parts through
-the cells' doors, the edges coloured with that pair, to a cell with all
-three colours.  Otherwise, or when no walk ends at such a cell, the step
-takes the first cell in breadth-first order from its seed that meets the
-parts.  In every 3-part region of the benchmark workloads exactly one cell
-meets all three parts, so the two rules pick the same cell.
+A step's cell meets every part of its region.  The region is not flooded
+whole: once a breadth-first flood from the seed knows two of its parts
+and the bag of the step that made the region holds more, a walk as in the
+Sperner argument of Dujmovic, Joret, Micek, Morin, Ueckerdt and Wood
+(J. ACM 2020) colours each unassigned corner by the part its tree
+ancestors reach and crosses the cells' doors, the edges coloured with the
+two parts, from the first door the flood met; a cell with a third colour
+names the region's third part and is the step's cell.  When the walk ends
+without one, a walk round the region's boundary, a disk's, settles its
+parts, and the step takes the first cell in breadth-first order from its
+seed that meets them.  In every 3-part region of the benchmark workloads
+exactly one cell meets all three parts, so the two rules pick the same
+cell.
 """
 
 from __future__ import annotations
@@ -151,6 +155,7 @@ class HPartitionResult:
     part_of: list               # per vertex; BLOCKED for the apex
     boundary_part: int          # id of the distinguished part, or -1
     fallback_steps: int = 0     # 3-part regions whose cell no walk found
+    cells_scanned: int = 0      # flood stamps, walk cells, boundary corners
 
 
 def tripod_partition(world: TriWorld, parent: list,
@@ -181,7 +186,7 @@ def tripod_partition(world: TriWorld, parent: list,
 
     stamp = [0] * world.num_cells
     cur = 0
-    fallback_steps = 0
+    fallback_steps = cells_scanned = 0
     open_corners = [len(cyc) for cyc in cells]  # a cell at 0 seeds no region
     for v in set(blocked).union(boundary or ()):
         for c in world.cells_at[v]:
@@ -247,9 +252,10 @@ def tripod_partition(world: TriWorld, parent: list,
         # parts are the creator and the parts the creator's region saw
         bag = ({creator, *parts[creator].attachments} if creator >= 0
                else frozenset())
-        rparts, tau, fell_back = _flood(world, part_of, stamp, cur, seed,
-                                        bag, meets, color_of)
+        rparts, tau, fell_back, scanned = _flood(
+            world, part_of, stamp, cur, seed, bag, meets, color_of)
         fallback_steps += fell_back
+        cells_scanned += scanned
         # Sperner: a region bounded by 2 (3) parts holds a cell whose
         # boundary meets both (all three)
         if tau is None:
@@ -274,46 +280,55 @@ def tripod_partition(world: TriWorld, parent: list,
 
     return HPartitionResult(parts=parts, part_of=part_of,
                             boundary_part=boundary_part,
-                            fallback_steps=fallback_steps)
+                            fallback_steps=fallback_steps,
+                            cells_scanned=cells_scanned)
 
 
 def _flood(world, part_of, stamp, cur, seed, bag, meets, color_of):
-    """Flood the region of the seed until its parts are settled; return
-    (the parts, a cell that ``meets`` them or None, whether the region
-    walked and then fell back to the scan).
+    """Find the parts of the seed's region and the step's cell; return (the
+    parts, a cell that ``meets`` them or None, whether a region of three
+    parts fell back to the scan, the cells and corners scanned).
 
     The region is the cells joined by not-fully-assigned edges; a cell is
     entered only across an edge with an unassigned end, one of its corners,
-    so every cell of the region is a candidate.  Every part the flood meets
-    must lie in ``bag`` and there are at most 3 of them, so the set is
-    settled once it holds 3 or the whole bag.  Three settled parts are
-    looked for by ``_walk``, from the cells flooded so far, and the flood
-    stops there.  Otherwise, and as the fallback when no walk ends at a
-    meeting cell, the cells are tested in the order the flood appended
-    them, and the flood goes on only while none has passed; a full flood
-    appends them in that order.  A walk accepts a cell only through
-    ``meets``, so both return the only meeting cell of a region that has
-    one, and the fallback returns the first in breadth-first order.
+    so every cell of the region is a candidate.  The assigned vertices, the
+    apex included, form one connected set: the parts are joined through the
+    steps' cells and tree paths, and the boundary part and the apex through
+    the apex triangles.  So the region, a connected component of the rest
+    of the sphere, is a disk, and one closed walk (``_boundary``) passes
+    every assigned corner of its cells.  Every part the region meets must
+    lie in ``bag`` and there are at most 3 of them, so the set is settled
+    once it holds 3 or the whole bag.
+
+    The flood goes breadth-first from the seed.  Once it knows two parts
+    and the bag holds more, it walks (``_walk``) from the first door it
+    meets, an edge joining two of the known parts; a cell with a third
+    colour names the third part and is the step's cell.  If the walk ends
+    without a cell and the parts are still two, the boundary walk settles
+    them.  With the parts settled the cells are tested in the order the
+    flood appended them, and the flood goes on only while none has passed;
+    a full flood appends them in that order.  A walk accepts a cell only
+    through ``meets``, so both return the only meeting cell of a region
+    that has one, and the scan returns the first in breadth-first order.
+    The cells and corners scanned are the cells the flood stamped, the
+    cells the walk entered and the corners the boundary walk passed.
     """
-    spokes = world.spokes
+    cells, spokes = world.cells, world.spokes
     rparts = set()
     stamp[seed] = cur
     region = [seed]
     push = region.append
     settled = not bag
-    walked = False              # a 3-part region walks once, then scans
+    due = len(bag) > 2          # the walk is due at the first door
+    walked = set()              # the cells the walk entered
+    corners = 0                 # the corners the boundary walk passed
     tested = 0                  # no cell of region[:tested] passes
     for c in region:
-        if settled:
-            if not walked and len(rparts) == 3:
-                walked = True
-                tau = _walk(world, part_of, rparts, region, meets, color_of)
-                if tau is not None:
-                    return rparts, tau, False
-            while tested < len(region):
-                if meets(region[tested], rparts):
-                    return rparts, region[tested], walked
+        if settled and not due:
+            while tested < len(region) and not meets(region[tested], rparts):
                 tested += 1
+            if tested < len(region):
+                break
         for v, n1, n2 in spokes[c]:
             p = part_of[v]
             if p == UNASSIGNED:
@@ -324,84 +339,135 @@ def _flood(world, part_of, stamp, cur, seed, bag, meets, color_of):
                     stamp[n2] = cur
                     push(n2)
             elif p >= 0 and p not in rparts:
-                if p not in bag:
-                    raise ContractViolation(
-                        f"region meets part {p} outside its creator's bag "
-                        f"{sorted(bag)}")
-                rparts.add(p)
-                if len(rparts) > 3:
-                    raise ContractViolation(
-                        f"region sees {len(rparts)} parts: {sorted(rparts)}")
+                _name(rparts, p, bag)
                 settled = len(rparts) == 3 or len(rparts) == len(bag)
-    if not walked and len(rparts) == 3:     # settled by the last cell
-        walked = True
-        tau = _walk(world, part_of, rparts, region, meets, color_of)
-        if tau is not None:
-            return rparts, tau, False
-    for c in region[tested:]:
-        if meets(c, rparts):
-            return rparts, c, walked
-    return rparts, None, walked
+        if due and len(rparts) >= 2:
+            cyc = cells[c]
+            for i, v in enumerate(cyc):
+                a, b = part_of[v], part_of[cyc[i + 1 - len(cyc)]]
+                if a != b and a in rparts and b in rparts:
+                    due = False
+                    tau = _walk(world, part_of, rparts, bag, c, i, meets,
+                                color_of, walked)
+                    if tau is not None:
+                        return rparts, tau, False, len(region) + len(walked)
+                    if len(rparts) < 3:
+                        corners = _boundary(world, part_of, rparts, bag, c, i)
+                    settled = True
+                    break
+    else:
+        while tested < len(region) and not meets(region[tested], rparts):
+            tested += 1
+    tau = region[tested] if tested < len(region) else None
+    return rparts, tau, len(rparts) == 3, len(region) + len(walked) + corners
 
 
-def _walk(world, part_of, rparts, region, meets, color_of):
-    """Walk doors to a cell that ``meets`` the region's three parts; return
-    it, or None.
+def _name(rparts, p, bag):
+    """Add part ``p`` to the region's parts: it must lie in the bag, and a
+    region sees at most 3 parts."""
+    if p not in bag:
+        raise ContractViolation(
+            f"region meets part {p} outside its creator's bag {sorted(bag)}")
+    rparts.add(p)
+    if len(rparts) > 3:
+        raise ContractViolation(
+            f"region sees {len(rparts)} parts: {sorted(rparts)}")
+
+
+def _walk(world, part_of, rparts, bag, c, i, meets, color_of, seen):
+    """Walk doors from the edge leaving corner ``i`` of cell ``c`` to a cell
+    that ``meets`` the region's parts; return it, or None.  The cells the
+    walk enters are added to ``seen``.
 
     A corner's colour is its part, or for an unassigned corner the part
     its tree ancestors reach (``color_of``).  Cells run the same way round,
     so an edge goes from colour a to colour b in one of its cells and from
-    b to a in the other.  A walk starts at an edge of a cell of ``region``
-    whose ends are assigned to two region parts a and b, as if it had just
-    entered the cell across it.  From a cell that does not meet the parts
-    it leaves across the first b-to-a edge after the one it came in by,
-    into the cell beyond, which it enters across an a-to-b edge.  In a
-    cell coloured a and b only, the a-to-b and b-to-a edges alternate, so
-    the walk could be retraced; by the Sperner argument it ends at a cell
-    with all three colours unless it leaves the region.  Only such a cell
-    can meet the parts, so only it is tested.  A walk stops without a cell
-    at an exit with both ends assigned (the cell beyond is outside the
-    region), at a cell with no exit, or at a cell a walk of this region
-    entered before, so the walks of one region take at most as many steps
-    as it has cells.
+    b to a in the other.  The walk starts at the edge, whose ends are
+    assigned to two region parts a and b, as if it had just entered the
+    cell across it.  From a cell that does not meet the parts it leaves
+    across the first b-to-a edge after the one it came in by, into the
+    cell beyond, which it enters across an a-to-b edge.  In a cell
+    coloured a and b only, the a-to-b and b-to-a edges alternate, so the
+    walk could be retraced; by the Sperner argument it ends at a cell with
+    a third colour unless it leaves the region.  That colour is a part of
+    the region, since an unassigned corner's tree ancestors stay inside it
+    up to the assigned one they reach, so a colour new to ``rparts`` joins
+    it.  Only a cell with a third colour can meet the parts, so only it is
+    tested.  The walk stops without a cell at an exit with both ends
+    assigned (the cell beyond is outside the region), at a cell with no
+    exit, or at a cell it entered before, so it takes at most as many steps
+    as the region has cells.
     """
     cells, spokes = world.cells, world.spokes
-    seen = set()
-    for c0 in region:
-        cyc0 = cells[c0]
-        for i0, v in enumerate(cyc0):
-            a, b = part_of[v], part_of[cyc0[i0 + 1 - len(cyc0)]]
-            if a == b or a not in rparts or b not in rparts:
-                continue
-            c, i = c0, i0
-            while c not in seen:
-                seen.add(c)
-                # the corners after the entry door, from the one past its
-                # b end round to its a end: the exit is the first b-to-a
-                # edge, and only a third colour can make the cell meet
-                cyc = cells[c]
-                q, out, third = b, None, False
-                for j in range(i + 2 - len(cyc), i + 1):
-                    w = cyc[j]
-                    p = part_of[w]
-                    if p == UNASSIGNED:
-                        p = color_of(w)
-                    if p == a:
-                        if q == b and out is None:
-                            out = j
-                    elif p != b:
-                        third = True
-                    q = p
-                if third and meets(c, rparts):
-                    return c
-                if out is None or (part_of[cyc[out - 1]] != UNASSIGNED
-                                   and part_of[cyc[out]] != UNASSIGNED):
-                    break
-                # a cell is a cycle, so the exit's a end occurs in the cell
-                # beyond once, at its entry
-                c = spokes[c][out - 1][1]
-                i = cells[c].index(cyc[out])
+    cyc = cells[c]
+    a, b = part_of[cyc[i]], part_of[cyc[i + 1 - len(cyc)]]
+    while c not in seen:
+        seen.add(c)
+        # the corners after the entry door, from the one past its b end
+        # round to its a end: the exit is the first b-to-a edge, and only a
+        # third colour can make the cell meet
+        cyc = cells[c]
+        q, out, third = b, None, False
+        for j in range(i + 2 - len(cyc), i + 1):
+            w = cyc[j]
+            p = part_of[w]
+            if p == UNASSIGNED:
+                p = color_of(w)
+            if p == a:
+                if q == b and out is None:
+                    out = j
+            elif p != b:
+                third = True
+                if p not in rparts:
+                    _name(rparts, p, bag)
+            q = p
+        if third and meets(c, rparts):
+            return c
+        if out is None or (part_of[cyc[out - 1]] != UNASSIGNED
+                           and part_of[cyc[out]] != UNASSIGNED):
+            return None
+        # a cell is a cycle, so the exit's a end occurs in the cell beyond
+        # once, at its entry
+        c = spokes[c][out - 1][1]
+        i = cells[c].index(cyc[out])
     return None
+
+
+def _boundary(world, part_of, rparts, bag, c, i):
+    """Walk the region's boundary once from the assigned corner ``i`` of its
+    cell ``c``, adding to ``rparts`` the part of each corner it steps to
+    along an edge; return the number of corners passed.
+
+    From an assigned corner v the walk follows the edge leaving v in the
+    cell when that edge's other end is assigned too: the edge bounds the
+    region, and the walk goes on at the next corner of the same cell.
+    Otherwise the edge is a way into the cell across it, which the region
+    holds, and the walk turns round v into that cell.  Each corner has
+    one successor and one predecessor this way, so the walk permutes the
+    region's assigned corners and comes back to its start; as the region
+    is a disk, it passes every one of them once.  A walk that has not
+    closed after as many steps as the world has corners (at most ``d`` per
+    cell) cannot be a boundary and raises.
+    """
+    cells, spokes = world.cells, world.spokes
+    c0, i0 = c, i
+    cyc = cells[c]
+    for steps in range(1, world.d * len(cells) + 1):
+        j = i + 1 if i + 1 < len(cyc) else 0
+        p = part_of[cyc[j]]
+        if p == UNASSIGNED:
+            v = cyc[i]
+            c = spokes[c][i][1]
+            cyc = cells[c]
+            i = cyc.index(v)
+        else:
+            if p >= 0 and p not in rparts:
+                _name(rparts, p, bag)
+            i = j
+        if i == i0 and c == c0:
+            return steps
+    raise ContractViolation(
+        f"the boundary walk from cell {c0} does not close")
 
 
 def _consume(world, part_of, parent, parts, tau, rparts, color_of, creator):
@@ -501,4 +567,5 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
         raise ContractViolation("projection left a vertex unmapped")
     return HPartitionResult(parts=parts, part_of=part_of,
                             boundary_part=HPR.boundary_part,
-                            fallback_steps=HPR.fallback_steps)
+                            fallback_steps=HPR.fallback_steps,
+                            cells_scanned=HPR.cells_scanned)

@@ -8,7 +8,7 @@ import framedprod
 from framedprod import embedding
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def child_env():
     """Environment for a child Python that imports this framedprod."""
     src = str(Path(framedprod.__file__).parents[1])

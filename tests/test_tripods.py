@@ -1,3 +1,5 @@
+import os
+import random
 import subprocess
 import sys
 from ast import literal_eval
@@ -7,7 +9,12 @@ import pytest
 
 from framedprod import assemble, tripods
 from framedprod.assemble import decompose, serialize_certificate
-from framedprod.embedding import bfs_structure, from_face_list, trace_faces
+from framedprod.embedding import (
+    EmbeddedMultigraph,
+    bfs_structure,
+    from_face_list,
+    trace_faces,
+)
 from framedprod.errors import ContractViolation
 from framedprod.generators import (
     gen_framed,
@@ -42,6 +49,37 @@ def run_partition(E, d, root=0):
     T = bfs_structure(E, root)
     world = triangulate_long_faces(E, d, fs)
     return T, tripods.tripod_partition(world, T.parent)
+
+
+def relabelled(E, rng):
+    """The same embedded graph with vertex and edge ids shuffled and every
+    rotation started at a random dart."""
+    vid = list(range(E.n))
+    rng.shuffle(vid)
+    eid = list(range(E.m))
+    rng.shuffle(eid)
+    edges = [None] * E.m
+    for e, (u, v, s) in enumerate(E.edges):
+        edges[eid[e]] = (vid[u], vid[v], s)
+    rot = [None] * E.n
+    for v, darts in enumerate(E.rot):
+        darts = [2 * eid[d >> 1] + (d & 1) for d in darts]
+        k = rng.randrange(len(darts))
+        rot[vid[v]] = darts[k:] + darts[:k]
+    return EmbeddedMultigraph(E.n, edges, rot)
+
+
+def wheel(k):
+    """The wheel with rim 0..k-1 and hub k, as a triangulated world."""
+    faces = [[k, i, (i + 1) % k] for i in range(k)]
+    return triangulate_long_faces(from_face_list(faces + [
+        list(range(k - 1, -1, -1))]), 3)
+
+
+def spoke_cell(world, k, i):
+    """The cell of the wheel on rim vertices i and i + 1."""
+    return world.cells.index(next(c for c in world.cells
+                                  if set(c) == {k, i, (i + 1) % k}))
 
 
 class TestTriangulateLongFaces:
@@ -110,6 +148,19 @@ def deque_flood(world, part_of, stamp, cur, seed):
         if open_corner:
             candidates.append(c)
     return rparts, candidates
+
+
+def selection_rule(world, part_of, parent):
+    """(meets, colour) for a crafted region, as the partition defines them:
+    a cell meets the parts when the selection rule accepts it."""
+    def meets(c, rparts):
+        return first_meeting_cell(world, part_of, parent, rparts, [c]) == c
+
+    def colour(v):
+        while part_of[v] == UNASSIGNED:
+            v = parent[v]
+        return part_of[v]
+    return meets, colour
 
 
 def first_meeting_cell(world, part_of, parent, rparts, candidates):
@@ -201,6 +252,18 @@ class TestFloodOracle:
         # at d = 4 the 5- and 6-faces are fanned into triangles
         decompose(gen_framed(300, 6, g, 4), d, self_verify=False)
         assert checked_flood
+
+    def test_relabelled_torus_grid(self, checked_flood):
+        # shuffled vertex and edge ids and rotation starts change the tree,
+        # the cells' corner order and so where every walk starts
+        E = relabelled(gen_toroidal_grid(16, 16), random.Random(7))
+        cert = decompose(E, 4, self_verify=False)
+        assert len(checked_flood) == cert.num_parts - 1
+
+    def test_relabelled_triangulation(self, checked_flood):
+        E = relabelled(gen_plane_triangulation(600, 5), random.Random(8))
+        _, R = run_partition(E, 3)
+        assert len(checked_flood) == len(R.parts)
 
 
 class TestTripodPartition:
@@ -329,8 +392,9 @@ WALK_CASES = [(lambda: gen_plane_triangulation(400, 3), 3),
 
 
 class TestWalk:
-    """The door walk finds the cell the breadth-first scan would; the scan
-    stays as the fallback, and a walk that cannot end stops."""
+    """The door walk finds the cell the breadth-first scan would; when it
+    ends without one, the boundary walk settles the region's parts and the
+    scan stays as the fallback; walks that cannot end stop."""
 
     @pytest.mark.parametrize("make,d", WALK_CASES)
     def test_every_walk_failing_falls_back_to_the_same_certificate(
@@ -375,8 +439,9 @@ class TestWalk:
         # three parts but no unassigned corner, so it is outside R's region,
         # which is R and the outer face 0 5 2 4 3 1.  From R's door 0 -> 1
         # the exit is 4 -> 5, with both ends assigned: the walk must stop
-        # there, and the next walk, from the outer face's edge 5 -> 2, ends
-        # at once in the outer face, the region's only meeting cell
+        # there.  The boundary walk then names part 2 at the outer face's
+        # corner 2, and the scan takes the outer face, the region's only
+        # meeting cell.  Work: 2 cells stamped, 1 walked, 9 boundary corners
         E = from_face_list([[0, 1, 3, 4, 5], [5, 4, 2], [0, 5, 2, 4, 3, 1]])
         world = triangulate_long_faces(E, 6)
         part_of = [0, 1, 2, UNASSIGNED, 1, 0]
@@ -389,7 +454,7 @@ class TestWalk:
         outer = world.cells.index([1, 0, 5, 2, 4, 3])
         assert tripods._flood(world, part_of, [0] * world.num_cells, 1,
                               pentagon, {0, 1, 2}, meets, colour) == (
-            {0, 1, 2}, outer, False)
+            {0, 1, 2}, outer, True, 12)
 
     def test_walk_leaves_by_the_first_exit(self):
         # pentagon R = 0 1 3 4 5 coloured a b a b a, with 3 unassigned;
@@ -411,7 +476,7 @@ class TestWalk:
         pentagon = world.cells.index([0, 1, 3, 4, 5])
         triangle = world.cells.index([3, 1, 6])
         assert tripods._flood(world, part_of, [0] * world.num_cells, 1,
-                              pentagon, {0, 1, 2}, meets, colour) == (
+                              pentagon, {0, 1, 2}, meets, colour)[:3] == (
             {0, 1, 2}, triangle, False)
 
     def test_door_cycle_stops_in_bounded_time(self, child_env):
@@ -433,8 +498,128 @@ class TestWalk:
                 "part_of = [0, 1, 2, 0, UNASSIGNED, UNASSIGNED]\n"
                 "print(_flood(world, part_of, [0] * world.num_cells, 1, "
                 "hexagon, {0, 1, 2}, lambda c, rparts: False, "
-                "{4: 1, 5: 0}.__getitem__))\n")
+                "{4: 1, 5: 0}.__getitem__)[:3])\n")
         res = subprocess.run([sys.executable, "-c", code], env=child_env,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
         assert literal_eval(res.stdout) == ({0, 1, 2}, None, True)
+
+    def test_two_part_region_is_settled_by_the_boundary_walk(self):
+        # a wheel of 16: rim 0..3 in part 0, 4..15 in part 1, the hub
+        # unassigned, so the region is the 16 spoke cells and sees 2 parts
+        # of a 4-part bag.  The flood from the cell on 8 and 9 meets part 0
+        # at the cell on 3 and 4, whose edge 3 -> 4 is the first door; the
+        # walk from it leaves the region at the other door 15 -> 0, and the
+        # boundary walk settles the parts, so the flood stops short of the
+        # region with the deque flood's parts and first meeting cell
+        k = 16
+        world = wheel(k)
+        part_of = [0] * 4 + [1] * 12 + [UNASSIGNED]
+        parent = [-1] * k + [8]
+        meets, colour = selection_rule(world, part_of, parent)
+        seed = spoke_cell(world, k, 8)
+        want, candidates = deque_flood(world, part_of, [0] * world.num_cells,
+                                       1, seed)
+        stamp = [0] * world.num_cells
+        got = tripods._flood(world, part_of, stamp, 1, seed, {0, 1, 2, 3},
+                             meets, colour)
+        assert got[:3] == (want, first_meeting_cell(
+            world, part_of, parent, want, candidates), False)
+        assert want == {0, 1} and got[1] == spoke_cell(world, k, 3)
+        assert stamp.count(1) < len(candidates) == k
+
+    def test_bag_violation_named_by_the_walk(self):
+        # a wheel of 12: rim 0 in part 0, 1..5 in part 1, 6..11 in part 2,
+        # and the hub's tree parent is 6.  The seed, the cell on 0 and 1,
+        # holds the door 0 -> 1 and the hub, coloured 2: the walk names
+        # part 2 in its first cell, before the flood has met a corner of
+        # it, and part 2 is outside the bag
+        k = 12
+        world = wheel(k)
+        part_of = [0] + [1] * 5 + [2] * 6 + [UNASSIGNED]
+        meets, colour = selection_rule(world, part_of, [-1] * k + [6])
+        with pytest.raises(ContractViolation,
+                           match="part 2 outside its creator's") as err:
+            tripods._flood(world, part_of, [0] * world.num_cells, 1,
+                           spoke_cell(world, k, 0), {0, 1, PHANTOM}, meets,
+                           colour)
+        assert "_walk" in [entry.name for entry in err.traceback]
+
+    def test_boundary_walk_that_does_not_close_raises(self, child_env):
+        # a wheel of 6 with every rim vertex assigned; the cell on 2 and 3
+        # is made to lie across its own edge 3 -> hub, so the boundary walk
+        # from the cell on 0 and 1 turns round 3 on the spot for ever
+        # without coming back to its start.  It must raise, and a child
+        # process turns a hang into a failed test
+        code = ("from framedprod.errors import ContractViolation\n"
+                "from framedprod.tripods import UNASSIGNED, _boundary\n"
+                "from test_tripods import spoke_cell, wheel\n"
+                "world = wheel(6)\n"
+                "c = spoke_cell(world, 6, 2)\n"
+                "world.spokes[c] = tuple((v, c if v == 3 else n1, n2) "
+                "for v, n1, n2 in world.spokes[c])\n"
+                "start = spoke_cell(world, 6, 0)\n"
+                "try:\n"
+                "    _boundary(world, [0, 0, 0, 1, 1, 1, UNASSIGNED], set(),"
+                " {0, 1}, start, world.cells[start].index(0))\n"
+                "except ContractViolation as err:\n"
+                "    print(repr(str(err)))\n")
+        env = dict(child_env, PYTHONPATH=child_env["PYTHONPATH"]
+                   + os.pathsep + os.path.dirname(__file__))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert literal_eval(res.stdout) == (
+            f"the boundary walk from cell {spoke_cell(wheel(6), 6, 0)} "
+            "does not close")
+
+
+def partition_work(monkeypatch, E, d):
+    """(cells of the working graph, the partition's and the projected
+    partition's cells_scanned) as decompose makes them for E at d."""
+    worlds, results = [], []
+    partition, project = tripods.tripod_partition, tripods.project_partition
+
+    def recording(world, *args, **kwargs):
+        worlds.append(world)
+        results.append(partition(world, *args, **kwargs))
+        return results[-1]
+
+    def projecting(*args):
+        results.append(project(*args))
+        return results[-1]
+    monkeypatch.setattr(assemble, "tripod_partition", recording)
+    monkeypatch.setattr(assemble, "project_partition", projecting)
+    decompose(E, d, self_verify=False)
+    (world,) = worlds
+    return (world.num_cells, *(r.cells_scanned for r in results))
+
+
+class TestCellsScanned:
+    """The exact work counter: cells the floods stamped, cells the door
+    walks entered and corners the boundary walks passed.  Per cell it stays
+    flat as the regions grow, where re-flooding each region grew with
+    them."""
+
+    def test_flat_on_shuffled_tori(self, monkeypatch):
+        per_cell = []
+        for side in (20, 40, 80):
+            E = relabelled(gen_toroidal_grid(side, side), random.Random(side))
+            cells, scanned, projected = partition_work(monkeypatch, E, 4)
+            assert projected == scanned
+            per_cell.append(scanned / cells)
+        assert max(per_cell[1:]) <= 1.2 * per_cell[0], per_cell
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_bounded_on_triangulations(self, monkeypatch, n):
+        cells, scanned = partition_work(
+            monkeypatch, gen_plane_triangulation(n, 9), 3)
+        # about 4 at these sizes; a flood of each region until its parts
+        # are settled scanned more than 8
+        assert scanned < 6 * cells
+
+    def test_count_repeats(self, monkeypatch):
+        E = gen_framed(300, 6, 2, 4)
+        counts = [partition_work(monkeypatch, E, 4) for _ in range(2)]
+        assert counts[0] == counts[1]
+        assert counts[0][1] > 0

@@ -309,15 +309,39 @@ class TestShape:
         assert self.run(case, edges=edges) == [
             "FAIL shape an edge end is not a vertex"]
 
+    @pytest.fixture(scope="class")
+    def out_of_range(self, child_env):
+        # vertex 1 lists dart 9, 6, -1 or -7 in place of its first, with
+        # edge 0 signed +1 and -1.  The eight cases run in one child
+        # process with capped memory, so that a regression in the
+        # permutation test fails them instead of taking the host's memory
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from framedprod.assemble import decompose\n"
+                "from framedprod.embedding import EmbeddedMultigraph, "
+                "from_face_list\n"
+                "from framedprod.verify import verify_certificate\n"
+                "E = from_face_list([[0, 1, 2], [2, 1, 0]])\n"
+                "cert = decompose(E, 3)\n"
+                "for dart in (9, 6, -1, -7):\n"
+                "    for sign in (1, -1):\n"
+                "        edges = [(u, v, sign if e == 0 else 1)\n"
+                "                 for e, (u, v, _) in enumerate(E.edges)]\n"
+                "        rot = [list(r) for r in E.rot]\n"
+                "        rot[1][0] = dart\n"
+                "        F = EmbeddedMultigraph(E.n, edges, rot, "
+                "validate=False)\n"
+                "        print((dart, sign, verify_certificate(F, cert)))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        return {(dart, sign): fails for dart, sign, fails
+                in map(literal_eval, res.stdout.splitlines())}
+
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("dart", [9, 6, -1, -7])
-    def test_dart_out_of_range(self, case, dart, sign):
-        E = case[0]
-        edges = [(u, v, sign if e == 0 else 1)
-                 for e, (u, v, _) in enumerate(E.edges)]
-        rot = [list(r) for r in E.rot]
-        rot[1][0] = dart
-        assert self.run(case, edges=edges, rot=rot) == [
+    def test_dart_out_of_range(self, out_of_range, dart, sign):
+        assert out_of_range[dart, sign] == [
             "FAIL shape a rotation lists a dart out of range"]
 
     @pytest.mark.parametrize("sign", [0, 2])
