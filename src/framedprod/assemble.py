@@ -48,13 +48,17 @@ class PartitionCertificate:
     d: int
     genus: int
     parts: list               # Part records over original vertices
-    boundary_part: int        # the Z part for positive genus, else -1
     ell: int                  # the most vertices of one (part, block) cell
     bound: int
 
     @property
     def num_parts(self):
         return len(self.parts)
+
+    @property
+    def boundary_part(self):
+        """The cut part ``Z``: part 0 when the genus is positive, else -1."""
+        return 0 if self.genus > 0 else -1
 
 
 @gc_paused
@@ -108,21 +112,18 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
     if ell > bound:
         raise ContractViolation(
             f"achieved width {ell} exceeds the bound {bound}")
-    return PartitionCertificate(
-        n=E.n, d=d, genus=g, parts=projected.parts,
-        boundary_part=projected.boundary_part, ell=ell, bound=bound)
+    return PartitionCertificate(n=E.n, d=d, genus=g, parts=projected.parts,
+                                ell=ell, bound=bound)
 
 
 @gc_paused
 def serialize_certificate(cert: PartitionCertificate) -> str:
     out = [f"cert {cert.n} {cert.d} {cert.genus}", f"PARTS {cert.num_parts}"]
     for part in cert.parts:
-        kind = "Z" if part.pid == cert.boundary_part else "TRIPOD"
-        head = " ".join(map(str, [part.pid, kind, part.creator,
-                                  *part.attachments]))
+        head = " ".join(map(str, ["p", *part.attachments]))
         xs = " ".join(map(str, part.absorbed))
         ys = " | ".join(" ".join(map(str, leg)) for leg in part.legs)
-        out.append(f"p {head} x: {xs} y: {ys}")
+        out.append(f"{head} x: {xs} y: {ys}")
     out.append(f"ELL {cert.ell}")
     return "\n".join(out) + "\n"
 
@@ -133,61 +134,52 @@ def parse_certificate(text: str) -> PartitionCertificate:
 
     The sections come in the order they are written, each exactly once:
     ``cert <n> <d> <genus>``; ``PARTS <parts>`` and one line per part,
-    ``p <id> <Z|TRIPOD> <creator> <attachments...> x: <absorbed> y: <paths>``
-    with the paths separated by ``|`` and the ids in any order; ``ELL
-    <ell>``.  Blank lines and lines starting with '#' are skipped.
+    ``p <attachments...> x: <absorbed> y: <paths>`` with the paths
+    separated by ``|``, line ``i`` stating part ``i`` (the cut part ``Z``
+    when ``i`` is 0 and the genus positive); ``ELL <ell>``.  Blank lines
+    and lines starting with '#' are skipped.  Every error is a
+    ``FormatError`` that names the line at fault.
     """
-    try:
-        return _parse_certificate(text)
-    except (ValueError, IndexError) as ex:
-        if isinstance(ex, FormatError):
-            raise
-        raise FormatError(f"malformed certificate: {ex}") from None
-
-
-def _header(lines, i, tag, count):
-    """The integers of line ``i``, which must be ``tag`` and ``count`` more."""
-    toks = lines[i].split() if i < len(lines) else ["<end of text>"]
-    if toks[0] != tag or len(toks) != count + 1:
-        want = " ".join([tag] + ["<int>"] * count)
-        raise FormatError(f"expected '{want}', got: {' '.join(toks)}")
-    return [int(t) for t in toks[1:]]
-
-
-def _parse_certificate(text: str) -> PartitionCertificate:
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     n, d, g = _header(lines, 0, "cert", 3)
     (k,) = _header(lines, 1, "PARTS", 1)
     if not 0 <= k <= len(lines) - 3:
         raise FormatError(f"{k} 'p' lines do not fit the text")
-    parts = [None] * k
-    boundary_part = -1
+    parts = []
     for ln in lines[2:2 + k]:
         toks = ln.split()
         xi = toks.index("x:") if "x:" in toks else 0
         yi = toks.index("y:", xi) if "y:" in toks[xi:] else 0
-        if xi < 4 or not yi or toks[0] != "p":
+        if not xi or not yi or toks[0] != "p":
             raise FormatError(f"bad 'p' line: {ln}")
-        pid = int(toks[1])
-        if not 0 <= pid < k or parts[pid] is not None:
-            raise FormatError("part ids must be 0..num_parts-1, each once")
-        kind = toks[2]
-        if kind == "Z" and boundary_part == -1:
-            boundary_part = pid
-        elif kind != "TRIPOD":
-            raise FormatError("a part kind must be Z (at most once) or TRIPOD")
-        legs = [list(map(int, seg.split()))
-                for seg in " ".join(toks[yi + 1:]).split("|")]
+        try:
+            attachments = list(map(int, toks[1:xi]))
+            absorbed = list(map(int, toks[xi + 1:yi]))
+            legs = [list(map(int, seg.split()))
+                    for seg in " ".join(toks[yi + 1:]).split("|")]
+        except ValueError:
+            raise FormatError(f"bad 'p' line: {ln}") from None
+        pid = len(parts)
         if legs == [[]]:                      # a part with no path
             legs = []
         elif [] in legs:
             raise FormatError(f"part {pid} has an empty path")
-        parts[pid] = Part(pid, "boundary" if kind == "Z" else "tripod", legs,
-                          list(map(int, toks[xi + 1:yi])), int(toks[3]),
-                          list(map(int, toks[4:xi])))
+        kind = "boundary" if pid == 0 and g > 0 else "tripod"
+        parts.append(Part(pid, kind, legs, absorbed, attachments))
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")
-    return PartitionCertificate(
-        n=n, d=d, genus=g, parts=parts, boundary_part=boundary_part, ell=ell,
-        bound=width_bound(g, d))
+    return PartitionCertificate(n=n, d=d, genus=g, parts=parts, ell=ell,
+                                bound=width_bound(g, d))
+
+
+def _header(lines, i, tag, count):
+    """The integers of line ``i``, which must be ``tag`` and ``count`` more."""
+    toks = lines[i].split() if i < len(lines) else ["<end of text>"]
+    if toks[0] == tag and len(toks) == count + 1:
+        try:
+            return [int(t) for t in toks[1:]]
+        except ValueError:
+            pass
+    want = " ".join([tag] + ["<int>"] * count)
+    raise FormatError(f"expected '{want}', got: {' '.join(toks)}")

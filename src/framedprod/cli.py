@@ -158,7 +158,10 @@ def cmd_oneplanar(args):
 def cmd_stats(args):
     E = parse_embedding(_read(args.input))
     fs = trace_faces(E)
-    g = euler_genus(E, fs) if E.is_connected() else None
+    try:
+        g = euler_genus(E, fs)
+    except DomainError:                 # the only one: E is disconnected
+        g = None
     # a vertex with no darts is a face of its own, of length 0
     isolated = E.rot.count([])
     lines = [f"n {E.n}", f"m {E.m}", f"f {fs.f + isolated}"]

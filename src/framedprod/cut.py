@@ -220,20 +220,15 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
         raise ContractViolation(
             f"cutting created {fs2.f - faces.f} new faces, expected 1")
 
-    # the slit face walks along every bank edge; an old disk face only ever
-    # sees one side of each Z-edge.  Non-disk old faces can tie (bouquets):
-    # the corner glued after a Z-dart then decides.
-    bank_ids = set(range(ns, Gt.m))
-    candidates = [i for i, walk in enumerate(fs2.faces)
-                  if len(walk) == 2 * C.q and {d >> 1 for d in walk} == bank_ids]
-    if len(candidates) == 1:
-        new_face = candidates[0]
-    else:
-        # the first copy's rotation, as built, opens with that bank dart
-        new_face = fs2.face_of_state[2 * nrot[nu][0]]
-        if new_face not in candidates:
-            raise ContractViolation("slit face not found")
+    # the slit face turns through the first copy's corner between the last
+    # and the first dart of its rotation (reversed if the signatures' removal
+    # flipped the copy), leaving along the first; it walks along every bank
+    # edge, where an old disk face only ever sees one side of each Z-edge
+    new_face = fs2.slot_face[Gt.rot[nu][0]]
     cf_darts = fs2.faces[new_face]
+    if (len(cf_darts) != 2 * C.q
+            or {d >> 1 for d in cf_darts} != set(range(ns, Gt.m))):
+        raise ContractViolation("slit face not found")
     t2 = Gt.tails()
     cf_cycle = [t2[d] for d in cf_darts]
     if sorted(cf_cycle) != zprime:

@@ -137,9 +137,8 @@ class Part:
     kind: str                   # "boundary" or "tripod"
     legs: list                  # vertical paths, topmost vertex first
     absorbed: list              # the small leftover set (size <= d-3)
-    creator: int                # the part whose step made this part's
-                                # region (-1 for the first part)
-    attachments: list           # the <= 3 earlier parts the region saw
+    attachments: list           # the <= 3 earlier parts the region saw;
+                                # the largest made the region (none: a root)
 
     def vertices(self):
         out = []
@@ -153,7 +152,6 @@ class Part:
 class HPartitionResult:
     parts: list
     part_of: list               # per vertex; BLOCKED for the apex
-    boundary_part: int          # id of the distinguished part, or -1
     fallback_steps: int = 0     # 3-part regions whose cell no walk found
     cells_scanned: int = 0      # flood stamps, walk cells, boundary corners
 
@@ -175,14 +173,12 @@ def tripod_partition(world: TriWorld, parent: list,
     for v in blocked:
         part_of[v] = BLOCKED
     parts = []
-    boundary_part = -1
 
     if boundary is not None:
         parts.append(Part(pid=0, kind="boundary", legs=[list(boundary)],
-                          absorbed=[], creator=-1, attachments=[]))
+                          absorbed=[], attachments=[]))
         for v in boundary:
             part_of[v] = 0
-        boundary_part = 0
 
     stamp = [0] * world.num_cells
     cur = 0
@@ -256,6 +252,11 @@ def tripod_partition(world: TriWorld, parent: list,
             world, part_of, stamp, cur, seed, bag, meets, color_of)
         fallback_steps += fell_back
         cells_scanned += scanned
+        # the creator is the largest part of its bag, so naming it makes it
+        # the new part's largest attachment, which the certificate relies on
+        if creator >= 0 and creator not in rparts:
+            raise ContractViolation(
+                f"region of part {creator}'s step does not meet it")
         # Sperner: a region bounded by 2 (3) parts holds a cell whose
         # boundary meets both (all three)
         if tau is None:
@@ -263,7 +264,7 @@ def tripod_partition(world: TriWorld, parent: list,
                 f"no cell of the region meets all of parts {sorted(rparts)}")
 
         new_vertices = _consume(world, part_of, parent, parts, tau,
-                                rparts, color_of, creator)
+                                rparts, color_of)
         pid = parts[-1].pid
 
         # every pocket is fenced off by a wall with a newly assigned
@@ -279,7 +280,6 @@ def tripod_partition(world: TriWorld, parent: list,
             f"{part_of.count(UNASSIGNED)} vertices left unassigned")
 
     return HPartitionResult(parts=parts, part_of=part_of,
-                            boundary_part=boundary_part,
                             fallback_steps=fallback_steps,
                             cells_scanned=cells_scanned)
 
@@ -470,7 +470,7 @@ def _boundary(world, part_of, rparts, bag, c, i):
         f"the boundary walk from cell {c0} does not close")
 
 
-def _consume(world, part_of, parent, parts, tau, rparts, color_of, creator):
+def _consume(world, part_of, parent, parts, tau, rparts, color_of):
     """Create one part from cell ``tau``: legs from up to three corners,
     the remaining unassigned corners absorbed; it attaches to the region's
     parts ``rparts``."""
@@ -523,7 +523,7 @@ def _consume(world, part_of, parent, parts, tau, rparts, color_of, creator):
     if not legs and not absorbed:
         raise ContractViolation("step created an empty part")
     parts.append(Part(pid=pid, kind="tripod", legs=legs, absorbed=absorbed,
-                      creator=creator, attachments=sorted(rparts)))
+                      attachments=sorted(rparts)))
     new_vertices = [v for leg in legs for v in leg]
     new_vertices.extend(absorbed)
     return new_vertices
@@ -533,19 +533,19 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
                       n_original: int) -> HPartitionResult:
     """Collapse the cut-boundary copies back onto Z.
 
-    The distinguished part keeps its id; its legs become the vertical path
-    decomposition of Z in the original tree.  Every other part maps through
+    The distinguished part, part 0 (``tripod_partition`` makes it first),
+    keeps its id; its legs become the vertical path decomposition of Z in
+    the original tree.  Every other part maps through
     the provenance bijection; containing a copy is an internal error.
     """
     prov = cut_result.provenance
     zp = set(cut_result.zprime)
     parts = []
     for part in HPR.parts:
-        if part.pid == HPR.boundary_part:
+        if part.pid == 0:
             parts.append(Part(pid=part.pid, kind="boundary",
                               legs=[list(p) for p in cut_system.paths],
-                              absorbed=[], creator=part.creator,
-                              attachments=part.attachments))
+                              absorbed=[], attachments=part.attachments))
             continue
         legs = []
         for leg in part.legs:
@@ -555,17 +555,15 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
             legs.append([prov[x] for x in leg])
         absorbed = [prov[x] for x in part.absorbed]
         parts.append(Part(pid=part.pid, kind="tripod", legs=legs,
-                          absorbed=absorbed, creator=part.creator,
-                          attachments=part.attachments))
+                          absorbed=absorbed, attachments=part.attachments))
     part_of = [None] * n_original
     for new_id, old_id in enumerate(prov):
         p = HPR.part_of[new_id]
         if p == BLOCKED:
             raise ContractViolation("a surviving vertex maps to the apex")
-        part_of[old_id] = HPR.boundary_part if new_id in zp else p
+        part_of[old_id] = 0 if new_id in zp else p
     if any(p is None for p in part_of):
         raise ContractViolation("projection left a vertex unmapped")
     return HPartitionResult(parts=parts, part_of=part_of,
-                            boundary_part=HPR.boundary_part,
                             fallback_steps=HPR.fallback_steps,
                             cells_scanned=HPR.cells_scanned)

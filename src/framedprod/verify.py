@@ -261,9 +261,11 @@ def check_tree_decomposition(parts):
     """The tree decomposition of ``H`` that the parts state: width at most
     3, no node twice in a bag, one tree and the subtree property.
 
-    Bag ``i`` is ``parts[i].attachments`` plus ``i`` and hangs under the
-    bag of part ``i``'s creator; ``H`` has the edges ``a-i``, each inside
-    bag ``i``.  -> (FAIL lines, the ``H`` edges with both ends in range).
+    Bag ``i`` is part ``i``'s attachments, each an earlier part, plus ``i``;
+    it hangs under the bag of its largest attachment, and a part with none
+    is a root.  ``H`` has the edges ``a-i``, each inside bag ``i``.  Every
+    parent is an earlier bag, so the bags cannot form a cycle.
+    -> (FAIL lines, the ``H`` edges with both ends in range).
     """
     k = len(parts)
     if not k:
@@ -271,47 +273,31 @@ def check_tree_decomposition(parts):
     fails = []
     h_edges = []
     bag_sets = []
+    parents = []
     for i, part in enumerate(parts):
         atts = part.attachments
-        bag = set(atts)
-        bag.add(i)
-        bag_sets.append(bag)
         if len(atts) > 3:
             fails.append(f"FAIL td bag {i} has size {len(atts) + 1}")
-        if len(bag) <= len(atts):
+        if len(set(atts)) < len(atts):
             fails.append(f"FAIL td bag {i} repeats a node")
+        bag = {i}
+        parent = -1                   # the largest attachment in range
         for a in sorted(atts):
-            if 0 <= a < k:
+            if 0 <= a < i:
                 h_edges.append((a, i))
+                bag.add(a)
+                parent = a
             else:
-                bag.discard(a)
                 fails.append(f"FAIL td bag {i} node {a} out of range")
-    creators = [part.creator for part in parts]
-    roots = creators.count(-1)
+        bag_sets.append(bag)
+        parents.append(parent)
+    roots = parents.count(-1)
     if roots != 1:
         fails.append(f"FAIL td {roots} roots")
-    for i, p in enumerate(creators):
-        if p != -1 and not (0 <= p < k):
-            fails.append(f"FAIL td bag {i} parent {p} out of range")
-            return fails, h_edges
-    # a tree decomposition hangs from one root with acyclic parent pointers
-    state = [0] * k                # 0 unseen, 1 on the current walk, 2 done
-    for i in range(k):
-        walk = []
-        j = i
-        while j != -1 and state[j] == 0:
-            state[j] = 1
-            walk.append(j)
-            j = creators[j]
-        if j != -1 and state[j] == 1:
-            fails.append("FAIL td bag_parent has a cycle")
-            return fails, h_edges
-        for j in walk:
-            state[j] = 2
     # the bags holding x form one subtree iff exactly one of them is the
     # top of its run: the root, or a bag whose parent does not hold x
     tops = [0] * k
-    for bag, p in zip(bag_sets, creators):
+    for bag, p in zip(bag_sets, parents):
         up = bag_sets[p] if p != -1 else ()
         for x in bag:
             if x not in up:
@@ -322,15 +308,16 @@ def check_tree_decomposition(parts):
     return fails, h_edges
 
 
-def check_part_structure(parts, tree_parent, g, d, boundary_part):
-    """Every vertex in exactly one part; Z splits into <= 2g vertical tree
-    paths, other parts are tripods.  -> (FAIL lines, the part of each
-    vertex, -1 where none)."""
+def check_part_structure(parts, tree_parent, g, d):
+    """Every vertex in exactly one part; Z, part 0 when ``g > 0``, splits
+    into <= 2g vertical tree paths, other parts are tripods.  Part ``i`` is
+    ``parts[i]``.  -> (FAIL lines, the part of each vertex, -1 where
+    none)."""
     fails = []
     n = len(tree_parent)
     node = [-1] * n
-    for part in parts:
-        pid = part.pid
+    for pid, part in enumerate(parts):
+        is_z = pid == 0 and g > 0
         for v in part.vertices():
             if not (0 <= v < n):
                 fails.append(f"FAIL parts vertex {v} out of range")
@@ -338,27 +325,27 @@ def check_part_structure(parts, tree_parent, g, d, boundary_part):
                 fails.append(f"FAIL parts vertex {v} in two parts")
             else:
                 node[v] = pid
-        limit = 2 * g if part.pid == boundary_part else 3
+        limit = 2 * g if is_z else 3
         if len(part.legs) > limit:
-            fails.append(f"FAIL parts part {part.pid} has {len(part.legs)} "
+            fails.append(f"FAIL parts part {pid} has {len(part.legs)} "
                          f"paths, cap {limit}")
-        if part.pid == boundary_part:
+        if is_z:
             if part.absorbed:
                 fails.append("FAIL parts Z part carries an absorbed set")
         elif len(part.absorbed) > d - 3:
-            fails.append(f"FAIL parts part {part.pid} absorbed "
+            fails.append(f"FAIL parts part {pid} absorbed "
                          f"{len(part.absorbed)} > d-3")
         claimed = set()
         for leg in part.legs:
             if not leg:
-                fails.append(f"FAIL parts part {part.pid} has an empty path")
+                fails.append(f"FAIL parts part {pid} has an empty path")
                 continue
             for a, b in zip(leg, leg[1:]):
                 if 0 <= b < n and tree_parent[b] != a:
-                    fails.append(f"FAIL parts part {part.pid} path break "
+                    fails.append(f"FAIL parts part {pid} path break "
                                  f"{a}->{b}")
             if claimed & set(leg):
-                fails.append(f"FAIL parts part {part.pid} paths overlap")
+                fails.append(f"FAIL parts part {pid} paths overlap")
             claimed.update(leg)
     missing = node.count(-1)
     if missing:
@@ -679,8 +666,7 @@ def _verify_certificate(E, cert) -> list:
     us, vs = closure_pairs(E, cert.d, walks)
     del walks
     parent, depth = rebuild_bfs(E, root)
-    part_fails, node = check_part_structure(cert.parts, parent, g, cert.d,
-                                            cert.boundary_part)
+    part_fails, node = check_part_structure(cert.parts, parent, g, cert.d)
     fails += part_fails
     h = cert.d // 2
     layer = [x // h for x in depth]

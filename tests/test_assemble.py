@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -42,16 +43,17 @@ from test_nonorientable import klein_grid, projective_k4
 # recorded from the tripod partition whose flood kept a deque, an
 # open-corner flag and a separate candidate list; each is the digest of
 # that text with its former LAYERS, H, TD and MAP sections deleted and each
-# part's creator bag and attachments written into its p line
+# part's creator bag and attachments written into its p line, then with each
+# p line's id, kind and creator tokens dropped, after checking that the
+# line's position, the genus and its largest attachment state them
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
 
 # the certificate of a single edge: one part, two layers
-SMALL = "cert 2 3 0\nPARTS 1\np 0 TRIPOD -1 x:  y: 0 1\nELL 1\n"
+SMALL = "cert 2 3 0\nPARTS 1\np x:  y: 0 1\nELL 1\n"
 # the same path split into two parts, the second attached to the first
-TWO_PARTS = ("cert 2 3 0\nPARTS 2\np 0 Z -1 x:  y: 0\n"
-             "p 1 TRIPOD 0 0 x:  y: 1\nELL 1\n")
+TWO_PARTS = "cert 2 3 0\nPARTS 2\np x:  y: 0\np 0 x:  y: 1\nELL 1\n"
 # every position of both texts, for inserting a line that does not belong
 POSITIONS = [(text, at) for text in (SMALL, TWO_PARTS)
              for at in range(len(text.splitlines()) + 1)]
@@ -267,6 +269,9 @@ class TestCertificateFormat:
         back = parse_certificate(text)
         assert serialize_certificate(back) == text
         assert verify_certificate(E, back) == []
+        # a genus-0 certificate has no Z part
+        assert back.boundary_part == -1
+        assert {p.kind for p in back.parts} == {"tripod"}
 
     def test_roundtrip_with_cut(self):
         E = gen_toroidal_grid(3, 4)
@@ -291,19 +296,9 @@ class TestCertificateFormat:
     @pytest.mark.parametrize("bad", [
         "", "cert 3", "cert 3 3 0\nH 2 1\nh 0", "cert 3 3 0\nTD 5\nb 0",
         "cert 3 3 0\nm 0 0", "cert 3 3 0\nELL x",
-        pytest.param(SMALL.replace(
-            "PARTS 1\np 0 TRIPOD -1 x:  y: 0 1\n",
-            "PARTS 2\np 0 TRIPOD -1 x:  y: 0\np 0 TRIPOD -1 x:  y: 1\n"),
-            id="pid-twice"),
-        pytest.param(SMALL.replace("p 0 TRIPOD", "p 5 TRIPOD"),
-                     id="pid-past-num-parts"),
-        pytest.param(SMALL.replace("p 0 TRIPOD", "q 0 TRIPOD"),
-                     id="p-line-tag"),
-        pytest.param(SMALL.replace("p 0 TRIPOD", "p 0 TRIPOS"),
-                     id="part-kind"),
-        pytest.param(TWO_PARTS.replace("p 1 TRIPOD", "p 1 Z"), id="Z-twice"),
-        pytest.param(SMALL.replace(" -1 x:", " x:"), id="creator-missing"),
-        pytest.param(TWO_PARTS.replace("TRIPOD 0 0", "TRIPOD 0 a"),
+        pytest.param(SMALL.replace("p x:", "q x:"), id="p-line-tag"),
+        pytest.param(SMALL.replace("p x:", "p TRIPOD x:"), id="part-kind"),
+        pytest.param(TWO_PARTS.replace("p 0 x:", "p 0 a x:"),
                      id="attachment-junk"),
         pytest.param(SMALL.replace(" x: ", " "), id="x-missing"),
         pytest.param(SMALL.replace(" y:", ""), id="y-missing"),
@@ -353,6 +348,24 @@ class TestCertificateFormat:
         with pytest.raises(FormatError):
             parse_certificate("\n".join(lines))
 
+    @pytest.mark.parametrize("line", ["p 0 TRIPOD -1 x:  y: 0 1",
+                                      "p 0 Z -1 x:  y: 0 1"],
+                             ids=["old-tripod-line", "old-Z-line"])
+    def test_old_p_line_rejected(self, line):
+        # the id, kind and creator tokens the format once stated
+        old = SMALL.replace("p x:  y: 0 1", line)
+        with pytest.raises(FormatError, match=f"bad 'p' line: {line}"):
+            parse_certificate(old)
+
+    @pytest.mark.parametrize("bad,line", [
+        ("cert 2 3 x\nPARTS 0\nELL 1\n", "cert 2 3 x"),
+        (SMALL.replace("ELL 1", "ELL y"), "ELL y"),
+        (SMALL.replace("y: 0 1", "y: 0 | a"), "p x:  y: 0 | a"),
+    ], ids=["header", "ell", "p-line"])
+    def test_errors_name_the_line(self, bad, line):
+        with pytest.raises(FormatError, match=re.escape(line)):
+            parse_certificate(bad)
+
     def test_old_format_rejected(self):
         old = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
                "p 0 TRIPOD x:  y: 0 1\nMAP\nm 0 0 0 0\nm 1 0 1 0\nELL 1\n")
@@ -360,9 +373,16 @@ class TestCertificateFormat:
             parse_certificate(old)
 
     def test_two_part_certificate_parses(self):
+        # part 0 is the cut part Z exactly when the genus is positive
         cert = parse_certificate(TWO_PARTS)
         assert serialize_certificate(cert) == TWO_PARTS
+        assert cert.boundary_part == -1
+        assert [p.kind for p in cert.parts] == ["tripod", "tripod"]
+        cut = TWO_PARTS.replace("cert 2 3 0", "cert 2 3 2")
+        cert = parse_certificate(cut)
+        assert serialize_certificate(cert) == cut
         assert cert.boundary_part == 0
+        assert [p.kind for p in cert.parts] == ["boundary", "tripod"]
 
     def test_texts_past_a_conversion_chunk(self):
         # more edge and vertex lines than CHUNK_LINES, each section shuffled
@@ -374,13 +394,10 @@ class TestCertificateFormat:
         rng.shuffle(body)
         back = parse_embedding("\n".join([head] + body))
         assert (back.edges, back.rot) == (E.edges, E.rot)
+        # the p lines keep their order: line i states part i
         text = serialize_certificate(decompose(E, 3))
-        lines = text.splitlines()
-        section = lines[2:-1]
-        rng.shuffle(section)
-        lines[2:-1] = section
-        cert = parse_certificate("\n".join(lines))
-        assert [p.pid for p in cert.parts] == list(range(len(section)))
+        cert = parse_certificate(text)
+        assert [p.pid for p in cert.parts] == list(range(cert.num_parts))
         assert serialize_certificate(cert) == text
         assert verify_certificate(back, cert) == []
 
@@ -401,12 +418,21 @@ class TestGoldenCertificates:
     def corpus(self):
         return certificate_corpus()
 
+    @pytest.fixture(scope="class")
+    def certs(self, corpus):
+        return {name: decompose(E, d) for name, (E, d) in corpus.items()}
+
     def test_corpus_is_pinned(self, corpus):
         assert sorted(corpus) == sorted(GOLDEN)
 
-    def test_certificates_match(self, corpus):
+    def test_certificates_match(self, certs):
         got = {}
-        for name, (E, d) in corpus.items():
-            text = serialize_certificate(decompose(E, d))
+        for name, cert in certs.items():
+            text = serialize_certificate(cert)
             got[name] = hashlib.sha256(text.encode()).hexdigest()
         assert got == GOLDEN
+
+    def test_parse_returns_equal_parts(self, certs):
+        for name, cert in certs.items():
+            back = parse_certificate(serialize_certificate(cert))
+            assert back == cert, name

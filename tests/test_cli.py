@@ -40,8 +40,7 @@ class TestCli:
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
         # a part that lists no vertex: the vertices of part 1 are in none
         lines[-1] = f"ELL {ell}"
-        i = next(i for i, ln in enumerate(lines) if ln.startswith("p 1 "))
-        lines[i] = lines[i].partition(" x: ")[0] + " x:  y:"
+        lines[3] = lines[3].partition(" x: ")[0] + " x:  y:"
         cert.write_text("\n".join(lines) + "\n")
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
 
@@ -255,12 +254,10 @@ class TestCli:
         run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
         lines = cert.read_text().splitlines()
         k = int(lines[1].split()[1])
-        # attachments past the last part and below 0, after the creator
+        # attachments past the last part and below 0; line 2 + i is part i
         for pid, extra in ((0, k + 5), (1, -1)):
-            i = next(i for i, ln in enumerate(lines)
-                     if ln.startswith(f"p {pid} "))
-            head, sep, rest = lines[i].partition(" x: ")
-            lines[i] = f"{head} {extra}{sep}{rest}"
+            head, sep, rest = lines[2 + pid].partition(" x: ")
+            lines[2 + pid] = f"{head} {extra}{sep}{rest}"
         cert.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2

@@ -35,7 +35,9 @@ from framedprod.verify import rebuild_closure
 
 # sha256 digests of map_to_frame's frame and of its certificate, recorded
 # from the frontend that re-traced the map, its dual and the frame at every
-# step
+# step; a certificate's digest is of that text with each p line's id, kind
+# and creator tokens dropped, after checking that the line's position, the
+# genus and its largest attachment state them
 GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
                     .read_text())
 

@@ -363,6 +363,21 @@ class TestTripodPartition:
         with pytest.raises(ContractViolation, match="outside its creator's"):
             run_partition(gen_plane_triangulation(30, 1), 3)
 
+    def test_region_not_naming_its_creator_is_a_contract_violation(
+            self, monkeypatch):
+        # the creator, the largest part of its bag, becomes the new part's
+        # largest attachment, which the certificate states the bag parent
+        # by; a flood that loses it raises at that step
+        flood = tripods._flood
+
+        def forgetful(world, part_of, stamp, cur, seed, bag, *rest):
+            rparts, *out = flood(world, part_of, stamp, cur, seed, bag, *rest)
+            return (rparts - {max(bag)} if bag else rparts, *out)
+        monkeypatch.setattr(tripods, "_flood", forgetful)
+        with pytest.raises(ContractViolation,
+                           match=r"region of part 0's step does not meet it"):
+            run_partition(gen_plane_triangulation(30, 1), 3)
+
     def test_td_bags_form_tree(self):
         E = gen_plane_triangulation(60, 8)
         _, R = run_partition(E, 3)

@@ -40,9 +40,10 @@ from treewidth import exact_treewidth, stated_decomposition
 
 # sha256 digests of the re-traced faces and closures, recorded from the
 # verifier that kept its states in tuple-keyed dicts, and of the FAIL lines
-# of TestTamper's edits of the parts, recorded when the certificate came to
-# state only its parts; the d >= 4 ones (face chords) were recorded from the
-# containment check that walked per-vertex adjacency sets
+# of TestTamper's edits of the parts, re-recorded when the p lines stopped
+# stating each part's id, kind and creator (the verifier hangs bag i under
+# its largest attachment, and the edit that once set a creator attaches a
+# part to a later one)
 GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
                     .read_text())
 
@@ -122,11 +123,10 @@ def tampered(cert, rng, E):
             return c
         mode = 4
     if mode == 2:
-        # a creator pointing at a part it created closes a cycle; with no
-        # such part it points past the last bag
+        # a part attached to the part after it (for the last part, past the
+        # last), which is out of its bag's range
         i = rng.below(c.num_parts)
-        kids = [part.pid for part in parts if part.creator == i]
-        parts[i].creator = kids[0] if kids else c.num_parts
+        parts[i].attachments.append(i + 1)
         return c
     if mode == 3:
         # an attachment the edge uv needs is dropped: H loses the edge
@@ -574,77 +574,76 @@ class TestStatedGenus:
 
 
 def td_parts(spec):
-    """Parts with no vertices whose (creator, attachments) are spec[i]."""
-    return [Part(i, "tripod", [], [], c, list(a))
-            for i, (c, a) in enumerate(spec)]
+    """Parts with no vertices whose attachments are spec[i]."""
+    return [Part(i, "tripod", [], [], list(a)) for i, a in enumerate(spec)]
 
 
 class TestTreeDecompositionCheck:
-    """Bag i is part i's attachments plus i, under its creator's bag."""
+    """Bag i is part i's attachments plus i, under its largest attachment's
+    bag."""
 
     def test_k4_creator_chain(self):
         # bags {0}, {0,1}, {0,1,2}, {0,1,2,3}: H is K4
         fails, h = check_tree_decomposition(
-            td_parts([(-1, []), (0, [0]), (1, [0, 1]), (2, [0, 1, 2])]))
+            td_parts([[], [0], [0, 1], [0, 1, 2]]))
         assert fails == []
         assert sorted(h) == sorted((a, b) for b in range(4) for a in range(b))
         assert check_tree_decomposition([]) == (["FAIL td no bags"], [])
 
     def test_disconnected_subtree_detected(self):
-        # node 0 is in bags 0 and 2 but not in bag 1 between them
-        fails, _ = check_tree_decomposition(
-            td_parts([(-1, []), (0, []), (1, [0])]))
+        # node 0 is in bags 1 and 3 but not in bag 2 between them
+        fails, _ = check_tree_decomposition(td_parts([[], [0], [1], [0, 2]]))
         assert fails == ["FAIL td node 0 spans 2 subtrees"]
 
     def test_oversized_bag(self):
         fails, h = check_tree_decomposition(
-            td_parts([(-1, []), (0, [0]), (1, [0, 1]), (2, [0, 1, 2]),
-                      (3, [0, 1, 2, 3])]))
+            td_parts([[], [0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]))
         assert fails == ["FAIL td bag 4 has size 5"]
         assert len(h) == 10
 
     def test_repeated_node(self):
-        fails, h = check_tree_decomposition(
-            td_parts([(-1, []), (0, [0, 0]), (1, [2])]))
+        fails, h = check_tree_decomposition(td_parts([[], [0, 0], [1, 1]]))
         assert fails == ["FAIL td bag 1 repeats a node",
                          "FAIL td bag 2 repeats a node"]
-        assert h == [(0, 1), (0, 1), (2, 2)]
+        assert h == [(0, 1), (0, 1), (1, 2), (1, 2)]
 
     def test_node_out_of_range(self):
-        # one line per bad attachment, in sorted order; H keeps the rest
+        # one line per bad attachment, in sorted order; H keeps the rest.
+        # The range of bag i is 0..i-1: itself and later parts are out
         fails, h = check_tree_decomposition(
-            td_parts([(-1, []), (0, [9, 0, 5]), (1, [1, -1])]))
+            td_parts([[], [9, 0, 5], [1, -1, 2], [3, 0]]))
         assert fails == ["FAIL td bag 1 node 5 out of range",
                          "FAIL td bag 1 node 9 out of range",
-                         "FAIL td bag 2 node -1 out of range"]
-        assert h == [(0, 1), (1, 2)]
+                         "FAIL td bag 2 node -1 out of range",
+                         "FAIL td bag 2 node 2 out of range",
+                         "FAIL td bag 3 node 3 out of range"]
+        assert h == [(0, 1), (1, 2), (0, 3)]
 
     def test_parent_out_of_range(self):
+        # a largest attachment out of range is left out: bag 3 hangs under
+        # bag 0 and bag 4 under bag 1, so every node spans one subtree
         fails, h = check_tree_decomposition(
-            td_parts([(-1, []), (7, [0]), (-3, [0])]))
-        assert fails == ["FAIL td bag 1 parent 7 out of range"]
-        assert h == [(0, 1), (0, 2)]
+            td_parts([[], [0], [1], [0, 3], [1, 9]]))
+        assert fails == ["FAIL td bag 3 node 3 out of range",
+                         "FAIL td bag 4 node 9 out of range"]
+        assert h == [(0, 1), (1, 2), (0, 3), (1, 4)]
 
     def test_two_roots(self):
-        fails, _ = check_tree_decomposition(td_parts([(-1, []), (-1, [0])]))
+        # a part after the first with no attachment is a second root
+        fails, _ = check_tree_decomposition(td_parts([[], [0], []]))
+        assert fails == ["FAIL td 2 roots"]
+        fails, _ = check_tree_decomposition(td_parts([[], [], [0, 1]]))
         assert fails == ["FAIL td 2 roots", "FAIL td node 0 spans 2 subtrees"]
 
-    def test_parent_cycle_fails_in_bounded_time(self, child_env):
-        # a cycle whose bags share a node once made the anchor walk spin;
-        # run in a child process so a hang fails the test instead of the suite
-        code = ("from framedprod.tripods import Part\n"
-                "from framedprod.verify import check_tree_decomposition as c\n"
-                "def ps(spec):\n"
-                "    return [Part(i, 'tripod', [], [], p, a)\n"
-                "            for i, (p, a) in enumerate(spec)]\n"
-                "print(c(ps([(1, [1]), (0, [0])]))[0])\n"
-                "print(c(ps([(-1, []), (2, [0]), (1, [0, 1])]))[0])\n")
-        res = subprocess.run([sys.executable, "-c", code], env=child_env,
-                             capture_output=True, text=True, timeout=60)
-        assert res.returncode == 0, res.stderr
-        lines = res.stdout.splitlines()
-        assert len(lines) == 2
-        assert all("FAIL td bag_parent has a cycle" in ln for ln in lines)
+    def test_parent_cycle_fails_in_bounded_time(self):
+        # the attachments that once stated a cycle of bag parents: a later
+        # part is out of range, so the bags derived from them form a tree
+        fails, h = check_tree_decomposition(td_parts([[1], [0]]))
+        assert fails == ["FAIL td bag 0 node 1 out of range"]
+        assert h == [(0, 1)]
+        fails, h = check_tree_decomposition(td_parts([[], [2, 0], [0, 1]]))
+        assert fails == ["FAIL td bag 1 node 2 out of range"]
+        assert h == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestContainmentCheck:
@@ -794,16 +793,16 @@ class TestContainmentOracle:
 class TestPartStructureCheck:
     def test_out_of_range_vertices(self):
         parts = [Part(pid=0, kind="tripod", legs=[[0, 1, 5]], absorbed=[-1],
-                      creator=-1, attachments=[])]
-        fails, node = check_part_structure(parts, [-1, 0], 0, 4, -1)
+                      attachments=[])]
+        fails, node = check_part_structure(parts, [-1, 0], 0, 4)
         assert fails == ["FAIL parts vertex 5 out of range",
                          "FAIL parts vertex -1 out of range"]
         assert node == [0, 0]
 
     def test_each_vertex_in_exactly_one_part(self):
-        parts = [Part(0, "tripod", [[0, 1]], [], -1, []),
-                 Part(1, "tripod", [[1]], [], 0, [0])]
-        fails, node = check_part_structure(parts, [-1, 0, 1], 0, 4, -1)
+        parts = [Part(0, "tripod", [[0, 1]], [], []),
+                 Part(1, "tripod", [[1]], [], [0])]
+        fails, node = check_part_structure(parts, [-1, 0, 1], 0, 4)
         assert fails == ["FAIL parts vertex 1 in two parts",
                          "FAIL parts 1 vertices in no part"]
         assert node == [0, 0, -1]
@@ -833,8 +832,8 @@ class TestOutOfRangeFields:
 
 
 class TestStatedDecomposition:
-    """H and the bags come from the p lines; a bad creator or attachment
-    gives FAIL lines, never an exception."""
+    """H and the bags come from the p lines; a bad attachment gives FAIL
+    lines, never an exception."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -846,10 +845,10 @@ class TestStatedDecomposition:
         cert = parse_certificate(text)
         edges, bags, parent = stated_decomposition(cert.parts)
         assert parent[0] == -1
-        for part in cert.parts:
-            i = part.pid
+        for i, part in enumerate(cert.parts):
+            assert part.pid == i
             assert bags[i] == sorted(part.attachments) + [i]
-            assert parent[i] == part.creator
+            assert parent[i] == max(part.attachments, default=-1)
             assert [(a, i) for a in part.attachments] == [
                 e for e in edges if e[1] == i]
         # the check reads the same H from the parts
@@ -859,36 +858,37 @@ class TestStatedDecomposition:
 
     @staticmethod
     def edit(text, pid, fn):
-        """``text`` with the head tokens of part ``pid``'s p line (id,
-        kind, creator, attachments) replaced by ``fn(tokens)``."""
+        """``text`` with the attachments of part ``pid``'s p line, line
+        ``2 + pid``, replaced by ``fn(tokens)``."""
         lines = text.splitlines()
-        i = next(j for j, ln in enumerate(lines)
-                 if ln.startswith(f"p {pid} "))
-        head, sep, rest = lines[i].partition(" x: ")
+        head, sep, rest = lines[2 + pid].partition(" x: ")
         toks = head.split()
-        lines[i] = " ".join(toks[:1] + fn(toks[1:])) + sep + rest
+        lines[2 + pid] = " ".join(toks[:1] + fn(toks[1:])) + sep + rest
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("pid,fn,want", [
-        (2, lambda t: t[:2] + ["99"] + t[3:],
-         "FAIL td bag 2 parent 99 out of range"),
-        (2, lambda t: t[:2] + ["-7"] + t[3:],
-         "FAIL td bag 2 parent -7 out of range"),
         (3, lambda t: t + ["99"], "FAIL td bag 3 node 99 out of range"),
         (3, lambda t: t + ["-2"], "FAIL td bag 3 node -2 out of range"),
-        (3, lambda t: t + [t[3]], "FAIL td bag 3 repeats a node"),
-        (3, lambda t: t + ["3"], "FAIL td bag 3 repeats a node"),
-        (2, lambda t: t[:2] + ["2"] + t[3:], "FAIL td bag_parent has a cycle"),
-        (0, lambda t: t[:2] + ["1"] + t[3:], "FAIL td bag_parent has a cycle"),
-        (1, lambda t: t[:2] + ["-1"] + t[3:], "FAIL td 2 roots"),
-    ], ids=["creator-past-the-bags", "creator-negative", "attachment-past",
-            "attachment-negative", "attachment-twice", "attachment-self",
-            "creator-self", "creator-cycle", "two-roots"])
+        (3, lambda t: t + [t[0]], "FAIL td bag 3 repeats a node"),
+        (3, lambda t: t + ["3"], "FAIL td bag 3 node 3 out of range"),
+        (3, lambda t: t + ["4"], "FAIL td bag 3 node 4 out of range"),
+        (1, lambda t: [], "FAIL td 2 roots"),
+        # what once set a bag parent by its creator token: a part whose
+        # only (so largest) attachment is negative, is itself, or, for part
+        # 0, is part 1, which hangs under part 0
+        (2, lambda t: ["-7"], "FAIL td bag 2 node -7 out of range"),
+        (2, lambda t: ["2"], "FAIL td bag 2 node 2 out of range"),
+        (0, lambda t: ["1"], "FAIL td bag 0 node 1 out of range"),
+    ], ids=["attachment-past", "attachment-negative", "attachment-twice",
+            "attachment-self", "attachment-later", "two-roots",
+            "creator-negative", "creator-self", "creator-cycle"])
     def test_bad_creator_or_attachment(self, case, pid, fn, want):
         E, text = case
         cert = parse_certificate(self.edit(text, pid, fn))
         fails = verify_certificate(E, cert)
         assert fails.count(want) == 1
+        assert sum("out of range" in f for f in fails) == (
+            "out of range" in want)
         assert all(f.startswith("FAIL ") for f in fails)
 
 

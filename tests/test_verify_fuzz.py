@@ -95,8 +95,7 @@ def test_mutated_certificate_is_rejected_or_checked(name, ops):
 def test_huge_vertex_count_is_rejected_before_allocating():
     # the parser keeps nothing per vertex; the verifier compares the count
     # with the graph's before it builds a per-vertex list
-    text = ("cert 1000000000000000 3 0\nPARTS 1\np 0 TRIPOD -1 x:  y: 0\n"
-            "ELL 1\n")
+    text = "cert 1000000000000000 3 0\nPARTS 1\np x:  y: 0\nELL 1\n"
     cert = parse_certificate(text)
     E = gen_plane_triangulation(12, 1)
     assert verify_certificate(E, cert) == [

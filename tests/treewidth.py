@@ -7,18 +7,18 @@ from framedprod.errors import DomainError
 def stated_decomposition(parts):
     """``H``'s edges, the bags and the bag parents that the parts state.
 
-    Part ``i`` with attachments ``A`` and creator ``c`` gives the edges
-    ``a-i`` for ``a`` in ``A``, and bag ``i``, ``sorted(A) + [i]``, whose
-    parent is bag ``c`` (-1 at the root).
+    Part ``i`` with attachments ``A`` gives the edges ``a-i`` for ``a`` in
+    ``A``, and bag ``i``, ``sorted(A) + [i]``, whose parent is bag
+    ``max(A)`` (-1, a root, when ``A`` is empty).
     """
     h_edges = []
-    bags = [[] for _ in parts]
-    bag_parent = [-1] * len(parts)
-    for part in parts:
-        i = part.pid
+    bags = []
+    bag_parent = []
+    for i, part in enumerate(parts):
+        atts = sorted(part.attachments)
         h_edges += [(a, i) for a in part.attachments]
-        bags[i] = sorted(part.attachments) + [i]
-        bag_parent[i] = part.creator
+        bags.append(atts + [i])
+        bag_parent.append(atts[-1] if atts else -1)
     return h_edges, bags, bag_parent
 
 
