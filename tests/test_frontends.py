@@ -40,6 +40,10 @@ from framedprod.verify import rebuild_closure
 # genus and its largest attachment state them
 GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
                     .read_text())
+# sha256 digests of oneplanar_to_frame's frame and of its certificate at
+# d = 4, recorded before the frontend's rotation edits moved to embedding
+GOLDEN_ONEPLANE = json.loads((Path(__file__).parent / "golden_oneplanar.json")
+                             .read_text())
 
 
 def _sha(text):
@@ -91,6 +95,47 @@ def k6_oneplane():
                  (7, _crossing_record(P, 7, ((0, 4), (1, 3)))),
                  (8, _crossing_record(P, 8, ((5, 3), (2, 4))))]
     return OnePlaneDrawing(P=P, crossings=crossings)
+
+
+def adjacent_crossing_oneplane():
+    """Two drawn edges that share vertex 0 crossing at dummy 4."""
+    P = from_face_list([[0, 1, 4], [4, 1, 2], [0, 4, 3], [4, 2, 3],
+                        [1, 0, 3, 2]])
+    return OnePlaneDrawing(P=P, crossings=[(4, [dd >> 1 for dd in P.rot[4]])])
+
+
+def thinned_oneplane(n, seed):
+    """``gen_oneplanar(n, seed)`` without every fourth real-real edge, in id
+    order.  The merged faces carry dummies and some have five or more
+    corners, so the augmentation cuts ears both at dummies and at the
+    smallest corner."""
+    D = gen_oneplanar(n, seed)
+    dummies = {c for c, _ in D.crossings}
+    real = [e for e, (u, v, _) in enumerate(D.P.edges)
+            if u not in dummies and v not in dummies]
+    dead = set(real[::4])
+    new_id = {}
+    for e in range(D.P.m):
+        if e not in dead:
+            new_id[e] = len(new_id)
+    edges = [D.P.edges[e] for e in new_id]
+    rot = [[2 * new_id[x >> 1] + (x & 1) for x in r if x >> 1 in new_id]
+           for r in D.P.rot]
+    crossings = [(c, [new_id[e] for e in quad]) for c, quad in D.crossings]
+    return OnePlaneDrawing(P=EmbeddedMultigraph(D.P.n, edges, rot),
+                           crossings=crossings)
+
+
+def golden_drawing(key):
+    """The drawing named by a GOLDEN_ONEPLANE key: a fixture,
+    ``gen_<n>_<seed>`` or ``thin_<n>_<seed>``."""
+    fixtures = {"k5": k5_oneplane, "k6": k6_oneplane,
+                "adjacent": adjacent_crossing_oneplane}
+    if key in fixtures:
+        return fixtures[key]()
+    kind, n, seed = key.split("_")
+    make = gen_oneplanar if kind == "gen" else thinned_oneplane
+    return make(int(n), int(seed))
 
 
 def _crossing_record(P, c, originals):
@@ -381,16 +426,11 @@ class TestOnePlanar:
 
     def test_adjacent_crossing_normalized(self):
         # two edges sharing vertex 0 drawn crossing: local fix removes it
-        # build: path planarization where edges (0,2) and (0,3) cross at 4
-        P = from_face_list([[0, 1, 4], [4, 1, 2], [0, 4, 3], [4, 2, 3],
-                            [1, 0, 3, 2]])
-        # edges at 4 pair as ((0,?),(?,2)) etc; construct records from rot
-        tails = P.tails()
-        rot_edges = [dd >> 1 for dd in P.rot[4]]
-        far = [P.edges[e][0] if P.edges[e][1] == 4 else P.edges[e][1]
+        D = adjacent_crossing_oneplane()
+        P, (c, rot_edges) = D.P, D.crossings[0]
+        far = [P.edges[e][0] if P.edges[e][1] == c else P.edges[e][1]
                for e in rot_edges]
         # pairs must be opposite: (far[0], far[2]) and (far[1], far[3])
-        D = OnePlaneDrawing(P=P, crossings=[(4, rot_edges)])
         pairs = {tuple(sorted((far[0], far[2]))), tuple(sorted((far[1], far[3])))}
         assert any(0 in p for p in pairs)
         res = oneplanar_to_frame(D)
@@ -427,3 +467,12 @@ class TestOnePlanar:
         lines[i] = " ".join(edit(lines[i].split()))
         with pytest.raises(FormatError, match=msg):
             parse_oneplanar("\n".join(lines) + "\n")
+
+
+class TestOnePlaneFrameDigests:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_ONEPLANE))
+    def test_frame_and_certificate(self, key):
+        frame = oneplanar_to_frame(golden_drawing(key)).frame
+        got = [_sha(serialize_embedding(frame)),
+               _sha(serialize_certificate(decompose(frame, 4)))]
+        assert got == GOLDEN_ONEPLANE[key]
