@@ -49,11 +49,15 @@ class PartitionCertificate:
     genus: int
     parts: list               # Part records over original vertices
     ell: int                  # the most vertices of one (part, block) cell
-    bound: int
 
     @property
     def num_parts(self):
         return len(self.parts)
+
+    @property
+    def bound(self):
+        """The width the construction guarantees, ``width_bound(genus, d)``."""
+        return width_bound(self.genus, self.d)
 
     @property
     def boundary_part(self):
@@ -113,7 +117,7 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
         raise ContractViolation(
             f"achieved width {ell} exceeds the bound {bound}")
     return PartitionCertificate(n=E.n, d=d, genus=g, parts=projected.parts,
-                                ell=ell, bound=bound)
+                                ell=ell)
 
 
 @gc_paused
@@ -159,18 +163,16 @@ def parse_certificate(text: str) -> PartitionCertificate:
                     for seg in " ".join(toks[yi + 1:]).split("|")]
         except ValueError:
             raise FormatError(f"bad 'p' line: {ln}") from None
-        pid = len(parts)
         if legs == [[]]:                      # a part with no path
             legs = []
         elif [] in legs:
-            raise FormatError(f"part {pid} has an empty path")
-        kind = "boundary" if pid == 0 and g > 0 else "tripod"
-        parts.append(Part(pid, kind, legs, absorbed, attachments))
+            raise FormatError(f"part {len(parts)} has an empty path")
+        kind = "boundary" if not parts and g > 0 else "tripod"
+        parts.append(Part(kind, legs, absorbed, attachments))
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")
-    return PartitionCertificate(n=n, d=d, genus=g, parts=parts, ell=ell,
-                                bound=width_bound(g, d))
+    return PartitionCertificate(n=n, d=d, genus=g, parts=parts, ell=ell)
 
 
 def _header(lines, i, tag, count):

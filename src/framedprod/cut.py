@@ -12,7 +12,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .embedding import BfsStructure, EmbeddedMultigraph, FaceSet, trace_faces
+from .embedding import (
+    BfsStructure,
+    EmbeddedMultigraph,
+    FaceSet,
+    stellate,
+    trace_faces,
+)
 from .errors import ContractViolation, DomainError
 
 
@@ -277,34 +283,18 @@ def _normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
 
 
 def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:
-    """Add an apex inside the new face, joined to every boundary copy.
+    """Add an apex inside the new face, joined to every boundary copy: the
+    slit face stellated.
 
     ``gt_faces`` are the faces of ``R.Gt`` that ``cut_along`` returned.
     Returns ``(Gplus, gplus_faces)``: the apexed graph, whose last vertex
     ``Gplus.n - 1`` is the apex, and its faces.
     """
-    Gt = R.Gt
-    cyc = R.cf_cycle
-    cf_darts = gt_faces.faces[R.new_face_index]
-    rplus = Gt.n
-    edges = list(Gt.edges)
-    rot = list(Gt.rot)        # a rotation is copied before it changes
-    spoke_darts = []          # the apex end of each spoke
-    for c in cyc:
-        spoke_darts.append(2 * len(edges))
-        edges.append((rplus, c, 1))
-    # at each cycle vertex the spoke sits in the slit corner: right before
-    # the outgoing boundary dart of the new face
-    for i, c in enumerate(cyc):
-        out = cf_darts[i]
-        r = rot[c] = list(rot[c])
-        r.insert(r.index(out), spoke_darts[i] + 1)
-    rot.append(list(reversed(spoke_darts)))
-    Gplus = EmbeddedMultigraph(Gt.n + 1, edges, rot)
+    Gplus = stellate(R.Gt, [gt_faces.faces[R.new_face_index]])
     fs = trace_faces(Gplus)
     if 2 - Gplus.n + Gplus.m - fs.f != 0:    # connected: Gt is, plus spokes
         raise ContractViolation("apex insertion broke planarity")
-    if fs.f != len(cyc) + gt_faces.f - 1:
+    if fs.f != len(R.cf_cycle) + gt_faces.f - 1:
         raise ContractViolation("apex wheel face count is off")
     return Gplus, fs
 

@@ -12,7 +12,7 @@ import functools
 import gc
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, compress
 
 from .errors import ContractViolation, DomainError, FormatError
 
@@ -119,6 +119,88 @@ class EmbeddedMultigraph:
                     seen[w] = True
                     stack.append(w)
         return all(seen)
+
+
+def _owned(rot, base, v):
+    """``rot[v]``, copied first while it is still ``base``'s list."""
+    r = rot[v]
+    if r is base[v]:
+        r = rot[v] = list(r)
+    return r
+
+
+def stellate(E: EmbeddedMultigraph, walks) -> EmbeddedMultigraph:
+    """``E`` with a new vertex ``E.n + i`` inside face walk ``i``, joined to
+    every corner of it.
+
+    The spokes are appended in walk order.  A spoke's corner end goes right
+    before the walk's dart at that corner; the new vertex's rotation is its
+    first spoke, then the others against the walk.  The walks are faces of
+    an all-+1 scheme.  Only the rotations that change are copied.
+    """
+    edges = list(E.edges)
+    rot = list(E.rot)
+    tails = E.tails()
+    for z, walk in enumerate(walks, E.n):
+        first = 2 * len(edges)
+        for d in walk:
+            r = _owned(rot, E.rot, tails[d])
+            r.insert(r.index(d), 2 * len(edges) + 1)
+            edges.append((z, tails[d], 1))
+        spokes = range(first, 2 * len(edges), 2)
+        rot.append([spokes[0], *reversed(spokes[1:])])
+    return EmbeddedMultigraph(len(rot), edges, rot)
+
+
+def add_chords(E: EmbeddedMultigraph, chords, root=None) -> EmbeddedMultigraph:
+    """``E`` with one new edge per chord ``((a, sa), (b, sb))``, in order.
+
+    The chord runs from the tail of dart ``a`` to the tail of dart ``b``.
+    An end goes right before its dart when its sense is +1 and right after
+    it when -1: the corner a face walk passing the dart in that sense turns
+    through.  A chord whose senses differ reverses (signature -1).  Only
+    the rotations that change are copied.
+    """
+    edges = list(E.edges)
+    rot = list(E.rot)
+    tails = E.tails()
+    for (a, sa), (b, sb) in chords:
+        e = len(edges)
+        edges.append((tails[a], tails[b], 1 if sa == sb else -1))
+        for d, s, new in ((a, sa, 2 * e), (b, sb, 2 * e + 1)):
+            r = _owned(rot, E.rot, tails[d])
+            r.insert(r.index(d) + (s == -1), new)
+    return EmbeddedMultigraph(E.n, edges, rot, root=root)
+
+
+def drop(edges, rot, dead_edges, dead_vertices=(), root=None) -> tuple:
+    """The graph left when ``dead_edges`` and ``dead_vertices`` go, and the
+    new id of each old edge (-1 if dead).
+
+    ``edges`` and ``rot`` are raw lists, as an edit in progress holds them:
+    a dead edge's darts may still sit in the rotations.  The survivors keep
+    their order and are numbered consecutively, and each rotation keeps
+    its surviving darts in place.  A live edge at a dead vertex is a
+    ``FormatError``.
+    """
+    live = bytearray(b"\x01") * len(edges)
+    for e in dead_edges:
+        live[e] = 0
+    new_id = list(accumulate(live, initial=0))    # live edges below each id
+    edge_map = [i if ok else -1 for i, ok in zip(new_id, live)]
+    kept = list(compress(edges, live))
+    rot = [[2 * new_id[x >> 1] + (x & 1) for x in r if live[x >> 1]]
+           for r in rot]
+    if dead_vertices:
+        vlive = bytearray(b"\x01") * len(rot)
+        for v in dead_vertices:
+            vlive[v] = 0
+        if not all(vlive[u] and vlive[v] for u, v, _ in kept):
+            raise FormatError("a live edge ends at a dead vertex")
+        vid = list(accumulate(vlive, initial=0))
+        kept = [(vid[u], vid[v], s) for u, v, s in kept]
+        rot = list(compress(rot, vlive))
+    return EmbeddedMultigraph(len(rot), kept, rot, root=root), edge_map
 
 
 @dataclass

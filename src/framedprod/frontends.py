@@ -7,8 +7,11 @@ from dataclasses import dataclass
 from .embedding import (
     EmbeddedMultigraph,
     FaceSet,
+    add_chords,
+    drop,
     euler_genus,
     gc_paused,
+    stellate,
     trace_faces,
 )
 from .errors import ContractViolation, DomainError, FormatError
@@ -85,7 +88,7 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
         action = None
         for fi, walk in enumerate(walks):
             if len(walk) == 2:
-                action = ("split", fi, None)
+                action = ("stellate", fi, None)
                 break
             if len(set(walk)) != len(walk):
                 action = ("cut", fi, _first_repeat(walk))
@@ -105,12 +108,10 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
                 fi = min(faces_at)
                 action = ("cut", fi, walks[fi].index(v))
         kind, fi, pos = action
-        if kind == "split":
-            step, fs = _split_two_face(LM, fs, fi)
-        elif kind == "cut":
+        if kind == "cut":
             step, fs = _cut_triangle_at(LM, fs, fi, pos)
         else:
-            step, fs = _stellate_lake(LM, fs, fi)
+            step, fs = _stellate_face(LM, fs, fi)
         origin = [origin[o] for o in step]
     else:
         raise ContractViolation("map repairs did not converge")
@@ -156,22 +157,13 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
                           nation_origin=nation_origin)
 
 
-def _split_two_face(LM, fs, fi):
-    """New vertex inside a 2-face; one side stays a nation if it was one."""
-    E = LM.G0
-    d1, d2 = fs.faces[fi]
-    u, v = E.tails()[d1], E.tails()[d2]
-    z = E.n
-    edges = list(E.edges)
-    ezu = len(edges)
-    edges.append((z, u, 1))
-    ezv = len(edges)
-    edges.append((z, v, 1))
-    rot = [list(r) for r in E.rot] + [[2 * ezv, 2 * ezu]]
-    rot[u].insert(rot[u].index(d1), 2 * ezu + 1)
-    rot[v].insert(rot[v].index(d2), 2 * ezv + 1)
-    G = EmbeddedMultigraph(E.n + 1, edges, rot)
-    return _relabel_after(G, LM, fs, keep_first_dart=d1, split_face=fi)
+def _stellate_face(LM, fs, fi):
+    """New vertex inside face fi, joined to its every corner.  A split
+    2-face keeps its nation on the side of its first dart; a lake's pieces
+    stay lakes."""
+    G = stellate(LM.G0, [fs.faces[fi]])
+    return _relabel_after(G, LM, fs, keep_first_dart=fs.faces[fi][0],
+                          split_face=fi)
 
 
 def _first_repeat(vertex_walk):
@@ -219,47 +211,20 @@ def _relabel_after(G, LM, fs, keep_first_dart, split_face, lake_darts=()):
     return came_from, new_fs
 
 
-def _stellate_lake(LM, fs, fi):
-    """New vertex inside a lake, joined to its whole cycle (all lakes)."""
-    E = LM.G0
-    walk = fs.faces[fi]
-    tails = E.tails()
-    corners = [tails[dd] for dd in walk]
-    z = E.n
-    edges = list(E.edges)
-    rot = [list(r) for r in E.rot]
-    spokes = []
-    for i, c in enumerate(corners):
-        e = len(edges)
-        edges.append((z, c, 1))
-        spokes.append(e)
-        rot[c].insert(rot[c].index(walk[i]), 2 * e + 1)
-    rot.append([2 * spokes[0]] + [2 * e for e in reversed(spokes[1:])])
-    G = EmbeddedMultigraph(E.n + 1, edges, rot)
-    return _relabel_after(G, LM, fs, keep_first_dart=None, split_face=fi)
-
-
 def _cut_triangle_at(LM, fs, fi, pos):
     """Chord across face fi cutting off the corner at walk position pos
     as a lake triangle."""
     E = LM.G0
     walk = fs.faces[fi]
-    verts = [E.tails()[x] for x in walk]
-    k = len(verts)
-    u, v, w = verts[(pos - 1) % k], verts[pos], verts[(pos + 1) % k]
-    if u == v or v == w or u == w:
+    k = len(walk)
+    d_in, d_out = walk[(pos - 1) % k], walk[(pos + 1) % k]
+    tails = E.tails()
+    if len({tails[d_in], tails[walk[pos]], tails[d_out]}) < 3:
         raise DomainError(
             "degenerate repeated-vertex corner (pendant edge) in map input")
-    e = len(E.edges)
-    edges = list(E.edges) + [(u, w, 1)]
-    rot = [list(r) for r in E.rot]
-    d_in = walk[(pos - 1) % k]
-    d_out = walk[(pos + 1) % k]
-    rot[u].insert(rot[u].index(d_in), 2 * e)
-    rot[w].insert(rot[w].index(d_out), 2 * e + 1)
-    G = EmbeddedMultigraph(E.n, edges, rot)
+    G = add_chords(E, [((d_in, 1), (d_out, 1))])
     return _relabel_after(G, LM, fs, keep_first_dart=None, split_face=fi,
-                          lake_darts={2 * e + 1})
+                          lake_darts={2 * E.m + 1})
 
 
 def _dual_graph(E, fs):
@@ -384,17 +349,7 @@ def _drop_two_gons(E):
                 break
         if target is None:
             return E, fs
-        edges = [e for i, e in enumerate(E.edges) if i != target]
-        rot = []
-        for r in E.rot:
-            new = []
-            for x in r:
-                e = x >> 1
-                if e == target:
-                    continue
-                new.append(2 * (e if e < target else e - 1) + (x & 1))
-            rot.append(new)
-        E = EmbeddedMultigraph(E.n, edges, rot)
+        E, _ = drop(E.edges, E.rot, (target,))
 
 
 # ---------------------------------------------------------------------------
@@ -507,67 +462,22 @@ def _normalize_adjacent_crossings(Dw: OnePlaneDrawing):
         idx, c, quad, far = bad
         if far[0] == far[2] or far[1] == far[3]:
             raise DomainError("a drawn edge crosses itself")
-        # reconnect ray i with ray i+1's partner: bounce instead of cross
-        edges = list(P.edges)
-        rot = [list(r) for r in P.rot]
-        tails = P.tails()
-        slots = {}
-        for e in quad:
-            dart = 2 * e if tails[2 * e] != c else 2 * e + 1
-            v = tails[dart]
-            slots[e] = (v, rot[v].index(dart))
+        # reconnect ray i with ray i+1's partner: bounce instead of cross;
+        # each new edge takes the far-end corners of the two rays it joins
         if far[0] == far[1] or far[2] == far[3]:
             pairing = ((quad[0], quad[3]), (quad[1], quad[2]))
         else:
             pairing = ((quad[0], quad[1]), (quad[2], quad[3]))
-        for ea, eb in pairing:
-            (va, ia), (vb, ib) = slots[ea], slots[eb]
-            e = len(edges)
-            edges.append((va, vb, 1))
-            rot[va][ia] = 2 * e
-            rot[vb][ib] = 2 * e + 1
-        dead = {2 * e_ for e_ in quad} | {2 * e_ + 1 for e_ in quad}
-        rot[c] = []
-        rot = [[dd for dd in r if dd not in dead] if v != c else []
-               for v, r in enumerate(rot)]
-        P = _drop_vertices_and_edges(edges, rot, {c}, set(quad))
+        tails = P.tails()
+        far_dart = {e: 2 * e + (tails[2 * e] == c) for e in quad}
+        P = add_chords(P, [((far_dart[ea], 1), (far_dart[eb], 1))
+                           for ea, eb in pairing])
+        P, edge_map = drop(P.edges, P.rot, quad, (c,))
         del crossings[idx]
         # vertex ids above c shift down by one
-        shifted = []
-        for cc, qq in crossings:
-            cc2 = cc - 1 if cc > c else cc
-            qq2 = [_shift_edge(e_, sorted(quad)) for e_ in qq]
-            shifted.append((cc2, qq2))
-        crossings = shifted
+        crossings = [(cc - (cc > c), [edge_map[e] for e in qq])
+                     for cc, qq in crossings]
         Dw = OnePlaneDrawing(P=P, crossings=crossings)
-    return P, crossings
-
-
-def _shift_edge(e, removed_sorted):
-    return e - sum(1 for r in removed_sorted if r < e)
-
-
-def _drop_vertices_and_edges(edges, rot, dead_vertices, dead_edges):
-    vmap = {}
-    nv = 0
-    for v in range(len(rot)):
-        if v not in dead_vertices:
-            vmap[v] = nv
-            nv += 1
-    emap = {}
-    new_edges = []
-    for e, (u, v, s) in enumerate(edges):
-        if e in dead_edges:
-            continue
-        emap[e] = len(new_edges)
-        new_edges.append((vmap[u], vmap[v], s))
-    new_rot = []
-    for v in range(len(rot)):
-        if v in dead_vertices:
-            continue
-        new_rot.append([2 * emap[dd >> 1] + (dd & 1) for dd in rot[v]
-                        if (dd >> 1) in emap])
-    return EmbeddedMultigraph(nv, new_edges, new_rot)
 
 
 def _triangulate_planarization(P, crossings):
@@ -594,26 +504,15 @@ def _triangulate_planarization(P, crossings):
             j = dpos[0]               # cut the ear at the first dummy
         else:
             j = min(range(k), key=lambda i: walk[i])
-        a, b = (j - 1) % k, (j + 1) % k
-        u, w = walk[a], walk[b]
-        e = len(P.edges)
-        edges = list(P.edges) + [(u, w, 1)]
-        rot = [list(r) for r in P.rot]
-        rot[u].insert(rot[u].index(darts[a]), 2 * e)
-        # at w the chord sits in the corner before the outgoing dart
-        rot[w].insert(rot[w].index(darts[b]), 2 * e + 1)
-        P = EmbeddedMultigraph(P.n, edges, rot)
+        ear = ((darts[(j - 1) % k], 1), (darts[(j + 1) % k], 1))
+        P = add_chords(P, [ear])
     return P, crossings
 
 
 def _delete_crossings(P, crossings):
-    dead_vertices = {c for c, _ in crossings}
-    dead_edges = set()
-    for c, quad in crossings:
-        for dd in P.rot[c]:
-            dead_edges.add(dd >> 1)
-    return _drop_vertices_and_edges(P.edges, [list(r) for r in P.rot],
-                                    dead_vertices, dead_edges)
+    dead_vertices = [c for c, _ in crossings]
+    dead_edges = [dd >> 1 for c in dead_vertices for dd in P.rot[c]]
+    return drop(P.edges, P.rot, dead_edges, dead_vertices)[0]
 
 
 # ---------------------------------------------------------------------------

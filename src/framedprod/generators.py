@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import accumulate
-
-from .embedding import EmbeddedMultigraph, gc_paused, trace_faces
+from .embedding import (
+    EmbeddedMultigraph,
+    add_chords,
+    drop,
+    gc_paused,
+    stellate,
+    trace_faces,
+)
 from .errors import ContractViolation, DomainError
 
 MASK64 = (1 << 64) - 1
@@ -120,33 +125,20 @@ def gen_plane_triangulation(n: int, seed: int) -> EmbeddedMultigraph:
 def triangulate_quads(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
     """Add a diagonal to every 4-face (real edges, genus preserved).
 
-    Handles signed embeddings: the face corner at a walk position sits
-    after the outgoing dart when the walk passes it in the reversed sense,
-    and a diagonal joining corners of opposite sense is itself reversing.
+    Handles signed embeddings: each end of a diagonal takes the sense in
+    which the face walk passes its dart, so ``add_chords`` puts it in the
+    face's corner and signs it -1 when the senses differ.
     """
     fs = trace_faces(E)
-    edges = list(E.edges)
-    rot = [list(r) for r in E.rot]
-    tails = E.tails()
 
-    def side(fi, dart):
-        return 1 if fs.face_of_state[2 * dart] == fi else -1
+    def corner(fi, dart):
+        return dart, 1 if fs.face_of_state[2 * dart] == fi else -1
 
-    for fi, walk in enumerate(fs.faces):
-        if len(walk) != 4:
-            continue
-        d0, d1, d2, d3 = walk
-        a, c = tails[d0], tails[d2]
-        s0, s2 = side(fi, d0), side(fi, d2)
-        e = len(edges)
-        edges.append((a, c, 1 if s0 == s2 else -1))
-        ia = rot[a].index(d0) + (1 if s0 == -1 else 0)
-        rot[a].insert(ia, 2 * e)
-        ic = rot[c].index(d2) + (1 if s2 == -1 else 0)
-        rot[c].insert(ic, 2 * e + 1)
-    out = EmbeddedMultigraph(E.n, edges, rot, root=E.root)
-    check = trace_faces(out)
-    if check.f != fs.f + sum(1 for w in fs.faces if len(w) == 4):
+    quads = [fi for fi, walk in enumerate(fs.faces) if len(walk) == 4]
+    out = add_chords(E, [(corner(fi, fs.faces[fi][0]),
+                          corner(fi, fs.faces[fi][2])) for fi in quads],
+                     root=E.root)
+    if trace_faces(out).f != fs.f + len(quads):
         raise DomainError("quad triangulation broke the face structure")
     return out
 
@@ -225,11 +217,8 @@ def gen_framed(n: int, d: int, g: int, seed: int) -> EmbeddedMultigraph:
         if d == 3:
             E = triangulate_quads(E)
     alive = _attempt_deletions(E, d, rng)
-    edges = [e for e, ok in zip(E.edges, alive) if ok]
-    new_id = list(accumulate(alive, initial=0))   # live edges below each id
-    rot = [[2 * new_id[x >> 1] + (x & 1) for x in r if alive[x >> 1]]
-           for r in E.rot]
-    return EmbeddedMultigraph(E.n, edges, rot, root=E.root)
+    dead = [e for e, ok in enumerate(alive) if not ok]
+    return drop(E.edges, E.rot, dead, root=E.root)[0]
 
 
 def _attempt_deletions(E: EmbeddedMultigraph, d: int,
@@ -336,31 +325,10 @@ def gen_labelled_map(n: int, d: int, seed: int):
 
 def _planarize_quads(E: EmbeddedMultigraph):
     """Cross both diagonals inside every 4-face; dummies take the top ids."""
-    fs = trace_faces(E)
-    tails = E.tails()
-    edges = list(E.edges)
-    rot = [list(r) for r in E.rot]
-    crossings = []
-    next_v = E.n
-    for walk in fs.faces:
-        if len(walk) != 4:
-            continue
-        corners = [tails[dd] for dd in walk]
-        base = len(edges)
-        spokes = []
-        for i, v in enumerate(corners):
-            e = len(edges)
-            edges.append((next_v, v, 1))
-            spokes.append(e)
-            rot[v].insert(rot[v].index(walk[i]), 2 * e + 1)
-        # rotation at the dummy runs against the face walk
-        rot.append([2 * spokes[0], 2 * spokes[3], 2 * spokes[2],
-                    2 * spokes[1]])
-        crossings.append((next_v, [spokes[0], spokes[3], spokes[2],
-                                   spokes[1]]))
-        next_v += 1
-    P = EmbeddedMultigraph(next_v, edges, rot)
-    return P, crossings
+    P = stellate(E, [w for w in trace_faces(E).faces if len(w) == 4])
+    # a dummy's rotation is its first spoke, then the others against the
+    # face walk, so opposite spokes are the halves of one diagonal
+    return P, [(c, [x >> 1 for x in P.rot[c]]) for c in range(E.n, P.n)]
 
 
 @gc_paused

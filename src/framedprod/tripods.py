@@ -133,7 +133,8 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
 
 @dataclass
 class Part:
-    pid: int
+    """One part of a partition; its id is its position in the part list."""
+
     kind: str                   # "boundary" or "tripod"
     legs: list                  # vertical paths, topmost vertex first
     absorbed: list              # the small leftover set (size <= d-3)
@@ -175,7 +176,7 @@ def tripod_partition(world: TriWorld, parent: list,
     parts = []
 
     if boundary is not None:
-        parts.append(Part(pid=0, kind="boundary", legs=[list(boundary)],
+        parts.append(Part(kind="boundary", legs=[list(boundary)],
                           absorbed=[], attachments=[]))
         for v in boundary:
             part_of[v] = 0
@@ -265,7 +266,7 @@ def tripod_partition(world: TriWorld, parent: list,
 
         new_vertices = _consume(world, part_of, parent, parts, tau,
                                 rparts, color_of)
-        pid = parts[-1].pid
+        pid = len(parts) - 1
 
         # every pocket is fenced off by a wall with a newly assigned
         # endpoint, so the open cells around the new part reach them all
@@ -522,7 +523,7 @@ def _consume(world, part_of, parent, parts, tau, rparts, color_of):
             f"absorbed set has {len(absorbed)} vertices, cap is {world.d - 3}")
     if not legs and not absorbed:
         raise ContractViolation("step created an empty part")
-    parts.append(Part(pid=pid, kind="tripod", legs=legs, absorbed=absorbed,
+    parts.append(Part(kind="tripod", legs=legs, absorbed=absorbed,
                       attachments=sorted(rparts)))
     new_vertices = [v for leg in legs for v in leg]
     new_vertices.extend(absorbed)
@@ -541,9 +542,9 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
     prov = cut_result.provenance
     zp = set(cut_result.zprime)
     parts = []
-    for part in HPR.parts:
-        if part.pid == 0:
-            parts.append(Part(pid=part.pid, kind="boundary",
+    for pid, part in enumerate(HPR.parts):
+        if pid == 0:
+            parts.append(Part(kind="boundary",
                               legs=[list(p) for p in cut_system.paths],
                               absorbed=[], attachments=part.attachments))
             continue
@@ -551,10 +552,10 @@ def project_partition(HPR: HPartitionResult, cut_result, cut_system,
         for leg in part.legs:
             if any(x in zp for x in leg):
                 raise ContractViolation(
-                    f"part {part.pid} contains a cut-boundary copy")
+                    f"part {pid} contains a cut-boundary copy")
             legs.append([prov[x] for x in leg])
         absorbed = [prov[x] for x in part.absorbed]
-        parts.append(Part(pid=part.pid, kind="tripod", legs=legs,
+        parts.append(Part(kind="tripod", legs=legs,
                           absorbed=absorbed, attachments=part.attachments))
     part_of = [None] * n_original
     for new_id, old_id in enumerate(prov):

@@ -66,9 +66,9 @@ OLD_SECTIONS = {"H": ["H 1 0"], "TD": ["TD 1", "b 0 -1 : 0"],
 def part_of(cert):
     """The part of each vertex, as the p lines list them."""
     out = [None] * cert.n
-    for part in cert.parts:
+    for pid, part in enumerate(cert.parts):
         for v in part.vertices():
-            out[v] = part.pid
+            out[v] = pid
     return out
 
 
@@ -395,9 +395,10 @@ class TestCertificateFormat:
         back = parse_embedding("\n".join([head] + body))
         assert (back.edges, back.rot) == (E.edges, E.rot)
         # the p lines keep their order: line i states part i
-        text = serialize_certificate(decompose(E, 3))
+        built = decompose(E, 3)
+        text = serialize_certificate(built)
         cert = parse_certificate(text)
-        assert [p.pid for p in cert.parts] == list(range(cert.num_parts))
+        assert cert.parts == built.parts
         assert serialize_certificate(cert) == text
         assert verify_certificate(back, cert) == []
 

@@ -14,23 +14,28 @@ from framedprod.assemble import parse_certificate
 from framedprod.embedding import (
     EmbeddedMultigraph,
     FaceSet,
+    add_chords,
     bfs_structure,
+    drop,
     euler_genus,
     from_face_list,
     parse_embedding,
     serialize_embedding,
+    stellate,
     trace_faces,
 )
 from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
 from framedprod.errors import ContractViolation, DomainError, FormatError
 from framedprod.verify import rebuild_faces, verify_certificate
+from test_nonorientable import klein_grid
 from test_verify import golden_corpus
 
 # sha256 of (faces, slot_face, face_of_state) per embedding, recorded from
 # the tracer that stepped through rotation positions modulo the degree
 GOLDEN_FACES = json.loads((Path(__file__).parent / "golden_faces.json")
                           .read_text())
-# sha256 of the cut and apexed graphs and T+, per positive-genus embedding
+# sha256 of the cut and apexed graphs and T+, per positive-genus embedding;
+# re-recorded when the apex's rotation came to start at its first spoke
 GOLDEN_CUT = json.loads((Path(__file__).parent / "golden_cut.json")
                         .read_text())
 
@@ -320,6 +325,103 @@ def cut_pins():
 class TestGoldenCut:
     def test_cut_pinned(self):
         assert cut_pins() == GOLDEN_CUT
+
+
+class TestEdits:
+    """``stellate``, ``add_chords`` and ``drop``: exact output on tiny
+    fixtures, the genus kept, and the input left as it was."""
+
+    @staticmethod
+    def square():
+        return from_face_list([[0, 1, 2, 3], [3, 2, 1, 0]])
+
+    @staticmethod
+    def edited(E, edit):
+        """``edit(E)``, checking that ``E`` is unchanged and that every
+        rotation the edit changed is a new list."""
+        edges, rot = list(E.edges), [list(r) for r in E.rot]
+        out = edit(E)
+        G = out[0] if isinstance(out, tuple) else out
+        assert (E.edges, E.rot) == (edges, rot)
+        assert all(r is not s for r, s in zip(G.rot, E.rot) if r != s)
+        return out
+
+    def test_stellate(self):
+        E = triangle()
+        fs = trace_faces(E)
+        assert fs.faces == [[0, 2, 4], [1, 5, 3]]
+        G = self.edited(E, lambda E: stellate(E, [fs.faces[0]]))
+        # spokes in walk order; each corner end right before the walk's
+        # dart; the new vertex: first spoke, then the others against the walk
+        assert G.edges == E.edges + [(3, 0, 1), (3, 1, 1), (3, 2, 1)]
+        assert G.rot == [[7, 0, 5], [1, 9, 2], [3, 11, 4], [6, 10, 8]]
+        assert euler_genus(G) == 0 and trace_faces(G).f == 4
+        both = stellate(E, fs.faces)
+        assert both.n == 5 and both.edges[6:] == [(4, 1, 1), (4, 0, 1),
+                                                  (4, 2, 1)]
+        assert both.rot[4] == [12, 16, 14] and euler_genus(both) == 0
+
+    def test_stellate_keeps_the_torus_genus(self):
+        E = toroidal_grid(3, 4)
+        G = self.edited(E, lambda E: stellate(E, trace_faces(E).faces[:5]))
+        assert G.n == E.n + 5 and euler_genus(G) == euler_genus(E) == 2
+
+    def test_add_chords(self):
+        E = self.square()
+        walk = trace_faces(E).faces[0]
+        assert walk == [0, 2, 4, 6]
+        G = self.edited(E, lambda E: add_chords(E, [((0, 1), (4, 1))]))
+        assert G.edges == E.edges + [(0, 2, 1)]
+        assert G.rot == [[8, 0, 7], [1, 2], [3, 9, 4], [5, 6]]
+        assert G.root is None
+        assert euler_genus(G) == 0 and trace_faces(G).f == 3
+        # a -1 end goes after its dart
+        after = add_chords(E, [((0, -1), (4, -1))], root=2)
+        assert after.edges[-1] == (0, 2, 1) and after.root == 2
+        assert after.rot[0] == [0, 8, 7] and after.rot[2] == [3, 4, 9]
+
+    def test_reversing_chord_on_a_klein_quad(self):
+        E = klein_grid(3)
+        fs = trace_faces(E)
+        walk = fs.faces[0]
+        sense = [1 if fs.face_of_state[2 * d] == 0 else -1 for d in walk]
+        assert sense[0] == 1 and sense[2] == -1
+        G = self.edited(E, lambda E: add_chords(
+            E, [((walk[0], 1), (walk[2], -1))]))
+        assert G.edges[-1] == (E.tails()[walk[0]], E.tails()[walk[2]], -1)
+        assert euler_genus(G) == euler_genus(E) == 2
+        assert trace_faces(G).f == fs.f + 1
+
+    def test_drop(self):
+        E = add_chords(self.square(), [((0, 1), (4, 1))])
+        G, edge_map = self.edited(E, lambda E: drop(E.edges, E.rot, [0]))
+        assert edge_map == [-1, 0, 1, 2, 3]
+        assert G.edges == E.edges[1:]
+        assert G.rot == [[6, 5], [0], [1, 7, 2], [3, 4]]
+        assert euler_genus(G) == euler_genus(E) == 0
+        # a dropped chord gives the square back
+        G, edge_map = drop(E.edges, E.rot, [4], root=3)
+        assert (G.edges, G.rot, G.root) == (self.square().edges,
+                                            self.square().rot, 3)
+        assert edge_map == [0, 1, 2, 3, -1]
+
+    def test_drop_renumbers_the_vertices(self):
+        E = add_chords(self.square(), [((0, 1), (4, 1))])
+        G, edge_map = drop(E.edges, E.rot, [0, 3, 4], [0])
+        assert edge_map == [-1, 0, 1, -1, -1]
+        assert (G.n, G.edges, G.rot) == (3, [(0, 1, 1), (1, 2, 1)],
+                                         [[0], [1, 2], [3]])
+        # stellating, then dropping the new vertex, gives the graph back
+        T = triangle()
+        S = stellate(T, trace_faces(T).faces[:1])
+        G, edge_map = drop(S.edges, S.rot, [3, 4, 5], [3])
+        assert (G.edges, G.rot) == (T.edges, T.rot)
+        assert edge_map == [0, 1, 2, -1, -1, -1]
+
+    def test_drop_rejects_a_live_edge_at_a_dead_vertex(self):
+        E = self.square()
+        with pytest.raises(FormatError, match="live edge ends at a dead"):
+            drop(E.edges, E.rot, [0], [0])
 
 
 class TestEulerGenus:

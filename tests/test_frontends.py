@@ -283,9 +283,9 @@ class TestMapFrameDigests:
         assert got == GOLDEN[key]
 
     @pytest.mark.parametrize("name,repair", [
-        ("two_face", "_split_two_face"),
+        ("two_face", "_stellate_face"),
         ("repeated_vertex", "_cut_triangle_at"),
-        ("lake_triangle", "_stellate_lake")])
+        ("lake_triangle", "_stellate_face")])
     def test_fixture_runs_its_repair(self, monkeypatch, name, repair):
         calls = []
         original = getattr(frontends, repair)

@@ -13,6 +13,7 @@ from framedprod.assemble import (
     decompose,
     parse_certificate,
     serialize_certificate,
+    width_bound,
 )
 from framedprod.embedding import EmbeddedMultigraph, from_face_list
 from framedprod.errors import DomainError
@@ -93,9 +94,9 @@ def tampered(cert, rng, E):
     c = copy.deepcopy(cert)
     parts = c.parts
     node = [None] * c.n
-    for part in parts:
+    for pid, part in enumerate(parts):
         for v in part.vertices():
-            node[v] = part.pid
+            node[v] = pid
     edges = [(u, v) for u, v, _ in E.edges]
     mode = rng.below(5)
     if mode == 0:
@@ -560,8 +561,16 @@ class TestStatedGenus:
     def test_raised_genus_fails(self):
         E = gen_plane_triangulation(20, 1)
         cert = copy.deepcopy(decompose(E, 3))
-        cert.genus, cert.bound = 6, 12
+        cert.genus = 6
         assert verify_certificate(E, cert) == ["FAIL genus stated 6 actual 0"]
+
+    def test_editing_the_genus_moves_the_bound(self):
+        cert = copy.deepcopy(decompose(gen_plane_triangulation(20, 1), 4))
+        assert cert.bound == width_bound(0, 4) == 7
+        cert.genus = 6
+        assert cert.bound == width_bound(6, 4) == 24
+        with pytest.raises(AttributeError):
+            cert.bound = 7
 
     def test_lowered_genus_keeps_the_true_cap_and_bound(self):
         # with the stated 0 the Z part's 2g cap and the bound would be
@@ -569,13 +578,13 @@ class TestStatedGenus:
         E = gen_toroidal_grid(6, 6)
         cert = copy.deepcopy(decompose(E, 4))
         assert cert.ell > 5          # d + 3h - 3, the genus-0 bound
-        cert.genus, cert.bound = 0, 5
+        cert.genus = 0
         assert verify_certificate(E, cert) == ["FAIL genus stated 0 actual 2"]
 
 
 def td_parts(spec):
     """Parts with no vertices whose attachments are spec[i]."""
-    return [Part(i, "tripod", [], [], list(a)) for i, a in enumerate(spec)]
+    return [Part("tripod", [], [], list(a)) for a in spec]
 
 
 class TestTreeDecompositionCheck:
@@ -792,7 +801,7 @@ class TestContainmentOracle:
 
 class TestPartStructureCheck:
     def test_out_of_range_vertices(self):
-        parts = [Part(pid=0, kind="tripod", legs=[[0, 1, 5]], absorbed=[-1],
+        parts = [Part(kind="tripod", legs=[[0, 1, 5]], absorbed=[-1],
                       attachments=[])]
         fails, node = check_part_structure(parts, [-1, 0], 0, 4)
         assert fails == ["FAIL parts vertex 5 out of range",
@@ -800,8 +809,8 @@ class TestPartStructureCheck:
         assert node == [0, 0]
 
     def test_each_vertex_in_exactly_one_part(self):
-        parts = [Part(0, "tripod", [[0, 1]], [], []),
-                 Part(1, "tripod", [[1]], [], [0])]
+        parts = [Part("tripod", [[0, 1]], [], []),
+                 Part("tripod", [[1]], [], [0])]
         fails, node = check_part_structure(parts, [-1, 0, 1], 0, 4)
         assert fails == ["FAIL parts vertex 1 in two parts",
                          "FAIL parts 1 vertices in no part"]
@@ -846,7 +855,6 @@ class TestStatedDecomposition:
         edges, bags, parent = stated_decomposition(cert.parts)
         assert parent[0] == -1
         for i, part in enumerate(cert.parts):
-            assert part.pid == i
             assert bags[i] == sorted(part.attachments) + [i]
             assert parent[i] == max(part.attachments, default=-1)
             assert [(a, i) for a in part.attachments] == [
