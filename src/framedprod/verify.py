@@ -354,271 +354,55 @@ def check_part_structure(parts, tree_parent, g, d):
 
 
 # ---------------------------------------------------------------------------
-# planarity: the left-right criterion, iterative throughout
+# planarity from the stacking order
 # ---------------------------------------------------------------------------
 
-class _NotPlanar(Exception):
-    pass
+def check_planarity(parts):
+    """``H`` is planar by its stacking order: no two parts attach to the
+    same 3 parts.  Part ``i`` attached to 3 distinct earlier parts, whose
+    sorted set an earlier part ``j`` used first, gives ``FAIL planarity
+    bag i attaches to a,b,c as bag j does``.  Any other attachment list,
+    of another length, with a repeat or with a part not before ``i``, is
+    left to ``check_tree_decomposition``.
 
+    The rule is sound only together with a clean
+    ``check_tree_decomposition``, in two steps.
 
-class _LRTest:
-    """Brandes' left-right test on edge ids.
+    1. Every attachment set is a clique of ``H``.  Let part ``i`` attach to
+       ``a < b``.  Only bags ``>= b`` can hold ``b``, so bag ``b`` is the
+       one top of ``b``'s subtree, and as bag parents strictly decrease,
+       the chain up from bag ``i`` stays in bags holding ``b`` until it
+       reaches bag ``b``.  It also stays in bags holding ``a`` until bag
+       ``a``, and since ``a < b`` it meets bag ``b`` first.  So bag ``b``
+       holds ``a``, and ``a-b`` is an edge of ``H``.
+    2. Adding the parts in order, each joined to a clique of at most 3
+       earlier ones, with no 3-set used twice, keeps ``H`` planar.  By
+       induction every triangle not yet used lies on one face.  A part
+       with 1 or 2 attachments goes into a face next to its node or edge:
+       every face keeps its nodes, and a new triangle bounds a face of its
+       own.  A part on the triangle ``abc`` goes into the face holding it,
+       which splits into three arcs ``a..b``, ``b..c`` and ``c..a``, each
+       closed by the new part.  Any other unused triangle on that face
+       lies within one arc: an edge of it between two arcs would interlace
+       with ``ab``, ``bc`` or ``ca`` around the face, and the two would
+       cross.  The new triangles each lie on the face of their arc.
 
-    ``adj[v]`` lists ``(w, e)`` with ``e`` the id of the simple edge vw.
-    Every per-edge table is a list indexed by edge id; ``src``/``dst`` hold
-    the orientation the first DFS gives each edge.
+    The rule is stricter than planarity: two parts on one triangle make
+    ``K5`` minus an edge, which is planar, yet fail.
     """
-
-    def __init__(self, n, adj, m):
-        self.n = n
-        self.adj = adj
-        self.height = [-1] * n
-        self.parent_edge = [None] * n
-        self.oriented = bytearray(m)
-        self.src = [0] * m
-        self.dst = [0] * m
-        self.lowpt = [0] * m
-        self.lowpt2 = [0] * m
-        self.nesting = [0] * m
-        self.out_edges = [[] for _ in range(n)]
-        self.ordered = None
-        self.S = []
-        self.stack_bottom = [None] * m
-        self.lowpt_edge = [None] * m
-        self.ref = [None] * m
-
-    # -- phase 1: orientation ------------------------------------------
-    def orient(self):
-        for r in range(self.n):
-            if self.height[r] == -1:
-                self.height[r] = 0
-                self._dfs1(r)
-        key = self.nesting.__getitem__
-        self.ordered = [sorted(out, key=key) for out in self.out_edges]
-
-    def _dfs1(self, root):
-        # finishing an edge e out of v sets its nesting depth and folds its
-        # low points into v's parent edge; a back edge finishes at once, a
-        # tree edge when its head is popped
-        adj = self.adj
-        height = self.height
-        parent_edge = self.parent_edge
-        oriented = self.oriented
-        src = self.src
-        dst = self.dst
-        lowpt = self.lowpt
-        lowpt2 = self.lowpt2
-        nesting = self.nesting
-        out_edges = self.out_edges
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, it = stack[-1]
-            hv = height[v]
-            pe = parent_edge[v]
-            for w, e in it:
-                if oriented[e]:
-                    continue
-                oriented[e] = 1
-                src[e] = v
-                dst[e] = w
-                out_edges[v].append(e)
-                hw = height[w]
-                if hw == -1:
-                    parent_edge[w] = e
-                    height[w] = hv + 1
-                    lowpt[e] = hv
-                    lowpt2[e] = hv
-                    stack.append((w, iter(adj[w])))
-                    break
-                # a back edge: lowpt hw, lowpt2 hv, so its nesting is 2 hw
-                lowpt[e] = hw
-                lowpt2[e] = hv
-                nesting[e] = 2 * hw
-                if pe is not None:
-                    lp = lowpt[pe]
-                    if hw < lp:
-                        lowpt2[pe] = lp if lp < hv else hv
-                        lowpt[pe] = hw
-                    elif hw > lp:
-                        if hw < lowpt2[pe]:
-                            lowpt2[pe] = hw
-                    elif hv < lowpt2[pe]:
-                        lowpt2[pe] = hv
-            else:
-                stack.pop()
-                if pe is None:
-                    continue
-                # finish the tree edge pe out of v's parent, at height hv - 1
-                low = lowpt[pe]
-                low2 = lowpt2[pe]
-                nesting[pe] = 2 * low + (low2 < hv - 1)
-                ppe = parent_edge[src[pe]]
-                if ppe is not None:
-                    lp = lowpt[ppe]
-                    if low < lp:
-                        lowpt2[ppe] = lp if lp < low2 else low2
-                        lowpt[ppe] = low
-                    elif low > lp:
-                        if low < lowpt2[ppe]:
-                            lowpt2[ppe] = low
-                    elif low2 < lowpt2[ppe]:
-                        lowpt2[ppe] = low2
-
-    # -- phase 2: testing ------------------------------------------------
-    # A conflict pair is a list [L.low, L.high, R.low, R.high] of edge ids;
-    # an interval is empty when both its ends are None.
-    def test(self):
-        try:
-            for r in range(self.n):
-                if self.parent_edge[r] is None and self.out_edges[r]:
-                    self._dfs2(r)
-        except _NotPlanar:
-            return False
-        return True
-
-    def _dfs2(self, root):
-        S = self.S
-        ordered = self.ordered
-        dst = self.dst
-        height = self.height
-        lowpt = self.lowpt
-        lowpt_edge = self.lowpt_edge
-        parent_edge = self.parent_edge
-        stack_bottom = self.stack_bottom
-        frames = [(root, 0)]
-        while frames:
-            v, i = frames.pop()
-            edges_v = ordered[v]
-            if i > 0:
-                ei = edges_v[i - 1]
-                if lowpt[ei] < height[v]:       # ei has a return edge
-                    if i == 1:
-                        lowpt_edge[parent_edge[v]] = lowpt_edge[ei]
-                    else:
-                        self._add_constraints(ei, parent_edge[v])
-            if i < len(edges_v):
-                frames.append((v, i + 1))
-                ei = edges_v[i]
-                stack_bottom[ei] = S[-1] if S else None
-                if ei == parent_edge[dst[ei]]:
-                    frames.append((dst[ei], 0))
-                else:
-                    lowpt_edge[ei] = ei
-                    S.append([None, None, ei, ei])
-                continue
-            # all outgoing edges of v processed
-            pe = parent_edge[v]
-            if pe is not None:
-                self._remove_back_edges(pe)
-
-    def _add_constraints(self, ei, e):
-        S = self.S
-        lowpt = self.lowpt
-        ref = self.ref
-        P = [None, None, None, None]
-        bottom = self.stack_bottom[ei]
-        # merge return edges of ei into P.R
-        while S and S[-1] is not bottom:
-            Q = S.pop()
-            if Q[0] is not None or Q[1] is not None:
-                Q[:] = Q[2], Q[3], Q[0], Q[1]
-                if Q[0] is not None or Q[1] is not None:
-                    raise _NotPlanar
-            if Q[2] is not None and lowpt[Q[2]] > lowpt[e]:
-                if P[2] is None and P[3] is None:
-                    P[3] = Q[3]
-                else:
-                    ref[P[2]] = Q[3]
-                P[2] = Q[2]
-            else:
-                ref[Q[2]] = self.lowpt_edge[e]
-        # merge conflicting return edges of earlier siblings into P.L
-        low = lowpt[ei]
-        while S:
-            Q = S[-1]
-            if Q[3] is not None and lowpt[Q[3]] > low:          # R conflicts
-                Q[:] = Q[2], Q[3], Q[0], Q[1]
-                if Q[3] is not None and lowpt[Q[3]] > low:
-                    raise _NotPlanar
-            elif Q[1] is None or lowpt[Q[1]] <= low:           # L does not
-                break
-            S.pop()
-            if P[2] is not None:
-                ref[P[2]] = Q[3]
-            elif P[3] is None:
-                P[3] = Q[3]
-            if Q[2] is not None:
-                P[2] = Q[2]
-            if P[0] is None and P[1] is None:
-                P[1] = Q[1]
-            else:
-                ref[P[0]] = Q[1]
-            P[0] = Q[0]
-        if P[0] is not None or P[1] is not None or P[2] is not None \
-                or P[3] is not None:
-            S.append(P)
-
-    def _remove_back_edges(self, e):
-        S = self.S
-        u = self.src[e]
-        dst = self.dst
-        lowpt = self.lowpt
-        ref = self.ref
-        hu = self.height[u]
-        # drop the conflict pairs whose lowest return edge ends at u
-        while S:
-            P = S[-1]
-            if P[0] is None and P[1] is None:
-                low = lowpt[P[2]]
-            elif P[2] is None and P[3] is None:
-                low = lowpt[P[0]]
-            else:
-                low = min(lowpt[P[0]], lowpt[P[2]])
-            if low != hu:
-                break
-            S.pop()
-        if S:
-            P = S[-1]
-            while P[1] is not None and dst[P[1]] == u:
-                P[1] = ref[P[1]]
-            if P[1] is None and P[0] is not None:
-                ref[P[0]] = P[2]
-                P[0] = None
-            while P[3] is not None and dst[P[3]] == u:
-                P[3] = ref[P[3]]
-            if P[3] is None and P[2] is not None:
-                ref[P[2]] = P[0]
-                P[2] = None
-        if lowpt[e] < hu and S:
-            hl = S[-1][1]
-            hr = S[-1][3]
-            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
-                ref[e] = hl
-            else:
-                ref[e] = hr
-
-
-def check_planarity(num_nodes, edges) -> bool:
-    """Sound planarity verdict for a simple graph on nodes 0..num_nodes-1."""
-    # edge ab as the key a*N + b with a < b: ascending keys are the pairs in
-    # lexicographic order
-    N = num_nodes
-    for a, b in edges:
-        if not (0 <= a < N and 0 <= b < N):
-            raise DomainError(f"edge {a}-{b} leaves the nodes 0..{N - 1}")
-    keys = sorted({a * N + b if a < b else b * N + a
-                   for a, b in edges if a != b})
-    m = len(keys)
-    if N >= 3 and m > 3 * N - 6:
-        return False
-    adj = [[] for _ in range(N)]
-    for e, key in enumerate(keys):
-        a, b = divmod(key, N)
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    lr = _LRTest(N, adj, m)
-    lr.orient()
-    return lr.test()
+    fails = []
+    first = {}
+    for i, part in enumerate(parts):
+        if len(part.attachments) != 3:
+            continue
+        a, b, c = key = tuple(sorted(part.attachments))
+        if not 0 <= a < b < c < i:
+            continue
+        j = first.setdefault(key, i)
+        if j != i:
+            fails.append(f"FAIL planarity bag {i} attaches to {a},{b},{c} "
+                         f"as bag {j} does")
+    return fails
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +457,7 @@ def _verify_certificate(E, cert) -> list:
     td_fails, h_edges = check_tree_decomposition(cert.parts)
     fails += check_containment(us, vs, node, layer, h_edges)
     fails += td_fails
-    if not check_planarity(cert.num_parts, h_edges):
-        fails.append("FAIL planarity H is not planar")
+    fails += check_planarity(cert.parts)
     real_ell = max(Counter(zip(node, layer)).values())
     if real_ell != cert.ell:
         fails.append(f"FAIL ell stated {cert.ell} actual {real_ell}")

@@ -284,7 +284,7 @@ class TestCli:
                                          monkeypatch):
         from framedprod import verify
 
-        def broken(num_nodes, edges):
+        def broken(parts):
             raise KeyError("boom")
         frame = tmp_path / "g.emg"
         cert = tmp_path / "g.cert"

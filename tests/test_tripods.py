@@ -22,12 +22,9 @@ from framedprod.generators import (
     gen_toroidal_grid,
 )
 from framedprod.tripods import UNASSIGNED, triangulate_long_faces
-from framedprod.verify import (
-    check_planarity,
-    rebuild_closure,
-)
+from framedprod.verify import rebuild_closure
 from test_frame import simple_adjacency
-from treewidth import exact_treewidth, stated_decomposition
+from treewidth import exact_treewidth, nx_planar, stated_decomposition
 
 
 def octahedron():
@@ -279,7 +276,7 @@ class TestTripodPartition:
         assert all(not p.absorbed for p in R.parts)
         assert all(len(p.legs) <= 3 for p in R.parts)
         h_edges = stated_decomposition(R.parts)[0]
-        assert check_planarity(len(R.parts), h_edges)
+        assert nx_planar(len(R.parts), h_edges)
         if len(R.parts) <= 12:
             adj = [set() for _ in range(len(R.parts))]
             for a, b in h_edges:

@@ -1,5 +1,8 @@
-"""Test oracles for the width-3 claim: the tree decomposition the parts
-state, and the exact treewidth of small graphs."""
+"""Test oracles for the width-3 and planarity claims: the tree
+decomposition the parts state, the exact treewidth of small graphs, and
+networkx's planarity verdict."""
+
+import pytest
 
 from framedprod.errors import DomainError
 
@@ -20,6 +23,17 @@ def stated_decomposition(parts):
         bags.append(atts + [i])
         bag_parent.append(atts[-1] if atts else -1)
     return h_edges, bags, bag_parent
+
+
+def nx_planar(num_nodes, edges) -> bool:
+    """networkx's planarity verdict on the graph with nodes
+    ``0..num_nodes-1`` and the given edges; skips the test when networkx
+    is missing."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(range(num_nodes))
+    G.add_edges_from(edges)
+    return nx.check_planarity(G)[0]
 
 
 def exact_treewidth(adj_sets, cap: int = 12) -> int:
