@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import eq, itemgetter
 
 from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import (
@@ -16,7 +17,6 @@ from .embedding import (
 from .errors import ContractViolation, DomainError, FormatError
 from .frame import check_frame
 from .tripods import (
-    Part,
     project_partition,
     triangulate_long_faces,
     tripod_partition,
@@ -43,11 +43,27 @@ def block_layering(T, d: int) -> list:
 
 
 @dataclass
+class CertPart:
+    """One part as the certificate states it; its id is its position."""
+
+    legs: list                # each vertical path as [top] or [top, bottom]
+    absorbed: list            # the small leftover set (size <= d-3)
+    attachments: list         # the <= 3 earlier parts the region saw
+
+
+def stated_legs(legs) -> list:
+    """Full vertical paths, topmost vertex first, as the certificate states
+    them: the top, then the bottom when the path has more than one vertex.
+    The verifier climbs its BFS tree from the bottom to recover the rest."""
+    return [[leg[0], leg[-1]] if len(leg) > 1 else [leg[0]] for leg in legs]
+
+
+@dataclass
 class PartitionCertificate:
     n: int
     d: int
     genus: int
-    parts: list               # Part records over original vertices
+    parts: list               # CertPart records over original vertices
     ell: int                  # the most vertices of one (part, block) cell
 
     @property
@@ -86,6 +102,24 @@ def decompose(E: EmbeddedMultigraph, d: int,
 
 
 def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
+    g, T, projected = build_partition(E, d)
+    # a vertex goes to (its part, its block, its rank in that cell) of the
+    # product, so the width is the size of the largest cell
+    part_of = projected.part_of
+    ell = max(max(Counter(map(part_of.__getitem__, blk)).values())
+              for blk in block_layering(T, d))
+    bound = width_bound(g, d)
+    if ell > bound:
+        raise ContractViolation(
+            f"achieved width {ell} exceeds the bound {bound}")
+    parts = [CertPart(stated_legs(p.legs), p.absorbed, p.attachments)
+             for p in projected.parts]
+    return PartitionCertificate(n=E.n, d=d, genus=g, parts=parts, ell=ell)
+
+
+def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
+    """The construction's partition of ``E``'s vertices, with its legs as
+    full paths: -> (Euler genus, BFS structure, ``HPartitionResult``)."""
     # each graph (E, then Gt and G+ when g > 0) has its faces traced once;
     # a face set is dropped as soon as the stage that reads it is done
     faces = trace_faces(E)
@@ -106,18 +140,7 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
         HPR = tripod_partition(world, parent, boundary=Pp,
                                blocked=(Gplus.n - 1,))
         projected = project_partition(HPR, R, C, E.n)
-
-    # a vertex goes to (its part, its block, its rank in that cell) of the
-    # product, so the width is the size of the largest cell
-    part_of = projected.part_of
-    ell = max(max(Counter(map(part_of.__getitem__, blk)).values())
-              for blk in block_layering(T, d))
-    bound = width_bound(g, d)
-    if ell > bound:
-        raise ContractViolation(
-            f"achieved width {ell} exceeds the bound {bound}")
-    return PartitionCertificate(n=E.n, d=d, genus=g, parts=projected.parts,
-                                ell=ell)
+    return g, T, projected
 
 
 @gc_paused
@@ -138,11 +161,13 @@ def parse_certificate(text: str) -> PartitionCertificate:
 
     The sections come in the order they are written, each exactly once:
     ``cert <n> <d> <genus>``; ``PARTS <parts>`` and one line per part,
-    ``p <attachments...> x: <absorbed> y: <paths>`` with the paths
-    separated by ``|``, line ``i`` stating part ``i`` (the cut part ``Z``
-    when ``i`` is 0 and the genus positive); ``ELL <ell>``.  Blank lines
-    and lines starting with '#' are skipped.  Every error is a
-    ``FormatError`` that names the line at fault.
+    ``p <attachments...> x: <absorbed> y: <legs>``, line ``i`` stating part
+    ``i`` (the cut part ``Z`` when ``i`` is 0 and the genus positive);
+    ``ELL <ell>``.  A leg is its top vertex, then its bottom vertex when it
+    has more than one, and the legs are separated by ``|``; ``x:``, ``y:``
+    and ``|`` are tokens of their own.  Blank lines and lines starting with
+    '#' are skipped.  Every error is a ``FormatError`` that names the line
+    at fault.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     n, d, g = _header(lines, 0, "cert", 3)
@@ -156,23 +181,39 @@ def parse_certificate(text: str) -> PartitionCertificate:
         yi = toks.index("y:", xi) if "y:" in toks[xi:] else 0
         if not xi or not yi or toks[0] != "p":
             raise FormatError(f"bad 'p' line: {ln}")
+        # a "|" glued to a vertex stays in its token and fails int()
         try:
             attachments = list(map(int, toks[1:xi]))
             absorbed = list(map(int, toks[xi + 1:yi]))
             legs = [list(map(int, seg.split()))
-                    for seg in " ".join(toks[yi + 1:]).split("|")]
+                    for seg in " ".join(toks[yi + 1:]).split(" | ")]
         except ValueError:
             raise FormatError(f"bad 'p' line: {ln}") from None
-        if legs == [[]]:                      # a part with no path
+        if legs == [[]]:                      # a part with no leg
             legs = []
-        elif [] in legs:
-            raise FormatError(f"part {len(parts)} has an empty path")
-        kind = "boundary" if not parts and g > 0 else "tripod"
-        parts.append(Part(kind, legs, absorbed, attachments))
+        parts.append(CertPart(legs, absorbed, attachments))
+    _check_legs(parts, lines)
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")
     return PartitionCertificate(n=n, d=d, genus=g, parts=parts, ell=ell)
+
+
+def _check_legs(parts, lines):
+    """Raise unless every leg, none of them empty, is one vertex or two
+    distinct ones, naming the first line at fault.  The test is in bulk:
+    with every leg of 1 or 2 vertices, its first and last vertex are equal
+    exactly as often as a leg has one vertex."""
+    legs = [leg for part in parts for leg in part.legs]
+    sizes = list(map(len, legs))
+    if legs and (max(sizes) > 2 or sum(map(
+            eq, map(itemgetter(0), legs), map(itemgetter(-1), legs)))
+            != sizes.count(1)):
+        for i, part in enumerate(parts):
+            if any(len(leg) > 2 or leg[:1] == leg[1:] for leg in part.legs):
+                raise FormatError(
+                    "a leg is its top vertex, then its bottom vertex if "
+                    f"another: {lines[2 + i]}")
 
 
 def _header(lines, i, tag, count):

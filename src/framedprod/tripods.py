@@ -141,13 +141,6 @@ class Part:
     attachments: list           # the <= 3 earlier parts the region saw;
                                 # the largest made the region (none: a root)
 
-    def vertices(self):
-        out = []
-        for leg in self.legs:
-            out.extend(leg)
-        out.extend(self.absorbed)
-        return out
-
 
 @dataclass
 class HPartitionResult:

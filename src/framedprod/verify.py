@@ -311,42 +311,66 @@ def check_tree_decomposition(parts):
 def check_part_structure(parts, tree_parent, g, d):
     """Every vertex in exactly one part; Z, part 0 when ``g > 0``, splits
     into <= 2g vertical tree paths, other parts are tripods.  Part ``i`` is
-    ``parts[i]``.  -> (FAIL lines, the part of each vertex, -1 where
-    none)."""
+    ``parts[i]``; a leg is ``[top]`` or ``[top, bottom]``.
+
+    A leg's path is derived by climbing ``tree_parent`` from its bottom,
+    each vertex going to the part as it is climbed.  The climb stops at
+    the top; at a vertex already in a part, with ``FAIL parts vertex <v>
+    in two parts`` (``paths overlap`` when it is this part's); or at the
+    root, not having met the top, with ``FAIL parts part <i> path
+    <top>..<bottom> is not vertical``.  So no vertex is climbed twice, and
+    the work is O(n + legs) on any parts.
+    -> (FAIL lines, the part of each vertex, -1 where none)."""
     fails = []
     n = len(tree_parent)
     node = [-1] * n
     for pid, part in enumerate(parts):
-        is_z = pid == 0 and g > 0
-        for v in part.vertices():
+        legs = part.legs
+        absorbed = part.absorbed
+        if pid or g <= 0:
+            if len(legs) > 3:
+                fails.append(f"FAIL parts part {pid} has {len(legs)} "
+                             "paths, cap 3")
+            if len(absorbed) > d - 3:
+                fails.append(f"FAIL parts part {pid} absorbed "
+                             f"{len(absorbed)} > d-3")
+        else:                         # Z
+            if len(legs) > 2 * g:
+                fails.append(f"FAIL parts part 0 has {len(legs)} paths, "
+                             f"cap {2 * g}")
+            if absorbed:
+                fails.append("FAIL parts Z part carries an absorbed set")
+        for leg in legs:
+            if not 1 <= len(leg) <= 2:
+                fails.append(f"FAIL parts part {pid} has a leg of "
+                             f"{len(leg)} vertices")
+                continue
+            top = leg[0]
+            x = bottom = leg[-1]
+            if not (0 <= top < n and 0 <= bottom < n):
+                fails += [f"FAIL parts vertex {v} out of range"
+                          for v in leg if not 0 <= v < n]
+                continue
+            while node[x] == -1:
+                node[x] = pid
+                if x == top:
+                    break
+                x = tree_parent[x]
+                if x == -1:
+                    fails.append(f"FAIL parts part {pid} path "
+                                 f"{top}..{bottom} is not vertical")
+                    break
+            else:
+                fails.append(f"FAIL parts part {pid} paths overlap"
+                             if node[x] == pid else
+                             f"FAIL parts vertex {x} in two parts")
+        for v in absorbed:
             if not (0 <= v < n):
                 fails.append(f"FAIL parts vertex {v} out of range")
             elif node[v] != -1:
                 fails.append(f"FAIL parts vertex {v} in two parts")
             else:
                 node[v] = pid
-        limit = 2 * g if is_z else 3
-        if len(part.legs) > limit:
-            fails.append(f"FAIL parts part {pid} has {len(part.legs)} "
-                         f"paths, cap {limit}")
-        if is_z:
-            if part.absorbed:
-                fails.append("FAIL parts Z part carries an absorbed set")
-        elif len(part.absorbed) > d - 3:
-            fails.append(f"FAIL parts part {pid} absorbed "
-                         f"{len(part.absorbed)} > d-3")
-        claimed = set()
-        for leg in part.legs:
-            if not leg:
-                fails.append(f"FAIL parts part {pid} has an empty path")
-                continue
-            for a, b in zip(leg, leg[1:]):
-                if 0 <= b < n and tree_parent[b] != a:
-                    fails.append(f"FAIL parts part {pid} path break "
-                                 f"{a}->{b}")
-            if claimed & set(leg):
-                fails.append(f"FAIL parts part {pid} paths overlap")
-            claimed.update(leg)
     missing = node.count(-1)
     if missing:
         fails.append(f"FAIL parts {missing} vertices in no part")

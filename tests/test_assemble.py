@@ -36,7 +36,11 @@ from framedprod.generators import (
     gen_toroidal_grid,
     triangulate_quads,
 )
-from framedprod.verify import verify_certificate
+from framedprod.verify import (
+    check_part_structure,
+    rebuild_bfs,
+    verify_certificate,
+)
 from test_nonorientable import klein_grid, projective_k4
 
 # sha256 of serialize_certificate(decompose(E, d)) per corpus member,
@@ -45,14 +49,19 @@ from test_nonorientable import klein_grid, projective_k4
 # that text with its former LAYERS, H, TD and MAP sections deleted and each
 # part's creator bag and attachments written into its p line, then with each
 # p line's id, kind and creator tokens dropped, after checking that the
-# line's position, the genus and its largest attachment state them
+# line's position, the genus and its largest attachment state them; then
+# each leg of 3 or more vertices written as its top and bottom vertex,
+# after checking that the full-path text of the same partition gave the
+# earlier digest
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
 
 # the certificate of a single edge: one part, two layers
 SMALL = "cert 2 3 0\nPARTS 1\np x:  y: 0 1\nELL 1\n"
-# the same path split into two parts, the second attached to the first
+# the path 0-1-2, one part whose leg is stated by its two ends
+PATH = "cert 3 3 0\nPARTS 1\np x:  y: 0 2\nELL 1\n"
+# the single edge split into two parts, the second attached to the first
 TWO_PARTS = "cert 2 3 0\nPARTS 2\np x:  y: 0\np 0 x:  y: 1\nELL 1\n"
 # every position of both texts, for inserting a line that does not belong
 POSITIONS = [(text, at) for text in (SMALL, TWO_PARTS)
@@ -63,20 +72,18 @@ OLD_SECTIONS = {"H": ["H 1 0"], "TD": ["TD 1", "b 0 -1 : 0"],
                 "MAP": ["MAP", "m 0 0 0 0", "m 1 0 1 0"]}
 
 
-def part_of(cert):
-    """The part of each vertex, as the p lines list them."""
-    out = [None] * cert.n
-    for pid, part in enumerate(cert.parts):
-        for v in part.vertices():
-            out[v] = pid
-    return out
+def part_of(cert, E):
+    """The part of each vertex, as the verifier derives it from the p lines
+    by climbing its BFS tree from each leg's bottom."""
+    parent = rebuild_bfs(E, E.root or 0)[0]
+    return check_part_structure(cert.parts, parent, cert.genus, cert.d)[1]
 
 
 def cells(cert, E):
     """Vertices per (part, block) cell, the blocks from E's root line."""
     depth = bfs_structure(E, E.root or 0).depth
     h = cert.d // 2
-    return Counter((p, depth[v] // h) for v, p in enumerate(part_of(cert)))
+    return Counter((p, depth[v] // h) for v, p in enumerate(part_of(cert, E)))
 
 
 def shuffled(E, seed):
@@ -271,7 +278,6 @@ class TestCertificateFormat:
         assert verify_certificate(E, back) == []
         # a genus-0 certificate has no Z part
         assert back.boundary_part == -1
-        assert {p.kind for p in back.parts} == {"tripod"}
 
     def test_roundtrip_with_cut(self):
         E = gen_toroidal_grid(3, 4)
@@ -306,6 +312,9 @@ class TestCertificateFormat:
         pytest.param(SMALL.replace("y: 0", "y:0"), id="y-glued"),
         pytest.param(SMALL.replace("x:  y:", "y:  x:"), id="y-before-x"),
         pytest.param(SMALL.replace("y: 0 1", "y: 0 | | 1"), id="empty-path"),
+        pytest.param(SMALL.replace("y: 0 1", "y: 0|1"), id="bar-glued"),
+        pytest.param(SMALL.replace("y: 0 1", "y: 0 |1"), id="bar-glued-right"),
+        pytest.param(SMALL.replace("y: 0 1", "y: 0 1 |"), id="bar-trailing"),
         pytest.param(SMALL.replace("PARTS 1", "PARTS 3"),
                      id="parts-past-the-text"),
         pytest.param(SMALL.replace("ELL 1\n", "LAYERS junk\nELL 1\n"),
@@ -361,7 +370,8 @@ class TestCertificateFormat:
         ("cert 2 3 x\nPARTS 0\nELL 1\n", "cert 2 3 x"),
         (SMALL.replace("ELL 1", "ELL y"), "ELL y"),
         (SMALL.replace("y: 0 1", "y: 0 | a"), "p x:  y: 0 | a"),
-    ], ids=["header", "ell", "p-line"])
+        (SMALL.replace("y: 0 1", "y: 0|1"), "p x:  y: 0|1"),
+    ], ids=["header", "ell", "p-line", "bar-glued"])
     def test_errors_name_the_line(self, bad, line):
         with pytest.raises(FormatError, match=re.escape(line)):
             parse_certificate(bad)
@@ -377,12 +387,10 @@ class TestCertificateFormat:
         cert = parse_certificate(TWO_PARTS)
         assert serialize_certificate(cert) == TWO_PARTS
         assert cert.boundary_part == -1
-        assert [p.kind for p in cert.parts] == ["tripod", "tripod"]
         cut = TWO_PARTS.replace("cert 2 3 0", "cert 2 3 2")
         cert = parse_certificate(cut)
         assert serialize_certificate(cert) == cut
         assert cert.boundary_part == 0
-        assert [p.kind for p in cert.parts] == ["boundary", "tripod"]
 
     def test_texts_past_a_conversion_chunk(self):
         # more edge and vertex lines than CHUNK_LINES, each section shuffled
@@ -412,6 +420,23 @@ class TestCertificateFormat:
         assert serialize_certificate(cert) == SMALL
         E = EmbeddedMultigraph(2, [(0, 1, 1)], [[0], [1]])
         assert verify_certificate(E, cert) == []
+
+    def test_leg_is_stated_by_its_ends(self):
+        # the path 0-1-2 as one leg: its top, then its bottom
+        cert = parse_certificate(PATH)
+        assert cert.parts[0].legs == [[0, 2]]
+        E = EmbeddedMultigraph(3, [(0, 1, 1), (1, 2, 1)], [[0], [1, 2], [3]])
+        assert verify_certificate(E, cert) == []
+
+    @pytest.mark.parametrize("legs", ["0 1 2", "1 | 0 1 2", "0 0", "0 | 2 2"],
+                             ids=["full-path", "full-path-second",
+                                  "same-ends", "same-ends-second"])
+    def test_non_canonical_legs_name_the_line(self, legs):
+        # the full-path form older certificates wrote, and a leg whose top
+        # is its bottom, which a one-vertex leg states once
+        line = f"p x:  y: {legs}"
+        with pytest.raises(FormatError, match=re.escape(line)):
+            parse_certificate(PATH.replace("p x:  y: 0 2", line))
 
 
 class TestGoldenCertificates:

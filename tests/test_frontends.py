@@ -37,11 +37,15 @@ from framedprod.verify import rebuild_closure
 # from the frontend that re-traced the map, its dual and the frame at every
 # step; a certificate's digest is of that text with each p line's id, kind
 # and creator tokens dropped, after checking that the line's position, the
-# genus and its largest attachment state them
+# genus and its largest attachment state them, then with each leg of 3 or
+# more vertices written as its top and bottom vertex, after checking that
+# the full-path text of the same partition gave the earlier digest
 GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
                     .read_text())
 # sha256 digests of oneplanar_to_frame's frame and of its certificate at
-# d = 4, recorded before the frontend's rotation edits moved to embedding
+# d = 4, recorded before the frontend's rotation edits moved to embedding;
+# thin_60_2's certificate was re-recorded as above when its leg of 3
+# vertices came to be written as its two ends
 GOLDEN_ONEPLANE = json.loads((Path(__file__).parent / "golden_oneplanar.json")
                              .read_text())
 

@@ -1,16 +1,31 @@
 """Cross-cutting invariants checked over randomized instances."""
 
 from collections import deque
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedprod.assemble import decompose, serialize_certificate
+from framedprod.assemble import (
+    CertPart,
+    build_partition,
+    decompose,
+    parse_certificate,
+    serialize_certificate,
+)
 from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
 from framedprod.embedding import bfs_structure, euler_genus, trace_faces
-from framedprod.frontends import LAKE, NATION, LabelledMap, map_to_frame
+from framedprod.frontends import (
+    LAKE,
+    NATION,
+    LabelledMap,
+    map_to_frame,
+    oneplanar_to_frame,
+)
 from framedprod.generators import (
     gen_framed,
+    gen_labelled_map,
+    gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
 )
@@ -18,7 +33,7 @@ from framedprod.verify import (
     rebuild_closure,
     verify_certificate,
 )
-from test_assemble import part_of
+from test_assemble import part_of, shuffled
 from test_frame import simple_adjacency
 from treewidth import stated_decomposition
 
@@ -87,6 +102,48 @@ def test_decompose_deterministic(seed):
     assert a == b
 
 
+@st.composite
+def frames(draw):
+    """(frame, d): a plane triangulation, a toroidal grid with shuffled
+    ids, a framed instance, or the frame of a labelled map or a 1-plane
+    drawing."""
+    kind = draw(st.sampled_from(["tri", "torus", "framed", "map",
+                                 "oneplane"]))
+    seed = draw(seeds)
+    if kind == "tri":
+        return gen_plane_triangulation(draw(st.integers(3, 120)), seed), 3
+    if kind == "torus":
+        mr, nc = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+        return shuffled(gen_toroidal_grid(mr, nc), seed), 4
+    d = draw(st.integers(3, 6))
+    n = draw(st.integers(12, 80))
+    if kind == "framed":
+        return gen_framed(n, d, draw(st.sampled_from([0, 2])), seed), d
+    if kind == "map":
+        return map_to_frame(gen_labelled_map(n, d, seed), d).frame, d
+    return oneplanar_to_frame(gen_oneplanar(n, seed)).frame, 4
+
+
+@given(frames())
+@settings(max_examples=40, deadline=None)
+def test_legs_stated_by_their_ends(frame):
+    """The verifier's climb gives every vertex the construction's part; the
+    text reads back as the same certificate and is never longer than the
+    one that lists every vertex of every leg, and equal to it when no leg
+    has more than two vertices."""
+    E, d = frame
+    cert = decompose(E, d)
+    built = build_partition(E, d)[2]
+    assert part_of(cert, E) == built.part_of
+    text = serialize_certificate(cert)
+    assert parse_certificate(text) == cert
+    full = serialize_certificate(replace(cert, parts=[
+        CertPart(p.legs, p.absorbed, p.attachments) for p in built.parts]))
+    assert len(text) <= len(full)
+    if all(len(leg) <= 2 for p in built.parts for leg in p.legs):
+        assert text == full
+
+
 class TestTreePlusStructure:
     def test_maximal_vertical_paths_decompose(self):
         """Climbing from any leaf of the rebuilt tree crosses: a piece of
@@ -129,7 +186,7 @@ class TestTreePlusStructure:
             E = gen_toroidal_grid(mr, nc)
             cert = decompose(E, 4, self_verify=False)
             closure = rebuild_closure(E, 4)
-            node = part_of(cert)
+            node = part_of(cert, E)
             induced = set()
             for u in range(E.n):
                 for v in closure[u]:

@@ -268,7 +268,8 @@ class TestTripodPartition:
         E = from_face_list([[0, 1, 2], [2, 1, 0]])
         T, R = run_partition(E, 3)
         assert len(R.parts) == 1
-        assert sorted(R.parts[0].vertices()) == [0, 1, 2]
+        part = R.parts[0]
+        assert sorted(sum(part.legs, part.absorbed)) == [0, 1, 2]
 
     def test_octahedron_contract(self):
         E = octahedron()

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedprod.assemble import (
+    CertPart,
     decompose,
     parse_certificate,
     serialize_certificate,
+    stated_legs,
     width_bound,
 )
 from framedprod.embedding import EmbeddedMultigraph, from_face_list
@@ -26,7 +28,6 @@ from framedprod.generators import (
     gen_toroidal_grid,
     triangulate_quads,
 )
-from framedprod.tripods import Part
 from framedprod.verify import (
     check_containment,
     check_part_structure,
@@ -39,6 +40,7 @@ from framedprod.verify import (
     verify_certificate,
 )
 from test_nonorientable import klein_grid, projective_k4
+from test_verify_fuzz import TIME_BOUND
 from treewidth import exact_treewidth, nx_planar, stated_decomposition
 
 # sha256 digests of the re-traced faces and closures, recorded from the
@@ -46,7 +48,9 @@ from treewidth import exact_treewidth, nx_planar, stated_decomposition
 # of TestTamper's edits of the parts, re-recorded when the p lines stopped
 # stating each part's id, kind and creator (the verifier hangs bag i under
 # its largest attachment, and the edit that once set a creator attaches a
-# part to a later one)
+# part to a later one), and again when a leg came to be stated by its two
+# ends: the same edits then fail a reversed leg's climb in the BFS tree
+# instead of giving "path break" lines
 GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
                     .read_text())
 
@@ -91,14 +95,37 @@ def h_edges(cert):
     return stated_decomposition(cert.parts)[0]
 
 
+def climbed(parent, leg):
+    """The vertical path a stated leg names, topmost vertex first."""
+    path = [leg[-1]]
+    while path[-1] != leg[0]:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def tampered(cert, rng, E):
-    """One guaranteed-invalid edit of the parts of a valid certificate."""
+    """One guaranteed-invalid edit of the parts of a valid certificate.
+
+    The edits act on full paths, climbed from each stated leg, and the
+    edited paths are stated again by their ends."""
     c = copy.deepcopy(cert)
+    parent = rebuild_bfs(E, E.root or 0)[0]
+    for part in c.parts:
+        part.legs = [climbed(parent, leg) for leg in part.legs]
+    _tamper(c, rng, E)
+    for part in c.parts:
+        part.legs = stated_legs(part.legs)
+    return c
+
+
+def _tamper(c, rng, E):
+    """Edit ``c``, whose legs are full paths, in one of five ways."""
     parts = c.parts
     node = [None] * c.n
     for pid, part in enumerate(parts):
-        for v in part.vertices():
-            node[v] = pid
+        for leg in part.legs + [part.absorbed]:
+            for v in leg:
+                node[v] = pid
     edges = [(u, v) for u, v, _ in E.edges]
     mode = rng.below(5)
     if mode == 0:
@@ -116,21 +143,21 @@ def tampered(cert, rng, E):
                 old.legs = [leg for leg in old.legs if leg]
                 old.absorbed = [x for x in old.absorbed if x != u]
                 parts[choices[rng.below(len(choices))]].absorbed.append(u)
-                return c
+                return
         mode = 4
     if mode == 1:
         # a leg read bottom up is no longer a vertical path
         legs = [leg for part in parts for leg in part.legs if len(leg) > 1]
         if legs:
             legs[rng.below(len(legs))].reverse()
-            return c
+            return
         mode = 4
     if mode == 2:
         # a part attached to the part after it (for the last part, past the
         # last), which is out of its bag's range
         i = rng.below(c.num_parts)
         parts[i].attachments.append(i + 1)
-        return c
+        return
     if mode == 3:
         # an attachment the edge uv needs is dropped: H loses the edge
         cut = [(u, v) for u, v in edges if node[u] != node[v]]
@@ -138,9 +165,8 @@ def tampered(cert, rng, E):
             u, v = cut[rng.below(len(cut))]
             a, b = sorted((node[u], node[v]))
             parts[b].attachments.remove(a)
-            return c
+            return
     c.ell -= 1
-    return c
 
 
 class TestPlanarity:
@@ -544,7 +570,7 @@ class TestStatedGenus:
 
 def td_parts(spec):
     """Parts with no vertices whose attachments are spec[i]."""
-    return [Part("tripod", [], [], list(a)) for a in spec]
+    return [CertPart([], [], list(a)) for a in spec]
 
 
 class TestTreeDecompositionCheck:
@@ -636,7 +662,7 @@ class TestContainmentCheck:
         # part 5 of this certificate holds one vertex with 43 closure edges
         E = gen_plane_triangulation(2000, 1)
         cert = copy.deepcopy(decompose(E, 3))
-        assert cert.parts[5].vertices() == [121]
+        assert (cert.parts[5].legs, cert.parts[5].absorbed) == ([[121]], [])
         cert.parts[5].legs = []
         assert verify_certificate(E, cert) == [
             "FAIL parts 1 vertices in no part"]
@@ -759,22 +785,103 @@ class TestContainmentOracle:
         assert passed > 100 and failed > 100
 
 
+# the path 0-1-2-3-4 rooted at 0, as parent pointers
+PATH_TREE = [-1, 0, 1, 2, 3]
+
+
+def parts_of(*legs):
+    """One part per list of legs, each attached to the part before."""
+    return [CertPart(list(ls), [], [i - 1] if i else [])
+            for i, ls in enumerate(legs)]
+
+
 class TestPartStructureCheck:
+    """A leg's path is climbed in the tree from its bottom to its top."""
+
     def test_out_of_range_vertices(self):
-        parts = [Part(kind="tripod", legs=[[0, 1, 5]], absorbed=[-1],
-                      attachments=[])]
+        parts = [CertPart([[0, 1], [1, 5], [7]], [-1], [])]
         fails, node = check_part_structure(parts, [-1, 0], 0, 4)
         assert fails == ["FAIL parts vertex 5 out of range",
+                         "FAIL parts vertex 7 out of range",
                          "FAIL parts vertex -1 out of range"]
         assert node == [0, 0]
 
     def test_each_vertex_in_exactly_one_part(self):
-        parts = [Part("tripod", [[0, 1]], [], []),
-                 Part("tripod", [[1]], [], [0])]
+        parts = [CertPart([[0, 1]], [], []), CertPart([[1]], [], [0])]
         fails, node = check_part_structure(parts, [-1, 0, 1], 0, 4)
         assert fails == ["FAIL parts vertex 1 in two parts",
                          "FAIL parts 1 vertices in no part"]
         assert node == [0, 0, -1]
+
+    def test_climb_fills_the_path(self):
+        fails, node = check_part_structure(parts_of([[0, 2]], [[3, 4]]),
+                                           PATH_TREE, 0, 3)
+        assert (fails, node) == ([], [0, 0, 0, 1, 1])
+
+    def test_climb_stops_at_a_claimed_vertex(self):
+        # part 1 claims 1..4 but 2 is part 0's: the climb stops there and
+        # leaves 1 to no part
+        fails, node = check_part_structure(parts_of([[2]], [[1, 4]]),
+                                           PATH_TREE, 0, 3)
+        assert fails == ["FAIL parts vertex 2 in two parts",
+                         "FAIL parts 2 vertices in no part"]
+        assert node == [-1, -1, 0, 1, 1]
+
+    def test_overlapping_legs_of_one_part(self):
+        fails, node = check_part_structure(parts_of([[0, 3], [1, 4]]),
+                                           PATH_TREE, 0, 3)
+        assert fails == ["FAIL parts part 0 paths overlap"]
+        assert node == [0] * 5
+
+    def test_leg_upside_down_is_not_vertical(self):
+        # the climb from 1 passes the root without meeting 3
+        fails, node = check_part_structure(parts_of([[3, 1]], [[4]]),
+                                           PATH_TREE, 0, 3)
+        assert fails == ["FAIL parts part 0 path 3..1 is not vertical",
+                         "FAIL parts 2 vertices in no part"]
+        assert node == [0, 0, -1, -1, 1]
+
+    @pytest.mark.parametrize("leg", [[], [0, 2, 4]])
+    def test_leg_of_other_length(self, leg):
+        # only an in-memory certificate can hold one; the parser rejects it
+        fails, _ = check_part_structure(parts_of([leg], [[0, 4]]),
+                                        PATH_TREE, 0, 3)
+        assert fails == [
+            f"FAIL parts part 0 has a leg of {len(leg)} vertices"]
+
+    def test_deep_legs_climb_in_bounded_time(self, child_env):
+        # 80,000 parts on the 3 x 600 torus grid, each with three legs from
+        # the root down to one of the 300 deepest vertices (depth 251 to
+        # 301): every climb after the first stops at once at a claimed
+        # vertex.  A climb that went on past claimed vertices would take
+        # about 70 million steps.  A child process with capped memory
+        # turns a hang into a failed test instead of a stalled suite.
+        code = ("import resource, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from framedprod.assemble import parse_certificate\n"
+                "from framedprod.generators import gen_toroidal_grid\n"
+                "from framedprod.verify import rebuild_bfs, "
+                "verify_certificate\n"
+                "E = gen_toroidal_grid(3, 600)\n"
+                "depth = rebuild_bfs(E, 0)[1]\n"
+                "deep = sorted(range(E.n), key=depth.__getitem__)[-300:]\n"
+                "legs = [f'0 {deep[i % 300]}' for i in range(240000)]\n"
+                "lines = ['p x:  y: ' + ' | '.join(legs[i:i + 3])\n"
+                "         for i in range(0, len(legs), 3)]\n"
+                "cert = parse_certificate('\\n'.join(\n"
+                "    [f'cert {E.n} 4 2', f'PARTS {len(lines)}', *lines, "
+                "'ELL 1']))\n"
+                "t0 = time.perf_counter()\n"
+                "fails = verify_certificate(E, cert)\n"
+                "print((time.perf_counter() - t0, fails[-2:],\n"
+                "       all(f.startswith('FAIL ') for f in fails)))\n")
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        seconds, last, all_fail = literal_eval(res.stdout)
+        assert seconds < TIME_BOUND
+        assert last == ["FAIL td 80000 roots", "FAIL ell stated 1 actual 8"]
+        assert all_fail
 
 
 class TestOutOfRangeFields:
