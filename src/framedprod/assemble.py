@@ -4,13 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import eq, itemgetter
 
 from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import (
     EmbeddedMultigraph,
     bfs_structure,
-    euler_genus,
     gc_paused,
     trace_faces,
 )
@@ -46,16 +44,18 @@ def block_layering(T, d: int) -> list:
 class CertPart:
     """One part as the certificate states it; its id is its position."""
 
-    legs: list                # each vertical path as [top] or [top, bottom]
+    legs: list                # each vertical path as its bottom vertex
     absorbed: list            # the small leftover set (size <= d-3)
     attachments: list         # the <= 3 earlier parts the region saw
 
 
 def stated_legs(legs) -> list:
     """Full vertical paths, topmost vertex first, as the certificate states
-    them: the top, then the bottom when the path has more than one vertex.
-    The verifier climbs its BFS tree from the bottom to recover the rest."""
-    return [[leg[0], leg[-1]] if len(leg) > 1 else [leg[0]] for leg in legs]
+    them: by their bottom vertex.  A leg climbs the BFS tree from a corner
+    until the next vertex is held by an earlier part or an earlier leg of
+    its own part, so the verifier, stating the parts in the same order,
+    recovers the rest by the same climb."""
+    return [leg[-1] for leg in legs]
 
 
 @dataclass
@@ -123,9 +123,14 @@ def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
     # each graph (E, then Gt and G+ when g > 0) has its faces traced once;
     # a face set is dropped as soon as the stage that reads it is done
     faces = trace_faces(E)
-    g = euler_genus(E, faces)                 # the connectivity test of E
-    check_frame(E, d, faces)
+    # the BFS is the connectivity test of E, so Euler's formula holds; a
+    # lone vertex bounds one face, which no dart walk traces
     T = bfs_structure(E, E.root if E.root is not None else 0)
+    f = faces.f if E.m else 1
+    g = 2 - E.n + E.m - f
+    if g < 0:
+        raise ContractViolation(f"negative genus {g} from face count {f}")
+    check_frame(E, d, faces)
     if g == 0:
         world = triangulate_long_faces(E, d, faces)
         del faces
@@ -149,7 +154,7 @@ def serialize_certificate(cert: PartitionCertificate) -> str:
     for part in cert.parts:
         head = " ".join(map(str, ["p", *part.attachments]))
         xs = " ".join(map(str, part.absorbed))
-        ys = " | ".join(" ".join(map(str, leg)) for leg in part.legs)
+        ys = " ".join(map(str, part.legs))
         out.append(f"{head} x: {xs} y: {ys}")
     out.append(f"ELL {cert.ell}")
     return "\n".join(out) + "\n"
@@ -163,11 +168,10 @@ def parse_certificate(text: str) -> PartitionCertificate:
     ``cert <n> <d> <genus>``; ``PARTS <parts>`` and one line per part,
     ``p <attachments...> x: <absorbed> y: <legs>``, line ``i`` stating part
     ``i`` (the cut part ``Z`` when ``i`` is 0 and the genus positive);
-    ``ELL <ell>``.  A leg is its top vertex, then its bottom vertex when it
-    has more than one, and the legs are separated by ``|``; ``x:``, ``y:``
-    and ``|`` are tokens of their own.  Blank lines and lines starting with
-    '#' are skipped.  Every error is a ``FormatError`` that names the line
-    at fault.
+    ``ELL <ell>``.  A leg is its bottom vertex; ``x:`` and ``y:`` are tokens
+    of their own, and a ``|`` (the leg separator of older formats) is no
+    integer.  Blank lines and lines starting with '#' are skipped.  Every
+    error is a ``FormatError`` that names the line at fault.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     n, d, g = _header(lines, 0, "cert", 3)
@@ -181,39 +185,17 @@ def parse_certificate(text: str) -> PartitionCertificate:
         yi = toks.index("y:", xi) if "y:" in toks[xi:] else 0
         if not xi or not yi or toks[0] != "p":
             raise FormatError(f"bad 'p' line: {ln}")
-        # a "|" glued to a vertex stays in its token and fails int()
         try:
             attachments = list(map(int, toks[1:xi]))
             absorbed = list(map(int, toks[xi + 1:yi]))
-            legs = [list(map(int, seg.split()))
-                    for seg in " ".join(toks[yi + 1:]).split(" | ")]
+            legs = list(map(int, toks[yi + 1:]))
         except ValueError:
             raise FormatError(f"bad 'p' line: {ln}") from None
-        if legs == [[]]:                      # a part with no leg
-            legs = []
         parts.append(CertPart(legs, absorbed, attachments))
-    _check_legs(parts, lines)
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")
     return PartitionCertificate(n=n, d=d, genus=g, parts=parts, ell=ell)
-
-
-def _check_legs(parts, lines):
-    """Raise unless every leg, none of them empty, is one vertex or two
-    distinct ones, naming the first line at fault.  The test is in bulk:
-    with every leg of 1 or 2 vertices, its first and last vertex are equal
-    exactly as often as a leg has one vertex."""
-    legs = [leg for part in parts for leg in part.legs]
-    sizes = list(map(len, legs))
-    if legs and (max(sizes) > 2 or sum(map(
-            eq, map(itemgetter(0), legs), map(itemgetter(-1), legs)))
-            != sizes.count(1)):
-        for i, part in enumerate(parts):
-            if any(len(leg) > 2 or leg[:1] == leg[1:] for leg in part.legs):
-                raise FormatError(
-                    "a leg is its top vertex, then its bottom vertex if "
-                    f"another: {lines[2 + i]}")
 
 
 def _header(lines, i, tag, count):

@@ -311,15 +311,19 @@ def check_tree_decomposition(parts):
 def check_part_structure(parts, tree_parent, g, d):
     """Every vertex in exactly one part; Z, part 0 when ``g > 0``, splits
     into <= 2g vertical tree paths, other parts are tripods.  Part ``i`` is
-    ``parts[i]``; a leg is ``[top]`` or ``[top, bottom]``.
+    ``parts[i]``; a leg is its bottom vertex.
 
-    A leg's path is derived by climbing ``tree_parent`` from its bottom,
-    each vertex going to the part as it is climbed.  The climb stops at
-    the top; at a vertex already in a part, with ``FAIL parts vertex <v>
-    in two parts`` (``paths overlap`` when it is this part's); or at the
-    root, not having met the top, with ``FAIL parts part <i> path
-    <top>..<bottom> is not vertical``.  So no vertex is climbed twice, and
-    the work is O(n + legs) on any parts.
+    The parts are taken in order, and each part's legs in their stated
+    order and then its absorbed set, as the construction made them.  A
+    leg's path is climbed in ``tree_parent`` from its bottom while the
+    vertex is in no part, each vertex going to the part as it is climbed:
+    the construction's leg stops where an earlier part, or an earlier leg
+    of its own part, holds the next vertex, or at the root.  A bottom or
+    absorbed vertex out of range gives ``FAIL parts vertex <v> out of
+    range``; one already in a part gives ``FAIL parts vertex <v> in two
+    parts``, or ``FAIL parts part <i> holds vertex <v> twice`` when that
+    part is its own.  So no vertex is climbed twice, and the work is
+    O(n + legs) on any parts.
     -> (FAIL lines, the part of each vertex, -1 where none)."""
     fails = []
     n = len(tree_parent)
@@ -340,37 +344,20 @@ def check_part_structure(parts, tree_parent, g, d):
                              f"cap {2 * g}")
             if absorbed:
                 fails.append("FAIL parts Z part carries an absorbed set")
-        for leg in legs:
-            if not 1 <= len(leg) <= 2:
-                fails.append(f"FAIL parts part {pid} has a leg of "
-                             f"{len(leg)} vertices")
-                continue
-            top = leg[0]
-            x = bottom = leg[-1]
-            if not (0 <= top < n and 0 <= bottom < n):
-                fails += [f"FAIL parts vertex {v} out of range"
-                          for v in leg if not 0 <= v < n]
-                continue
-            while node[x] == -1:
-                node[x] = pid
-                if x == top:
-                    break
-                x = tree_parent[x]
-                if x == -1:
-                    fails.append(f"FAIL parts part {pid} path "
-                                 f"{top}..{bottom} is not vertical")
-                    break
-            else:
-                fails.append(f"FAIL parts part {pid} paths overlap"
+        climbs = len(legs)
+        for i, x in enumerate(legs + absorbed):
+            if not 0 <= x < n:
+                fails.append(f"FAIL parts vertex {x} out of range")
+            elif node[x] != -1:
+                fails.append(f"FAIL parts part {pid} holds vertex {x} twice"
                              if node[x] == pid else
                              f"FAIL parts vertex {x} in two parts")
-        for v in absorbed:
-            if not (0 <= v < n):
-                fails.append(f"FAIL parts vertex {v} out of range")
-            elif node[v] != -1:
-                fails.append(f"FAIL parts vertex {v} in two parts")
+            elif i < climbs:
+                while x != -1 and node[x] == -1:
+                    node[x] = pid
+                    x = tree_parent[x]
             else:
-                node[v] = pid
+                node[x] = pid
     missing = node.count(-1)
     if missing:
         fails.append(f"FAIL parts {missing} vertices in no part")
@@ -466,6 +453,10 @@ def _verify_certificate(E, cert) -> list:
         walks = rebuild_faces(E)
     except DomainError as ex:
         return [f"FAIL shape {ex}"]
+    parent, depth = rebuild_bfs(E, root)
+    if -1 in depth:
+        return [f"FAIL shape vertex {depth.index(-1)} is not reached from "
+                f"the root {root}: the graph is disconnected"]
     # Euler genus from the re-traced faces; the stated one is only compared.
     # A vertex with no darts is a face of its own that no walk traces.
     g = 2 - E.n + E.m - len(walks) - E.rot.count([])
@@ -473,7 +464,6 @@ def _verify_certificate(E, cert) -> list:
         fails.append(f"FAIL genus stated {cert.genus} actual {g}")
     us, vs = closure_pairs(E, cert.d, walks)
     del walks
-    parent, depth = rebuild_bfs(E, root)
     part_fails, node = check_part_structure(cert.parts, parent, g, cert.d)
     fails += part_fails
     h = cert.d // 2

@@ -52,15 +52,18 @@ from test_nonorientable import klein_grid, projective_k4
 # line's position, the genus and its largest attachment state them; then
 # each leg of 3 or more vertices written as its top and bottom vertex,
 # after checking that the full-path text of the same partition gave the
-# earlier digest
+# earlier digest; then each leg written as its bottom vertex and the "|"
+# separators dropped, after checking that the two-ends text of the same
+# partition gave the earlier digest
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
 
-# the certificate of a single edge: one part, two layers
-SMALL = "cert 2 3 0\nPARTS 1\np x:  y: 0 1\nELL 1\n"
-# the path 0-1-2, one part whose leg is stated by its two ends
-PATH = "cert 3 3 0\nPARTS 1\np x:  y: 0 2\nELL 1\n"
+# the certificate of a single edge: one part, two layers, its one leg
+# climbed from 1 up to the root 0
+SMALL = "cert 2 3 0\nPARTS 1\np x:  y: 1\nELL 1\n"
+# the path 0-1-2, one part whose leg is stated by its bottom
+PATH = "cert 3 3 0\nPARTS 1\np x:  y: 2\nELL 1\n"
 # the single edge split into two parts, the second attached to the first
 TWO_PARTS = "cert 2 3 0\nPARTS 2\np x:  y: 0\np 0 x:  y: 1\nELL 1\n"
 # every position of both texts, for inserting a line that does not belong
@@ -309,12 +312,12 @@ class TestCertificateFormat:
         pytest.param(SMALL.replace(" x: ", " "), id="x-missing"),
         pytest.param(SMALL.replace(" y:", ""), id="y-missing"),
         pytest.param(SMALL.replace("x:  y:", "x:5 y:"), id="x-glued"),
-        pytest.param(SMALL.replace("y: 0", "y:0"), id="y-glued"),
+        pytest.param(SMALL.replace("y: 1", "y:1"), id="y-glued"),
         pytest.param(SMALL.replace("x:  y:", "y:  x:"), id="y-before-x"),
-        pytest.param(SMALL.replace("y: 0 1", "y: 0 | | 1"), id="empty-path"),
-        pytest.param(SMALL.replace("y: 0 1", "y: 0|1"), id="bar-glued"),
-        pytest.param(SMALL.replace("y: 0 1", "y: 0 |1"), id="bar-glued-right"),
-        pytest.param(SMALL.replace("y: 0 1", "y: 0 1 |"), id="bar-trailing"),
+        pytest.param(SMALL.replace("y: 1", "y: 0 | | 1"), id="empty-path"),
+        pytest.param(SMALL.replace("y: 1", "y: 0|1"), id="bar-glued"),
+        pytest.param(SMALL.replace("y: 1", "y: 0 |1"), id="bar-glued-right"),
+        pytest.param(SMALL.replace("y: 1", "y: 1 |"), id="bar-trailing"),
         pytest.param(SMALL.replace("PARTS 1", "PARTS 3"),
                      id="parts-past-the-text"),
         pytest.param(SMALL.replace("ELL 1\n", "LAYERS junk\nELL 1\n"),
@@ -357,20 +360,20 @@ class TestCertificateFormat:
         with pytest.raises(FormatError):
             parse_certificate("\n".join(lines))
 
-    @pytest.mark.parametrize("line", ["p 0 TRIPOD -1 x:  y: 0 1",
-                                      "p 0 Z -1 x:  y: 0 1"],
+    @pytest.mark.parametrize("line", ["p 0 TRIPOD -1 x:  y: 1",
+                                      "p 0 Z -1 x:  y: 1"],
                              ids=["old-tripod-line", "old-Z-line"])
     def test_old_p_line_rejected(self, line):
         # the id, kind and creator tokens the format once stated
-        old = SMALL.replace("p x:  y: 0 1", line)
+        old = SMALL.replace("p x:  y: 1", line)
         with pytest.raises(FormatError, match=f"bad 'p' line: {line}"):
             parse_certificate(old)
 
     @pytest.mark.parametrize("bad,line", [
         ("cert 2 3 x\nPARTS 0\nELL 1\n", "cert 2 3 x"),
         (SMALL.replace("ELL 1", "ELL y"), "ELL y"),
-        (SMALL.replace("y: 0 1", "y: 0 | a"), "p x:  y: 0 | a"),
-        (SMALL.replace("y: 0 1", "y: 0|1"), "p x:  y: 0|1"),
+        (SMALL.replace("y: 1", "y: 0 | a"), "p x:  y: 0 | a"),
+        (SMALL.replace("y: 1", "y: 0|1"), "p x:  y: 0|1"),
     ], ids=["header", "ell", "p-line", "bar-glued"])
     def test_errors_name_the_line(self, bad, line):
         with pytest.raises(FormatError, match=re.escape(line)):
@@ -421,22 +424,27 @@ class TestCertificateFormat:
         E = EmbeddedMultigraph(2, [(0, 1, 1)], [[0], [1]])
         assert verify_certificate(E, cert) == []
 
-    def test_leg_is_stated_by_its_ends(self):
-        # the path 0-1-2 as one leg: its top, then its bottom
+    def test_leg_is_stated_by_its_bottom(self):
+        # the path 0-1-2 as one leg: its bottom, climbed up to the root
         cert = parse_certificate(PATH)
-        assert cert.parts[0].legs == [[0, 2]]
+        assert cert.parts[0].legs == [2]
         E = EmbeddedMultigraph(3, [(0, 1, 1), (1, 2, 1)], [[0], [1, 2], [3]])
         assert verify_certificate(E, cert) == []
 
-    @pytest.mark.parametrize("legs", ["0 1 2", "1 | 0 1 2", "0 0", "0 | 2 2"],
-                             ids=["full-path", "full-path-second",
-                                  "same-ends", "same-ends-second"])
-    def test_non_canonical_legs_name_the_line(self, legs):
-        # the full-path form older certificates wrote, and a leg whose top
-        # is its bottom, which a one-vertex leg states once
-        line = f"p x:  y: {legs}"
+    @pytest.mark.parametrize("line", [
+        "p x:  y: 0 1 2 | 3", "p x:  y: 1 | 0 1 2", "p x:  y: 0 0 | 1",
+        "p x:  y: 0 | 2 2", "p x:  y: 0 2 | 1", "p x:  y: 0 | 1 | 2",
+        "p | x:  y: 2", "p 0 | x:  y: 2", "p x: | y: 2", "p x: 1 | y: 2",
+        "p x:  y: | 2", "p x:  y: 2 |"],
+        ids=["full-path", "full-path-second", "same-ends",
+             "same-ends-second", "two-ends", "one-vertex-legs", "after-p",
+             "after-attachment", "after-x", "in-absorbed", "after-y",
+             "trailing"])
+    def test_non_canonical_legs_name_the_line(self, line):
+        # the "|" that separated the legs when they were stated as full
+        # paths or by their two ends, and a "|" anywhere else in a p line
         with pytest.raises(FormatError, match=re.escape(line)):
-            parse_certificate(PATH.replace("p x:  y: 0 2", line))
+            parse_certificate(PATH.replace("p x:  y: 2", line))
 
 
 class TestGoldenCertificates:

@@ -39,13 +39,17 @@ from framedprod.verify import rebuild_closure
 # and creator tokens dropped, after checking that the line's position, the
 # genus and its largest attachment state them, then with each leg of 3 or
 # more vertices written as its top and bottom vertex, after checking that
-# the full-path text of the same partition gave the earlier digest
+# the full-path text of the same partition gave the earlier digest, then
+# with each leg written as its bottom vertex and the "|" separators dropped,
+# after checking that the two-ends text of the same partition gave the
+# earlier digest
 GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
                     .read_text())
 # sha256 digests of oneplanar_to_frame's frame and of its certificate at
 # d = 4, recorded before the frontend's rotation edits moved to embedding;
 # thin_60_2's certificate was re-recorded as above when its leg of 3
-# vertices came to be written as its two ends
+# vertices came to be written as its two ends, and every certificate when
+# each leg came to be written as its bottom vertex alone
 GOLDEN_ONEPLANE = json.loads((Path(__file__).parent / "golden_oneplanar.json")
                              .read_text())
 

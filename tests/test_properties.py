@@ -1,13 +1,11 @@
 """Cross-cutting invariants checked over randomized instances."""
 
 from collections import deque
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedprod.assemble import (
-    CertPart,
     build_partition,
     decompose,
     parse_certificate,
@@ -28,13 +26,17 @@ from framedprod.generators import (
     gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
+    triangulate_quads,
 )
 from framedprod.verify import (
+    rebuild_bfs,
     rebuild_closure,
     verify_certificate,
 )
 from test_assemble import part_of, shuffled
 from test_frame import simple_adjacency
+from test_nonorientable import klein_grid
+from test_verify import leg_paths
 from treewidth import stated_decomposition
 
 seeds = st.integers(0, 10_000)
@@ -126,22 +128,47 @@ def frames(draw):
 
 @given(frames())
 @settings(max_examples=40, deadline=None)
-def test_legs_stated_by_their_ends(frame):
-    """The verifier's climb gives every vertex the construction's part; the
-    text reads back as the same certificate and is never longer than the
-    one that lists every vertex of every leg, and equal to it when no leg
-    has more than two vertices."""
+def test_legs_stated_by_their_bottoms(frame):
+    """The text reads back as the same certificate, and the verifier's
+    climb from each stated bottom is the construction's path."""
     E, d = frame
     cert = decompose(E, d)
+    assert parse_certificate(serialize_certificate(cert)) == cert
     built = build_partition(E, d)[2]
-    assert part_of(cert, E) == built.part_of
-    text = serialize_certificate(cert)
-    assert parse_certificate(text) == cert
-    full = serialize_certificate(replace(cert, parts=[
-        CertPart(p.legs, p.absorbed, p.attachments) for p in built.parts]))
-    assert len(text) <= len(full)
-    if all(len(leg) <= 2 for p in built.parts for leg in p.legs):
-        assert text == full
+    assert leg_paths(cert, rebuild_bfs(E, E.root or 0)[0]) == [
+        [leg[::-1] for leg in p.legs] for p in built.parts]
+
+
+@st.composite
+def grids_and_framed(draw):
+    """(frame, d): a framed instance, or a torus or Klein bottle grid,
+    plain or with its quads split; the ids maybe shuffled."""
+    kind = draw(st.sampled_from(["framed", "torus", "klein"]))
+    seed = draw(seeds)
+    if kind == "framed":
+        d = draw(st.integers(3, 8))
+        E = gen_framed(draw(st.integers(12, 80)), d,
+                       draw(st.sampled_from([0, 2])), seed)
+    else:
+        E = (gen_toroidal_grid(draw(st.integers(3, 8)),
+                               draw(st.integers(3, 8)))
+             if kind == "torus" else klein_grid(draw(st.integers(3, 7))))
+        d = 4
+        if draw(st.booleans()):
+            E, d = triangulate_quads(E), 3
+    if draw(st.booleans()):
+        E = shuffled(E, seed)
+    return E, d
+
+
+@given(grids_and_framed())
+@settings(max_examples=40, deadline=None)
+def test_verifier_derives_the_construction_partition(frame):
+    """The part the verifier's climbs give each vertex is the one the
+    construction gave it."""
+    E, d = frame
+    cert = decompose(E, d, self_verify=False)
+    assert part_of(cert, E) == build_partition(E, d)[2].part_of
 
 
 class TestTreePlusStructure:

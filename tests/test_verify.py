@@ -16,7 +16,6 @@ from framedprod.assemble import (
     decompose,
     parse_certificate,
     serialize_certificate,
-    stated_legs,
     width_bound,
 )
 from framedprod.embedding import EmbeddedMultigraph, from_face_list
@@ -50,7 +49,10 @@ from treewidth import exact_treewidth, nx_planar, stated_decomposition
 # its largest attachment, and the edit that once set a creator attaches a
 # part to a later one), and again when a leg came to be stated by its two
 # ends: the same edits then fail a reversed leg's climb in the BFS tree
-# instead of giving "path break" lines
+# instead of giving "path break" lines; and again when a leg came to be
+# stated by its bottom alone, which cannot state a reversed leg: that edit
+# became a bottom that an earlier part holds and a bottom moved up its
+# path, and the move to a far part takes an absorbed vertex or a bottom
 GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
                     .read_text())
 
@@ -95,70 +97,98 @@ def h_edges(cert):
     return stated_decomposition(cert.parts)[0]
 
 
-def climbed(parent, leg):
-    """The vertical path a stated leg names, topmost vertex first."""
-    path = [leg[-1]]
-    while path[-1] != leg[0]:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def leg_paths(cert, parent):
+    """Each part's legs as full paths, bottom first, climbed in ``parent``
+    as the verifier climbs them."""
+    held = [False] * cert.n
+    out = []
+    for part in cert.parts:
+        paths = []
+        for x in part.legs:
+            path = []
+            while x != -1 and not held[x]:
+                held[x] = True
+                path.append(x)
+                x = parent[x]
+            paths.append(path)
+        for v in part.absorbed:
+            held[v] = True
+        out.append(paths)
+    return out
 
 
 def tampered(cert, rng, E):
-    """One guaranteed-invalid edit of the parts of a valid certificate.
-
-    The edits act on full paths, climbed from each stated leg, and the
-    edited paths are stated again by their ends."""
+    """One guaranteed-invalid edit of the parts of a valid certificate."""
     c = copy.deepcopy(cert)
-    parent = rebuild_bfs(E, E.root or 0)[0]
-    for part in c.parts:
-        part.legs = [climbed(parent, leg) for leg in part.legs]
     _tamper(c, rng, E)
-    for part in c.parts:
-        part.legs = stated_legs(part.legs)
     return c
 
 
 def _tamper(c, rng, E):
-    """Edit ``c``, whose legs are full paths, in one of five ways."""
+    """Edit ``c`` in one of six ways, each one the verifier must catch."""
     parts = c.parts
+    parent = rebuild_bfs(E, E.root or 0)[0]
+    paths = leg_paths(c, parent)
     node = [None] * c.n
     for pid, part in enumerate(parts):
-        for leg in part.legs + [part.absorbed]:
-            for v in leg:
-                node[v] = pid
+        for v in sum(paths[pid], part.absorbed):
+            node[v] = pid
     edges = [(u, v) for u, v, _ in E.edges]
     mode = rng.below(5)
     if mode == 0:
-        # move u into the absorbed set of a part that is neither v's part
-        # nor adjacent to it in H: the edge uv leaves H
+        # move u, an absorbed vertex or a leg's bottom, into the absorbed
+        # set of a part that is neither v's part nor adjacent to it in H:
+        # the edge uv leaves H, or a later leg climbs through u and u is in
+        # two parts
         hset = {(min(a, b), max(a, b)) for a, b in h_edges(c)}
-        for u, v in edges:
+        for u, v in edges + [(v, u) for u, v in edges]:
             a = node[v]
+            old = parts[node[u]]
+            if u not in old.legs + old.absorbed:
+                continue
             choices = [p for p in range(c.num_parts)
                        if p != a and p != node[u]
                        and (min(p, a), max(p, a)) not in hset]
             if choices:
-                old = parts[node[u]]
-                old.legs = [[x for x in leg if x != u] for leg in old.legs]
-                old.legs = [leg for leg in old.legs if leg]
-                old.absorbed = [x for x in old.absorbed if x != u]
+                if u in old.absorbed:
+                    old.absorbed.remove(u)
+                else:
+                    # the leg goes on from the vertex above u, if it has one
+                    i = old.legs.index(u)
+                    path = paths[node[u]][i]
+                    old.legs[i:i + 1] = path[1:2]
                 parts[choices[rng.below(len(choices))]].absorbed.append(u)
                 return
-        mode = 4
+        mode = 5
     if mode == 1:
-        # a leg read bottom up is no longer a vertical path
-        legs = [leg for part in parts for leg in part.legs if len(leg) > 1]
+        # a leg's bottom is a vertex an earlier part holds
+        legs = [(i, j) for i in range(1, c.num_parts)
+                for j in range(len(parts[i].legs))]
         if legs:
-            legs[rng.below(len(legs))].reverse()
+            i, j = legs[rng.below(len(legs))]
+            held = [v for v in range(c.n) if node[v] < i]
+            parts[i].legs[j] = held[rng.below(len(held))]
             return
-        mode = 4
+        mode = 5
     if mode == 2:
+        # a leg's bottom moves one up its path, and no later climb reaches
+        # the vertex it leaves, which is in no part
+        stops = {parent[path[-1]] for ps in paths for path in ps}
+        legs = [(i, j) for i, ps in enumerate(paths)
+                for j, path in enumerate(ps)
+                if len(path) > 1 and path[0] not in stops]
+        if legs:
+            i, j = legs[rng.below(len(legs))]
+            parts[i].legs[j] = paths[i][j][1]
+            return
+        mode = 5
+    if mode == 3:
         # a part attached to the part after it (for the last part, past the
         # last), which is out of its bag's range
         i = rng.below(c.num_parts)
         parts[i].attachments.append(i + 1)
         return
-    if mode == 3:
+    if mode == 4:
         # an attachment the edge uv needs is dropped: H loses the edge
         cut = [(u, v) for u, v in edges if node[u] != node[v]]
         if cut:
@@ -321,6 +351,17 @@ class TestShape:
 
     def test_the_triangle_passes(self, case):
         assert self.run(case) == []
+
+    def test_disconnected_graph(self):
+        # two triangles, each on a sphere of its own: the Euler genus
+        # 2 - n + m - f reads -2, and one part per triangle climbs its
+        # three one-vertex legs; the rebuilt BFS misses the second
+        E = from_face_list([[0, 1, 2], [2, 1, 0], [3, 4, 5], [5, 4, 3]], 6)
+        cert = parse_certificate("cert 6 3 -2\nPARTS 2\np x:  y: 0 1 2\n"
+                                 "p 0 x:  y: 3 4 5\nELL 3\n")
+        assert verify_certificate(E, cert) == [
+            "FAIL shape vertex 3 is not reached from the root 0: the graph "
+            "is disconnected"]
 
     @pytest.mark.parametrize("end", [7, 3, -1])
     def test_edge_end_not_a_vertex(self, case, end):
@@ -659,11 +700,12 @@ class TestContainmentCheck:
                                          "0,3"]
 
     def test_emptied_part_gives_only_the_parts_line(self):
-        # part 5 of this certificate holds one vertex with 43 closure edges
+        # part 82 of this certificate holds one vertex with 10 closure
+        # edges, below which no later leg's climb stops
         E = gen_plane_triangulation(2000, 1)
         cert = copy.deepcopy(decompose(E, 3))
-        assert (cert.parts[5].legs, cert.parts[5].absorbed) == ([[121]], [])
-        cert.parts[5].legs = []
+        assert (cert.parts[82].legs, cert.parts[82].absorbed) == ([170], [])
+        cert.parts[82].legs = []
         assert verify_certificate(E, cert) == [
             "FAIL parts 1 vertices in no part"]
 
@@ -796,10 +838,11 @@ def parts_of(*legs):
 
 
 class TestPartStructureCheck:
-    """A leg's path is climbed in the tree from its bottom to its top."""
+    """A leg's path is climbed in the tree from its bottom while the vertex
+    is in no part."""
 
     def test_out_of_range_vertices(self):
-        parts = [CertPart([[0, 1], [1, 5], [7]], [-1], [])]
+        parts = [CertPart([1, 5, 7], [-1], [])]
         fails, node = check_part_structure(parts, [-1, 0], 0, 4)
         assert fails == ["FAIL parts vertex 5 out of range",
                          "FAIL parts vertex 7 out of range",
@@ -807,53 +850,62 @@ class TestPartStructureCheck:
         assert node == [0, 0]
 
     def test_each_vertex_in_exactly_one_part(self):
-        parts = [CertPart([[0, 1]], [], []), CertPart([[1]], [], [0])]
+        parts = [CertPart([1], [], []), CertPart([1], [], [0])]
         fails, node = check_part_structure(parts, [-1, 0, 1], 0, 4)
         assert fails == ["FAIL parts vertex 1 in two parts",
                          "FAIL parts 1 vertices in no part"]
         assert node == [0, 0, -1]
 
     def test_climb_fills_the_path(self):
-        fails, node = check_part_structure(parts_of([[0, 2]], [[3, 4]]),
+        # up to the root, then up to the vertex below part 0's
+        fails, node = check_part_structure(parts_of([4]), PATH_TREE, 0, 3)
+        assert (fails, node) == ([], [0] * 5)
+        fails, node = check_part_structure(parts_of([2], [4]),
                                            PATH_TREE, 0, 3)
         assert (fails, node) == ([], [0, 0, 0, 1, 1])
 
     def test_climb_stops_at_a_claimed_vertex(self):
-        # part 1 claims 1..4 but 2 is part 0's: the climb stops there and
-        # leaves 1 to no part
-        fails, node = check_part_structure(parts_of([[2]], [[1, 4]]),
-                                           PATH_TREE, 0, 3)
-        assert fails == ["FAIL parts vertex 2 in two parts",
-                         "FAIL parts 2 vertices in no part"]
+        # an earlier leg of its own part, and an absorbed vertex given
+        # after its part's climbs
+        fails, node = check_part_structure(parts_of([2, 4]), PATH_TREE, 0, 3)
+        assert (fails, node) == ([], [0] * 5)
+        parts = [CertPart([2], [3], []), CertPart([4], [], [0])]
+        fails, node = check_part_structure(parts, PATH_TREE, 0, 4)
+        assert (fails, node) == ([], [0, 0, 0, 0, 1])
+        # another part's vertex with no part above it: the climb stops below
+        # it, so a leg never passes a vertex it does not take
+        parts = [CertPart([], [2], []), CertPart([4], [], [0])]
+        fails, node = check_part_structure(parts, PATH_TREE, 0, 4)
+        assert fails == ["FAIL parts 2 vertices in no part"]
         assert node == [-1, -1, 0, 1, 1]
 
-    def test_overlapping_legs_of_one_part(self):
-        fails, node = check_part_structure(parts_of([[0, 3], [1, 4]]),
+    def test_bottom_moved_up_leaves_vertices_in_no_part(self):
+        fails, node = check_part_structure(parts_of([2], [3]),
                                            PATH_TREE, 0, 3)
-        assert fails == ["FAIL parts part 0 paths overlap"]
-        assert node == [0] * 5
+        assert fails == ["FAIL parts 1 vertices in no part"]
+        assert node == [0, 0, 0, 1, -1]
 
-    def test_leg_upside_down_is_not_vertical(self):
-        # the climb from 1 passes the root without meeting 3
-        fails, node = check_part_structure(parts_of([[3, 1]], [[4]]),
+    def test_bottom_held_by_an_earlier_part(self):
+        fails, node = check_part_structure(parts_of([2], [1]),
                                            PATH_TREE, 0, 3)
-        assert fails == ["FAIL parts part 0 path 3..1 is not vertical",
+        assert fails == ["FAIL parts vertex 1 in two parts",
                          "FAIL parts 2 vertices in no part"]
-        assert node == [0, 0, -1, -1, 1]
+        assert node == [0, 0, 0, -1, -1]
 
-    @pytest.mark.parametrize("leg", [[], [0, 2, 4]])
-    def test_leg_of_other_length(self, leg):
-        # only an in-memory certificate can hold one; the parser rejects it
-        fails, _ = check_part_structure(parts_of([leg], [[0, 4]]),
-                                        PATH_TREE, 0, 3)
-        assert fails == [
-            f"FAIL parts part 0 has a leg of {len(leg)} vertices"]
+    def test_overlapping_legs_of_one_part(self):
+        # a bottom on an earlier leg's path, a bottom stated twice, and an
+        # absorbed vertex on a leg's path
+        for legs, absorbed, v in (([3, 1], [], 1), ([3, 3], [], 3),
+                                  ([3], [2], 2)):
+            parts = [CertPart(legs, absorbed, []), CertPart([4], [], [0])]
+            fails, node = check_part_structure(parts, PATH_TREE, 0, 4)
+            assert fails == [f"FAIL parts part 0 holds vertex {v} twice"]
+            assert node == [0, 0, 0, 0, 1]
 
     def test_deep_legs_climb_in_bounded_time(self, child_env):
-        # 80,000 parts on the 3 x 600 torus grid, each with three legs from
-        # the root down to one of the 300 deepest vertices (depth 251 to
-        # 301): every climb after the first stops at once at a claimed
-        # vertex.  A climb that went on past claimed vertices would take
+        # 80,000 parts on the 3 x 600 torus grid, each with three legs
+        # whose bottoms are among the 300 deepest vertices (depth 251 to
+        # 301): every leg after the first's climb has a claimed bottom.  A climb that went on past claimed vertices would take
         # about 70 million steps.  A child process with capped memory
         # turns a hang into a failed test instead of a stalled suite.
         code = ("import resource, time\n"
@@ -865,8 +917,8 @@ class TestPartStructureCheck:
                 "E = gen_toroidal_grid(3, 600)\n"
                 "depth = rebuild_bfs(E, 0)[1]\n"
                 "deep = sorted(range(E.n), key=depth.__getitem__)[-300:]\n"
-                "legs = [f'0 {deep[i % 300]}' for i in range(240000)]\n"
-                "lines = ['p x:  y: ' + ' | '.join(legs[i:i + 3])\n"
+                "legs = [str(deep[i % 300]) for i in range(240000)]\n"
+                "lines = ['p x:  y: ' + ' '.join(legs[i:i + 3])\n"
                 "         for i in range(0, len(legs), 3)]\n"
                 "cert = parse_certificate('\\n'.join(\n"
                 "    [f'cert {E.n} 4 2', f'PARTS {len(lines)}', *lines, "

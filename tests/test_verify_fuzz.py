@@ -24,7 +24,11 @@ from framedprod.generators import (
     gen_plane_triangulation,
     gen_toroidal_grid,
 )
-from framedprod.verify import verify_certificate
+from framedprod.verify import (
+    check_part_structure,
+    rebuild_bfs,
+    verify_certificate,
+)
 
 # seconds per verify call; each corpus certificate verifies in milliseconds
 TIME_BOUND = 2.0
@@ -90,6 +94,65 @@ def test_mutated_certificate_is_rejected_or_checked(name, ops):
     assert time.perf_counter() - t0 < TIME_BOUND
     assert isinstance(report, list)
     assert all(isinstance(x, str) and x.startswith("FAIL") for x in report)
+
+
+# (part, kind, value): a bottom put in place of a leg of the part, or
+# after its legs
+bottom_edits = st.tuples(
+    st.integers(0, 10 ** 6),
+    st.sampled_from(("negative", "past", "repeat", "held", "root",
+                     "ancestor")),
+    st.integers(0, 10 ** 6))
+
+
+def edit_bottoms(E, cert, edits):
+    """``cert`` with each edit's bottom in place of a leg of its part (an
+    even value) or after the part's legs (an odd one): a negative vertex,
+    one past the last, a bottom stated before, a vertex an earlier part
+    holds, the root, or an ancestor of a bottom stated before."""
+    root = E.root or 0
+    parent = rebuild_bfs(E, root)[0]
+    node = check_part_structure(cert.parts, parent, cert.genus, cert.d)[1]
+    k = len(cert.parts)
+    for at, kind, value in edits:
+        i = at % k
+        before = [x for part in cert.parts[:i + 1] for x in part.legs
+                  if 0 <= x < E.n]
+        held = [v for v in range(E.n) if node[v] < i] or [root]
+        if kind == "negative":
+            x = -1 - value % 5
+        elif kind == "past":
+            x = E.n + value % 5
+        elif kind == "repeat":
+            x = before[value % len(before)] if before else root
+        elif kind == "held":
+            x = held[value % len(held)]
+        elif kind == "root":
+            x = root
+        else:
+            x = before[value % len(before)] if before else root
+            for _ in range(1 + value % 4):
+                x = parent[x] if parent[x] != -1 else x
+        legs = cert.parts[i].legs
+        if value % 2 == 0 and legs:
+            legs[value // 2 % len(legs)] = x
+        else:
+            legs.append(x)
+    return cert
+
+
+@given(st.sampled_from(("tri", "torus", "framed")),
+       st.lists(bottom_edits, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_any_bottoms_give_only_fail_lines(name, edits):
+    E, text = corpus()[name]
+    cert = edit_bottoms(E, parse_certificate(text), edits)
+    # any integer bottom reads back from the text the serializer writes
+    assert parse_certificate(serialize_certificate(cert)) == cert
+    t0 = time.perf_counter()
+    report = verify_certificate(E, cert)
+    assert time.perf_counter() - t0 < TIME_BOUND
+    assert all(isinstance(x, str) and x.startswith("FAIL ") for x in report)
 
 
 def test_huge_vertex_count_is_rejected_before_allocating():
