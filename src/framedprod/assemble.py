@@ -9,6 +9,7 @@ from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import (
     EmbeddedMultigraph,
     bfs_structure,
+    check_plain,
     gc_paused,
     trace_faces,
 )
@@ -171,9 +172,11 @@ def parse_certificate(text: str) -> PartitionCertificate:
     ``ELL <ell>``.  A leg is its bottom vertex; ``x:`` and ``y:`` are tokens
     of their own, and a ``|`` (the leg separator of older formats) is no
     integer.  Blank lines and lines starting with '#' are skipped.  Every
-    error is a ``FormatError`` that names the line at fault.
+    value is a plain decimal integer, which a verifier may find negative.
+    Every error is a ``FormatError`` that names the line at fault.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    check_plain(text, lines, "+_")
     n, d, g = _header(lines, 0, "cert", 3)
     (k,) = _header(lines, 1, "PARTS", 1)
     if not 0 <= k <= len(lines) - 3:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import gc
+import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, count
 
 from .errors import ContractViolation, DomainError, FormatError
 
@@ -489,87 +490,44 @@ def from_face_list(face_walks, n=None) -> EmbeddedMultigraph:
     return E
 
 
-def tagged_columns(block, tag, width):
-    """The ``width`` token columns of ``block``, whose lines must each be
-    ``tag`` and ``width`` more tokens.
-
-    The lines are joined with a ';' token between them and split once.  Every
-    ``width + 2``-th token must then be ';' and the token after it ``tag``;
-    a field holding ';' or ``tag`` fails the caller's int() or kind test, so
-    no line has another token count.
-    """
-    k = len(block)
-    if not k:
-        return [[] for _ in range(width)]
-    step = width + 2
-    toks = " ; ".join(block).split()
-    if (len(toks) != step * k - 1 or toks[0::step].count(tag) != k
-            or toks[step - 1::step].count(";") != k - 1):
-        bad = next((ln for ln in block if ln.split()[0] != tag
-                    or len(ln.split()) != width + 1), block[0])
-        raise FormatError(f"bad '{tag}' line: {bad}")
-    return [toks[j::step] for j in range(1, width + 1)]
+def check_plain(text, lines, marks):
+    """Raise a ``FormatError`` naming the first of ``lines`` (``text``'s,
+    comments stripped) that is not ASCII or holds one of ``marks``, which
+    int() would read: '+1', '0_1' and non-ASCII digits.  The whole text is
+    scanned first, so only a comment holding such a character costs more."""
+    if text.isascii() and not any(c in text for c in marks):
+        return
+    for ln in lines:
+        if not ln.isascii() or any(c in ln for c in marks):
+            raise FormatError(f"not a plain decimal integer in line: {ln}")
 
 
-# lines converted per bulk step: bounds the transient token lists
-CHUNK_LINES = 1024
+def _dart_fault(rot, nd):
+    """The ``FormatError`` naming the first dart at fault in rotations that
+    do not list each of ``0..nd-1`` once."""
+    seen = set()
+    for v, d in ((v, d) for v, r in enumerate(rot) for d in r):
+        if d >= nd or d in seen:
+            return FormatError(f"unknown dart {d} at vertex {v}" if d >= nd
+                               else f"dart {d} appears twice in rotations")
+        seen.add(d)
+    missing = next(d for d in count() if d not in seen)
+    return FormatError(f"dart {missing} missing from rotations")
 
 
-def int_columns(block, tag, width):
-    """``tagged_columns`` with every field an integer."""
-    cols = [[] for _ in range(width)]
-    for lo in range(0, len(block), CHUNK_LINES):
-        chunk = block[lo:lo + CHUNK_LINES]
-        for col, toks in zip(cols, tagged_columns(chunk, tag, width)):
-            col += map(int, toks)
-    return cols
-
-
-def by_id(cols, count, what):
-    """``cols[1:]`` reordered so that index i holds the line whose first
-    column reads i; the first column must hold each of 0..count-1 once."""
-    ids = cols[0]
-    want = list(range(count))
-    if ids == want:
-        return cols[1:]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    if [ids[j] for j in order] != want:
-        raise FormatError(f"{what} lines must give the ids 0..{count - 1}, "
-                          f"each once")
-    return [[col[j] for j in order] for col in cols[1:]]
-
-
-def _rotations(bodies, m):
-    """The dart lists of rotation bodies ``<edge>.<side> ...``, converted all
-    at once: every whitespace token must be one dart, so the tokens around
-    the dots come as edge, '.', side triples."""
-    text = " ".join(bodies)
-    k = len(text.split())
-    toks = text.replace(".", " . ").split()
-    if len(toks) != 3 * k or toks[1::3].count(".") != k:
-        raise FormatError("a dart must read <edge>.<0|1>")
-    es = list(map(int, toks[0::3]))
-    sides = list(map(int, toks[2::3]))
-    if k and (min(es) < 0 or max(es) >= m):
-        raise FormatError("a dart names an unknown edge")
-    if sides.count(0) + sides.count(1) != k:
-        raise FormatError("a dart side must be 0 or 1")
-    darts = [2 * e + side for e, side in zip(es, sides)]
-    rot = []
-    pos = 0
-    for body in bodies:                     # one dot per dart
-        rot.append(darts[pos:pos + body.count(".")])
-        pos += len(rot[-1])
-    return rot
+_VERTEX_LINE = re.compile(r"v\s+\d+\s*:[\s\d]*")
 
 
 @gc_paused
 def parse_embedding(text: str) -> EmbeddedMultigraph:
     """Parse the embedding text format.
 
-    Line 1: ``emg <n> <m>``; then one ``e <id> <u> <v> <sign>`` per edge and
-    one ``v <id>: <edge>.<0|1> ...`` per vertex, rotation in cyclic order, in
-    any order, and at most one ``root <v>``.  '#' starts a comment.
+    Line 1: ``emg <n> <m>``; then one ``v <id>: <dart> ...`` per vertex,
+    rotation in cyclic order, in any order, at most one ``root <v>`` and at
+    most one ``twist <e> ...`` listing the edges of signature -1, ascending.
+    Edge ``e`` runs from the vertex listing dart ``2e`` to the one listing
+    ``2e+1``.  '#' starts a comment.  Every value is a plain decimal
+    integer, none negative.
     """
     try:
         return _parse_embedding(text)
@@ -586,44 +544,74 @@ def _parse_embedding(text: str) -> EmbeddedMultigraph:
     lines = [s for s in map(str.strip, raw) if s]
     if not lines:
         raise FormatError("empty embedding file")
+    check_plain(text, lines, "+_-")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "emg":
+    if len(head) != 3 or head[0] != "emg" or not (head[1] + head[2]).isdigit():
         raise FormatError("first line must be 'emg <n> <m>'")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError("bad counts in header") from None
-    elines = []
-    vlines = []
-    root = None
-    for ln in lines[1:]:
-        if ln[0] == "e":
-            elines.append(ln)
-        elif ln[0] == "v":
-            vlines.append(ln)
-        else:
-            parts = ln.split()
-            if parts[0] != "root":
-                raise FormatError(f"unknown line: {ln}")
-            if len(parts) != 2 or root is not None:
-                raise FormatError(f"bad or repeated root line: {ln}")
+    n, m = int(head[1]), int(head[2])
+    vlines = [ln for ln in lines if ln[0] == "v"]
+    root = twist = None
+    for ln in [ln for ln in lines[1:] if ln[0] != "v"]:
+        parts = ln.split()
+        if parts[0] == "root" and len(parts) == 2 and root is None:
             root = int(parts[1])
-    # every count checked against the lines before a per-id list is built
-    if len(elines) != m or len(vlines) != n:
-        raise FormatError(f"{len(elines)} edge and {len(vlines)} vertex "
-                          f"lines for {m} edges and {n} vertices")
-    edges = list(zip(*by_id(int_columns(elines, "e", 4), m, "edge")))
-
-    # a ':' past the first of its line lands among the darts and fails there
-    if "".join(vlines).count(":") != n:
-        raise FormatError("a vertex line must read 'v <id>: <darts>'")
-    vids = int_columns([ln.partition(":")[0] for ln in vlines], "v", 1)
-    rot = []
-    for lo in range(0, n, CHUNK_LINES):
-        chunk = vlines[lo:lo + CHUNK_LINES]
-        rot += _rotations([ln.partition(":")[2] for ln in chunk], m)
-    (rot,) = by_id(vids + [rot], n, "vertex")
-    return EmbeddedMultigraph(n, edges, rot, root=root)
+        elif parts[0] == "twist" and len(parts) > 1 and twist is None:
+            twist = list(map(int, parts[1:]))
+            if twist != sorted(set(twist)) or twist[-1] >= m:
+                raise FormatError(f"twist must list edges, ascending, each "
+                                  f"once: {ln}")
+        elif parts[0] in ("root", "twist"):
+            raise FormatError(f"bad or repeated {parts[0]} line: {ln}")
+        elif parts[0] == "e":
+            raise FormatError(f"edge lines are gone, the rotations state "
+                              f"every edge: {ln}")
+        else:
+            raise FormatError(f"unknown line: {ln}")
+    if len(vlines) != n or n < 1:
+        raise FormatError(f"{len(vlines)} vertex lines for {n} vertices"
+                          + ("" if n else "; a graph needs one"))
+    if root is not None and root >= n:
+        raise FormatError(f"root {root} is not a vertex")
+    # with one ':' per line, the head tokens alternate 'v' and an integer
+    # iff every head is 'v <id>': no head can start at an integer's place
+    heads, _, bodies = zip(*[ln.partition(":") for ln in vlines])
+    toks = " ".join(heads).split()
+    try:
+        if ("".join(vlines).count(":") != n or len(toks) != 2 * n
+                or toks[0::2].count("v") != n):
+            raise ValueError
+        vids = list(map(int, toks[1::2]))
+        rot = [list(map(int, b.split())) for b in bodies]
+    except ValueError:
+        bad = next(ln for ln in vlines if not _VERTEX_LINE.fullmatch(ln))
+        raise FormatError(f"a vertex line must read 'v <id>: <dart> ...', "
+                          f"each dart one integer: {bad}") from None
+    if vids != list(range(n)):
+        order = sorted(range(n), key=vids.__getitem__)
+        if [vids[j] for j in order] != list(range(n)):
+            raise FormatError(f"vertex lines must give the ids 0..{n - 1}, "
+                              f"each once")
+        rot = [rot[j] for j in order]
+    # the rotations list 2m darts, so every dart is set iff none repeats
+    nd = 2 * m
+    if sum(map(len, rot)) != nd:
+        raise _dart_fault(rot, nd)
+    tail = [-1] * nd
+    try:
+        for v, r in enumerate(rot):
+            for d in r:
+                tail[d] = v
+    except IndexError:
+        raise _dart_fault(rot, nd) from None
+    if -1 in tail:
+        raise _dart_fault(rot, nd)
+    sign = [1] * m
+    for e in twist or ():
+        sign[e] = -1
+    E = EmbeddedMultigraph(n, list(zip(tail[0::2], tail[1::2], sign)), rot,
+                           root=root, validate=False)
+    E._tail = tail               # the checks above are all of validate()'s
+    return E
 
 
 @gc_paused
@@ -631,9 +619,9 @@ def serialize_embedding(E: EmbeddedMultigraph) -> str:
     out = [f"emg {E.n} {E.m}"]
     if E.root is not None:
         out.append(f"root {E.root}")
-    for eid, (u, v, s) in enumerate(E.edges):
-        out.append(f"e {eid} {u} {v} {s}")
-    for v in range(E.n):
-        toks = " ".join(f"{d >> 1}.{d & 1}" for d in E.rot[v])
-        out.append(f"v {v}: {toks}")
+    twist = [e for e, (_, _, s) in enumerate(E.edges) if s == -1]
+    if twist:
+        out.append("twist " + " ".join(map(str, twist)))
+    for v, r in enumerate(E.rot):
+        out.append(f"v {v}: " + " ".join(map(str, r)))
     return "\n".join(out) + "\n"

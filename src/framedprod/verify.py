@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter, sub
 
 from .errors import DomainError
@@ -33,7 +33,8 @@ def rebuild_faces(E):
     count other than ``n``, an edge end that is not a vertex, a signature
     other than +1 or -1, a dart out of range, or rotations that are not a
     permutation of the darts.  A permutation makes every walk a cycle that
-    closes at its start.
+    closes at its start.  Raises it too when a dart is listed away from its
+    tail, the end of its edge it leaves from.
     """
     if len(E.rot) != E.n:
         raise DomainError(f"{len(E.rot)} rotations for {E.n} vertices")
@@ -58,15 +59,22 @@ _NOT_A_PERMUTATION = ("a face walk closes away from its start: the rotations "
                       "are not a permutation of the darts")
 
 
-def _check_permutation(E, table):
+def _check_permutation(E, table, tail):
     """Raise unless ``table``, filled with -1 and then written once per
-    listed dart, is a permutation.  The rotations list ``2m`` darts, so
-    every slot is written iff no two darts share one, and a negative dart
-    past the other tests shows as a negative value."""
+    listed dart, is a permutation, and every dart is listed at its tail.
+    The rotations list ``2m`` darts, so every slot is written iff no two
+    darts share one, and a negative dart past the other tests shows as a
+    negative value."""
     if table and min(table) < 0:
         if min(map(min, filter(None, E.rot))) < 0:
             raise DomainError(_DART_RANGE)
         raise DomainError(_NOT_A_PERMUTATION)
+    darts = list(chain.from_iterable(E.rot))
+    at = list(chain.from_iterable(map(repeat, range(E.n), map(len, E.rot))))
+    if list(map(tail.__getitem__, darts)) != at:
+        d, v = next((d, v) for d, v in zip(darts, at) if tail[d] != v)
+        raise DomainError(f"dart {d} is listed at vertex {v}, but its tail "
+                          f"is {tail[d]}")
 
 
 def _orientable_walks(E, tail):
@@ -84,7 +92,7 @@ def _orientable_walks(E, tail):
                 prev = d
     except IndexError:
         raise DomainError(_DART_RANGE) from None
-    _check_permutation(E, turn)
+    _check_permutation(E, turn, tail)
     seen = bytearray(nd)
     walks = []
     for start in range(nd):
@@ -125,7 +133,7 @@ def _signed_walks(E, tail):
     except IndexError:
         raise DomainError(_DART_RANGE) from None
     # pred is written at the same darts as succ, with the same values
-    _check_permutation(E, succ)
+    _check_permutation(E, succ, tail)
     # nxt: state -> next state of its walk; rev: (d, s) -> (d ^ 1, -s * sign).
     # Across a +1 edge, (d, +1) goes on to (succ[d ^ 1], +1) and (d, -1) to
     # (pred[d ^ 1], -1); a -1 edge flips the sign, which swaps the two.

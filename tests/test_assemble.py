@@ -15,7 +15,6 @@ from framedprod.assemble import (
     width_bound,
 )
 from framedprod.embedding import (
-    CHUNK_LINES,
     EmbeddedMultigraph,
     bfs_structure,
     from_face_list,
@@ -379,6 +378,24 @@ class TestCertificateFormat:
         with pytest.raises(FormatError, match=re.escape(line)):
             parse_certificate(bad)
 
+    @pytest.mark.parametrize("bad,line", [
+        ("cert 2 3 0\nPARTS 1\np x:  y: 0_1\nELL 1\n", "p x:  y: 0_1"),
+        ("cert 2 3 0\nPARTS 1\np x:  y: 1\nELL +1\n", "ELL +1"),
+        ("cert 2 3 0\nPARTS 1\np x:  y: \u0661\nELL 1\n",
+         "p x:  y: \u0661"),
+    ], ids=["underscore", "plus", "arabic-indic-digit"])
+    def test_only_plain_decimal_integers(self, bad, line):
+        # int() reads each of these as 1
+        with pytest.raises(FormatError, match=re.escape(line)):
+            parse_certificate(bad)
+
+    def test_comments_may_hold_any_character(self):
+        text = "# \u00e9t\u00e9 +1 0_1 \u0661\n" + SMALL
+        assert serialize_certificate(parse_certificate(text)) == SMALL
+        # a value may be negative: the verifier reports it
+        assert parse_certificate(SMALL.replace("y: 1", "y: -1")).parts[0] \
+            .legs == [-1]
+
     def test_old_format_rejected(self):
         old = ("cert 2 3 0\nH 1 0\nTD 1\nb 0 -1 : 0\nPARTS 1\n"
                "p 0 TRIPOD x:  y: 0 1\nMAP\nm 0 0 0 0\nm 1 0 1 0\nELL 1\n")
@@ -395,11 +412,9 @@ class TestCertificateFormat:
         assert serialize_certificate(cert) == cut
         assert cert.boundary_part == 0
 
-    def test_texts_past_a_conversion_chunk(self):
-        # more edge and vertex lines than CHUNK_LINES, each section shuffled
-        # where the format allows it
+    def test_large_texts_shuffled(self):
+        # a frame of 1,500 vertex lines, shuffled where the format allows it
         E = gen_plane_triangulation(1500, 3)
-        assert E.m > 4 * CHUNK_LINES and E.n > CHUNK_LINES
         rng = random.Random(5)
         head, *body = serialize_embedding(E).splitlines()
         rng.shuffle(body)

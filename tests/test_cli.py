@@ -49,6 +49,27 @@ class TestCli:
         bad.write_text("not an embedding\n")
         assert run(["stats", "--in", str(bad)]) == 1
 
+    @pytest.mark.parametrize("old,quoted", [
+        ("emg 3 3\ne 0 0 1 1\ne 1 1 2 1\ne 2 2 0 1\n"
+         "v 0: 0.0 2.1\nv 1: 0.1 1.0\nv 2: 1.1 2.0\n", "e 0 0 1 1"),
+        ("emg 3 3\nv 0: 0.0 2.1\nv 1: 0.1 1.0\nv 2: 1.1 2.0\n",
+         "v 0: 0.0 2.1"),
+    ], ids=["edge-lines", "edge-side-darts"])
+    def test_old_frame_format_is_an_error_line(self, tmp_path, capsys,
+                                               old, quoted):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        frame.write_text("emg 3 3\nv 0: 0 5\nv 1: 1 2\nv 2: 3 4\n")
+        assert run(["decompose", "--in", str(frame), "--d", "3",
+                    "--out", str(cert)]) == 0
+        frame.write_text(old)
+        for argv in (["verify", "--in", str(frame), "--cert", str(cert)],
+                     ["decompose", "--in", str(frame), "--d", "3"]):
+            capsys.readouterr()
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and quoted in err
+
     def test_map_chain(self, tmp_path):
         mp = tmp_path / "m.map"
         cert = tmp_path / "m.cert"
@@ -118,8 +139,7 @@ class TestCli:
 
     def test_stats_d_needs_a_connected_graph(self, tmp_path, capsys):
         frame = tmp_path / "g.emg"
-        frame.write_text("emg 4 2\ne 0 0 1 1\ne 1 2 3 1\n"
-                         "v 0: 0.0\nv 1: 0.1\nv 2: 1.0\nv 3: 1.1\n")
+        frame.write_text("emg 4 2\nv 0: 0\nv 1: 1\nv 2: 2\nv 3: 3\n")
         assert run(["stats", "--in", str(frame)]) == 0
         assert "genus - (disconnected)" in capsys.readouterr().out
         assert run(["stats", "--in", str(frame), "--d", "3"]) == 1

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 import subprocess
 import sys
 from collections import Counter, deque
@@ -26,8 +28,16 @@ from framedprod.embedding import (
 )
 from framedprod.cut import attach_apex, build_Tplus, build_Z, cut_along
 from framedprod.errors import ContractViolation, DomainError, FormatError
+from framedprod.frontends import map_to_frame, oneplanar_to_frame
+from framedprod.generators import (
+    gen_framed,
+    gen_labelled_map,
+    gen_oneplanar,
+    gen_plane_triangulation,
+    gen_toroidal_grid,
+)
 from framedprod.verify import rebuild_faces, verify_certificate
-from test_nonorientable import klein_grid
+from test_nonorientable import klein_grid, projective_k4
 from test_verify import golden_corpus
 
 # sha256 of (faces, slot_face, face_of_state) per embedding, recorded from
@@ -498,6 +508,39 @@ class TestBfs:
             bfs_structure(triangle(), 9)
 
 
+def shuffled_ids(E, rng):
+    """The same embedded graph with vertex and edge ids permuted, some
+    edges turned round (their two darts swapped) and every rotation
+    started at a random dart."""
+    vid = list(range(E.n))
+    rng.shuffle(vid)
+    eid = list(range(E.m))
+    rng.shuffle(eid)
+    flip = [rng.randrange(2) for _ in range(E.m)]
+    edges = [None] * E.m
+    for e, (u, v, s) in enumerate(E.edges):
+        edges[eid[e]] = (vid[v], vid[u], s) if flip[e] else (vid[u], vid[v], s)
+    rot = [None] * E.n
+    for v, darts in enumerate(E.rot):
+        darts = [2 * eid[x >> 1] + ((x & 1) ^ flip[x >> 1]) for x in darts]
+        k = rng.randrange(len(darts)) if darts else 0
+        rot[vid[v]] = darts[k:] + darts[:k]
+    return EmbeddedMultigraph(E.n, edges, rot, root=rng.choice((None, 0)))
+
+
+ROUND_TRIP_SOURCES = {
+    "triangulation": lambda s: gen_plane_triangulation(20 + s % 40, s),
+    "torus": lambda s: gen_toroidal_grid(3 + s % 4, 3 + s % 5),
+    "klein": lambda s: klein_grid(3 + s % 4),
+    "projective_k4": lambda s: projective_k4(),
+    "framed": lambda s: gen_framed(40 + s % 40, 3 + s % 4, 2 * (s % 2), s),
+    "map_frame": lambda s: map_to_frame(
+        gen_labelled_map(20 + s % 20, 3 + s % 3, s), 3 + s % 3).frame,
+    "oneplanar_frame": lambda s: oneplanar_to_frame(
+        gen_oneplanar(10 + s % 20, s)).frame,
+}
+
+
 class TestFormat:
     def test_roundtrip(self):
         for E in (triangle(), k4_planar(), toroidal_grid(3, 4)):
@@ -508,28 +551,82 @@ class TestFormat:
             assert E2.rot == E.rot
             assert serialize_embedding(E2) == text
 
+    @given(st.sampled_from(sorted(ROUND_TRIP_SOURCES)),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_shuffled(self, source, seed):
+        rng = random.Random(seed)
+        E = shuffled_ids(ROUND_TRIP_SOURCES[source](seed), rng)
+        E.validate()
+        text = serialize_embedding(E)
+        back = parse_embedding(text)
+        assert (back.edges, back.rot, back.root) == (E.edges, E.rot, E.root)
+        assert back.tails() == E.tails()
+        assert ("twist" in text) == (-1 in [s for _, _, s in E.edges])
+
     def test_comments_and_root(self):
         text = ("# a triangle\nemg 3 3\nroot 1\n"
-                "e 0 0 1 1\ne 1 1 2 1\ne 2 2 0 1\n"
-                "v 0: 0.0 2.1\nv 1: 0.1 1.0\nv 2: 1.1 2.0\n")
+                "v 0: 0 5  # édges 0 and 2\nv 1: 1 2\nv 2: 3 4\n")
         E = parse_embedding(text)
         assert E.root == 1
+        assert E.edges == [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
         assert trace_faces(E).f == 2
 
-    TRIANGLE = ("emg 3 3\nroot 1\ne 0 0 1 1\ne 1 1 2 1\ne 2 2 0 1\n"
-                "v 0: 0.0 2.1\nv 1: 0.1 1.0\nv 2: 1.1 2.0\n")
+    # edge e runs from the vertex listing dart 2e to the one listing 2e + 1
+    TRIANGLE = "emg 3 3\nroot 1\nv 0: 0 5\nv 1: 1 2\nv 2: 3 4\n"
+
+    def test_twist_line_gives_the_signatures(self):
+        E = parse_embedding(self.TRIANGLE + "twist 0 2\n")
+        assert E.edges == [(0, 1, -1), (1, 2, 1), (2, 0, -1)]
+        assert serialize_embedding(E) == self.TRIANGLE.replace(
+            "root 1\n", "root 1\ntwist 0 2\n")
 
     @pytest.mark.parametrize("old,new", [
-        ("v 2: 1.1", "v 2 junk: 1.1"),
-        ("v 2: 1.1", "v 2 7: 1.1"),
+        ("v 2: 3", "v 2 junk: 3"),
+        ("v 2: 3", "v 2 7: 3"),
+        ("v 2: 3", "v2: 3"),
+        ("v 2: 3", "v 2 3"),
         ("root 1\n", "root 1 2\n"),
         ("root 1\n", "root 1\nroot 2\n"),
         ("root 1\n", "root 1\nroot 1\n"),
-    ], ids=["vertex-junk-token", "vertex-two-ids", "root-two-tokens",
-            "root-twice", "root-repeated"])
+        ("root 1\n", "root 3\n"),
+        ("root 1\n", "root 1\ntwist 0\ntwist 1\n"),
+        ("root 1\n", "root 1\ntwist 0\ntwist 0\n"),
+        ("root 1\n", "root 1\ntwist 1 0\n"),
+        ("root 1\n", "root 1\ntwist 1 1\n"),
+        ("root 1\n", "root 1\ntwist 3\n"),
+        ("root 1\n", "root 1\ntwist -1\n"),
+        ("root 1\n", "root 1\ntwist\n"),
+    ], ids=["vertex-junk-token", "vertex-two-ids", "vertex-glued-id",
+            "vertex-no-colon", "root-two-tokens", "root-twice",
+            "root-repeated", "root-past-last", "twist-twice",
+            "twist-repeated", "twist-unsorted", "twist-id-twice",
+            "twist-past-last", "twist-negative", "twist-empty"])
     def test_loose_lines_rejected(self, old, new):
         parse_embedding(self.TRIANGLE)
         with pytest.raises(FormatError):
+            parse_embedding(self.TRIANGLE.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,names", [
+        ("v 0: 0 5", "v 0_0: 0 5", "v 0_0:"),
+        ("v 0: 0 5", "v 0: +1", "v 0: +1"),
+        ("v 0: 0 5", "v 0: -0 5", "v 0: -0 5"),
+        ("v 0: 0 5", "v 0: 0 \u0665", "v 0: 0 \u0665"),
+        ("root 1\n", "root 1\ntwist +1\n", "twist +1"),
+        ("root 1\n", "root +1\n", "root +1"),
+    ], ids=["underscore-id", "plus-dart", "minus-dart", "arabic-indic-dart",
+            "plus-twist", "plus-root"])
+    def test_only_plain_decimal_integers(self, old, new, names):
+        with pytest.raises(FormatError, match=re.escape(names)):
+            parse_embedding(self.TRIANGLE.replace(old, new))
+
+    @pytest.mark.parametrize("old,new", [
+        ("emg 3 3\n", "emg 3 3\ne 0 0 1 1\n"),
+        ("v 0: 0 5", "v 0: 0.0 2.1"),
+    ], ids=["edge-line", "edge-side-dart"])
+    def test_old_format_names_its_line(self, old, new):
+        bad = new.splitlines()[-1]
+        with pytest.raises(FormatError, match=re.escape(bad)):
             parse_embedding(self.TRIANGLE.replace(old, new))
 
     def test_every_vertex_needs_a_line(self):
@@ -549,21 +646,32 @@ class TestFormat:
     def test_huge_counts_rejected_before_allocating(self):
         with pytest.raises(FormatError):
             parse_embedding("emg 1000000000000000 1000000000000000\n")
+        with pytest.raises(FormatError, match="dart 2 missing"):
+            parse_embedding("emg 1 1000000000000000\nv 0: 0 1\n")
 
     def test_unknown_ids_rejected(self):
-        bad = "emg 2 1\ne 0 0 1 1\nv 0: 0.0 3.0\nv 1: 0.1\n"
-        with pytest.raises(FormatError):
-            parse_embedding(bad)
+        # a dart past the last, with too many darts and with the right count
+        for bad, dart in (("emg 2 1\nv 0: 0 6\nv 1: 1\n", 6),
+                          ("emg 2 1\nv 0: 0 2\nv 1:\n", 2)):
+            with pytest.raises(FormatError,
+                               match=f"unknown dart {dart} at vertex 0"):
+                parse_embedding(bad)
 
     def test_non_permutation_rejected(self):
-        bad = "emg 2 1\ne 0 0 1 1\nv 0: 0.0 0.0\nv 1: 0.1\n"
-        with pytest.raises(FormatError):
-            parse_embedding(bad)
+        # the first dart at fault is named, whatever the dart count
+        for bad, names in (
+                ("emg 2 1\nv 0: 0 0\nv 1: 1\n", "dart 0 appears twice"),
+                ("emg 2 1\nv 0: 0 0\nv 1:\n", "dart 0 appears twice"),
+                ("emg 2 1\nv 0: 1\nv 1:\n", "dart 0 missing"),
+                ("emg 2 2\nv 0: 0 2\nv 1: 1\n", "dart 3 missing")):
+            with pytest.raises(FormatError, match=names):
+                parse_embedding(bad)
 
     @pytest.mark.parametrize("bad", [
         "", "emg", "emg x y", "emg 2 1\nv", "emg 2 1\nroot",
         "emg 2 1\ne 0 0 1\nv 0: 0.0\nv 1: 0.1",
         "emg 2 1\ne 0 0 1 1\ne 0 0 1 1\nv 0: 0.0\nv 1: 0.1",
+        "emg 0 0\n", "emg 2 1\nv 0: 0\nv 1:", "emg 2 1\nv 0: 0\nv 0: 1",
     ])
     def test_truncated_inputs_raise_format_errors(self, bad):
         with pytest.raises(FormatError):

@@ -1,13 +1,14 @@
 """Totality of the embedding parser on mutated text.
 
-The ``serialize_embedding`` texts of the certificate fuzz corpus get the
-same drop, duplicate and replace-token mutations.  ``parse_embedding`` either
-raises ``FormatError`` or returns a validated graph in bounded time; any
-other exception is a fault.  A line-by-line reference parser kept here
+The ``serialize_embedding`` texts of the certificate fuzz corpus and of a
+Klein bottle grid get the same drop, duplicate and replace-token
+mutations.  ``parse_embedding`` either raises ``FormatError`` or returns a
+validated graph in bounded time; any other exception is a fault.  A line-by-line reference parser kept here
 agrees with the library on every valid text and on every mutated text the
 library accepts.  Its rules are looser: a vertex may lack its line (an
-empty rotation), a vertex line may carry junk before its ':', and of several
-``root`` lines the last one counts.
+empty rotation), a vertex line may carry junk before its ':', of several
+``root`` or ``twist`` lines the last one counts, and a ``twist`` line may
+list its ids in any order.
 """
 
 import random
@@ -23,11 +24,12 @@ from framedprod.embedding import (
     serialize_embedding,
 )
 from framedprod.errors import FormatError
+from test_nonorientable import klein_grid
 from test_verify_fuzz import TIME_BOUND, corpus, mutate, mutations
 
-# an integer token bounded by whitespace, '.' or ':', so that vertex ids in
-# "v <id>:" and both halves of a dart "<edge>.<side>" are hit too
-EMB_TOKEN = re.compile(r"(?<![^\s.:])-?\d+(?![^\s.:])")
+# an integer token bounded by whitespace or ':': the vertex id of
+# "v <id>:", each dart and each id of a "twist" line
+EMB_TOKEN = re.compile(r"(?<![^\s:])-?\d+(?![^\s:])")
 
 
 def reference_parse(text):
@@ -39,40 +41,34 @@ def reference_parse(text):
         if len(head) != 3 or head[0] != "emg":
             raise FormatError("header")
         n, m = int(head[1]), int(head[2])
-        edges = [None] * m
         rot = [None] * n
         root = None
+        twist = set()
         for ln in lines[1:]:
             parts = ln.replace(":", " : ").split()
-            if parts[0] == "e":
-                if len(parts) != 5:
-                    raise FormatError("edge line")
-                eid = int(parts[1])
-                if not 0 <= eid < m or edges[eid] is not None:
-                    raise FormatError("edge id")
-                edges[eid] = (int(parts[2]), int(parts[3]), int(parts[4]))
-            elif parts[0] == "v":
+            if parts[0] == "v":
                 ci = parts.index(":")
                 vid = int(parts[1])
                 if not 0 <= vid < n or rot[vid] is not None:
                     raise FormatError("vertex id")
-                darts = []
-                for tok in parts[ci + 1:]:
-                    es, ss = tok.split(".", 1)
-                    e, side = int(es), int(ss)
-                    if not 0 <= e < m or side not in (0, 1):
-                        raise FormatError("dart")
-                    darts.append(2 * e + side)
-                rot[vid] = darts
+                rot[vid] = [int(tok) for tok in parts[ci + 1:]]
             elif parts[0] == "root":
                 root = int(parts[1])
+            elif parts[0] == "twist":
+                twist = {int(tok) for tok in parts[1:]}
             else:
                 raise FormatError("line tag")
-        if None in edges:
-            raise FormatError("missing edge")
         rot = [r if r is not None else [] for r in rot]
+        tail = {}
+        for v, darts in enumerate(rot):
+            for d in darts:
+                if not 0 <= d < 2 * m or d in tail:
+                    raise FormatError("dart")
+                tail[d] = v
+        edges = [(tail[2 * e], tail[2 * e + 1], -1 if e in twist else 1)
+                 for e in range(m)]
         EmbeddedMultigraph(n, edges, rot, root=root)
-    except (ValueError, IndexError) as ex:
+    except (ValueError, IndexError, KeyError) as ex:
         raise FormatError(str(ex)) from None
     return n, edges, rot, root
 
@@ -82,8 +78,11 @@ def fields(E):
 
 
 def texts():
-    """The corpus frames' texts."""
-    return {name: serialize_embedding(E) for name, (E, _) in corpus().items()}
+    """The corpus frames' texts, and a Klein bottle grid's for a twist
+    line."""
+    out = {name: serialize_embedding(E) for name, (E, _) in corpus().items()}
+    out["klein"] = serialize_embedding(klein_grid(4))
+    return out
 
 
 def loosened(text, seed):
@@ -113,7 +112,7 @@ def test_reference_agrees_on_valid_texts():
             assert E.root is not None and serialize_embedding(E) != text
 
 
-@given(st.sampled_from(("tri", "torus", "framed")),
+@given(st.sampled_from(("tri", "torus", "framed", "klein")),
        st.lists(mutations, min_size=1, max_size=3))
 @settings(max_examples=200, deadline=None)
 def test_mutated_embedding_is_rejected_or_validated(name, ops):

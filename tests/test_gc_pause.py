@@ -60,7 +60,7 @@ def test_paused_during_the_call_and_restored_after():
                  id="parse_embedding"),
     pytest.param(lambda: parse_certificate("cert 2 3 0\nLAYERS\n"),
                  id="parse_certificate"),
-    pytest.param(lambda: parse_oneplanar("emg 1 0\nx 0 a b c d\n"),
+    pytest.param(lambda: parse_oneplanar("emg 1 0\nv 0:\nx 0 a b c d\n"),
                  id="parse_oneplanar"),
 ])
 def test_restored_after_a_format_error(call):

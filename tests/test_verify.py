@@ -418,6 +418,18 @@ class TestShape:
         assert self.run(case, rot=rot[:2]) == [
             "FAIL shape 2 rotations for 3 vertices"]
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_dart_listed_away_from_its_tail(self, case, sign):
+        # vertices 0 and 1 swap their first darts: still a permutation of
+        # the darts, so only the tail test sees it, at the first dart
+        rot = [list(r) for r in case[0].rot]
+        a, b = rot[0][0], rot[1][0]
+        rot[0][0], rot[1][0] = b, a
+        edges = [(u, v, sign if e == 2 else 1)
+                 for e, (u, v, _) in enumerate(case[0].edges)]
+        assert self.run(case, edges=edges, rot=rot) == [
+            f"FAIL shape dart {b} is listed at vertex 0, but its tail is 1"]
+
     @pytest.mark.parametrize("root", [5, 3, -1])
     def test_root_not_a_vertex(self, case, root):
         assert self.run(case, root=root) == [
