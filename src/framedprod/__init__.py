@@ -33,6 +33,7 @@ from .verify import (
     check_planarity,
     check_tree_decomposition,
     closure_pairs,
+    derive_bags,
     verify_certificate,
 )
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import (
@@ -47,7 +49,8 @@ class CertPart:
 
     legs: list                # each vertical path as its bottom vertex
     absorbed: list            # the small leftover set (size <= d-3)
-    attachments: list         # the <= 3 earlier parts the region saw
+    extras: list              # the earlier parts the region saw that the
+                              # quotient of the closure does not show
 
 
 def stated_legs(legs) -> list:
@@ -103,7 +106,7 @@ def decompose(E: EmbeddedMultigraph, d: int,
 
 
 def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
-    g, T, projected = build_partition(E, d)
+    g, T, projected, short = build_partition(E, d)
     # a vertex goes to (its part, its block, its rank in that cell) of the
     # product, so the width is the size of the largest cell
     part_of = projected.part_of
@@ -113,14 +116,41 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
     if ell > bound:
         raise ContractViolation(
             f"achieved width {ell} exceeds the bound {bound}")
-    parts = [CertPart(stated_legs(p.legs), p.absorbed, p.attachments)
-             for p in projected.parts]
+    quotient = closure_quotient(E, short, part_of)
+    parts = [CertPart(stated_legs(p.legs), p.absorbed,
+                      [a for a in p.attachments
+                       if (a, i) not in quotient and (i, a) not in quotient])
+             for i, p in enumerate(projected.parts)]
     return PartitionCertificate(n=E.n, d=d, genus=g, parts=parts, ell=ell)
+
+
+def closure_quotient(E: EmbeddedMultigraph, short: dict,
+                     part_of: list) -> set:
+    """The part pairs ``(a, b)`` that the closure ``G^(d)`` joins, each in
+    one orientation or both: the quotient of ``G^(d)``, each part
+    contracted to one node.
+
+    The closure is ``E``'s edges plus the chords of its faces of length
+    4..``d``; ``short`` maps such a length ``k`` to the vertex walks of
+    those faces, concatenated, so walk ``w`` holds ``short[k][k*w:k*w+k]``.
+    A part's attachments minus its quotient neighbours are the extras the
+    certificate states: the verifier derives the rest from its own closure.
+    """
+    part = part_of.__getitem__
+    tails = E.tails()
+    pairs = set(zip(map(part, tails[0::2]), map(part, tails[1::2])))
+    for k, flat in short.items():
+        parts = list(map(part, flat))
+        for i in range(k - 2):
+            for j in range(i + 2, k - (i == 0)):
+                pairs.update(zip(parts[i::k], parts[j::k]))
+    return pairs
 
 
 def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
     """The construction's partition of ``E``'s vertices, with its legs as
-    full paths: -> (Euler genus, BFS structure, ``HPartitionResult``)."""
+    full paths: -> (Euler genus, BFS structure, ``HPartitionResult``,
+    ``E``'s faces of length 4..``d`` as ``closure_quotient`` reads them)."""
     # each graph (E, then Gt and G+ when g > 0) has its faces traced once;
     # a face set is dropped as soon as the stage that reads it is done
     faces = trace_faces(E)
@@ -132,6 +162,13 @@ def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
     if g < 0:
         raise ContractViolation(f"negative genus {g} from face count {f}")
     check_frame(E, d, faces)
+    short = {}
+    for walk in faces.vertex_walks(E):
+        if 4 <= len(walk) <= d:
+            short.setdefault(len(walk), []).append(walk)
+    # kept as flat C arrays: the walk lists go with the face set
+    short = {k: array("i", chain.from_iterable(walks))
+             for k, walks in short.items()}
     if g == 0:
         world = triangulate_long_faces(E, d, faces)
         del faces
@@ -146,14 +183,14 @@ def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
         HPR = tripod_partition(world, parent, boundary=Pp,
                                blocked=(Gplus.n - 1,))
         projected = project_partition(HPR, R, C, E.n)
-    return g, T, projected
+    return g, T, projected, short
 
 
 @gc_paused
 def serialize_certificate(cert: PartitionCertificate) -> str:
     out = [f"cert {cert.n} {cert.d} {cert.genus}", f"PARTS {cert.num_parts}"]
     for part in cert.parts:
-        head = " ".join(map(str, ["p", *part.attachments]))
+        head = " ".join(map(str, ["p", *part.extras]))
         xs = " ".join(map(str, part.absorbed))
         ys = " ".join(map(str, part.legs))
         out.append(f"{head} x: {xs} y: {ys}")
@@ -167,13 +204,16 @@ def parse_certificate(text: str) -> PartitionCertificate:
 
     The sections come in the order they are written, each exactly once:
     ``cert <n> <d> <genus>``; ``PARTS <parts>`` and one line per part,
-    ``p <attachments...> x: <absorbed> y: <legs>``, line ``i`` stating part
+    ``p <extras...> x: <absorbed> y: <legs>``, line ``i`` stating part
     ``i`` (the cut part ``Z`` when ``i`` is 0 and the genus positive);
-    ``ELL <ell>``.  A leg is its bottom vertex; ``x:`` and ``y:`` are tokens
-    of their own, and a ``|`` (the leg separator of older formats) is no
-    integer.  Blank lines and lines starting with '#' are skipped.  Every
-    value is a plain decimal integer, which a verifier may find negative.
-    Every error is a ``FormatError`` that names the line at fault.
+    ``ELL <ell>``.  The extras are the earlier parts that part ``i``'s
+    region saw and the closure does not join to it; the verifier adds them
+    to the earlier neighbours it derives from the closure.  A leg is its
+    bottom vertex; ``x:`` and ``y:`` are tokens of their own, and a ``|``
+    (the leg separator of older formats) is no integer.  Blank lines and
+    lines starting with '#' are skipped.  Every value is a plain decimal
+    integer, which a verifier may find negative.  Every error is a
+    ``FormatError`` that names the line at fault.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     check_plain(text, lines, "+_")
@@ -189,12 +229,12 @@ def parse_certificate(text: str) -> PartitionCertificate:
         if not xi or not yi or toks[0] != "p":
             raise FormatError(f"bad 'p' line: {ln}")
         try:
-            attachments = list(map(int, toks[1:xi]))
+            extras = list(map(int, toks[1:xi]))
             absorbed = list(map(int, toks[xi + 1:yi]))
             legs = list(map(int, toks[yi + 1:]))
         except ValueError:
             raise FormatError(f"bad 'p' line: {ln}") from None
-        parts.append(CertPart(legs, absorbed, attachments))
+        parts.append(CertPart(legs, absorbed, extras))
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")

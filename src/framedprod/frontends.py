@@ -8,6 +8,7 @@ from .embedding import (
     EmbeddedMultigraph,
     FaceSet,
     add_chords,
+    check_plain,
     drop,
     euler_genus,
     gc_paused,
@@ -143,10 +144,10 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
         raise ContractViolation("dual frame changed the genus")
 
     m_edges = map_graph_edges(LM, fs)
-    from .verify import rebuild_closure
-    closure = rebuild_closure(frame, d)
+    from .verify import closure_pairs, rebuild_faces
+    closure = set(zip(*closure_pairs(frame, d, rebuild_faces(frame))))
     for a, b in m_edges:
-        if b not in closure[a]:
+        if (a, b) not in closure and (b, a) not in closure:
             raise ContractViolation(f"map edge {a}-{b} missing from closure")
     nation_vertex = {fi: fi for fi, lab in enumerate(LM.labels)
                      if lab == NATION}
@@ -436,12 +437,12 @@ def oneplanar_to_frame(Dw: OnePlaneDrawing) -> OnePlanarFrameResult:
         if len(walk) not in (3, 4) or not fs.is_disk_cycle(frame, i):
             raise ContractViolation(f"frame face {i} has length {len(walk)}")
     original = Dw.original_edges()
-    from .verify import rebuild_closure
-    closure = rebuild_closure(frame, 4)
+    from .verify import closure_pairs, rebuild_faces
+    closure = set(zip(*closure_pairs(frame, 4, rebuild_faces(frame))))
     for a, b in original:
         if a == b:
             continue
-        if b not in closure[a]:
+        if (a, b) not in closure and (b, a) not in closure:
             raise ContractViolation(f"drawn edge {a}-{b} missing from closure")
     return OnePlanarFrameResult(frame=frame, original_edges=original)
 
@@ -535,9 +536,11 @@ def _tagged_lines(text: str, tag: str) -> tuple:
 
 @gc_paused
 def parse_labelled_map(text: str) -> LabelledMap:
-    """Embedding format plus one ``f <faceid> nation|lake`` line per face."""
+    """Embedding format plus one ``f <faceid> nation|lake`` line per face.
+    A face id is a plain decimal integer."""
     from .embedding import parse_embedding
     face_lines, emb_lines = _tagged_lines(text, "f")
+    check_plain("\n".join(face_lines), face_lines, "+_")
     G0 = parse_embedding("\n".join(emb_lines))
     # the ids must be 0..k-1; LabelledMap.validate checks k against the
     # face count when it traces the map
@@ -569,9 +572,11 @@ def serialize_labelled_map(LM: LabelledMap) -> str:
 
 @gc_paused
 def parse_oneplanar(text: str) -> OnePlaneDrawing:
-    """Embedding of the planarization plus ``x <dummy> <e1> <e2> <e3> <e4>``."""
+    """Embedding of the planarization plus ``x <dummy> <e1> <e2> <e3> <e4>``,
+    each a plain decimal integer."""
     from .embedding import parse_embedding
     xlines, emb_lines = _tagged_lines(text, "x")
+    check_plain("\n".join(xlines), xlines, "+_")
     P = parse_embedding("\n".join(emb_lines))
     crossings = []
     for ln in xlines:

@@ -3,8 +3,9 @@
 Nothing here reuses the construction pipeline's face walker or BFS: the
 closure and distances are rebuilt from the embedding with separate code, so
 a bug upstream cannot silently vouch for itself.  The certificate states
-only its parts; the mapping into ``H x P x K_ell``, ``H`` and the tree
-decomposition are derived from them here.  Failures are returned as
+only its parts and the extra ``H`` edges the closure does not show; the
+mapping into ``H x P x K_ell``, ``H`` and the tree decomposition are
+derived from them here.  Failures are returned as
 machine-readable ``FAIL <check> <detail>`` strings.
 """
 
@@ -229,70 +230,86 @@ def rebuild_bfs(E, root):
 # certificate checks
 # ---------------------------------------------------------------------------
 
-def check_containment(us, vs, node, layer, h_edges):
-    """The product-adjacency test over the closure pairs ``us[i]-vs[i]``:
-    the parts of a pair's ends are equal or adjacent in ``H``, their blocks
-    at most one apart.  A pair with an end in no part (-1) skips the parts
-    test.
+def derive_bags(us, vs, node, extras):
+    """Each part's bag of earlier parts: those the closure pairs
+    ``us[i]-vs[i]`` show it touching, then its stated ``extras``.
 
-    A pass is settled in bulk: every pair's part pair lies in ``hset`` (the
-    ``H`` edges both ways and every equal pair), and the largest block gap
-    is at most 1.  Only a failure, or an end in no part, walks the distinct
-    closure pairs, in ascending order, and gives each one line per failed
-    test, the parts line first.
-    """
-    hset = set(h_edges)
-    hset.update([(b, a) for a, b in h_edges])
-    hset.update(zip(node, node))
+    The touching parts are part ``i``'s earlier neighbours in the quotient
+    of ``G^(d)``, each part contracted to one node; a pair with an end in
+    no part (-1) shows none.  An extra the quotient already shows gives
+    ``FAIL td bag <i> extra <a> is derived from the closure`` and is left
+    out, so each ``H`` has one text.  Any other extra is kept as stated,
+    for ``check_tree_decomposition`` to test its range and repeats.  The
+    derived parts come in no set order; every reader sorts a bag.
+    -> (FAIL lines, the bags)."""
     part_of = node.__getitem__
-    layer_of = layer.__getitem__
-    parts_ok = all(map(hset.__contains__,
-                       zip(map(part_of, us), map(part_of, vs))))
-    if parts_ok and max(map(abs, map(sub, map(layer_of, us),
-                                      map(layer_of, vs))), default=0) <= 1:
-        return []
+    pairs = set(zip(map(part_of, us), map(part_of, vs)))
+    bags = [[] for _ in extras]
+    for a, b in pairs:
+        if a < b:
+            if a != -1:
+                bags[b].append(a)
+        elif b < a and b != -1 and (b, a) not in pairs:
+            bags[a].append(b)
     fails = []
-    for u, v in sorted({(u, v) if u < v else (v, u)
-                        for u, v in zip(us, vs) if u != v}):
-        a = node[u]
-        b = node[v]
-        if (a, b) not in hset and a != -1 and b != -1:
-            fails.append(f"FAIL containment edge {u}-{v}: parts {a},{b} "
-                         "not adjacent in H")
-        if abs(layer[u] - layer[v]) > 1:
-            fails.append(f"FAIL containment edge {u}-{v}: layers "
-                         f"{layer[u]},{layer[v]}")
-    return fails
+    for i, stated in enumerate(extras):
+        if stated:
+            bag = bags[i]
+            derived = set(bag)
+            for a in stated:
+                if a in derived:
+                    fails.append(f"FAIL td bag {i} extra {a} is derived "
+                                 "from the closure")
+                else:
+                    bag.append(a)
+    return fails, bags
 
 
-def check_tree_decomposition(parts):
-    """The tree decomposition of ``H`` that the parts state: width at most
-    3, no node twice in a bag, one tree and the subtree property.
+def check_containment(us, vs, layer):
+    """The product-adjacency test over the closure pairs ``us[i]-vs[i]``:
+    the blocks of a pair's ends are at most one apart.  Their parts are
+    equal or adjacent in ``H`` by construction, as ``derive_bags`` reads
+    ``H`` from the same pairs.
 
-    Bag ``i`` is part ``i``'s attachments, each an earlier part, plus ``i``;
-    it hangs under the bag of its largest attachment, and a part with none
-    is a root.  ``H`` has the edges ``a-i``, each inside bag ``i``.  Every
-    parent is an earlier bag, so the bags cannot form a cycle.
-    -> (FAIL lines, the ``H`` edges with both ends in range).
+    A pass is settled in bulk: the largest block gap is at most 1.  Only a
+    failure walks the distinct closure pairs, in ascending order, and gives
+    each one with a larger gap one line.
     """
-    k = len(parts)
+    layer_of = layer.__getitem__
+    if max(map(abs, map(sub, map(layer_of, us), map(layer_of, vs))),
+           default=0) <= 1:
+        return []
+    return [f"FAIL containment edge {u}-{v}: layers {layer[u]},{layer[v]}"
+            for u, v in sorted({(u, v) if u < v else (v, u)
+                                for u, v in zip(us, vs)})
+            if abs(layer[u] - layer[v]) > 1]
+
+
+def check_tree_decomposition(bags):
+    """The tree decomposition of ``H`` that ``derive_bags`` reads: width
+    at most 3, no node twice in a bag, one tree and the subtree property.
+
+    ``bags[i]`` lists bag ``i``'s nodes other than ``i``, each an earlier
+    part: part ``i``'s earlier neighbours in ``H``.  Bag ``i`` hangs under
+    the bag of its largest node, and one with none is a root.  ``H`` has
+    the edges ``a-i``, each inside bag ``i``.  Every parent is an earlier
+    bag, so the bags cannot form a cycle.  -> FAIL lines.
+    """
+    k = len(bags)
     if not k:
-        return ["FAIL td no bags"], []
+        return ["FAIL td no bags"]
     fails = []
-    h_edges = []
     bag_sets = []
     parents = []
-    for i, part in enumerate(parts):
-        atts = part.attachments
+    for i, atts in enumerate(bags):
         if len(atts) > 3:
             fails.append(f"FAIL td bag {i} has size {len(atts) + 1}")
         if len(set(atts)) < len(atts):
             fails.append(f"FAIL td bag {i} repeats a node")
         bag = {i}
-        parent = -1                   # the largest attachment in range
+        parent = -1                   # the largest node in range
         for a in sorted(atts):
             if 0 <= a < i:
-                h_edges.append((a, i))
                 bag.add(a)
                 parent = a
             else:
@@ -313,7 +330,7 @@ def check_tree_decomposition(parts):
     for x, t in enumerate(tops):
         if t != 1:
             fails.append(f"FAIL td node {x} spans {t} subtrees")
-    return fails, h_edges
+    return fails
 
 
 def check_part_structure(parts, tree_parent, g, d):
@@ -376,45 +393,51 @@ def check_part_structure(parts, tree_parent, g, d):
 # planarity from the stacking order
 # ---------------------------------------------------------------------------
 
-def check_planarity(parts):
-    """``H`` is planar by its stacking order: no two parts attach to the
-    same 3 parts.  Part ``i`` attached to 3 distinct earlier parts, whose
-    sorted set an earlier part ``j`` used first, gives ``FAIL planarity
-    bag i attaches to a,b,c as bag j does``.  Any other attachment list,
-    of another length, with a repeat or with a part not before ``i``, is
-    left to ``check_tree_decomposition``.
+def check_planarity(bags):
+    """``H`` is planar by its stacking order: no two bags of ``H``'s tree
+    decomposition, as ``derive_bags`` reads them, hold the same 3 earlier
+    parts.  Part ``i`` whose bag holds 3 distinct earlier parts, a sorted
+    set an earlier part ``j`` used first, gives ``FAIL planarity bag i
+    attaches to a,b,c as bag j does``.  Any other bag, of another size,
+    with a repeat or with a part not before ``i``, is left to
+    ``check_tree_decomposition``.
 
-    The rule is sound only together with a clean
-    ``check_tree_decomposition``, in two steps.
+    ``H`` is the quotient of ``G^(d)``, each part contracted to one node,
+    plus the stated extras: ``bags[i]`` is part ``i``'s earlier neighbours
+    in it, and ``H`` has the edges ``a-i`` for ``a`` in ``bags[i]``.  So
+    the ends of every closure pair lie in equal or adjacent parts by
+    construction.  The rule is sound only together with a clean
+    ``check_tree_decomposition`` of these bags, in two steps.
 
-    1. Every attachment set is a clique of ``H``.  Let part ``i`` attach to
-       ``a < b``.  Only bags ``>= b`` can hold ``b``, so bag ``b`` is the
-       one top of ``b``'s subtree, and as bag parents strictly decrease,
-       the chain up from bag ``i`` stays in bags holding ``b`` until it
-       reaches bag ``b``.  It also stays in bags holding ``a`` until bag
-       ``a``, and since ``a < b`` it meets bag ``b`` first.  So bag ``b``
-       holds ``a``, and ``a-b`` is an edge of ``H``.
+    1. Every ``bags[i]`` is a clique of ``H``.  Let it hold ``a < b``.
+       Only bags ``>= b`` can hold ``b``, so bag ``b`` is the one top of
+       ``b``'s subtree, and as bag parents strictly decrease, the chain up
+       from bag ``i`` stays in bags holding ``b`` until it reaches bag
+       ``b``.  It also stays in bags holding ``a`` until bag ``a``, and
+       since ``a < b`` it meets bag ``b`` first.  So bag ``b`` holds ``a``,
+       and ``a-b`` is an edge of ``H``.
     2. Adding the parts in order, each joined to a clique of at most 3
        earlier ones, with no 3-set used twice, keeps ``H`` planar.  By
        induction every triangle not yet used lies on one face.  A part
-       with 1 or 2 attachments goes into a face next to its node or edge:
-       every face keeps its nodes, and a new triangle bounds a face of its
-       own.  A part on the triangle ``abc`` goes into the face holding it,
-       which splits into three arcs ``a..b``, ``b..c`` and ``c..a``, each
-       closed by the new part.  Any other unused triangle on that face
-       lies within one arc: an edge of it between two arcs would interlace
-       with ``ab``, ``bc`` or ``ca`` around the face, and the two would
-       cross.  The new triangles each lie on the face of their arc.
+       with 1 or 2 earlier neighbours goes into a face next to its node or
+       edge: every face keeps its nodes, and a new triangle bounds a face
+       of its own.  A part on the triangle ``abc`` goes into the face
+       holding it, which splits into three arcs ``a..b``, ``b..c`` and
+       ``c..a``, each closed by the new part.  Any other unused triangle
+       on that face lies within one arc: an edge of it between two arcs
+       would interlace with ``ab``, ``bc`` or ``ca`` around the face, and
+       the two would cross.  The new triangles each lie on the face of
+       their arc.
 
     The rule is stricter than planarity: two parts on one triangle make
     ``K5`` minus an edge, which is planar, yet fail.
     """
     fails = []
     first = {}
-    for i, part in enumerate(parts):
-        if len(part.attachments) != 3:
+    for i, atts in enumerate(bags):
+        if len(atts) != 3:
             continue
-        a, b, c = key = tuple(sorted(part.attachments))
+        a, b, c = key = tuple(sorted(atts))
         if not 0 <= a < b < c < i:
             continue
         j = first.setdefault(key, i)
@@ -434,7 +457,8 @@ def verify_certificate(E, cert) -> list:
     A vertex maps to the part that lists it, the block ``depth // (d // 2)``
     of its depth in the rebuilt BFS, and a rank in that (part, block) cell,
     so ``ell`` is the size of the largest cell.  ``H`` and the tree
-    decomposition are read from the parts by ``check_tree_decomposition``.
+    decomposition are read by ``derive_bags``: the quotient of the closure
+    under the parts, plus each part's stated extras.
 
     The cyclic garbage collector is paused for the run, as in the
     construction's bulk stages, and its state on entry restored after.
@@ -476,10 +500,12 @@ def _verify_certificate(E, cert) -> list:
     fails += part_fails
     h = cert.d // 2
     layer = [x // h for x in depth]
-    td_fails, h_edges = check_tree_decomposition(cert.parts)
-    fails += check_containment(us, vs, node, layer, h_edges)
-    fails += td_fails
-    fails += check_planarity(cert.parts)
+    h_fails, bags = derive_bags(us, vs, node,
+                                [part.extras for part in cert.parts])
+    fails += h_fails
+    fails += check_containment(us, vs, layer)
+    fails += check_tree_decomposition(bags)
+    fails += check_planarity(bags)
     real_ell = max(Counter(zip(node, layer)).values())
     if real_ell != cert.ell:
         fails.append(f"FAIL ell stated {cert.ell} actual {real_ell}")

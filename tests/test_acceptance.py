@@ -21,9 +21,14 @@ from framedprod.generators import (
 from framedprod.verify import rebuild_closure, verify_certificate
 from test_frontends import k5_oneplane, k6_oneplane
 from test_verify import tampered
-from treewidth import exact_treewidth, nx_planar, stated_decomposition
+from treewidth import (
+    derived_bags,
+    exact_treewidth,
+    nx_planar,
+    stated_decomposition,
+)
 
-SMALL_H = []          # (cert, label) with at most 12 H-nodes, criterion 6
+SMALL_H = []          # (H's bags, label) with at most 12 H-nodes, criterion 6
 
 
 def report(num, ok, detail):
@@ -42,14 +47,14 @@ def test_criterion_1_planar_triangulations():
         fails = verify_certificate(E, cert)
         assert fails == [], (n, i, fails[:3])
         assert cert.ell <= 3
-        h_edges, bags, _ = stated_decomposition(cert.parts)
+        h_edges, bags, _ = stated_decomposition(derived_bags(E, cert))
         t = time.monotonic()
         assert nx_planar(cert.num_parts, h_edges)
         oracle += time.monotonic() - t
         assert max(len(b) for b in bags) <= 4
         worst = max(worst, cert.ell)
         if cert.num_parts <= 12:
-            SMALL_H.append((cert, f"tri{n}s{i}"))
+            SMALL_H.append((derived_bags(E, cert), f"tri{n}s{i}"))
     elapsed = time.monotonic() - t0 - oracle
     report(1, elapsed <= 60.0,
            f"200 plane triangulations, worst ell={worst} <= 3, "
@@ -107,7 +112,8 @@ def test_criterion_3_framed_sweep():
         assert fails == [], (d, g, i, fails[:3])
         assert cert.ell <= width_bound(cert.genus, d)
         if cert.num_parts <= 12:
-            SMALL_H.append((cert, f"framed d{d} g{g} s{i}"))
+            SMALL_H.append((derived_bags(E, cert),
+                            f"framed d{d} g{g} s{i}"))
         count += 1
     elapsed = time.monotonic() - t0
     report(3, True, f"{count} framed instances over d in 3..6, g in {{0,2}}, "
@@ -158,11 +164,11 @@ def test_criterion_6_oracles_and_tampering():
         E = gen_plane_triangulation(n, n)
         cert = decompose(E, 3, self_verify=False)
         if cert.num_parts <= 12:
-            SMALL_H.append((cert, f"small{n}"))
+            SMALL_H.append((derived_bags(E, cert), f"small{n}"))
     assert len(SMALL_H) >= 10, "not enough small H graphs collected"
-    for cert, label in SMALL_H:
-        adj = [set() for _ in range(cert.num_parts)]
-        for a, b in stated_decomposition(cert.parts)[0]:
+    for bags, label in SMALL_H:
+        adj = [set() for _ in bags]
+        for a, b in stated_decomposition(bags)[0]:
             adj[a].add(b)
             adj[b].add(a)
         tw = exact_treewidth(adj)

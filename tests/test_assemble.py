@@ -41,6 +41,7 @@ from framedprod.verify import (
     verify_certificate,
 )
 from test_nonorientable import klein_grid, projective_k4
+from treewidth import construction_bags, derived_bags
 
 # sha256 of serialize_certificate(decompose(E, d)) per corpus member,
 # recorded from the tripod partition whose flood kept a deque, an
@@ -53,7 +54,10 @@ from test_nonorientable import klein_grid, projective_k4
 # after checking that the full-path text of the same partition gave the
 # earlier digest; then each leg written as its bottom vertex and the "|"
 # separators dropped, after checking that the two-ends text of the same
-# partition gave the earlier digest
+# partition gave the earlier digest; then each p line's attachments cut to
+# its extras, those the closure does not join to the part, after checking
+# that the verifier's derived neighbours plus the extras give the earlier
+# attachments
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
@@ -485,3 +489,9 @@ class TestGoldenCertificates:
         for name, cert in certs.items():
             back = parse_certificate(serialize_certificate(cert))
             assert back == cert, name
+
+    def test_derived_h_is_the_construction_h(self, corpus, certs):
+        # the quotient of the closure plus the stated extras
+        for name, cert in certs.items():
+            E, d = corpus[name]
+            assert derived_bags(E, cert) == construction_bags(E, d), name

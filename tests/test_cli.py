@@ -274,7 +274,7 @@ class TestCli:
         run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
         lines = cert.read_text().splitlines()
         k = int(lines[1].split()[1])
-        # attachments past the last part and below 0; line 2 + i is part i
+        # extras past the last part and below 0; line 2 + i is part i
         for pid, extra in ((0, k + 5), (1, -1)):
             head, sep, rest = lines[2 + pid].partition(" x: ")
             lines[2 + pid] = f"{head} {extra}{sep}{rest}"
@@ -282,7 +282,7 @@ class TestCli:
         capsys.readouterr()
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
         out = capsys.readouterr().out
-        # one line per bad attachment
+        # one line per bad extra
         assert [ln for ln in out.splitlines() if "out of range" in ln] == [
             f"FAIL td bag 0 node {k + 5} out of range",
             "FAIL td bag 1 node -1 out of range"]

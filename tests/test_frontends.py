@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from framedprod.generators import (
     gen_plane_triangulation,
 )
 from framedprod.verify import rebuild_closure
+from treewidth import construction_bags, derived_bags
 
 # sha256 digests of map_to_frame's frame and of its certificate, recorded
 # from the frontend that re-traced the map, its dual and the frame at every
@@ -42,14 +44,18 @@ from framedprod.verify import rebuild_closure
 # the full-path text of the same partition gave the earlier digest, then
 # with each leg written as its bottom vertex and the "|" separators dropped,
 # after checking that the two-ends text of the same partition gave the
-# earlier digest
+# earlier digest, then with each p line's attachments cut to its extras,
+# those the closure does not join to the part, after checking that the
+# verifier's derived neighbours plus the extras give the earlier attachments
 GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
                     .read_text())
 # sha256 digests of oneplanar_to_frame's frame and of its certificate at
 # d = 4, recorded before the frontend's rotation edits moved to embedding;
 # thin_60_2's certificate was re-recorded as above when its leg of 3
 # vertices came to be written as its two ends, and every certificate when
-# each leg came to be written as its bottom vertex alone
+# each leg came to be written as its bottom vertex alone, and again, as
+# above, when each p line came to state only its extras (adjacent's single
+# part has none, so its digest stands)
 GOLDEN_ONEPLANE = json.loads((Path(__file__).parent / "golden_oneplanar.json")
                              .read_text())
 
@@ -286,9 +292,11 @@ class TestMapFrameDigests:
     def test_frame_and_certificate(self, key):
         LM, d = golden_map(key)
         frame = map_to_frame(LM, d).frame
+        cert = decompose(frame, d)
         got = [_sha(serialize_embedding(frame)),
-               _sha(serialize_certificate(decompose(frame, d)))]
+               _sha(serialize_certificate(cert))]
         assert got == GOLDEN[key]
+        assert derived_bags(frame, cert) == construction_bags(frame, d)
 
     @pytest.mark.parametrize("name,repair", [
         ("two_face", "_stellate_face"),
@@ -349,6 +357,19 @@ class TestLabelledMapParser:
         with pytest.raises(FormatError, match=f"{len(lines)} labels for 2 "
                                               "faces"):
             map_to_frame(LM, 4)
+
+    @pytest.mark.parametrize("face_id", ["+1", "0_1", "\u0661"],
+                             ids=["plus", "underscore", "arabic-indic-digit"])
+    def test_only_plain_decimal_face_ids(self, face_id):
+        # int() reads each of these as 1
+        line = f"f {face_id} lake"
+        with pytest.raises(FormatError, match=re.escape(line)):
+            parse_labelled_map(self.text("f 0 nation", line))
+
+    def test_comments_may_hold_any_character(self):
+        LM = parse_labelled_map(
+            self.text("f 0 nation  # \u00e9t\u00e9 +1 0_1", "f 1 lake"))
+        assert LM.labels == [NATION, LAKE]
 
     def test_tab_separated_tokens(self):
         LM = gen_labelled_map(12, 5, 1)
@@ -476,11 +497,27 @@ class TestOnePlanar:
         with pytest.raises(FormatError, match=msg):
             parse_oneplanar("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("at", [1, 2, 5], ids=["dummy", "first-edge",
+                                                   "last-edge"])
+    @pytest.mark.parametrize("form", ["+{}", "0_{}", "{}\u0661"],
+                             ids=["plus", "underscore", "arabic-indic-digit"])
+    def test_only_plain_decimal_crossing_ids(self, at, form):
+        # "+7" and "0_7" read as 7 by int(), and "7\u0661" as 71
+        lines = serialize_oneplanar(gen_oneplanar(12, 1)).splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("x "))
+        toks = lines[i].split()
+        toks[at] = form.format(toks[at])
+        lines[i] = " ".join(toks)
+        with pytest.raises(FormatError, match=re.escape(lines[i])):
+            parse_oneplanar("\n".join(lines) + "\n")
+
 
 class TestOnePlaneFrameDigests:
     @pytest.mark.parametrize("key", sorted(GOLDEN_ONEPLANE))
     def test_frame_and_certificate(self, key):
         frame = oneplanar_to_frame(golden_drawing(key)).frame
+        cert = decompose(frame, 4)
         got = [_sha(serialize_embedding(frame)),
-               _sha(serialize_certificate(decompose(frame, 4)))]
+               _sha(serialize_certificate(cert))]
         assert got == GOLDEN_ONEPLANE[key]
+        assert derived_bags(frame, cert) == construction_bags(frame, 4)

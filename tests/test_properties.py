@@ -37,7 +37,7 @@ from test_assemble import part_of, shuffled
 from test_frame import simple_adjacency
 from test_nonorientable import klein_grid
 from test_verify import leg_paths
-from treewidth import stated_decomposition
+from treewidth import construction_bags, derived_bags, stated_decomposition
 
 seeds = st.integers(0, 10_000)
 
@@ -107,9 +107,9 @@ def test_decompose_deterministic(seed):
 @st.composite
 def frames(draw):
     """(frame, d): a plane triangulation, a toroidal grid with shuffled
-    ids, a framed instance, or the frame of a labelled map or a 1-plane
-    drawing."""
-    kind = draw(st.sampled_from(["tri", "torus", "framed", "map",
+    ids, a framed instance (one of d = 6 at a smaller d has faces longer
+    than d), or the frame of a labelled map or a 1-plane drawing."""
+    kind = draw(st.sampled_from(["tri", "torus", "framed", "fanned", "map",
                                  "oneplane"]))
     seed = draw(seeds)
     if kind == "tri":
@@ -119,11 +119,22 @@ def frames(draw):
         return shuffled(gen_toroidal_grid(mr, nc), seed), 4
     d = draw(st.integers(3, 6))
     n = draw(st.integers(12, 80))
-    if kind == "framed":
-        return gen_framed(n, d, draw(st.sampled_from([0, 2])), seed), d
+    if kind in ("framed", "fanned"):
+        g = draw(st.sampled_from([0, 2]))
+        return gen_framed(n, 6 if kind == "fanned" else d, g, seed), d
     if kind == "map":
         return map_to_frame(gen_labelled_map(n, d, seed), d).frame, d
     return oneplanar_to_frame(gen_oneplanar(n, seed)).frame, 4
+
+
+@given(frames())
+@settings(max_examples=40, deadline=None)
+def test_derived_h_is_the_construction_h(frame):
+    """The verifier's H, the quotient of the closure plus the stated
+    extras, is the H the construction built: each part's attachments."""
+    E, d = frame
+    cert = decompose(E, d)
+    assert derived_bags(E, cert) == construction_bags(E, d)
 
 
 @given(frames())
@@ -220,8 +231,8 @@ class TestTreePlusStructure:
                     a, b = node[u], node[v]
                     if a != b:
                         induced.add((min(a, b), max(a, b)))
-            declared = {(min(a, b), max(a, b))
-                        for a, b in stated_decomposition(cert.parts)[0]}
+            declared = {(min(a, b), max(a, b)) for a, b in
+                        stated_decomposition(construction_bags(E, 4))[0]}
             assert induced <= declared
 
 

@@ -23,3 +23,15 @@ def test_readme_example_verifies():
     cert = parse_certificate(text)
     assert serialize_certificate(cert) == text
     assert verify_certificate(E, cert) == []
+
+
+def test_readme_example_in_the_old_format_fails():
+    # the format that listed every attachment: one line per attachment
+    # that the closure shows
+    E = parse_embedding(fenced("emg"))
+    old = (fenced("cert").replace("p x:  y: 3\n", "p 0 x:  y: 3\n")
+           .replace("p x:  y: 4\n", "p 0 1 x:  y: 4\n"))
+    assert verify_certificate(E, parse_certificate(old)) == [
+        "FAIL td bag 1 extra 0 is derived from the closure",
+        "FAIL td bag 2 extra 0 is derived from the closure",
+        "FAIL td bag 2 extra 1 is derived from the closure"]

@@ -276,7 +276,7 @@ class TestTripodPartition:
         T, R = run_partition(E, 3)
         assert all(not p.absorbed for p in R.parts)
         assert all(len(p.legs) <= 3 for p in R.parts)
-        h_edges = stated_decomposition(R.parts)[0]
+        h_edges = stated_decomposition([p.attachments for p in R.parts])[0]
         assert nx_planar(len(R.parts), h_edges)
         if len(R.parts) <= 12:
             adj = [set() for _ in range(len(R.parts))]
@@ -298,7 +298,7 @@ class TestTripodPartition:
         E = gen_plane_triangulation(n, seed)
         T, R = run_partition(E, 3)
         # every real edge joins same or H-adjacent parts
-        he, bags, _ = stated_decomposition(R.parts)
+        he, bags, _ = stated_decomposition([p.attachments for p in R.parts])
         he = set(he)
         for u, v, _ in E.edges:
             a, b = R.part_of[u], R.part_of[v]
@@ -317,7 +317,7 @@ class TestTripodPartition:
     def test_closure_chords_covered(self, d, seed):
         E = gen_framed(60, d, 0, seed)
         T, R = run_partition(E, d)
-        he = set(stated_decomposition(R.parts)[0])
+        he = set(stated_decomposition([p.attachments for p in R.parts])[0])
         for u, nbrs in enumerate(rebuild_closure(E, d)):
             for v in nbrs:
                 a, b = R.part_of[u], R.part_of[v]
@@ -364,8 +364,8 @@ class TestTripodPartition:
     def test_region_not_naming_its_creator_is_a_contract_violation(
             self, monkeypatch):
         # the creator, the largest part of its bag, becomes the new part's
-        # largest attachment, which the certificate states the bag parent
-        # by; a flood that loses it raises at that step
+        # largest attachment, the bag parent the verifier derives; a flood
+        # that loses it raises at that step
         flood = tripods._flood
 
         def forgetful(world, part_of, stamp, cur, seed, bag, *rest):
@@ -379,7 +379,7 @@ class TestTripodPartition:
     def test_td_bags_form_tree(self):
         E = gen_plane_triangulation(60, 8)
         _, R = run_partition(E, 3)
-        bag_parent = stated_decomposition(R.parts)[2]
+        bag_parent = stated_decomposition([p.attachments for p in R.parts])[2]
         roots = [i for i, p in enumerate(bag_parent) if p == -1]
         assert len(roots) == 1
         for i, p in enumerate(bag_parent):

@@ -20,9 +20,11 @@ from framedprod.assemble import (
 )
 from framedprod.embedding import EmbeddedMultigraph, from_face_list
 from framedprod.errors import DomainError
+from framedprod.frontends import map_to_frame
 from framedprod.generators import (
     SplitMix64,
     gen_framed,
+    gen_labelled_map,
     gen_plane_triangulation,
     gen_toroidal_grid,
     triangulate_quads,
@@ -33,6 +35,7 @@ from framedprod.verify import (
     check_planarity,
     check_tree_decomposition,
     closure_pairs,
+    derive_bags,
     rebuild_bfs,
     rebuild_closure,
     rebuild_faces,
@@ -40,7 +43,13 @@ from framedprod.verify import (
 )
 from test_nonorientable import klein_grid, projective_k4
 from test_verify_fuzz import TIME_BOUND
-from treewidth import exact_treewidth, nx_planar, stated_decomposition
+from treewidth import (
+    construction_bags,
+    derived_bags,
+    exact_treewidth,
+    nx_planar,
+    stated_decomposition,
+)
 
 # sha256 digests of the re-traced faces and closures, recorded from the
 # verifier that kept its states in tuple-keyed dicts, and of the FAIL lines
@@ -52,7 +61,12 @@ from treewidth import exact_treewidth, nx_planar, stated_decomposition
 # instead of giving "path break" lines; and again when a leg came to be
 # stated by its bottom alone, which cannot state a reversed leg: that edit
 # became a bottom that an earlier part holds and a bottom moved up its
-# path, and the move to a far part takes an absorbed vertex or a bottom
+# path, and the move to a far part takes an absorbed vertex or a bottom;
+# and again when H came to be derived from the closure: an extra the
+# closure shows (mode 4, once a dropped attachment) gives one "td bag ..
+# extra .. is derived" line where containment gave "parts .. not adjacent"
+# lines, an emptied part is also a second root, and a vertex moved to a far
+# part (mode 0) now widens the derived bags instead of breaking containment
 GOLDEN = json.loads((Path(__file__).parent / "golden_verify.json")
                     .read_text())
 
@@ -93,8 +107,8 @@ def adj_from(n, edges):
     return a
 
 
-def h_edges(cert):
-    return stated_decomposition(cert.parts)[0]
+def h_edges(cert, E):
+    return stated_decomposition(derived_bags(E, cert))[0]
 
 
 def leg_paths(cert, parent):
@@ -138,9 +152,10 @@ def _tamper(c, rng, E):
     if mode == 0:
         # move u, an absorbed vertex or a leg's bottom, into the absorbed
         # set of a part that is neither v's part nor adjacent to it in H:
-        # the edge uv leaves H, or a later leg climbs through u and u is in
-        # two parts
-        hset = {(min(a, b), max(a, b)) for a, b in h_edges(c)}
+        # at d = 3 no part may absorb a vertex; otherwise the edge uv adds
+        # an edge to the derived H, which widens a bag or splits a node's
+        # subtree, or a later leg climbs through u and u is in two parts
+        hset = {(min(a, b), max(a, b)) for a, b in h_edges(c, E)}
         for u, v in edges + [(v, u) for u, v in edges]:
             a = node[v]
             old = parts[node[u]]
@@ -183,18 +198,18 @@ def _tamper(c, rng, E):
             return
         mode = 5
     if mode == 3:
-        # a part attached to the part after it (for the last part, past the
+        # an extra naming the part after it (for the last part, past the
         # last), which is out of its bag's range
         i = rng.below(c.num_parts)
-        parts[i].attachments.append(i + 1)
+        parts[i].extras.append(i + 1)
         return
     if mode == 4:
-        # an attachment the edge uv needs is dropped: H loses the edge
+        # an extra the edge uv already shows: the closure derives it
         cut = [(u, v) for u, v in edges if node[u] != node[v]]
         if cut:
             u, v = cut[rng.below(len(cut))]
             a, b = sorted((node[u], node[v]))
-            parts[b].attachments.remove(a)
+            parts[b].extras.append(a)
             return
     c.ell -= 1
 
@@ -205,14 +220,14 @@ class TestPlanarity:
     def test_k4_planar(self):
         # a K4 chain: each part after the third on a triangle of its own
         parts = td_parts([[], [0], [0, 1], [0, 1, 2], [1, 2, 3], [1, 3, 4]])
-        assert check_tree_decomposition(parts)[0] == []
+        assert check_tree_decomposition(parts) == []
         assert check_planarity(parts) == []
 
     def test_k5_minus_an_edge_fails(self):
         # parts 3 and 4 on the triangle 0,1,2: H is K5 minus the edge 3-4,
         # which is planar, so the rule is stricter than planarity
         parts = td_parts([[], [0], [0, 1], [0, 1, 2], [2, 0, 1]])
-        assert check_tree_decomposition(parts)[0] == []
+        assert check_tree_decomposition(parts) == []
         assert check_planarity(parts) == [
             "FAIL planarity bag 4 attaches to 0,1,2 as bag 3 does"]
         assert nx_planar(5, stated_decomposition(parts)[0])
@@ -221,7 +236,7 @@ class TestPlanarity:
         # parts 3, 4 and 5 on the triangle 0,1,2: H holds K3,3 with the
         # sides {0,1,2} and {3,4,5}
         parts = td_parts([[], [0], [0, 1], [0, 1, 2], [1, 0, 2], [0, 1, 2]])
-        assert check_tree_decomposition(parts)[0] == []
+        assert check_tree_decomposition(parts) == []
         assert check_planarity(parts) == [
             "FAIL planarity bag 4 attaches to 0,1,2 as bag 3 does",
             "FAIL planarity bag 5 attaches to 0,1,2 as bag 3 does"]
@@ -234,16 +249,17 @@ class TestPlanarity:
         parts = td_parts([[], [0], [0, 1], [0, 1, 2], [1, 2, 3], [1, 2, 6],
                           [0, 0, 1], [-1, 0, 1, 2], [], [1, 0, 0],
                           [6, 2, 1], [2, 0, 1]])
-        assert check_tree_decomposition(parts)[0]
+        assert check_tree_decomposition(parts)
         assert check_planarity(parts) == [
             "FAIL planarity bag 11 attaches to 0,1,2 as bag 3 does"]
 
     def test_large_planar_triangulation(self):
-        # no 3-set twice among the parts of a 2000-vertex triangulation
-        cert = decompose(gen_plane_triangulation(2000, 3), 3)
-        assert check_tree_decomposition(cert.parts)[0] == []
-        assert sum(len(p.attachments) == 3 for p in cert.parts) > 100
-        assert check_planarity(cert.parts) == []
+        # no 3-set twice among the bags of a 2000-vertex triangulation
+        E = gen_plane_triangulation(2000, 3)
+        bags = derived_bags(E, decompose(E, 3))
+        assert check_tree_decomposition(bags) == []
+        assert sum(len(b) == 3 for b in bags) > 100
+        assert check_planarity(bags) == []
 
 
 class TestExactTreewidth:
@@ -270,7 +286,7 @@ class TestExactTreewidth:
         E = gen_plane_triangulation(14, 5)
         cert = decompose(E, 3)
         if cert.num_parts <= 12:
-            adj = adj_from(cert.num_parts, h_edges(cert))
+            adj = adj_from(cert.num_parts, h_edges(cert, E))
             assert exact_treewidth(adj) <= 3
 
 
@@ -549,10 +565,10 @@ class TestPlanarityOracle:
     @settings(max_examples=300, deadline=None)
     def test_random_graphs(self, spec):
         parts = td_parts(spec)
-        td_fails, h = check_tree_decomposition(parts)
-        if td_fails:
+        if check_tree_decomposition(parts):
             return
-        # (a) a clean tree decomposition makes every attachment set a clique
+        h = stated_decomposition(parts)[0]
+        # (a) a clean tree decomposition makes every bag a clique
         hset = set(h)
         for atts in spec:
             assert all(p in hset for p in combinations(sorted(atts), 2))
@@ -565,8 +581,8 @@ class TestPlanarityOracle:
                   gen_framed(150, 6, 2, 4), klein_grid(5)]
         for E, d in zip(frames, (3, 4, 6, 4)):
             cert = decompose(E, d)
-            assert check_planarity(cert.parts) == []
-            assert nx_planar(cert.num_parts, h_edges(cert))
+            assert check_planarity(derived_bags(E, cert)) == []
+            assert nx_planar(cert.num_parts, h_edges(cert, E))
 
 
 class TestTreewidthOracle:
@@ -622,104 +638,106 @@ class TestStatedGenus:
 
 
 def td_parts(spec):
-    """Parts with no vertices whose attachments are spec[i]."""
-    return [CertPart([], [], list(a)) for a in spec]
+    """The bags ``derive_bags`` would give: spec[i] for part i."""
+    return [list(a) for a in spec]
 
 
 class TestTreeDecompositionCheck:
-    """Bag i is part i's attachments plus i, under its largest attachment's
-    bag."""
+    """Bag i is part i's earlier neighbours plus i, under the bag of the
+    largest of them."""
 
     def test_k4_creator_chain(self):
         # bags {0}, {0,1}, {0,1,2}, {0,1,2,3}: H is K4
-        fails, h = check_tree_decomposition(
-            td_parts([[], [0], [0, 1], [0, 1, 2]]))
-        assert fails == []
-        assert sorted(h) == sorted((a, b) for b in range(4) for a in range(b))
-        assert check_tree_decomposition([]) == (["FAIL td no bags"], [])
+        assert check_tree_decomposition(
+            td_parts([[], [0], [0, 1], [0, 1, 2]])) == []
+        assert check_tree_decomposition([]) == ["FAIL td no bags"]
 
     def test_disconnected_subtree_detected(self):
         # node 0 is in bags 1 and 3 but not in bag 2 between them
-        fails, _ = check_tree_decomposition(td_parts([[], [0], [1], [0, 2]]))
+        fails = check_tree_decomposition(td_parts([[], [0], [1], [0, 2]]))
         assert fails == ["FAIL td node 0 spans 2 subtrees"]
 
     def test_oversized_bag(self):
-        fails, h = check_tree_decomposition(
+        fails = check_tree_decomposition(
             td_parts([[], [0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]))
         assert fails == ["FAIL td bag 4 has size 5"]
-        assert len(h) == 10
 
     def test_repeated_node(self):
-        fails, h = check_tree_decomposition(td_parts([[], [0, 0], [1, 1]]))
+        fails = check_tree_decomposition(td_parts([[], [0, 0], [1, 1]]))
         assert fails == ["FAIL td bag 1 repeats a node",
                          "FAIL td bag 2 repeats a node"]
-        assert h == [(0, 1), (0, 1), (1, 2), (1, 2)]
 
     def test_node_out_of_range(self):
-        # one line per bad attachment, in sorted order; H keeps the rest.
-        # The range of bag i is 0..i-1: itself and later parts are out
-        fails, h = check_tree_decomposition(
+        # one line per bad node, in sorted order.  The range of bag i is
+        # 0..i-1: itself and later parts are out
+        fails = check_tree_decomposition(
             td_parts([[], [9, 0, 5], [1, -1, 2], [3, 0]]))
         assert fails == ["FAIL td bag 1 node 5 out of range",
                          "FAIL td bag 1 node 9 out of range",
                          "FAIL td bag 2 node -1 out of range",
                          "FAIL td bag 2 node 2 out of range",
                          "FAIL td bag 3 node 3 out of range"]
-        assert h == [(0, 1), (1, 2), (0, 3)]
 
     def test_parent_out_of_range(self):
-        # a largest attachment out of range is left out: bag 3 hangs under
-        # bag 0 and bag 4 under bag 1, so every node spans one subtree
-        fails, h = check_tree_decomposition(
+        # a largest node out of range is left out: bag 3 hangs under bag 0
+        # and bag 4 under bag 1, so every node spans one subtree
+        fails = check_tree_decomposition(
             td_parts([[], [0], [1], [0, 3], [1, 9]]))
         assert fails == ["FAIL td bag 3 node 3 out of range",
                          "FAIL td bag 4 node 9 out of range"]
-        assert h == [(0, 1), (1, 2), (0, 3), (1, 4)]
 
     def test_two_roots(self):
-        # a part after the first with no attachment is a second root
-        fails, _ = check_tree_decomposition(td_parts([[], [0], []]))
+        # a part after the first with no earlier neighbour is a second root
+        fails = check_tree_decomposition(td_parts([[], [0], []]))
         assert fails == ["FAIL td 2 roots"]
-        fails, _ = check_tree_decomposition(td_parts([[], [], [0, 1]]))
+        fails = check_tree_decomposition(td_parts([[], [], [0, 1]]))
         assert fails == ["FAIL td 2 roots", "FAIL td node 0 spans 2 subtrees"]
 
     def test_parent_cycle_fails_in_bounded_time(self):
-        # the attachments that once stated a cycle of bag parents: a later
-        # part is out of range, so the bags derived from them form a tree
-        fails, h = check_tree_decomposition(td_parts([[1], [0]]))
+        # the bags that once stated a cycle of bag parents: a later part is
+        # out of range, so the bags derived from them form a tree
+        fails = check_tree_decomposition(td_parts([[1], [0]]))
         assert fails == ["FAIL td bag 0 node 1 out of range"]
-        assert h == [(0, 1)]
-        fails, h = check_tree_decomposition(td_parts([[], [2, 0], [0, 1]]))
+        fails = check_tree_decomposition(td_parts([[], [2, 0], [0, 1]]))
         assert fails == ["FAIL td bag 1 node 2 out of range"]
-        assert h == [(0, 1), (0, 2), (1, 2)]
+
+
+def sorted_bags(us, vs, node, extras):
+    """``derive_bags``, each bag sorted."""
+    fails, bags = derive_bags(us, vs, node, extras)
+    return fails, [sorted(bag) for bag in bags]
 
 
 class TestContainmentCheck:
     def test_parts_and_blocks_per_closure_edge(self):
-        # a path 0-1-2-3: parts 0, 0, 1, 2 with H = {0-1}; blocks 0, 0, 2, 3
+        # a path 0-1-2-3: parts 0, 0, 1, 2 and blocks 0, 0, 2, 3.  H is
+        # read from the same pairs, so its edges 0-1 and 1-2 hold the parts
+        # of every pair, and only the blocks are tested
         us, vs = [0, 2, 2], [1, 1, 3]
-        fails = check_containment(us, vs, [0, 0, 1, 2], [0, 0, 2, 3],
-                                  [(0, 1)])
-        assert fails == ["FAIL containment edge 1-2: layers 0,2",
-                         "FAIL containment edge 2-3: parts 1,2 not "
-                         "adjacent in H"]
-        assert check_containment(us, vs, [0, 0, 1, 2], [0, 0, 1, 2],
-                                 [(1, 0), (2, 1)]) == []
+        assert sorted_bags(us, vs, [0, 0, 1, 2], [[], [], []]) == (
+            [], [[], [0], [1]])
+        assert check_containment(us, vs, [0, 0, 2, 3]) == [
+            "FAIL containment edge 1-2: layers 0,2"]
+        assert check_containment(us, vs, [0, 0, 1, 2]) == []
 
     def test_vertex_in_no_part_skips_the_parts_test(self):
-        assert check_containment([0, 1], [1, 2], [0, -1, 1], [0, 0, 3],
-                                 []) == ["FAIL containment edge 1-2: layers "
-                                         "0,3"]
+        # a pair with an end in no part gives H no edge
+        assert sorted_bags([0, 1], [1, 2], [0, -1, 1], [[], []]) == (
+            [], [[], []])
+        assert check_containment([0, 1], [1, 2], [0, 0, 3]) == [
+            "FAIL containment edge 1-2: layers 0,3"]
 
-    def test_emptied_part_gives_only_the_parts_line(self):
+    def test_emptied_part_gives_the_parts_line_and_a_root(self):
         # part 82 of this certificate holds one vertex with 10 closure
-        # edges, below which no later leg's climb stops
+        # edges, below which no later leg's climb stops.  Emptied, it
+        # touches no part, so H derives no edge at it and its bag is a
+        # second root; no closure pair gives a line of its own
         E = gen_plane_triangulation(2000, 1)
         cert = copy.deepcopy(decompose(E, 3))
         assert (cert.parts[82].legs, cert.parts[82].absorbed) == ([170], [])
         cert.parts[82].legs = []
         assert verify_certificate(E, cert) == [
-            "FAIL parts 1 vertices in no part"]
+            "FAIL parts 1 vertices in no part", "FAIL td 2 roots"]
 
 
     @staticmethod
@@ -732,25 +750,54 @@ class TestContainmentCheck:
         # edge of E and a chord of the quad face
         us, vs = self.pairs([[0, 1, 2, 3], [1, 0, 2], [3, 2, 0]], 4)
         assert sorted(zip(us, vs)).count((0, 2)) == 2
-        assert check_containment(us, vs, [0, 2, 1, 2], [0, 1, 2, 1],
-                                 [(0, 2), (1, 2)]) == [
-            "FAIL containment edge 0-2: parts 0,1 not adjacent in H",
+        assert check_containment(us, vs, [0, 1, 2, 1]) == [
             "FAIL containment edge 0-2: layers 0,2"]
 
     def test_chord_of_two_faces_gives_one_line(self):
         # a 4-cycle on the sphere: both faces have the chords 0-2 and 1-3
         us, vs = self.pairs([[0, 1, 2, 3], [3, 2, 1, 0]], 4)
         assert sorted(map(sorted, zip(us, vs))).count([0, 2]) == 2
-        assert check_containment(us, vs, [0, 0, 0, 0], [0, 1, 2, 1],
-                                 []) == [
+        assert check_containment(us, vs, [0, 1, 2, 1]) == [
             "FAIL containment edge 0-2: layers 0,2"]
 
     def test_lines_in_ascending_pair_order(self):
         us, vs = self.pairs([[0, 1, 2, 3, 4, 5], [3, 2, 1, 0, 5, 4]], 6)
-        fails = check_containment(us, vs, list(range(6)), [0] * 6, [])
-        assert fails == [f"FAIL containment edge {u}-{v}: parts {u},{v} "
-                         "not adjacent in H"
+        fails = check_containment(us, vs, [0, 2, 4, 6, 8, 10])
+        assert fails == [f"FAIL containment edge {u}-{v}: layers "
+                         f"{2 * u},{2 * v}"
                          for u, v in combinations(range(6), 2)]
+
+
+class TestDeriveBags:
+    """H is the quotient of the closure under the parts, plus the extras."""
+
+    # the path 0-1-2-3 with the chord 0-2: parts 0, 1, 2, 3
+    US, VS = [0, 1, 2, 0], [1, 2, 3, 2]
+
+    def test_quotient_gives_the_earlier_neighbours(self):
+        assert sorted_bags(self.US, self.VS, [0, 1, 2, 3],
+                           [[], [], [], []]) == ([], [[], [0], [0, 1], [2]])
+
+    def test_extras_are_added_as_stated(self):
+        # a repeat, itself and a later part are left to the td check
+        fails, bags = derive_bags(self.US, self.VS, [0, 1, 2, 3],
+                                  [[], [], [], [1, 1, 3, 4, -1]])
+        assert fails == []
+        assert bags[3] == [2, 1, 1, 3, 4, -1]
+        assert check_tree_decomposition(bags) == [
+            "FAIL td bag 3 has size 7", "FAIL td bag 3 repeats a node",
+            "FAIL td bag 3 node -1 out of range",
+            "FAIL td bag 3 node 3 out of range",
+            "FAIL td bag 3 node 4 out of range"]
+
+    def test_derived_extra_gives_one_line(self):
+        fails, bags = sorted_bags(self.US, self.VS, [0, 1, 2, 3],
+                                  [[], [], [1, 0], [0, 2]])
+        assert fails == [
+            "FAIL td bag 2 extra 1 is derived from the closure",
+            "FAIL td bag 2 extra 0 is derived from the closure",
+            "FAIL td bag 3 extra 2 is derived from the closure"]
+        assert bags == [[], [0], [0, 1], [0, 2]]
 
 
 class TestContainmentOracle:
@@ -773,34 +820,36 @@ class TestContainmentOracle:
         return adj
 
     @staticmethod
-    def reference_containment(closure_adj, node, layer, h_edges):
+    def reference_containment(closure_adj, layer):
         fails = []
-        hset = set(h_edges)
-        hset.update([(b, a) for a, b in h_edges])
         for u, nbrs in enumerate(closure_adj):
-            a = node[u]
             lu = layer[u]
             for v in nbrs:
-                if u >= v:
-                    continue
-                b = node[v]
-                if a != b and (a, b) not in hset and a != -1 and b != -1:
-                    fails.append(f"FAIL containment edge {u}-{v}: parts "
-                                 f"{a},{b} not adjacent in H")
-                if abs(lu - layer[v]) > 1:
+                if u < v and abs(lu - layer[v]) > 1:
                     fails.append(f"FAIL containment edge {u}-{v}: layers "
                                  f"{lu},{layer[v]}")
         return fails
 
     @staticmethod
+    def reference_bags(closure_adj, node, k):
+        """Each part's earlier neighbours in the quotient, sorted."""
+        bags = [set() for _ in range(k)]
+        for u, nbrs in enumerate(closure_adj):
+            for v in nbrs:
+                a, b = sorted((node[u], node[v]))
+                if -1 < a < b:
+                    bags[b].add(a)
+        return [sorted(b) for b in bags]
+
+    @staticmethod
     def line_key(line):
         u, v = line.split()[3].rstrip(":").split("-")
-        return int(u), int(v), "layers" in line
+        return int(u), int(v)
 
     @staticmethod
     def assignments(rng, n):
         """A passing start (one part, one block), then a few vertices moved
-        to random parts (-1 included) and blocks, and a random H."""
+        to random parts among ``k`` (-1 included) and blocks."""
         k = 1 + rng.below(5)
         node = [0] * n
         layer = [0] * n
@@ -808,8 +857,7 @@ class TestContainmentOracle:
             node[rng.below(n)] = rng.below(k + 1) - 1
         for _ in range(rng.below(4)):
             layer[rng.below(n)] = rng.below(5) - 2
-        h = [(rng.below(k), rng.below(k)) for _ in range(rng.below(2 * k))]
-        return node, layer, h
+        return k, node, layer
 
     def test_same_fail_lines_as_the_set_based_check(self):
         corpus = golden_corpus()
@@ -830,9 +878,11 @@ class TestContainmentOracle:
                 ref = self.reference_closure(E, d)
                 assert rebuild_closure(E, d) == ref
                 for _ in range(12):
-                    node, layer, h = self.assignments(rng, E.n)
-                    got = check_containment(us, vs, node, layer, h)
-                    want = self.reference_containment(ref, node, layer, h)
+                    k, node, layer = self.assignments(rng, E.n)
+                    assert sorted_bags(us, vs, node, [[]] * k) == (
+                        [], self.reference_bags(ref, node, k))
+                    got = check_containment(us, vs, layer)
+                    want = self.reference_containment(ref, layer)
                     assert got == sorted(want, key=self.line_key)
                     passed += not got
                     failed += bool(got)
@@ -944,7 +994,9 @@ class TestPartStructureCheck:
         assert res.returncode == 0, res.stderr
         seconds, last, all_fail = literal_eval(res.stdout)
         assert seconds < TIME_BOUND
-        assert last == ["FAIL td 80000 roots", "FAIL ell stated 1 actual 8"]
+        # the 99 parts after the first that hold a vertex touch an earlier
+        # one in the closure; every other part is a root
+        assert last == ["FAIL td 79901 roots", "FAIL ell stated 1 actual 8"]
         assert all_fail
 
 
@@ -953,10 +1005,10 @@ class TestOutOfRangeFields:
         E = gen_plane_triangulation(30, 1)
         cert = copy.deepcopy(decompose(E, 3))
         k = cert.num_parts
-        cert.parts[0].attachments.append(k + 5)
-        cert.parts[1].attachments.insert(0, -1)
+        cert.parts[0].extras.append(k + 5)
+        cert.parts[1].extras.insert(0, -1)
         fails = verify_certificate(E, cert)
-        # one line per bad attachment; its H edge is left out, not reported
+        # one line per bad extra; its H edge is left out, not reported
         assert [f for f in fails if "out of range" in f] == [
             f"FAIL td bag 0 node {k + 5} out of range",
             "FAIL td bag 1 node -1 out of range"]
@@ -972,8 +1024,8 @@ class TestOutOfRangeFields:
 
 
 class TestStatedDecomposition:
-    """H and the bags come from the p lines; a bad attachment gives FAIL
-    lines, never an exception."""
+    """H and the bags come from the closure and the p lines' extras; a bad
+    extra gives FAIL lines, never an exception."""
 
     @pytest.fixture(scope="class")
     def case(self):
@@ -981,23 +1033,41 @@ class TestStatedDecomposition:
         return E, serialize_certificate(decompose(E, 3))
 
     def test_derived_from_the_parts(self, case):
-        _, text = case
+        # a triangulation's p lines state no extra: H is the quotient, and
+        # it is the H of the construction
+        E, text = case
         cert = parse_certificate(text)
-        edges, bags, parent = stated_decomposition(cert.parts)
+        assert not any(part.extras for part in cert.parts)
+        bags = derived_bags(E, cert)
+        assert bags == construction_bags(E, 3)
+        edges, out, parent = stated_decomposition(bags)
         assert parent[0] == -1
-        for i, part in enumerate(cert.parts):
-            assert bags[i] == sorted(part.attachments) + [i]
-            assert parent[i] == max(part.attachments, default=-1)
-            assert [(a, i) for a in part.attachments] == [
-                e for e in edges if e[1] == i]
-        # the check reads the same H from the parts
-        fails, h = check_tree_decomposition(cert.parts)
-        assert fails == []
-        assert sorted(h) == sorted(edges)
+        for i, bag in enumerate(bags):
+            assert out[i] == sorted(bag) + [i]
+            assert parent[i] == max(bag, default=-1)
+        assert check_tree_decomposition(bags) == []
+
+    def test_old_format_fails_once_per_derived_attachment(self):
+        # a labelled map's frame, where some parts state extras: the text
+        # of the format that listed every attachment gives one line per
+        # attachment the closure shows, and no other line
+        E = map_to_frame(gen_labelled_map(100, 4, 1), 4).frame
+        cert = decompose(E, 4)
+        atts = construction_bags(E, 4)
+        assert sum(map(len, (p.extras for p in cert.parts))) == 28
+        old = copy.deepcopy(cert)
+        for part, a in zip(old.parts, atts):
+            part.extras = a
+        want = [f"FAIL td bag {i} extra {a} is derived from the closure"
+                for i, part in enumerate(cert.parts)
+                for a in atts[i] if a not in part.extras]
+        assert len(want) == 190
+        text = serialize_certificate(old)
+        assert verify_certificate(E, parse_certificate(text)) == want
 
     @staticmethod
     def edit(text, pid, fn):
-        """``text`` with the attachments of part ``pid``'s p line, line
+        """``text`` with the extras of part ``pid``'s p line, line
         ``2 + pid``, replaced by ``fn(tokens)``."""
         lines = text.splitlines()
         head, sep, rest = lines[2 + pid].partition(" x: ")
@@ -1005,21 +1075,23 @@ class TestStatedDecomposition:
         lines[2 + pid] = " ".join(toks[:1] + fn(toks[1:])) + sep + rest
         return "\n".join(lines) + "\n"
 
+    # part 3's derived earlier neighbours are parts 0 and 2
     @pytest.mark.parametrize("pid,fn,want", [
         (3, lambda t: t + ["99"], "FAIL td bag 3 node 99 out of range"),
         (3, lambda t: t + ["-2"], "FAIL td bag 3 node -2 out of range"),
-        (3, lambda t: t + [t[0]], "FAIL td bag 3 repeats a node"),
+        (3, lambda t: t + ["1", "1"], "FAIL td bag 3 repeats a node"),
         (3, lambda t: t + ["3"], "FAIL td bag 3 node 3 out of range"),
         (3, lambda t: t + ["4"], "FAIL td bag 3 node 4 out of range"),
-        (1, lambda t: [], "FAIL td 2 roots"),
+        (3, lambda t: t + ["2"],
+         "FAIL td bag 3 extra 2 is derived from the closure"),
         # what once set a bag parent by its creator token: a part whose
-        # only (so largest) attachment is negative, is itself, or, for part
-        # 0, is part 1, which hangs under part 0
+        # only stated (here largest) node is negative, is itself, or, for
+        # part 0, is part 1, which hangs under part 0
         (2, lambda t: ["-7"], "FAIL td bag 2 node -7 out of range"),
         (2, lambda t: ["2"], "FAIL td bag 2 node 2 out of range"),
         (0, lambda t: ["1"], "FAIL td bag 0 node 1 out of range"),
     ], ids=["attachment-past", "attachment-negative", "attachment-twice",
-            "attachment-self", "attachment-later", "two-roots",
+            "attachment-self", "attachment-later", "attachment-derived",
             "creator-negative", "creator-self", "creator-cycle"])
     def test_bad_creator_or_attachment(self, case, pid, fn, want):
         E, text = case

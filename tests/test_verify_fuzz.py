@@ -19,8 +19,10 @@ from framedprod.assemble import (
     serialize_certificate,
 )
 from framedprod.errors import FormatError
+from framedprod.frontends import map_to_frame
 from framedprod.generators import (
     gen_framed,
+    gen_labelled_map,
     gen_plane_triangulation,
     gen_toroidal_grid,
 )
@@ -29,6 +31,7 @@ from framedprod.verify import (
     rebuild_bfs,
     verify_certificate,
 )
+from treewidth import derived_bags
 
 # seconds per verify call; each corpus certificate verifies in milliseconds
 TIME_BOUND = 2.0
@@ -39,11 +42,14 @@ INT_TOKEN = re.compile(r"(?<!\S)-?\d+(?!\S)")
 
 @cache
 def corpus():
-    """Small valid certificates: plane, torus and framed g = 2."""
+    """Small valid certificates: plane, torus, framed g = 2, and the frame
+    of a labelled map, whose p lines state extras."""
     out = {}
     for name, E, d in (("tri", gen_plane_triangulation(12, 1), 3),
                        ("torus", gen_toroidal_grid(4, 4), 4),
-                       ("framed", gen_framed(30, 5, 2, 3), 5)):
+                       ("framed", gen_framed(30, 5, 2, 3), 5),
+                       ("map", map_to_frame(gen_labelled_map(20, 3, 0), 3)
+                        .frame, 3)):
         out[name] = (E, serialize_certificate(decompose(E, d)))
     return out
 
@@ -152,6 +158,63 @@ def test_any_bottoms_give_only_fail_lines(name, edits):
     t0 = time.perf_counter()
     report = verify_certificate(E, cert)
     assert time.perf_counter() - t0 < TIME_BOUND
+    assert all(isinstance(x, str) and x.startswith("FAIL ") for x in report)
+
+
+# (part, kind, value): extras added to the p line of a part
+extra_edits = st.tuples(
+    st.integers(0, 10 ** 6),
+    st.sampled_from(("derived", "later", "self", "negative", "repeat",
+                     "four")),
+    st.integers(0, 10 ** 6))
+
+
+def edit_extras(E, cert, edits):
+    """``cert`` with each edit's extras after those of its part: a part the
+    closure already joins to it, a later part, itself, a negative id, an
+    earlier part stated twice, or four parts, earlier ones the part does
+    not touch first.  Each gives at least one ``FAIL`` line."""
+    bags = derived_bags(E, cert)
+    k = len(cert.parts)
+    for at, kind, value in edits:
+        i = at % k
+        extras = cert.parts[i].extras
+        shown = [a for a in bags[i] if a not in extras]
+        if kind == "derived":
+            touching = [j for j in range(k) if len(bags[j]) > len(
+                cert.parts[j].extras)]
+            i = touching[at % len(touching)]
+            extras = cert.parts[i].extras
+            shown = [a for a in bags[i] if a not in extras]
+            new = [shown[value % len(shown)]]
+        elif kind == "later":
+            new = [i + 1 + value % 5]
+        elif kind == "self":
+            new = [i]
+        elif kind == "negative":
+            new = [-1 - value % 5]
+        else:
+            free = [a for a in range(i) if a not in bags[i]]
+            if kind == "repeat":
+                pick = free or shown or [i]
+                new = [pick[value % len(pick)]] * 2
+            else:
+                new = (free + list(range(i + 1, i + 5)))[:4]
+        extras += new
+    return cert
+
+
+@given(st.sampled_from(("tri", "torus", "framed", "map")),
+       st.lists(extra_edits, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_any_extras_give_fail_lines(name, edits):
+    E, text = corpus()[name]
+    cert = edit_extras(E, parse_certificate(text), edits)
+    cert = parse_certificate(serialize_certificate(cert))
+    t0 = time.perf_counter()
+    report = verify_certificate(E, cert)
+    assert time.perf_counter() - t0 < TIME_BOUND
+    assert report
     assert all(isinstance(x, str) and x.startswith("FAIL ") for x in report)
 
 

@@ -1,28 +1,55 @@
 """Test oracles for the width-3 and planarity claims: the tree
-decomposition the parts state, the exact treewidth of small graphs, and
+decomposition of ``H``, the exact treewidth of small graphs, and
 networkx's planarity verdict."""
 
 import pytest
 
+from framedprod.assemble import build_partition
 from framedprod.errors import DomainError
+from framedprod.verify import (
+    check_part_structure,
+    closure_pairs,
+    derive_bags,
+    rebuild_bfs,
+    rebuild_faces,
+)
 
 
-def stated_decomposition(parts):
-    """``H``'s edges, the bags and the bag parents that the parts state.
+def derived_bags(E, cert):
+    """Each part's earlier neighbours in the ``H`` the verifier reads from
+    ``cert`` on ``E``, sorted: those the closure pairs show it touching,
+    plus its stated extras."""
+    us, vs = closure_pairs(E, cert.d, rebuild_faces(E))
+    parent = rebuild_bfs(E, E.root or 0)[0]
+    node = check_part_structure(cert.parts, parent, cert.genus, cert.d)[1]
+    bags = derive_bags(us, vs, node, [p.extras for p in cert.parts])[1]
+    return [sorted(bag) for bag in bags]
 
-    Part ``i`` with attachments ``A`` gives the edges ``a-i`` for ``a`` in
-    ``A``, and bag ``i``, ``sorted(A) + [i]``, whose parent is bag
-    ``max(A)`` (-1, a root, when ``A`` is empty).
+
+def construction_bags(E, d):
+    """Each part's earlier neighbours in the ``H`` the construction built,
+    sorted: the attachments of its partition's parts."""
+    return [sorted(p.attachments) for p in build_partition(E, d)[2].parts]
+
+
+def stated_decomposition(bags):
+    """``H``'s edges, the bags and the bag parents that ``bags`` state.
+
+    ``bags[i]``, part ``i``'s earlier neighbours ``A``, gives the edges
+    ``a-i`` for ``a`` in ``A``, and bag ``i``, ``sorted(A) + [i]``, whose
+    parent is bag ``max(A)`` (-1, a root, when ``A`` is empty).  The
+    construction's ``bags`` are its parts' attachments, the verifier's are
+    ``derived_bags``.
     """
     h_edges = []
-    bags = []
+    out = []
     bag_parent = []
-    for i, part in enumerate(parts):
-        atts = sorted(part.attachments)
-        h_edges += [(a, i) for a in part.attachments]
-        bags.append(atts + [i])
+    for i, atts in enumerate(bags):
+        atts = sorted(atts)
+        h_edges += [(a, i) for a in atts]
+        out.append(atts + [i])
         bag_parent.append(atts[-1] if atts else -1)
-    return h_edges, bags, bag_parent
+    return h_edges, out, bag_parent
 
 
 def nx_planar(num_nodes, edges) -> bool:
