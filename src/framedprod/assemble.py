@@ -188,12 +188,20 @@ def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
 
 @gc_paused
 def serialize_certificate(cert: PartitionCertificate) -> str:
+    """The certificate's text, as ``parse_certificate`` reads it: each part
+    is one line of its legs, absorbed set and extras, ``;`` between the
+    fields, with its trailing empty fields left out so that each
+    certificate has one text.  Raises ``DomainError`` on a part that states
+    nothing, since no line states it; the construction makes none."""
     out = [f"cert {cert.n} {cert.d} {cert.genus}", f"PARTS {cert.num_parts}"]
-    for part in cert.parts:
-        head = " ".join(map(str, ["p", *part.extras]))
-        xs = " ".join(map(str, part.absorbed))
-        ys = " ".join(map(str, part.legs))
-        out.append(f"{head} x: {xs} y: {ys}")
+    for i, part in enumerate(cert.parts):
+        line = ";".join([" ".join(map(str, part.legs)),
+                         " ".join(map(str, part.absorbed)),
+                         " ".join(map(str, part.extras))]).rstrip(";")
+        if not line:
+            raise DomainError(f"part {i} states no leg, absorbed vertex "
+                              "or extra")
+        out.append(line)
     out.append(f"ELL {cert.ell}")
     return "\n".join(out) + "\n"
 
@@ -204,37 +212,39 @@ def parse_certificate(text: str) -> PartitionCertificate:
 
     The sections come in the order they are written, each exactly once:
     ``cert <n> <d> <genus>``; ``PARTS <parts>`` and one line per part,
-    ``p <extras...> x: <absorbed> y: <legs>``, line ``i`` stating part
-    ``i`` (the cut part ``Z`` when ``i`` is 0 and the genus positive);
-    ``ELL <ell>``.  The extras are the earlier parts that part ``i``'s
-    region saw and the closure does not join to it; the verifier adds them
-    to the earlier neighbours it derives from the closure.  A leg is its
-    bottom vertex; ``x:`` and ``y:`` are tokens of their own, and a ``|``
-    (the leg separator of older formats) is no integer.  Blank lines and
-    lines starting with '#' are skipped.  Every value is a plain decimal
-    integer, which a verifier may find negative.  Every error is a
-    ``FormatError`` that names the line at fault.
+    ``<legs>;<absorbed>;<extras>``, line ``i`` stating part ``i`` (the cut
+    part ``Z`` when ``i`` is 0 and the genus positive); ``ELL <ell>``.  A
+    part line holds at most three fields, each a list of integers separated
+    by runs of spaces or tabs, and its last field is not empty: ``0 1 2``
+    (legs only), ``149 3130 234;1350`` (legs and absorbed), ``;1004``
+    (absorbed only), ``40;;0 2`` (legs and extras).  A leg is its bottom
+    vertex.  The extras are the earlier parts that part ``i``'s region saw
+    and the closure does not join to it; the verifier adds them to the
+    earlier neighbours it derives from the closure.  The tags of older
+    formats (``p``, ``x:``, ``y:``) and their leg separator ``|`` are no
+    integers.  Blank lines and lines starting with '#' are skipped.  Every
+    value is a plain decimal integer, which a verifier may find negative.
+    Every error is a ``FormatError`` that names the line at fault.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     check_plain(text, lines, "+_")
     n, d, g = _header(lines, 0, "cert", 3)
     (k,) = _header(lines, 1, "PARTS", 1)
     if not 0 <= k <= len(lines) - 3:
-        raise FormatError(f"{k} 'p' lines do not fit the text")
+        raise FormatError(f"{k} part lines do not fit the text")
     parts = []
     for ln in lines[2:2 + k]:
-        toks = ln.split()
-        xi = toks.index("x:") if "x:" in toks else 0
-        yi = toks.index("y:", xi) if "y:" in toks[xi:] else 0
-        if not xi or not yi or toks[0] != "p":
-            raise FormatError(f"bad 'p' line: {ln}")
+        fields = ln.split(";")
+        nf = len(fields)
+        if nf > 3 or ln[-1] == ";":
+            raise FormatError(f"bad part line: {ln}")
         try:
-            extras = list(map(int, toks[1:xi]))
-            absorbed = list(map(int, toks[xi + 1:yi]))
-            legs = list(map(int, toks[yi + 1:]))
+            parts.append(CertPart(
+                list(map(int, fields[0].split())),
+                list(map(int, fields[1].split())) if nf > 1 else [],
+                list(map(int, fields[2].split())) if nf > 2 else []))
         except ValueError:
-            raise FormatError(f"bad 'p' line: {ln}") from None
-        parts.append(CertPart(legs, absorbed, extras))
+            raise FormatError(f"bad part line: {ln}") from None
     (ell,) = _header(lines, 2 + k, "ELL", 1)
     if 3 + k != len(lines):
         raise FormatError(f"unexpected line after ELL: {lines[3 + k]}")

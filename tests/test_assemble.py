@@ -6,8 +6,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedprod.assemble import (
+    CertPart,
+    PartitionCertificate,
     block_layering,
     decompose,
     parse_certificate,
@@ -57,18 +61,20 @@ from treewidth import construction_bags, derived_bags
 # partition gave the earlier digest; then each p line's attachments cut to
 # its extras, those the closure does not join to the part, after checking
 # that the verifier's derived neighbours plus the extras give the earlier
-# attachments
+# attachments; then each p line written as its legs, absorbed set and
+# extras with ";" between them and no tags, after checking that the tagged
+# text of the same partition parses to the same parts and width
 GOLDEN = json.loads((Path(__file__).parent / "golden_certificates.json")
                     .read_text())
 
 
 # the certificate of a single edge: one part, two layers, its one leg
 # climbed from 1 up to the root 0
-SMALL = "cert 2 3 0\nPARTS 1\np x:  y: 1\nELL 1\n"
+SMALL = "cert 2 3 0\nPARTS 1\n1\nELL 1\n"
 # the path 0-1-2, one part whose leg is stated by its bottom
-PATH = "cert 3 3 0\nPARTS 1\np x:  y: 2\nELL 1\n"
+PATH = "cert 3 3 0\nPARTS 1\n2\nELL 1\n"
 # the single edge split into two parts, the second attached to the first
-TWO_PARTS = "cert 2 3 0\nPARTS 2\np x:  y: 0\np 0 x:  y: 1\nELL 1\n"
+TWO_PARTS = "cert 2 3 0\nPARTS 2\n0\n1;;0\nELL 1\n"
 # every position of both texts, for inserting a line that does not belong
 POSITIONS = [(text, at) for text in (SMALL, TWO_PARTS)
              for at in range(len(text.splitlines()) + 1)]
@@ -78,9 +84,28 @@ OLD_SECTIONS = {"H": ["H 1 0"], "TD": ["TD 1", "b 0 -1 : 0"],
                 "MAP": ["MAP", "m 0 0 0 0", "m 1 0 1 0"]}
 
 
+def with_part_line(text, i, line):
+    """``text`` with the line of part ``i``, line ``2 + i``, replaced."""
+    lines = text.splitlines()
+    lines[2 + i] = line
+    return "\n".join(lines) + "\n"
+
+
+# any certificate the serializer can write: parts that state something,
+# every value in -10**6..10**6
+values = st.integers(-10 ** 6, 10 ** 6)
+cert_parts = st.builds(CertPart, st.lists(values, max_size=4),
+                       st.lists(values, max_size=3),
+                       st.lists(values, max_size=3)).filter(
+    lambda p: p.legs or p.absorbed or p.extras)
+certificates = st.builds(PartitionCertificate, n=values, d=values,
+                         genus=values, parts=st.lists(cert_parts, max_size=6),
+                         ell=values)
+
+
 def part_of(cert, E):
-    """The part of each vertex, as the verifier derives it from the p lines
-    by climbing its BFS tree from each leg's bottom."""
+    """The part of each vertex, as the verifier derives it from the part
+    lines by climbing its BFS tree from each leg's bottom."""
     parent = rebuild_bfs(E, E.root or 0)[0]
     return check_part_structure(cert.parts, parent, cert.genus, cert.d)[1]
 
@@ -293,34 +318,86 @@ class TestCertificateFormat:
         assert back.boundary_part == cert.boundary_part
         assert verify_certificate(E, back) == []
 
-    def test_p_line_tokens_split_on_any_whitespace(self):
-        # x: and y: are tokens: an empty absorbed set written with one
-        # space, or tabs between the tokens, parse as the serializer's text
-        E = gen_plane_triangulation(40, 3)
-        text = serialize_certificate(decompose(E, 3))
-        assert "x:  y:" in text
+    def test_part_line_fields_split_on_any_whitespace(self):
+        # runs of spaces or tabs inside a field, or around a ";", parse as
+        # the one space the serializer writes
+        E = gen_framed(60, 6, 0, 3)
+        text = serialize_certificate(decompose(E, 4))
+        assert any(ln.count(";") == 2 for ln in text.splitlines()[2:-1])
         cert = parse_certificate(text)
-        one_space = text.replace("x:  y:", "x: y:")
-        tabs = "\n".join("\t".join(ln.split()) for ln in text.splitlines())
-        assert parse_certificate(one_space) == cert
-        assert parse_certificate(tabs) == cert
+        spaced = text.replace(" ", "  \t ").replace(";", " ; ")
+        assert parse_certificate(spaced) == cert
+
+    @pytest.mark.parametrize("line,part", [
+        ("0 1 2", CertPart([0, 1, 2], [], [])),
+        ("149 3130 234;1350", CertPart([149, 3130, 234], [1350], [])),
+        (";7", CertPart([], [7], [])),
+        ("4;;0 2", CertPart([4], [], [0, 2])),
+        (";;3", CertPart([], [], [3])),
+        ("4\t 5 ;  6\t7;\t0", CertPart([4, 5], [6, 7], [0])),
+    ], ids=["legs", "legs-absorbed", "absorbed", "legs-extras", "extras",
+            "spaces-and-tabs"])
+    def test_field_shapes_parse(self, line, part):
+        cert = parse_certificate(with_part_line(SMALL, 0, line))
+        assert cert.parts == [part]
+        # the serializer writes one space between values and none around
+        # a ";"
+        assert serialize_certificate(cert) == with_part_line(
+            SMALL, 0, ";".join(" ".join(f.split()) for f in line.split(";")))
+
+    @pytest.mark.parametrize("line", [
+        "p x:  y: 3", "p 0 x:  y: 3", "1;2;3;4", "5;", "5;;", ";", ";;",
+        "5;6;", "0 | 1", "0 a", "0;a", "0;;a", "0 1.5", "0;;-"],
+        ids=["tagged", "tagged-extras", "four-fields", "empty-last-field",
+             "empty-last-fields", "lone-separator", "only-separators",
+             "empty-extras", "bar", "junk-in-legs", "junk-in-absorbed",
+             "junk-in-extras", "fraction", "lone-minus"])
+    def test_bad_part_lines_name_the_line(self, line):
+        # the tags of the older formats are no integers; an empty last
+        # field would give a part a second text
+        want = f"bad part line: {re.escape(line)}$"
+        with pytest.raises(FormatError, match=want):
+            parse_certificate(with_part_line(TWO_PARTS, 1, line))
+
+    def test_serializer_refuses_an_empty_part(self):
+        cert = parse_certificate(TWO_PARTS)
+        cert.parts[1] = CertPart([], [], [])
+        with pytest.raises(DomainError, match="part 1 states no leg"):
+            serialize_certificate(cert)
+
+    @given(certificates)
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip_of_any_certificate(self, cert):
+        text = serialize_certificate(cert)
+        assert parse_certificate(text) == cert
+        assert all(ln and ln[-1] != ";" for ln in text.splitlines())
+
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789 ;-\n\tpxy:|#",
+                                        max_size=60).map(
+        lambda body: SMALL.replace("1\n", body + "\n", 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_is_a_format_error(self, text):
+        try:
+            cert = parse_certificate(text)
+        except FormatError:
+            return
+        assert isinstance(cert, PartitionCertificate)
 
     @pytest.mark.parametrize("bad", [
         "", "cert 3", "cert 3 3 0\nH 2 1\nh 0", "cert 3 3 0\nTD 5\nb 0",
         "cert 3 3 0\nm 0 0", "cert 3 3 0\nELL x",
-        pytest.param(SMALL.replace("p x:", "q x:"), id="p-line-tag"),
-        pytest.param(SMALL.replace("p x:", "p TRIPOD x:"), id="part-kind"),
-        pytest.param(TWO_PARTS.replace("p 0 x:", "p 0 a x:"),
+        pytest.param(with_part_line(SMALL, 0, "q 1"), id="p-line-tag"),
+        pytest.param(with_part_line(SMALL, 0, "TRIPOD 1"), id="part-kind"),
+        pytest.param(with_part_line(TWO_PARTS, 1, "1;;0 a"),
                      id="attachment-junk"),
-        pytest.param(SMALL.replace(" x: ", " "), id="x-missing"),
-        pytest.param(SMALL.replace(" y:", ""), id="y-missing"),
-        pytest.param(SMALL.replace("x:  y:", "x:5 y:"), id="x-glued"),
-        pytest.param(SMALL.replace("y: 1", "y:1"), id="y-glued"),
-        pytest.param(SMALL.replace("x:  y:", "y:  x:"), id="y-before-x"),
-        pytest.param(SMALL.replace("y: 1", "y: 0 | | 1"), id="empty-path"),
-        pytest.param(SMALL.replace("y: 1", "y: 0|1"), id="bar-glued"),
-        pytest.param(SMALL.replace("y: 1", "y: 0 |1"), id="bar-glued-right"),
-        pytest.param(SMALL.replace("y: 1", "y: 1 |"), id="bar-trailing"),
+        # the tagged lines of the format before, an absorbed field without
+        # its leg tag and a tag glued to its value
+        pytest.param(with_part_line(SMALL, 0, "p x: 1"), id="y-missing"),
+        pytest.param(with_part_line(SMALL, 0, "p x:  y:1"), id="y-glued"),
+        pytest.param(with_part_line(SMALL, 0, "0 | | 1"), id="empty-path"),
+        pytest.param(with_part_line(SMALL, 0, "0|1"), id="bar-glued"),
+        pytest.param(with_part_line(SMALL, 0, "0 |1"), id="bar-glued-right"),
+        pytest.param(with_part_line(SMALL, 0, "1 |"), id="bar-trailing"),
         pytest.param(SMALL.replace("PARTS 1", "PARTS 3"),
                      id="parts-past-the-text"),
         pytest.param(SMALL.replace("ELL 1\n", "LAYERS junk\nELL 1\n"),
@@ -368,25 +445,24 @@ class TestCertificateFormat:
                              ids=["old-tripod-line", "old-Z-line"])
     def test_old_p_line_rejected(self, line):
         # the id, kind and creator tokens the format once stated
-        old = SMALL.replace("p x:  y: 1", line)
-        with pytest.raises(FormatError, match=f"bad 'p' line: {line}"):
+        old = with_part_line(SMALL, 0, line)
+        with pytest.raises(FormatError, match=f"bad part line: {line}"):
             parse_certificate(old)
 
     @pytest.mark.parametrize("bad,line", [
         ("cert 2 3 x\nPARTS 0\nELL 1\n", "cert 2 3 x"),
         (SMALL.replace("ELL 1", "ELL y"), "ELL y"),
-        (SMALL.replace("y: 1", "y: 0 | a"), "p x:  y: 0 | a"),
-        (SMALL.replace("y: 1", "y: 0|1"), "p x:  y: 0|1"),
+        (with_part_line(SMALL, 0, "0 | a"), "0 | a"),
+        (with_part_line(SMALL, 0, "0|1"), "0|1"),
     ], ids=["header", "ell", "p-line", "bar-glued"])
     def test_errors_name_the_line(self, bad, line):
         with pytest.raises(FormatError, match=re.escape(line)):
             parse_certificate(bad)
 
     @pytest.mark.parametrize("bad,line", [
-        ("cert 2 3 0\nPARTS 1\np x:  y: 0_1\nELL 1\n", "p x:  y: 0_1"),
-        ("cert 2 3 0\nPARTS 1\np x:  y: 1\nELL +1\n", "ELL +1"),
-        ("cert 2 3 0\nPARTS 1\np x:  y: \u0661\nELL 1\n",
-         "p x:  y: \u0661"),
+        ("cert 2 3 0\nPARTS 1\n0_1\nELL 1\n", "0_1"),
+        ("cert 2 3 0\nPARTS 1\n1\nELL +1\n", "ELL +1"),
+        ("cert 2 3 0\nPARTS 1\n\u0661\nELL 1\n", "\u0661"),
     ], ids=["underscore", "plus", "arabic-indic-digit"])
     def test_only_plain_decimal_integers(self, bad, line):
         # int() reads each of these as 1
@@ -397,7 +473,7 @@ class TestCertificateFormat:
         text = "# \u00e9t\u00e9 +1 0_1 \u0661\n" + SMALL
         assert serialize_certificate(parse_certificate(text)) == SMALL
         # a value may be negative: the verifier reports it
-        assert parse_certificate(SMALL.replace("y: 1", "y: -1")).parts[0] \
+        assert parse_certificate(with_part_line(SMALL, 0, "-1")).parts[0] \
             .legs == [-1]
 
     def test_old_format_rejected(self):
@@ -451,19 +527,18 @@ class TestCertificateFormat:
         assert verify_certificate(E, cert) == []
 
     @pytest.mark.parametrize("line", [
-        "p x:  y: 0 1 2 | 3", "p x:  y: 1 | 0 1 2", "p x:  y: 0 0 | 1",
-        "p x:  y: 0 | 2 2", "p x:  y: 0 2 | 1", "p x:  y: 0 | 1 | 2",
-        "p | x:  y: 2", "p 0 | x:  y: 2", "p x: | y: 2", "p x: 1 | y: 2",
-        "p x:  y: | 2", "p x:  y: 2 |"],
+        "0 1 2 | 3", "1 | 0 1 2", "0 0 | 1", "0 | 2 2", "0 2 | 1",
+        "0 | 1 | 2", "2;;| 0", "2;;0 |", "2;| 1", "2;1 | 3", "| 2", "2 |"],
         ids=["full-path", "full-path-second", "same-ends",
              "same-ends-second", "two-ends", "one-vertex-legs", "after-p",
              "after-attachment", "after-x", "in-absorbed", "after-y",
              "trailing"])
     def test_non_canonical_legs_name_the_line(self, line):
         # the "|" that separated the legs when they were stated as full
-        # paths or by their two ends, and a "|" anywhere else in a p line
+        # paths or by their two ends, and a "|" in any field; an id names
+        # the tag of the tagged format after which the "|" stood
         with pytest.raises(FormatError, match=re.escape(line)):
-            parse_certificate(PATH.replace("p x:  y: 2", line))
+            parse_certificate(with_part_line(PATH, 0, line))
 
 
 class TestGoldenCertificates:

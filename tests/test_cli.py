@@ -7,6 +7,14 @@ from framedprod.cli import run
 from framedprod.errors import ContractViolation
 
 
+def add_to_field(line, field, values):
+    """The part line ``line`` with ``values`` after those of its field
+    ``field``: 0 the legs, 1 the absorbed set, 2 the extras."""
+    fields = (line.split(";") + ["", ""])[:3]
+    fields[field] = " ".join(fields[field].split() + list(map(str, values)))
+    return ";".join(fields).rstrip(";")
+
+
 class TestCli:
     def test_gen_decompose_verify_pipeline(self, tmp_path):
         frame = tmp_path / "g.emg"
@@ -26,7 +34,7 @@ class TestCli:
                     "--seed", "7", "--out", str(f2)]) == 0
         assert f1.read_text() == f2.read_text()
 
-    def test_verify_detects_corruption(self, tmp_path):
+    def test_verify_detects_corruption(self, tmp_path, capsys):
         frame = tmp_path / "g.emg"
         cert = tmp_path / "g.cert"
         run(["gen", "--family", "tri", "--params", "20", "--out", str(frame)])
@@ -38,11 +46,41 @@ class TestCli:
         lines[-1] = f"ELL {ell - 1}"
         cert.write_text("\n".join(lines) + "\n")
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
-        # a part that lists no vertex: the vertices of part 1 are in none
+        # a part that lists no vertex has no line: its fields left empty
+        # are a parse error
         lines[-1] = f"ELL {ell}"
-        lines[3] = lines[3].partition(" x: ")[0] + " x:  y:"
+        lines[3] = ";"
         cert.write_text("\n".join(lines) + "\n")
-        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
+        capsys.readouterr()
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 1
+        assert capsys.readouterr().err == "error: bad part line: ;\n"
+
+    def test_old_certificate_format_is_an_error_line(self, tmp_path, capsys):
+        # the tagged part lines of the format before: the first one is
+        # the line at fault
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "tri", "--params", "20", "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
+        lines = cert.read_text().splitlines()
+        for i, ln in enumerate(lines[2:-1], 2):
+            legs, absorbed, extras = (ln.split(";") + ["", ""])[:3]
+            lines[i] = " ".join(["p", *extras.split(), "x:",
+                                 *absorbed.split(), "y:", *legs.split()])
+        cert.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad part line: {lines[2]}\n"
+
+    def test_decompose_writes_no_tags(self, tmp_path):
+        frame = tmp_path / "g.emg"
+        cert = tmp_path / "g.cert"
+        run(["gen", "--family", "toroidal", "--params", "4,4",
+             "--out", str(frame)])
+        run(["decompose", "--in", str(frame), "--d", "4", "--out", str(cert)])
+        tokens = set(cert.read_text().replace(";", " ").split())
+        assert not tokens & {"p", "x:", "y:", "|"}
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.emg"
@@ -258,8 +296,8 @@ class TestCli:
         run(["gen", "--family", "tri", "--params", "20", "--out", str(frame)])
         run(["decompose", "--in", str(frame), "--d", "3", "--out", str(cert)])
         lines = cert.read_text().splitlines()
-        i = next(i for i, ln in enumerate(lines) if ln.startswith("p "))
-        lines[i] = lines[i].replace(" x:", " x: 20 -1", 1)
+        # part 0's line absorbs two vertices past the ends
+        lines[2] = add_to_field(lines[2], 1, [20, -1])
         cert.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2
@@ -276,8 +314,7 @@ class TestCli:
         k = int(lines[1].split()[1])
         # extras past the last part and below 0; line 2 + i is part i
         for pid, extra in ((0, k + 5), (1, -1)):
-            head, sep, rest = lines[2 + pid].partition(" x: ")
-            lines[2 + pid] = f"{head} {extra}{sep}{rest}"
+            lines[2 + pid] = add_to_field(lines[2 + pid], 2, [extra])
         cert.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 2

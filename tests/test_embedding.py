@@ -453,7 +453,7 @@ class TestEulerGenus:
         # the verifier's 2 - n + m - f agrees
         for g, fails in ((0, []), (1, ["FAIL genus stated 1 actual 0"])):
             cert = parse_certificate(f"cert 1 3 {g}\nPARTS 1\n"
-                                     "p x:  y: 0\nELL 1\n")
+                                     "0\nELL 1\n")
             assert verify_certificate(E, cert) == fails
 
     def test_disconnected_rejected(self):

@@ -46,7 +46,10 @@ from treewidth import construction_bags, derived_bags
 # after checking that the two-ends text of the same partition gave the
 # earlier digest, then with each p line's attachments cut to its extras,
 # those the closure does not join to the part, after checking that the
-# verifier's derived neighbours plus the extras give the earlier attachments
+# verifier's derived neighbours plus the extras give the earlier
+# attachments, then with each p line written as its legs, absorbed set and
+# extras with ";" between them and no tags, after checking that the tagged
+# text parses to the same parts and width
 GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
                     .read_text())
 # sha256 digests of oneplanar_to_frame's frame and of its certificate at
@@ -55,7 +58,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_frontends.json")
 # vertices came to be written as its two ends, and every certificate when
 # each leg came to be written as its bottom vertex alone, and again, as
 # above, when each p line came to state only its extras (adjacent's single
-# part has none, so its digest stands)
+# part has none, so its digest stands), and every certificate again when
+# the p lines lost their tags, as above
 GOLDEN_ONEPLANE = json.loads((Path(__file__).parent / "golden_oneplanar.json")
                              .read_text())
 

@@ -3,8 +3,11 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from framedprod.assemble import parse_certificate, serialize_certificate
 from framedprod.embedding import parse_embedding
+from framedprod.errors import FormatError
 from framedprod.verify import verify_certificate
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -29,9 +32,13 @@ def test_readme_example_in_the_old_format_fails():
     # the format that listed every attachment: one line per attachment
     # that the closure shows
     E = parse_embedding(fenced("emg"))
-    old = (fenced("cert").replace("p x:  y: 3\n", "p 0 x:  y: 3\n")
-           .replace("p x:  y: 4\n", "p 0 1 x:  y: 4\n"))
+    text = fenced("cert")
+    old = text.replace("\n3\n", "\n3;;0\n").replace("\n4\n", "\n4;;0 1\n")
     assert verify_certificate(E, parse_certificate(old)) == [
         "FAIL td bag 1 extra 0 is derived from the closure",
         "FAIL td bag 2 extra 0 is derived from the closure",
         "FAIL td bag 2 extra 1 is derived from the closure"]
+    # the tagged line of the format before
+    tagged = text.replace("\n0 1 2\n", "\np x:  y: 0 1 2\n")
+    with pytest.raises(FormatError, match="bad part line: p x:  y: 0 1 2$"):
+        parse_certificate(tagged)

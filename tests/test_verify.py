@@ -373,8 +373,8 @@ class TestShape:
         # 2 - n + m - f reads -2, and one part per triangle climbs its
         # three one-vertex legs; the rebuilt BFS misses the second
         E = from_face_list([[0, 1, 2], [2, 1, 0], [3, 4, 5], [5, 4, 3]], 6)
-        cert = parse_certificate("cert 6 3 -2\nPARTS 2\np x:  y: 0 1 2\n"
-                                 "p 0 x:  y: 3 4 5\nELL 3\n")
+        cert = parse_certificate("cert 6 3 -2\nPARTS 2\n0 1 2\n"
+                                 "3 4 5;;0\nELL 3\n")
         assert verify_certificate(E, cert) == [
             "FAIL shape vertex 3 is not reached from the root 0: the graph "
             "is disconnected"]
@@ -980,7 +980,7 @@ class TestPartStructureCheck:
                 "depth = rebuild_bfs(E, 0)[1]\n"
                 "deep = sorted(range(E.n), key=depth.__getitem__)[-300:]\n"
                 "legs = [str(deep[i % 300]) for i in range(240000)]\n"
-                "lines = ['p x:  y: ' + ' '.join(legs[i:i + 3])\n"
+                "lines = [' '.join(legs[i:i + 3])\n"
                 "         for i in range(0, len(legs), 3)]\n"
                 "cert = parse_certificate('\\n'.join(\n"
                 "    [f'cert {E.n} 4 2', f'PARTS {len(lines)}', *lines, "
@@ -1024,7 +1024,7 @@ class TestOutOfRangeFields:
 
 
 class TestStatedDecomposition:
-    """H and the bags come from the closure and the p lines' extras; a bad
+    """H and the bags come from the closure and the part lines' extras; a bad
     extra gives FAIL lines, never an exception."""
 
     @pytest.fixture(scope="class")
@@ -1033,7 +1033,7 @@ class TestStatedDecomposition:
         return E, serialize_certificate(decompose(E, 3))
 
     def test_derived_from_the_parts(self, case):
-        # a triangulation's p lines state no extra: H is the quotient, and
+        # a triangulation's part lines state no extra: H is the quotient, and
         # it is the H of the construction
         E, text = case
         cert = parse_certificate(text)
@@ -1067,12 +1067,12 @@ class TestStatedDecomposition:
 
     @staticmethod
     def edit(text, pid, fn):
-        """``text`` with the extras of part ``pid``'s p line, line
+        """``text`` with the extras of part ``pid``'s line, line
         ``2 + pid``, replaced by ``fn(tokens)``."""
         lines = text.splitlines()
-        head, sep, rest = lines[2 + pid].partition(" x: ")
-        toks = head.split()
-        lines[2 + pid] = " ".join(toks[:1] + fn(toks[1:])) + sep + rest
+        fields = (lines[2 + pid].split(";") + ["", ""])[:3]
+        fields[2] = " ".join(fn(fields[2].split()))
+        lines[2 + pid] = ";".join(fields).rstrip(";")
         return "\n".join(lines) + "\n"
 
     # part 3's derived earlier neighbours are parts 0 and 2
