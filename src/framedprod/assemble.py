@@ -13,6 +13,7 @@ from .embedding import (
     bfs_structure,
     check_plain,
     gc_paused,
+    normalize_signs,
     trace_faces,
 )
 from .errors import ContractViolation, DomainError, FormatError
@@ -170,6 +171,10 @@ def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
     short = {k: array("i", chain.from_iterable(walks))
              for k, walks in short.items()}
     if g == 0:
+        # the stage reads an all-+1 trace; T is the normalized E's tree too
+        if -1 in {s for _, _, s in E.edges}:
+            E = normalize_signs(E)
+            faces = trace_faces(E)
         world = triangulate_long_faces(E, d, faces)
         del faces
         projected = tripod_partition(world, T.parent)

@@ -16,6 +16,7 @@ from .embedding import (
     BfsStructure,
     EmbeddedMultigraph,
     FaceSet,
+    normalize_signs,
     stellate,
     trace_faces,
 )
@@ -216,7 +217,7 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
 
     # signatures of a genus-0 scheme are removable; normalise them away
     if any(s == -1 for (_, _, s) in Gt.edges):
-        Gt = _normalize_signs(Gt)
+        Gt = normalize_signs(Gt)
 
     fs2 = trace_faces(Gt)
     g2 = 2 - Gt.n + Gt.m - fs2.f       # Gt is connected
@@ -251,35 +252,6 @@ def cut_along(E: EmbeddedMultigraph, C: CutSystem,
     if Gt.m != E.m + p - 1 + g:
         raise ContractViolation("m' != m + p - 1 + g")
     return R, fs2
-
-
-def _normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
-    """Flip vertices so every signature becomes +1 (genus-0 schemes only)."""
-    flip = [False] * E.n
-    seen = [False] * E.n
-    seen[0] = True
-    tails = E.tails()
-    stack = [0]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for d in E.rot[v]:
-            s = E.edges[d >> 1][2]
-            other = tails[d ^ 1]
-            if not seen[other]:
-                seen[other] = True
-                flip[other] = flip[v] ^ (s == -1)
-                stack.append(other)
-    edges = []
-    for u, v, s in E.edges:
-        eff = (s == -1) ^ flip[u] ^ flip[v] if u != v else (s == -1)
-        if eff:
-            raise ContractViolation("signatures are not removable (genus > 0?)")
-        edges.append((u, v, 1))
-    rot = [list(reversed(r)) if flip[v] else list(r)
-           for v, r in enumerate(E.rot)]
-    return EmbeddedMultigraph(E.n, edges, rot, root=E.root)
 
 
 def attach_apex(R: CutResult, gt_faces: FaceSet) -> tuple:

@@ -204,6 +204,30 @@ def drop(edges, rot, dead_edges, dead_vertices=(), root=None) -> tuple:
     return EmbeddedMultigraph(len(rot), kept, rot, root=root), edge_map
 
 
+def normalize_signs(E: EmbeddedMultigraph) -> EmbeddedMultigraph:
+    """The same surface with every signature +1: the rotation of each
+    vertex an odd number of -1 edges from vertex 0 along a search tree is
+    reversed.  A -1 the flips leave (a connected scheme that is not
+    orientable) is a ``ContractViolation``.  Edge and dart ids are kept."""
+    flip = [None] * E.n
+    flip[0] = False
+    tails = E.tails()
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for d in E.rot[v]:
+            w = tails[d ^ 1]
+            if flip[w] is None:
+                flip[w] = flip[v] ^ (E.edges[d >> 1][2] == -1)
+                stack.append(w)
+    if any((s == -1) ^ flip[u] ^ flip[v] for u, v, s in E.edges):
+        raise ContractViolation("signatures are not removable: the scheme "
+                                "is not orientable")
+    rot = [r[::-1] if f else list(r) for r, f in zip(E.rot, flip)]
+    return EmbeddedMultigraph(E.n, [(u, v, 1) for u, v, _ in E.edges], rot,
+                              root=E.root)
+
+
 @dataclass
 class FaceSet:
     """Face partition produced by tracing an embedding scheme.

@@ -1,12 +1,14 @@
 """Partition a plane framed graph into boundary-anchored tripods.
 
 The working graph is a plane multigraph whose faces all have length in
-{3..d} after fanning longer faces with auxiliary chords.  Faces are kept as
-polygonal cells; a step consumes one cell: up to three tree chains climb
-from its corners until they hit assigned territory, the cell's leftover
-corners are absorbed alongside (at most d-3 of them), and the remaining
-cells fall apart into pockets that each see at most three parts.  Every
-part therefore splits into at most three vertical tree paths plus a small
+{3..d} after fanning longer faces with auxiliary chords.  Its faces are
+traced from an all-+1 scheme, so the cell across a corner's edge is the
+one holding the twin dart's side.  Faces are kept as polygonal cells; a
+step consumes one cell: up to three tree chains climb from its corners
+until they hit assigned territory, the cell's leftover corners are
+absorbed alongside (at most d-3 of them), and the remaining cells fall
+apart into pockets that each see at most three parts.  Every part
+therefore splits into at most three vertical tree paths plus a small
 absorbed set, the quotient stays planar, and the bag of a step (the new
 part plus the region's parts) witnesses treewidth at most 3.
 
@@ -17,19 +19,18 @@ Sperner argument of Dujmovic, Joret, Micek, Morin, Ueckerdt and Wood
 (J. ACM 2020) colours each unassigned corner by the part its tree
 ancestors reach and crosses the cells' doors, the edges coloured with the
 two parts, from the first door the flood met; a cell with a third colour
-names the region's third part and is the step's cell.  When the walk ends
-without one, a walk round the region's boundary, a disk's, settles its
-parts, and the step takes the first cell in breadth-first order from its
-seed that meets them.  In every 3-part region of the benchmark workloads
-exactly one cell meets all three parts, so the two rules pick the same
-cell.
+names the region's third part and is the step's cell, since it meets all
+three.  When the walk ends without one, a walk round the region's
+boundary, a disk's, settles its parts, and the step takes the first cell
+in breadth-first order from its seed that meets them.  In every 3-part
+region of the benchmark workloads exactly one cell meets all three parts,
+so the two rules pick the same cell.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress
 
 from .embedding import EmbeddedMultigraph, FaceSet, trace_faces
 from .errors import ContractViolation, DomainError
@@ -58,64 +59,57 @@ def triangulate_long_faces(E: EmbeddedMultigraph, d: int,
     """Fan every face longer than d from its smallest vertex.
 
     Faces of length at most d survive as whole polygonal cells; the fan
-    chords are auxiliary and never enter the closure.  Each edge occurs
-    twice in the face walks; the cell and corner its first occurrence leaves
-    are kept per edge and paired with the second.  A cell's spokes list its
-    corners v with the cells across the edges leaving and entering v.
+    chords are auxiliary and never enter the closure.  A cell's spokes list
+    its corners v with the cells across the edges leaving and entering v.
+    The scheme must be all-+1 (else a ``ContractViolation``), so each dart
+    lies on one face, and the cell across the edge a corner leaves by
+    holds the twin dart's side: the twin's face, or the fan triangle on
+    that side.  The edge entering a corner leaves the corner before it.
 
     Every face must be a cycle: ``check_frame`` tests a plane frame's, and
     G+ has the frame's faces plus apex triangles over the slit cycle, which
-    ``cut_along`` tests.  Here only a face shorter than 3 is refused.
+    ``cut_along`` tests; so no edge has both sides in one cell.  Here only
+    a face shorter than 3 is refused.
     """
+    if -1 in {s for _, _, s in E.edges}:
+        raise ContractViolation("the tripod stage needs an all-+1 scheme")
     if faces is None:
         faces = trace_faces(E)
-    # per corner, numbered cell by cell: the cell across the edge leaving it
-    out_nbr = [-1] * sum(k if k <= d else 3 * k - 6
-                         for k in map(len, faces.faces))
-    cells, o = [], 0             # o: first corner of the face's cells
-    at_cell = [-1] * E.m         # per edge: cell and corner of the
-    at_corner = [0] * E.m        # occurrence met first
+    # per face its first cell; per dart the cell holding its side, in a
+    # fanned face the first triangle until the loop below sets it
+    first = list(accumulate((1 if k <= d else k - 2
+                             for k in map(len, faces.faces)), initial=0))
+    cell_of = list(map(first.__getitem__, faces.slot_face))
+    cells, corner_darts, fans = [], [], []
     for fi, (darts, walk) in enumerate(zip(faces.faces,
                                            faces.vertex_walks(E))):
         k = len(walk)
         if k < 3:
             raise DomainError(f"face {fi} is not bounded by a cycle")
-        base = len(cells)
         if k <= d:
             cells.append(walk)
-            land_cell, land_corner = repeat(base, k), range(o, o + k)
-            o += k
-        else:
-            a = walk.index(min(walk))
-            rw = walk[a:] + walk[:a]           # rw[0] is the fan apex
-            cells.extend([rw[0], rw[j], rw[j + 1]] for j in range(1, k - 1))
-            # fan triangles t and t+1 share a chord: side 2 of t, side 0 of t+1
-            out_nbr[o + 2:o + 3 * k - 7:3] = range(base + 1, base + k - 2)
-            out_nbr[o + 3:o + 3 * k - 6:3] = range(base, base + k - 3)
-            # walk position i is the edge rw[i'] rw[i'+1], i' = (i - a) mod k:
-            # side 0 of the first triangle, side 2 of the last, else side 1
-            # of triangle i' - 1
-            ips = list(chain(range(k - a, k), range(k - a)))
-            land_cell = [base + min(max(ip - 1, 0), k - 3) for ip in ips]
-            land_corner = [o + (0 if ip == 0 else 3 * k - 7 if ip == k - 1
-                                else 3 * ip - 2) for ip in ips]
-            o += 3 * k - 6
-        for dart, c, x in zip(darts, land_cell, land_corner):
-            e = dart >> 1
-            c2 = at_cell[e]
-            if c2 < 0:
-                at_cell[e] = c
-                at_corner[e] = x
-            elif c2 >= base:
-                raise ContractViolation("edge repeats inside one disk face")
-            else:
-                out_nbr[x] = c2
-                out_nbr[at_corner[e]] = c
+            corner_darts.extend(darts)
+            continue
+        base = first[fi]
+        a = walk.index(min(walk))
+        rw, rd = walk[a:] + walk[:a], darts[a:] + darts[:a]
+        # rw[0] is the fan apex; triangle t is rw[0] rw[t+1] rw[t+2], with
+        # the face's edge rd[t+1] its side 1, and rd[0] (rd[k-1]) side 0
+        # (2) of the first (last) triangle; the chord sides are set below
+        cells.extend([rw[0], rw[j], rw[j + 1]] for j in range(1, k - 1))
+        for t, x in enumerate(rd[2:], 1):
+            cell_of[x] = base + min(t, k - 3)
+        sides = [rd[0]] * (3 * k - 6)
+        sides[1::3] = rd[1:k - 1]
+        sides[-1] = rd[k - 1]
+        fans.append((len(corner_darts), k, base))
+        corner_darts.extend(sides)
+    out_nbr = [cell_of[x ^ 1] for x in corner_darts]
+    for o, k, base in fans:
+        # fan triangles t and t+1 share a chord: side 2 of t, side 0 of t+1
+        out_nbr[o + 2:o + 3 * k - 7:3] = range(base + 1, base + k - 2)
+        out_nbr[o + 3:o + 3 * k - 6:3] = range(base, base + k - 3)
     ends = list(accumulate(map(len, cells)))
-    if -1 in out_nbr:
-        c = bisect_right(ends, out_nbr.index(-1))
-        raise ContractViolation(f"cell {c} has an unmatched boundary edge")
-    # the edge entering a corner leaves the corner before it in its cell
     in_nbr = [-1] + out_nbr[:-1]
     for x, y in zip(chain((0,), ends), ends):
         in_nbr[x] = out_nbr[y - 1]
@@ -160,10 +154,8 @@ def tripod_partition(world: TriWorld, parent: list,
     part (the cut boundary).  ``blocked`` vertices (the apex) belong to no
     part and fence the flood.
     """
-    nv = world.nv
     cells = world.cells
-
-    part_of = [UNASSIGNED] * nv
+    part_of = [UNASSIGNED] * world.nv
     for v in blocked:
         part_of[v] = BLOCKED
     parts = []
@@ -175,27 +167,24 @@ def tripod_partition(world: TriWorld, parent: list,
             part_of[v] = 0
 
     stamp = [0] * world.num_cells
-    cur = 0
-    fallback_steps = cells_scanned = 0
+    cur = fallback_steps = cells_scanned = 0
     open_corners = [len(cyc) for cyc in cells]  # a cell at 0 seeds no region
     for v in set(blocked).union(boundary or ()):
         for c in world.cells_at[v]:
             open_corners[c] -= 1
 
-    # region work-stack: (seed cell, the part whose step left the region)
     root = 0 if boundary is not None else -1
-    stack = [(c, root) for c in range(world.num_cells - 1, -1, -1)]
-
     colors = {}             # per region: vertex -> its tree ancestors' part
+    get = colors.get
 
     def color_of(v):
-        got = colors.get(v)
+        got = get(v)
         if got is not None:
             return got
         chain = []
         x = v
         while part_of[x] == UNASSIGNED:
-            got = colors.get(x)
+            got = get(x)
             if got is not None:
                 break
             chain.append(x)
@@ -231,43 +220,46 @@ def tripod_partition(world: TriWorld, parent: list,
             got.add(p if p != UNASSIGNED else color_of(v))
         return got >= rparts
 
-    while stack:
-        seed, creator = stack.pop()
-        if not open_corners[seed]:
-            continue
-        cur += 1
-        colors.clear()
-        # the stack is LIFO and a step assigns only inside its region, so
-        # the seed opens an untouched pocket of its creator's step, whose
-        # parts are the creator and the parts the creator's region saw
-        bag = ({creator, *parts[creator].attachments} if creator >= 0
-               else frozenset())
-        rparts, tau, fell_back, scanned = _flood(
-            world, part_of, stamp, cur, seed, bag, meets, color_of)
-        fallback_steps += fell_back
-        cells_scanned += scanned
-        # the creator is the largest part of its bag, so naming it makes it
-        # the new part's largest attachment, which the certificate relies on
-        if creator >= 0 and creator not in rparts:
-            raise ContractViolation(
-                f"region of part {creator}'s step does not meet it")
-        # Sperner: a region bounded by 2 (3) parts holds a cell whose
-        # boundary meets both (all three)
-        if tau is None:
-            raise ContractViolation(
-                f"no cell of the region meets all of parts {sorted(rparts)}")
+    # region work-stack: (seed cell, the part whose step left the region);
+    # once empty, the next cell still open (read live) seeds a root region
+    for first in compress(range(world.num_cells), open_corners):
+        stack = [(first, root)]
+        while stack:
+            seed, creator = stack.pop()
+            if not open_corners[seed]:
+                continue
+            cur += 1
+            colors.clear()
+            # the stack is LIFO and a step assigns only inside its region,
+            # so the seed opens an untouched pocket of its creator's step,
+            # whose parts are the creator and the parts its region saw
+            bag = ({creator, *parts[creator].attachments} if creator >= 0
+                   else frozenset())
+            rparts, tau, fell_back, scanned = _flood(
+                world, part_of, stamp, cur, seed, bag, meets, color_of)
+            fallback_steps += fell_back
+            cells_scanned += scanned
+            # the creator is the largest part of its bag, so naming it makes
+            # it the new part's largest attachment, as the certificate needs
+            if creator >= 0 and creator not in rparts:
+                raise ContractViolation(
+                    f"region of part {creator}'s step does not meet it")
+            # Sperner: a region bounded by 2 (3) parts holds a cell whose
+            # boundary meets both (all three)
+            if tau is None:
+                raise ContractViolation("no cell of the region meets all of "
+                                        f"parts {sorted(rparts)}")
+            new_vertices = _consume(world, part_of, parent, parts, tau,
+                                    rparts, color_of)
+            pid = len(parts) - 1
 
-        new_vertices = _consume(world, part_of, parent, parts, tau,
-                                rparts, color_of)
-        pid = len(parts) - 1
-
-        # every pocket is fenced off by a wall with a newly assigned
-        # endpoint, so the open cells around the new part reach them all
-        around = [c for v in new_vertices for c in world.cells_at[v]]
-        for c in around:
-            open_corners[c] -= 1
-        stack.extend((c, pid) for c in reversed(dict.fromkeys(around))
-                     if open_corners[c])
+            # every pocket is fenced off by a wall with a newly assigned
+            # endpoint, so the open cells around the new part reach them all
+            around = [c for v in new_vertices for c in world.cells_at[v]]
+            for c in around:
+                open_corners[c] -= 1
+            stack.extend((c, pid) for c in reversed(dict.fromkeys(around))
+                         if open_corners[c])
 
     if UNASSIGNED in part_of:
         raise ContractViolation(
@@ -301,11 +293,12 @@ def _flood(world, part_of, stamp, cur, seed, bag, meets, color_of):
     without a cell and the parts are still two, the boundary walk settles
     them.  With the parts settled the cells are tested in the order the
     flood appended them, and the flood goes on only while none has passed;
-    a full flood appends them in that order.  A walk accepts a cell only
-    through ``meets``, so both return the only meeting cell of a region
-    that has one, and the scan returns the first in breadth-first order.
-    The cells and corners scanned are the cells the flood stamped, the
-    cells the walk entered and the corners the boundary walk passed.
+    a full flood appends them in that order.  A cell the walk returns
+    meets the parts (see ``_walk``), so both return the only meeting cell
+    of a region that has one, and the scan returns the first in
+    breadth-first order.  The cells and corners scanned are the cells the
+    flood stamped, the cells the walk entered and the corners the boundary
+    walk passed.
     """
     cells, spokes = world.cells, world.spokes
     rparts = set()
@@ -333,7 +326,10 @@ def _flood(world, part_of, stamp, cur, seed, bag, meets, color_of):
                     stamp[n2] = cur
                     push(n2)
             elif p >= 0 and p not in rparts:
-                _name(rparts, p, bag)
+                if p in bag and len(rparts) < 3:
+                    rparts.add(p)
+                else:
+                    _name(rparts, p, bag)
                 settled = len(rparts) == 3 or len(rparts) == len(bag)
         if due and len(rparts) >= 2:
             cyc = cells[c]
@@ -341,7 +337,7 @@ def _flood(world, part_of, stamp, cur, seed, bag, meets, color_of):
                 a, b = part_of[v], part_of[cyc[i + 1 - len(cyc)]]
                 if a != b and a in rparts and b in rparts:
                     due = False
-                    tau = _walk(world, part_of, rparts, bag, c, i, meets,
+                    tau = _walk(world, part_of, rparts, bag, c, i,
                                 color_of, walked)
                     if tau is not None:
                         return rparts, tau, False, len(region) + len(walked)
@@ -368,29 +364,30 @@ def _name(rparts, p, bag):
             f"region sees {len(rparts)} parts: {sorted(rparts)}")
 
 
-def _walk(world, part_of, rparts, bag, c, i, meets, color_of, seen):
+def _walk(world, part_of, rparts, bag, c, i, color_of, seen):
     """Walk doors from the edge leaving corner ``i`` of cell ``c`` to a cell
-    that ``meets`` the region's parts; return it, or None.  The cells the
-    walk enters are added to ``seen``.
+    with a third colour; return it, or None.  The cells the walk enters are
+    added to ``seen``.
 
     A corner's colour is its part, or for an unassigned corner the part
     its tree ancestors reach (``color_of``).  Cells run the same way round,
     so an edge goes from colour a to colour b in one of its cells and from
     b to a in the other.  The walk starts at the edge, whose ends are
     assigned to two region parts a and b, as if it had just entered the
-    cell across it.  From a cell that does not meet the parts it leaves
-    across the first b-to-a edge after the one it came in by, into the
-    cell beyond, which it enters across an a-to-b edge.  In a cell
-    coloured a and b only, the a-to-b and b-to-a edges alternate, so the
-    walk could be retraced; by the Sperner argument it ends at a cell with
-    a third colour unless it leaves the region.  That colour is a part of
-    the region, since an unassigned corner's tree ancestors stay inside it
-    up to the assigned one they reach, so a colour new to ``rparts`` joins
-    it.  Only a cell with a third colour can meet the parts, so only it is
-    tested.  The walk stops without a cell at an exit with both ends
-    assigned (the cell beyond is outside the region), at a cell with no
-    exit, or at a cell it entered before, so it takes at most as many steps
-    as the region has cells.
+    cell across it.  From a cell with no third colour it leaves across the
+    first b-to-a edge after the one it came in by, into the cell beyond,
+    which it enters across an a-to-b edge.  In a cell coloured a and b
+    only, the a-to-b and b-to-a edges alternate, so the walk could be
+    retraced; by the Sperner argument it ends at a cell with a third colour
+    p unless it leaves the region.  The tree ancestors of an unassigned
+    corner stay inside the region up to the assigned one they reach, so p
+    is a part of the region and joins ``rparts``; then ``rparts`` is
+    {a, b, p}, or ``_name`` has raised on a fourth part.  The cell holds a
+    (the entry's a end, the last corner read) and b (its b end), so it
+    meets the parts.  The walk stops without a cell at an exit with both
+    ends assigned (the cell beyond is outside the region), at a cell with
+    no exit, or at a cell it entered before, so it takes at most as many
+    steps as the region has cells.
     """
     cells, spokes = world.cells, world.spokes
     cyc = cells[c]
@@ -398,8 +395,8 @@ def _walk(world, part_of, rparts, bag, c, i, meets, color_of, seen):
     while c not in seen:
         seen.add(c)
         # the corners after the entry door, from the one past its b end
-        # round to its a end: the exit is the first b-to-a edge, and only a
-        # third colour can make the cell meet
+        # round to its a end: the exit is the first b-to-a edge, and a
+        # third colour makes the cell meet the parts
         cyc = cells[c]
         q, out, third = b, None, False
         for j in range(i + 2 - len(cyc), i + 1):
@@ -415,7 +412,7 @@ def _walk(world, part_of, rparts, bag, c, i, meets, color_of, seen):
                 if p not in rparts:
                     _name(rparts, p, bag)
             q = p
-        if third and meets(c, rparts):
+        if third:
             return c
         if out is None or (part_of[cyc[out - 1]] != UNASSIGNED
                            and part_of[cyc[out]] != UNASSIGNED):
@@ -467,24 +464,27 @@ def _boundary(world, part_of, rparts, bag, c, i):
 def _consume(world, part_of, parent, parts, tau, rparts, color_of):
     """Create one part from cell ``tau``: legs from up to three corners,
     the remaining unassigned corners absorbed; it attaches to the region's
-    parts ``rparts``."""
+    parts ``rparts``.  Return the new part's vertices, leg by leg from the
+    top, then the absorbed ones."""
     cyc = world.cells[tau]
-    k = len(cyc)
-    anchor = min(range(k), key=lambda i: cyc[i])
-    ordered = cyc[anchor:] + cyc[:anchor]
-
-    assigned = [v for v in ordered if part_of[v] >= 0]
-    unassigned = [v for v in ordered if part_of[v] == UNASSIGNED]
+    anchor = cyc.index(min(cyc))
+    assigned, unassigned, held = 0, [], set()
+    for v in cyc[anchor:] + cyc[:anchor]:
+        p = part_of[v]
+        if p == UNASSIGNED:
+            unassigned.append(v)
+        elif p >= 0:
+            assigned += 1
+            held.add(p)
 
     sources = []
     if rparts and unassigned:
-        seen_colors = {part_of[v] for v in assigned}
         for v in unassigned:
             c = color_of(v)
-            if c not in seen_colors:
-                seen_colors.add(c)
+            if c not in held:
+                held.add(c)
                 sources.append(v)
-    need = 3 - len(assigned)
+    need = 3 - assigned
     for v in unassigned:
         if len(sources) >= need:
             break
@@ -492,7 +492,7 @@ def _consume(world, part_of, parent, parts, tau, rparts, color_of):
             sources.append(v)
 
     pid = len(parts)
-    legs = []
+    legs, new_vertices, absorbed = [], [], []
     for u in sources:
         if part_of[u] != UNASSIGNED:
             continue
@@ -504,7 +504,7 @@ def _consume(world, part_of, parent, parts, tau, rparts, color_of):
             x = parent[x]
         chain.reverse()
         legs.append(chain)
-    absorbed = []
+        new_vertices += chain
     for v in unassigned:
         if part_of[v] == UNASSIGNED:
             part_of[v] = pid
@@ -518,8 +518,7 @@ def _consume(world, part_of, parent, parts, tau, rparts, color_of):
         raise ContractViolation("step created an empty part")
     parts.append(Part(kind="tripod", legs=legs, absorbed=absorbed,
                       attachments=sorted(rparts)))
-    new_vertices = [v for leg in legs for v in leg]
-    new_vertices.extend(absorbed)
+    new_vertices += absorbed
     return new_vertices
 
 

@@ -4,7 +4,9 @@ import sys
 import pytest
 
 from framedprod.cli import run
+from framedprod.embedding import serialize_embedding
 from framedprod.errors import ContractViolation
+from test_nonorientable import signed_sphere
 
 
 def add_to_field(line, field, values):
@@ -81,6 +83,17 @@ class TestCli:
         run(["decompose", "--in", str(frame), "--d", "4", "--out", str(cert)])
         tokens = set(cert.read_text().replace(";", " ").split())
         assert not tokens & {"p", "x:", "y:", "|"}
+
+    def test_signed_plane_frame(self, tmp_path):
+        # a plane frame with -1 signatures, written with its twist line
+        frame = tmp_path / "s.emg"
+        cert = tmp_path / "s.cert"
+        frame.write_text(serialize_embedding(
+            signed_sphere("tri", 60, 3, 3, 0.3)))
+        assert "\ntwist " in frame.read_text()
+        assert run(["decompose", "--in", str(frame), "--d", "3",
+                    "--out", str(cert)]) == 0
+        assert run(["verify", "--in", str(frame), "--cert", str(cert)]) == 0
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.emg"

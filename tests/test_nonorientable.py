@@ -1,10 +1,23 @@
 """End-to-end runs on non-orientable frames (signatures in play)."""
 
-import pytest
+import random
 
-from framedprod.assemble import decompose
-from framedprod.embedding import EmbeddedMultigraph, euler_genus, trace_faces
-from framedprod.generators import triangulate_quads
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from framedprod.assemble import decompose, serialize_certificate
+from framedprod.embedding import (
+    EmbeddedMultigraph,
+    euler_genus,
+    normalize_signs,
+    trace_faces,
+)
+from framedprod.generators import (
+    gen_framed,
+    gen_plane_triangulation,
+    triangulate_quads,
+)
 from framedprod.verify import verify_certificate
 
 
@@ -43,6 +56,52 @@ def klein_grid(s):
             rot.append([north, 2 * right[i * s + j], 2 * down[i * s + j],
                         2 * right[i * s + (j - 1) % s] + 1])
     return EmbeddedMultigraph(s * s, edges, rot)
+
+
+def signed(E, picked):
+    """The same surface with the rotations of the vertices in ``picked``
+    reversed and the signature of every edge with one end in it flipped."""
+    edges = [(u, v, -s if (u in picked) != (v in picked) else s)
+             for u, v, s in E.edges]
+    rot = [r[::-1] if v in picked else list(r) for v, r in enumerate(E.rot)]
+    return EmbeddedMultigraph(E.n, edges, rot, root=E.root)
+
+
+def signed_sphere(kind, n, d, seed, frac):
+    """A plane frame, a triangulation or a ``gen_framed`` frame with faces
+    up to ``d`` long, with about ``frac`` of its vertices flipped by
+    ``signed``."""
+    E = (gen_plane_triangulation(n, seed) if kind == "tri"
+         else gen_framed(n, d, 0, seed))
+    rng = random.Random(seed)
+    return signed(E, {v for v in range(E.n) if rng.random() < frac})
+
+
+class TestSignedSphere:
+    """A plane frame with -1 signatures is the sphere all the same; its
+    certificate is that of its normalized twin, and verifies against it."""
+
+    @given(st.sampled_from(["tri", "framed"]), st.integers(20, 80),
+           st.integers(3, 6), st.integers(3, 6), st.integers(0, 10 ** 6),
+           st.floats(0.05, 0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_certificate_is_the_normalized_twins(self, kind, n, d_frame, d,
+                                                 seed, frac):
+        # a frame's faces longer than d are fanned
+        F = signed_sphere(kind, n, d_frame, seed, frac)
+        assume(any(s == -1 for _, _, s in F.edges))
+        cert = decompose(F, d)
+        assert verify_certificate(F, cert) == []
+        assert cert.genus == 0 and cert.ell <= cert.bound
+        assert serialize_certificate(cert) == serialize_certificate(
+            decompose(normalize_signs(F), d))
+
+    def test_first_reported_frame(self):
+        # the boundary walk of the tripod stage, fed faces traced from the
+        # signed scheme, did not close on this frame
+        E = gen_plane_triangulation(60, 3)
+        F = signed(E, set(random.Random(1).sample(range(E.n), 18)))
+        assert verify_certificate(F, decompose(F, 3)) == []
 
 
 class TestProjectivePlane:

@@ -4,14 +4,17 @@ Each rotation system of K4, K3,3, Q3, the Petersen graph and K5, 9,136 in
 all of Euler genus 0 to 6, is stellated, a new vertex in each face joined
 to its corners, and certified at ``d = 3``.  The 134 whose faces are
 already cycles are frames as they stand, and are certified too, at ``d``
-their longest face.  Each certificate is written and read back before the
-verifier sees it, and ``H`` is checked against networkx and the exact
-treewidth.
+their longest face.  Rotation systems of K6, K7 and K4,4, of Euler genus
+up to 14, are sampled and stellated the same way.  Each certificate is
+written and read back before the verifier sees it, and ``H`` is checked
+against networkx and the exact treewidth.
 """
 
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedprod.assemble import (
     decompose,
@@ -43,18 +46,42 @@ GRAPHS = {
 }
 
 
-def rotation_systems(n, pairs):
-    """Every all-+1 embedding of the simple graph on ``0..n-1`` with edges
-    ``pairs``: each vertex's darts in every cyclic order."""
+# name -> (vertices, edges) of the graphs whose rotation systems are
+# sampled: K6 has (4!)^6, K7 (5!)^7 and K4,4 (3!)^8
+SAMPLED = {
+    "K6": (6, list(combinations(range(6), 2))),
+    "K7": (7, list(combinations(range(7), 2))),
+    "K44": (8, [(a, b) for a in range(4) for b in range(4, 8)]),
+}
+
+
+def vertex_darts(n, pairs):
+    """Each vertex's darts in ``pairs``' edge order."""
     darts = [[] for _ in range(n)]
     for e, (u, v) in enumerate(pairs):
         darts[u].append(2 * e)
         darts[v].append(2 * e + 1)
+    return darts
+
+
+def rotation_systems(n, pairs):
+    """Every all-+1 embedding of the simple graph on ``0..n-1`` with edges
+    ``pairs``: each vertex's darts in every cyclic order."""
     edges = [(u, v, 1) for u, v in pairs]
     orders = [[[ds[0], *rest] for rest in permutations(ds[1:])]
-              for ds in darts]
+              for ds in vertex_darts(n, pairs)]
     for rot in product(*orders):
         yield EmbeddedMultigraph(n, edges, [list(r) for r in rot])
+
+
+@st.composite
+def sampled_systems(draw):
+    """An all-+1 embedding of a graph of ``SAMPLED``: each vertex's darts
+    in a drawn cyclic order."""
+    n, pairs = SAMPLED[draw(st.sampled_from(sorted(SAMPLED)))]
+    rot = [[ds[0], *draw(st.permutations(ds[1:]))]
+           for ds in vertex_darts(n, pairs)]
+    return EmbeddedMultigraph(n, [(u, v, 1) for u, v in pairs], rot)
 
 
 def certified(E, d):
@@ -89,3 +116,12 @@ def test_every_orientable_embedding(name):
             framed += 1
             assert certified(E, max(map(len, walks))) == seen[-1]
     assert (len(seen), framed, set(seen)) == (systems, frames, genera)
+
+
+@given(sampled_systems())
+@settings(max_examples=600, deadline=None)
+def test_sampled_larger_embeddings(E):
+    # stellated, the high-genus faces give G+ many apex triangles and long
+    # slit cycles
+    faces = trace_faces(E)
+    assert certified(stellate(E, faces.faces), 3) == 2 - E.n + E.m - faces.f

@@ -1,29 +1,42 @@
+import json
 import os
 import random
 import subprocess
 import sys
 from ast import literal_eval
+from bisect import bisect_right
 from collections import Counter, deque
+from itertools import accumulate, chain, repeat
+from pathlib import Path
 
 import pytest
 
 from framedprod import assemble, tripods
-from framedprod.assemble import decompose, serialize_certificate
+from framedprod.assemble import (
+    build_partition,
+    decompose,
+    serialize_certificate,
+)
 from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
     from_face_list,
     trace_faces,
 )
-from framedprod.errors import ContractViolation
+from framedprod.errors import ContractViolation, DomainError
+from framedprod.frontends import map_to_frame, oneplanar_to_frame
 from framedprod.generators import (
     gen_framed,
+    gen_labelled_map,
+    gen_oneplanar,
     gen_plane_triangulation,
     gen_toroidal_grid,
 )
-from framedprod.tripods import UNASSIGNED, triangulate_long_faces
+from framedprod.tripods import UNASSIGNED, TriWorld, triangulate_long_faces
 from framedprod.verify import rebuild_closure
+from test_assemble import certificate_corpus
 from test_frame import simple_adjacency
+from test_nonorientable import projective_k4, signed_sphere
 from treewidth import exact_treewidth, nx_planar, stated_decomposition
 
 
@@ -79,6 +92,107 @@ def spoke_cell(world, k, i):
                                   if set(c) == {k, i, (i + 1) % k}))
 
 
+def pairing_world(E, d, faces=None):
+    """The working graph as the stage built it before the twin rule, the
+    reference the rule is compared against: each edge occurs twice in the
+    face walks; the cell and corner its first occurrence leaves are kept
+    per edge and paired with the second."""
+    if faces is None:
+        faces = trace_faces(E)
+    # per corner, numbered cell by cell: the cell across the edge leaving it
+    out_nbr = [-1] * sum(k if k <= d else 3 * k - 6
+                         for k in map(len, faces.faces))
+    cells, o = [], 0             # o: first corner of the face's cells
+    at_cell = [-1] * E.m         # per edge: cell and corner of the
+    at_corner = [0] * E.m        # occurrence met first
+    for fi, (darts, walk) in enumerate(zip(faces.faces,
+                                           faces.vertex_walks(E))):
+        k = len(walk)
+        if k < 3:
+            raise DomainError(f"face {fi} is not bounded by a cycle")
+        base = len(cells)
+        if k <= d:
+            cells.append(walk)
+            land_cell, land_corner = repeat(base, k), range(o, o + k)
+            o += k
+        else:
+            a = walk.index(min(walk))
+            rw = walk[a:] + walk[:a]           # rw[0] is the fan apex
+            cells.extend([rw[0], rw[j], rw[j + 1]] for j in range(1, k - 1))
+            # fan triangles t and t+1 share a chord: side 2 of t, side 0 of
+            # t+1
+            out_nbr[o + 2:o + 3 * k - 7:3] = range(base + 1, base + k - 2)
+            out_nbr[o + 3:o + 3 * k - 6:3] = range(base, base + k - 3)
+            # walk position i is the edge rw[i'] rw[i'+1], i' = (i - a) mod
+            # k: side 0 of the first triangle, side 2 of the last, else side
+            # 1 of triangle i' - 1
+            ips = list(chain(range(k - a, k), range(k - a)))
+            land_cell = [base + min(max(ip - 1, 0), k - 3) for ip in ips]
+            land_corner = [o + (0 if ip == 0 else 3 * k - 7 if ip == k - 1
+                                else 3 * ip - 2) for ip in ips]
+            o += 3 * k - 6
+        for dart, c, x in zip(darts, land_cell, land_corner):
+            e = dart >> 1
+            c2 = at_cell[e]
+            if c2 < 0:
+                at_cell[e] = c
+                at_corner[e] = x
+            elif c2 >= base:
+                raise ContractViolation("edge repeats inside one disk face")
+            else:
+                out_nbr[x] = c2
+                out_nbr[at_corner[e]] = c
+    ends = list(accumulate(map(len, cells)))
+    if -1 in out_nbr:
+        c = bisect_right(ends, out_nbr.index(-1))
+        raise ContractViolation(f"cell {c} has an unmatched boundary edge")
+    # the edge entering a corner leaves the corner before it in its cell
+    in_nbr = [-1] + out_nbr[:-1]
+    for x, y in zip(chain((0,), ends), ends):
+        in_nbr[x] = out_nbr[y - 1]
+    corners = tuple(zip(chain.from_iterable(cells), out_nbr, in_nbr))
+    spokes = list(map(corners.__getitem__,
+                      map(slice, chain((0,), ends), ends)))
+    cells_at = [[] for _ in range(E.n)]
+    for ci, cyc in enumerate(cells):
+        for v in cyc:
+            cells_at[v].append(ci)
+    return TriWorld(nv=E.n, d=d, cells=cells, spokes=spokes,
+                    cells_at=cells_at)
+
+
+def stage_worlds(monkeypatch, E, d):
+    """The (graph, faces, world) of each call decompose makes of the
+    stage's ``triangulate_long_faces`` for E at d; the graph is G+ when the
+    genus is positive."""
+    calls = []
+
+    def recording(G, dd, faces=None):
+        calls.append((G, faces, triangulate_long_faces(G, dd, faces)))
+        return calls[-1][2]
+    monkeypatch.setattr(assemble, "triangulate_long_faces", recording)
+    decompose(E, d, self_verify=False)
+    return calls
+
+
+# (input, d) whose working graphs the twin rule is checked on: short and
+# fanned faces, on plane frames and on G+
+WORLD_CASES = {
+    "tri": lambda: (gen_plane_triangulation(300, 1), 3),
+    "tri_relabelled": lambda: (relabelled(gen_plane_triangulation(300, 2),
+                                          random.Random(3)), 3),
+    "torus_shuffled": lambda: (relabelled(gen_toroidal_grid(12, 12),
+                                          random.Random(4)), 4),
+    "framed_g2": lambda: (gen_framed(200, 6, 2, 5), 6),
+    "framed_g2_at_d4": lambda: (gen_framed(200, 6, 2, 5), 4),
+    "framed_g0_at_d4": lambda: (gen_framed(200, 6, 0, 5), 4),
+    "map_faces_above_d": lambda: (map_to_frame(gen_labelled_map(60, 5, 1),
+                                               5).frame, 5),
+    "oneplanar": lambda: (oneplanar_to_frame(gen_oneplanar(60, 1)).frame, 4),
+    "signed_sphere": lambda: (signed_sphere("tri", 200, 3, 7, 0.3), 3),
+}
+
+
 class TestTriangulateLongFaces:
     def test_identity_when_faces_short(self):
         E = gen_plane_triangulation(20, 1)
@@ -103,21 +217,35 @@ class TestTriangulateLongFaces:
         world = triangulate_long_faces(E, 5)
         assert sorted(len(c) for c in world.cells) == [5, 5]
 
-    def test_neighbour_structure_consistent(self):
-        E = gen_framed(40, 6, 0, 5)
-        world = triangulate_long_faces(E, 4)
-        for c, spokes in enumerate(world.spokes):
-            cyc = world.cells[c]
-            assert [v for v, _, _ in spokes] == cyc
-            for i, (v, nb, entering) in enumerate(spokes):
-                # the edge entering v is the edge leaving its predecessor
-                assert entering == spokes[i - 1][1]
-                u, w = cyc[i], cyc[(i + 1) % len(cyc)]
-                other = world.cells[nb]
-                pairs = [{other[j], other[(j + 1) % len(other)]}
-                         for j in range(len(other))]
-                assert {u, w} in pairs
-                assert c in [n1 for _, n1, _ in world.spokes[nb]]
+    def test_neighbour_structure_consistent(self, monkeypatch):
+        # every working graph decompose builds on these inputs is the one
+        # the pairing loop builds, and each spoke's cells hold its edges
+        for name, make in WORLD_CASES.items():
+            E, d = make()
+            ((G, faces, world),) = stage_worlds(monkeypatch, E, d)
+            want = pairing_world(G, d, faces)
+            assert (world.cells, world.spokes, world.cells_at) == (
+                want.cells, want.spokes, want.cells_at), name
+            assert name != "map_faces_above_d" or max(
+                map(len, faces.faces)) > d
+            for c, spokes in enumerate(world.spokes):
+                cyc = world.cells[c]
+                assert [v for v, _, _ in spokes] == cyc
+                for i, (v, nb, entering) in enumerate(spokes):
+                    # the edge entering v is the edge leaving its predecessor
+                    assert entering == spokes[i - 1][1]
+                    u, w = cyc[i], cyc[(i + 1) % len(cyc)]
+                    other = world.cells[nb]
+                    pairs = [{other[j], other[(j + 1) % len(other)]}
+                             for j in range(len(other))]
+                    assert {u, w} in pairs
+                    assert c in [n1 for _, n1, _ in world.spokes[nb]]
+
+    def test_signed_scheme_is_refused(self):
+        # the twin rule needs each dart on one side of its edge
+        E = projective_k4()
+        with pytest.raises(ContractViolation, match="all-\\+1 scheme"):
+            triangulate_long_faces(E, 4)
 
 
 def deque_flood(world, part_of, stamp, cur, seed):
@@ -424,6 +552,42 @@ class TestWalk:
         assert fallback_hpr.fallback_steps == three
         assert hpr.fallback_steps < three
 
+    @pytest.mark.parametrize("make,d", WALK_CASES + [
+        (lambda: gen_plane_triangulation(200, 7), 3),
+        (lambda: relabelled(gen_plane_triangulation(300, 8),
+                            random.Random(9)), 3)])
+    def test_walk_returns_the_first_meeting_cell(self, monkeypatch, make, d):
+        # a cell the walk returns has a third colour; the oracle's full
+        # flood of the region must find the same parts and take that cell
+        # first in breadth-first order
+        flood, walk = tripods._flood, tripods._walk
+        partition = tripods.tripod_partition
+        trees, seeds, found = [], [], []
+
+        def recording(world, parent, *args, **kwargs):
+            trees.append(parent)
+            return partition(world, parent, *args, **kwargs)
+
+        def flooding(world, part_of, stamp, cur, seed, *rest):
+            seeds.append(seed)
+            return flood(world, part_of, stamp, cur, seed, *rest)
+
+        def walking(world, part_of, rparts, *rest):
+            tau = walk(world, part_of, rparts, *rest)
+            if tau is not None:
+                want, candidates = deque_flood(
+                    world, part_of, [0] * world.num_cells, 1, seeds[-1])
+                assert rparts == want
+                assert tau == first_meeting_cell(world, part_of, trees[-1],
+                                                 want, candidates)
+                found.append(tau)
+            return tau
+        monkeypatch.setattr(tripods, "_flood", flooding)
+        monkeypatch.setattr(tripods, "_walk", walking)
+        monkeypatch.setattr(assemble, "tripod_partition", recording)
+        decompose(make(), d, self_verify=False)
+        assert found
+
     def test_fallback_count_repeats(self, monkeypatch):
         E = gen_toroidal_grid(12, 12)
         counts = [partitions(monkeypatch, E, 4)[1][0].fallback_steps
@@ -432,8 +596,9 @@ class TestWalk:
 
     def test_three_part_region_without_a_meeting_cell_is_a_violation(
             self, monkeypatch):
-        # only 3-part regions fail the test: they walk, fall back to the
-        # scan, and then raise
+        # only 3-part regions fail the test: their walks, which take a
+        # cell with a third colour without it, are made to find none, so
+        # they fall back to the scan, and then raise
         flood = tripods._flood
 
         def never_meets_three(world, part_of, stamp, cur, seed, bag, meets,
@@ -442,6 +607,7 @@ class TestWalk:
                          lambda c, rparts: len(rparts) < 3
                          and meets(c, rparts), color_of)
         monkeypatch.setattr(tripods, "_flood", never_meets_three)
+        monkeypatch.setattr(tripods, "_walk", lambda *args: None)
         with pytest.raises(ContractViolation,
                            match=r"no cell .* parts \[\d+, \d+, \d+\]"):
             run_partition(gen_plane_triangulation(60, 1), 3)
@@ -493,14 +659,14 @@ class TestWalk:
             {0, 1, 2}, triangle, False)
 
     def test_door_cycle_stops_in_bounded_time(self, child_env):
-        # hexagon H = 0..5 coloured a b c a b a, triangle N = 5 4 3 across
+        # hexagon H = 0..5 coloured a b b b a b, triangle N = 5 4 3 across
         # H's edges 3-4 and 4-5, outer face 0 5 3 2 1.  Vertex 4 is
-        # unassigned with colour b and 5 unassigned with colour a.  From
-        # H's door 0 -> 1 the walk leaves H across 4 -> 5 into N, leaves N
-        # across 4 -> 3 back into H, whose next b-to-a door is 4 -> 5 again.
-        # With no cell meeting the parts the flood must return none, which
-        # the step reports as a contract violation; a child process turns
-        # a hang into a failed test.
+        # unassigned with colour a.  From H's door 0 -> 1 the walk leaves H
+        # across 3 -> 4 into N, and leaves N across 5 -> 4 back into H,
+        # which it entered before.  No cell it enters has a third colour,
+        # and with no cell meeting the parts the flood must return none,
+        # which the step reports as a contract violation; a child process
+        # turns a hang into a failed test.
         code = ("from framedprod.embedding import from_face_list\n"
                 "from framedprod.tripods import (UNASSIGNED, _flood, "
                 "triangulate_long_faces)\n"
@@ -508,14 +674,14 @@ class TestWalk:
                 "[0, 5, 3, 2, 1]])\n"
                 "world = triangulate_long_faces(E, 6)\n"
                 "hexagon = world.cells.index([0, 1, 2, 3, 4, 5])\n"
-                "part_of = [0, 1, 2, 0, UNASSIGNED, UNASSIGNED]\n"
+                "part_of = [0, 1, 1, 1, UNASSIGNED, 1]\n"
                 "print(_flood(world, part_of, [0] * world.num_cells, 1, "
                 "hexagon, {0, 1, 2}, lambda c, rparts: False, "
-                "{4: 1, 5: 0}.__getitem__)[:3])\n")
+                "{4: 0}.__getitem__)[:3])\n")
         res = subprocess.run([sys.executable, "-c", code], env=child_env,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
-        assert literal_eval(res.stdout) == ({0, 1, 2}, None, True)
+        assert literal_eval(res.stdout) == ({0, 1}, None, False)
 
     def test_two_part_region_is_settled_by_the_boundary_walk(self):
         # a wheel of 16: rim 0..3 in part 0, 4..15 in part 1, the hub
@@ -608,6 +774,13 @@ def partition_work(monkeypatch, E, d):
     return (world.num_cells, *(r.cells_scanned for r in results))
 
 
+# cells_scanned and fallback_steps of each instance of the golden
+# certificate corpus, pinned so that a faster stage must take the same
+# steps
+GOLDEN_WORK = json.loads((Path(__file__).parent / "golden_work.json")
+                         .read_text())
+
+
 class TestCellsScanned:
     """The exact work counter: cells the floods stamped, cells the door
     walks entered and corners the boundary walks passed.  Per cell it stays
@@ -630,6 +803,13 @@ class TestCellsScanned:
         # about 4 at these sizes; a flood of each region until its parts
         # are settled scanned more than 8
         assert scanned < 6 * cells
+
+    def test_golden_corpus_counts_are_pinned(self):
+        got = {}
+        for name, (E, d) in certificate_corpus().items():
+            hpr = build_partition(E, d)[2]
+            got[name] = [hpr.cells_scanned, hpr.fallback_steps]
+        assert got == GOLDEN_WORK
 
     def test_count_repeats(self, monkeypatch):
         E = gen_framed(300, 6, 2, 4)
