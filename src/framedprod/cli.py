@@ -134,7 +134,7 @@ def cmd_map(args):
     if args.decompose:
         cert = decompose(res.frame, args.d)
         _write(args.out, serialize_certificate(cert))
-        print(f"ok map: nations={len(res.nation_vertex)} "
+        print(f"ok map: nations={len(res.nation_origin)} "
               f"m_edges={len(res.map_edges)} ell={cert.ell} "
               f"bound={cert.bound}", file=sys.stderr)
     else:

@@ -257,10 +257,6 @@ class FaceSet:
         w = self.vertex_walks(E)[i]
         return len(w) >= 3 and len(set(w)) == len(w)
 
-    def edge_slot_faces(self, e):
-        """The two faces incident with edge e (equal for bridges' sides)."""
-        return self.slot_face[2 * e], self.slot_face[2 * e + 1]
-
 
 def trace_faces(E: EmbeddedMultigraph) -> FaceSet:
     """Trace the faces of an embedding scheme.

@@ -64,8 +64,10 @@ def map_graph_edges(LM: LabelledMap, fs: FaceSet = None):
 
 @dataclass
 class MapFrameResult:
+    """The frame of a repaired map.  Frame vertex ``fi`` is face ``fi`` of
+    the repaired map, so nation ids index the frame directly."""
+
     frame: EmbeddedMultigraph
-    nation_vertex: dict       # nation face id (of the repaired map) -> frame vertex
     map_edges: list           # E(M) over nation ids
     repaired: LabelledMap     # the map after 2-face and repeat repairs
     nation_origin: dict       # repaired nation face id -> input face id
@@ -76,9 +78,8 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
     """Realize the map graph inside the closure of a dual-based frame."""
     if d < 3:
         raise DomainError("d must be >= 3")
-    # each graph version (the map after each repair, its dual, the frame
-    # after its 2-gons are dropped) is traced once; the face set goes to the
-    # next step that reads it
+    # each version of the map (after each repair) and the frame is traced
+    # once; the face set goes to the next step that reads it
     LM = LabelledMap(G0=LM.G0, labels=list(LM.labels))
     fs = LM.validate()
     origin = list(range(fs.f))
@@ -117,26 +118,12 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
     else:
         raise ContractViolation("map repairs did not converge")
 
-    walks = fs.vertex_walks(LM.G0)
-    for fi, walk in enumerate(walks):
+    for fi, walk in enumerate(fs.vertex_walks(LM.G0)):
         if len(walk) < 3 or len(set(walk)) != len(walk):
             raise ContractViolation(f"face {fi} not repaired to a cycle")
 
-    # nation budget per vertex
-    nations_at = [[] for _ in range(LM.G0.n)]
-    for fi, walk in enumerate(walks):
-        if LM.labels[fi] == NATION:
-            for v in walk:
-                nations_at[v].append(fi)
-    for v, lst in enumerate(nations_at):
-        if len(lst) > d:
-            raise DomainError(f"vertex {v} touches {len(lst)} nations > d")
-
-    D, dfs, dual_face_of_vertex = _dual_graph(LM.G0, fs)
-    frame = _add_nation_cycles(LM, D, dfs, dual_face_of_vertex, nations_at)
-    del D, dfs, dual_face_of_vertex, nations_at
-    frame, ffs = _drop_two_gons(frame)
-
+    frame = _nation_frame(LM, fs, d)
+    ffs = trace_faces(frame)
     for i in range(ffs.f):
         if not ffs.is_disk_cycle(frame, i):
             raise ContractViolation("frame face is not a disk cycle")
@@ -149,12 +136,9 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
     for a, b in m_edges:
         if (a, b) not in closure and (b, a) not in closure:
             raise ContractViolation(f"map edge {a}-{b} missing from closure")
-    nation_vertex = {fi: fi for fi, lab in enumerate(LM.labels)
-                     if lab == NATION}
     nation_origin = {fi: origin[fi] for fi, lab in enumerate(LM.labels)
                      if lab == NATION}
-    return MapFrameResult(frame=frame, nation_vertex=nation_vertex,
-                          map_edges=m_edges, repaired=LM,
+    return MapFrameResult(frame=frame, map_edges=m_edges, repaired=LM,
                           nation_origin=nation_origin)
 
 
@@ -228,74 +212,45 @@ def _cut_triangle_at(LM, fs, fi, pos):
                           lake_darts={2 * E.m + 1})
 
 
-def _dual_graph(E, fs):
-    """Dual multigraph with the inherited rotation system.
+def _rotation_walk(r):
+    """A vertex's rotation ``r`` started at its smallest dart.
 
-    Returns the dual, its faces, and the dual face of each primal vertex.
+    The map's dual has vertex ``fi`` with rotation ``fs.faces[fi]`` and
+    keeps the map's darts, so its face permutation is the map's rotation
+    successor: the dual face of vertex ``x`` is this walk, in the order a
+    trace of the dual gives, and its dart ``dart`` lies at dual vertex
+    ``fs.slot_face[dart]``.
     """
-    dual_edges = []
-    for e in range(E.m):
-        f1, f2 = fs.edge_slot_faces(e)
-        dual_edges.append((f1, f2, 1))
-    rot = []
-    for fi, walk in enumerate(fs.faces):
-        r = []
-        for dart in walk:
-            e = dart >> 1
-            side = 0 if fs.slot_face[2 * e] == fi else 1
-            if fs.slot_face[2 * e] == fi and fs.slot_face[2 * e + 1] == fi:
-                raise ContractViolation("edge with both sides on one face")
-            r.append(2 * e + side)
-        rot.append(r)
-    D = EmbeddedMultigraph(fs.f, dual_edges, rot)
-    # dual faces correspond to primal vertices: each dual face walks the
-    # duals of exactly one primal vertex's incident edges
-    dfs = trace_faces(D)
-    if dfs.f != E.n:
-        raise ContractViolation("dual face count differs from vertex count")
-    tails = E.tails()
-    dual_face_of_vertex = {}
-    used = set()
-    for dfi, walk in enumerate(dfs.faces):
-        # the candidates are the primal ends shared by every dart's edge:
-        # the two ends of the first edge, each struck out (-1) at the
-        # first edge that misses it
-        e = walk[0] >> 1
-        a, b = tails[2 * e], tails[2 * e + 1]
-        for dart in walk:
-            e = dart >> 1
-            u, v = tails[2 * e], tails[2 * e + 1]
-            if a != u and a != v:
-                a = -1
-            if b != u and b != v:
-                b = -1
-        x = min((c for c in (a, b) if c >= 0 and c not in used
-                 and len(E.rot[c]) == len(walk)), default=None)
-        if x is None:
-            raise ContractViolation("dual face matches no primal vertex")
-        used.add(x)
-        dual_face_of_vertex[x] = dfi
-    return D, dfs, dual_face_of_vertex
+    k = r.index(min(r))
+    return r[k:] + r[:k]
 
 
-def _add_nation_cycles(LM, D, dfs, dual_face_of_vertex, nations_at):
-    """Insert the cycle of nations around each primal vertex into its
-    dual face (``dfs`` holds the faces of the dual ``D``)."""
+def _nation_frame(LM, fs, d):
+    """The map's dual with the cycle of nations around each vertex
+    inserted into that vertex's dual face (``fs`` holds the map's faces).
+
+    A vertex touching more than ``d`` nations is a ``DomainError``.  The
+    frame has no 2-gon and no bridge: every repaired face is a cycle, so no
+    edge has one face on both sides and no face meets a vertex twice; every
+    vertex has degree >= 3, so every dual face has length >= 3; and nations
+    that are neighbours on a vertex's walk already share a dual edge and
+    get no chord, so each piece a chord cuts off has two walk edges or
+    more, and the nation cycle of r >= 3 nations has length r.
+    """
     E = LM.G0
-    edges = list(D.edges)
-    rot = [list(r) for r in D.rot]
-    tails = D.tails()
+    sf = fs.slot_face
+    edges = [(sf[2 * e], sf[2 * e + 1], 1) for e in range(E.m)]
+    rot = [list(walk) for walk in fs.faces]
     for x in range(E.n):
-        r = len(nations_at[x])
-        if r <= 1:
-            continue
-        dfi = dual_face_of_vertex[x]
-        walk = dfs.faces[dfi]
-        wverts = [tails[dart] for dart in walk]
+        walk = _rotation_walk(E.rot[x])
+        wverts = [sf[dart] for dart in walk]
         positions = [i for i, f in enumerate(wverts)
                      if LM.labels[f] == NATION]
-        if len(positions) != r:
-            raise ContractViolation("nation count mismatch around a vertex")
+        r = len(positions)
+        if r > d:
+            raise DomainError(f"vertex {x} touches {r} nations > d")
+        if r <= 1:
+            continue
         s = len(walk)
         # chord only across lakes: walk-consecutive nations already share
         # a dual edge, and doubling it would bound a 2-gon
@@ -329,28 +284,6 @@ def _corner_insert(rot, walk, wverts, pos, new_darts):
     idx = rot[w].index(out_dart)
     for k, nd in enumerate(new_darts):
         rot[w].insert(idx + k, nd)
-
-
-def _drop_two_gons(E):
-    """Merge away faces bounded by two parallel edges.
-
-    Degree-2 vertices of the primal map dualize to 2-gons; dropping one
-    copy of the pair keeps every adjacency and every longer face intact.
-    Returns the frame and the faces of its last trace.
-    """
-    while True:
-        fs = trace_faces(E)
-        target = None
-        for walk in fs.faces:
-            if len(walk) == 2:
-                e1, e2 = walk[0] >> 1, walk[1] >> 1
-                if e1 == e2:
-                    raise ContractViolation("pendant 2-gon in the frame")
-                target = max(e1, e2)
-                break
-        if target is None:
-            return E, fs
-        E, _ = drop(E.edges, E.rot, (target,))
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def test_criterion_4_map_graphs():
         res = map_to_frame(LM, d)
         closure = rebuild_closure(res.frame, d)
         for a, b in res.map_edges:
-            assert res.nation_vertex[b] in closure[res.nation_vertex[a]]
+            assert b in closure[a]
         cert = decompose(res.frame, d, self_verify=False)
         assert verify_certificate(res.frame, cert) == []
         assert cert.ell <= width_bound(cert.genus, d)

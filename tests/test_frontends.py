@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from framedprod import frontends
 from framedprod.assemble import decompose, serialize_certificate
 from framedprod.embedding import (
     EmbeddedMultigraph,
+    drop,
     from_face_list,
     serialize_embedding,
     trace_faces,
@@ -28,6 +30,7 @@ from framedprod.frontends import (
     serialize_oneplanar,
 )
 from framedprod.generators import (
+    gen_framed,
     gen_labelled_map,
     gen_oneplanar,
     gen_plane_triangulation,
@@ -186,7 +189,7 @@ class TestMapGraphs:
         LM = LabelledMap(G0=E, labels=[NATION, LAKE])
         res = map_to_frame(LM, 3)
         assert res.map_edges == []
-        assert len(res.nation_vertex) == 1
+        assert len(res.nation_origin) == 1
 
     def test_two_nations_sharing_edge(self):
         # two triangles sharing an edge, inside a 4-gon sphere drawing
@@ -195,15 +198,14 @@ class TestMapGraphs:
         res = map_to_frame(LM, 3)
         assert res.map_edges == [(0, 1)]
         closure = rebuild_closure(res.frame, 3)
-        a, b = res.nation_vertex[0], res.nation_vertex[1]
-        assert b in closure[a]
+        assert 1 in closure[0]
 
     def test_hexagonal_nations_d6(self):
         LM = gen_labelled_map(40, 6, 8)
         res = map_to_frame(LM, 6)
         closure = rebuild_closure(res.frame, 6)
         for a, b in res.map_edges:
-            assert res.nation_vertex[b] in closure[res.nation_vertex[a]]
+            assert b in closure[a]
 
     def test_exceeding_nation_budget_rejected(self):
         E = gen_plane_triangulation(20, 3)
@@ -252,7 +254,7 @@ class TestMapGraphs:
             res = map_to_frame(LM, 5)
             closure = rebuild_closure(res.frame, 5)
             for a, b in res.map_edges:
-                assert res.nation_vertex[b] in closure[res.nation_vertex[a]]
+                assert b in closure[a]
 
     def test_repairs_preserve_the_map_graph(self):
         # the repaired map's graph equals the input's under nation origins
@@ -317,14 +319,129 @@ class TestMapFrameDigests:
         map_to_frame(REPAIR_FIXTURES[name](), 4)
         assert calls
 
-    def test_traces_map_dual_and_frame_once(self, count_traces):
+    def test_traces_map_then_frame_once(self, count_traces):
         LM = gen_labelled_map(60, 5, 1)
         traced = count_traces()
         res = map_to_frame(LM, 5)
-        assert len(traced) == 3
-        assert len({id(G) for G in traced}) == 3
+        assert len(traced) == 2
         assert traced[0] is LM.G0
-        assert traced[-1] is res.frame
+        assert traced[1] is res.frame
+
+
+def random_labels(E, d, seed):
+    """Seeded nation/lake labels for E's faces, each vertex touching at
+    most d nation corners; face 0 is a nation."""
+    rng = random.Random(seed)
+    walks = trace_faces(E).vertex_walks(E)
+    budget = [0] * E.n
+    labels = []
+    for fi, walk in enumerate(walks):
+        if (fi == 0 or rng.random() < 0.5) and \
+                all(budget[v] + walk.count(v) <= d for v in walk):
+            labels.append(NATION)
+            for v in walk:
+                budget[v] += 1
+        else:
+            labels.append(LAKE)
+    return labels
+
+
+def thinned_triangulation(n, seed):
+    """``gen_plane_triangulation(n, seed)`` with a seeded fifth of its
+    vertices cut down towards degree 2; an edge goes only while its other
+    end keeps degree 3 or more."""
+    E = gen_plane_triangulation(n, seed)
+    rng = random.Random(seed)
+    deg = [len(r) for r in E.rot]
+    tails = E.tails()
+    dead = set()
+    for v in rng.sample(range(E.n), E.n // 5):
+        for dart in E.rot[v]:
+            w = tails[dart ^ 1]
+            if deg[v] > 2 and deg[w] > 3 and dart >> 1 not in dead:
+                dead.add(dart >> 1)
+                deg[v] -= 1
+                deg[w] -= 1
+    return drop(E.edges, E.rot, sorted(dead))[0]
+
+
+def oracle_map(key):
+    """The labelled map and d named by an oracle case: a GOLDEN key,
+    ``fixture_<name>``, or ``<kind>_<arg>_<seed>`` for gen_labelled_map,
+    random-labelled gen_framed maps (arg g) and random-labelled thinned
+    triangulations."""
+    kind, _, rest = key.partition("_")
+    if kind == "golden":
+        return golden_map(rest)
+    if kind == "fixture":
+        return REPAIR_FIXTURES[rest](), 4
+    arg, seed = map(int, rest.split("_"))
+    d = 3 + seed % 6
+    if kind == "labelled":
+        return gen_labelled_map(arg, d, seed), d
+    E = gen_framed(40, d, arg, seed) if kind == "framed" \
+        else thinned_triangulation(arg, seed)
+    return LabelledMap(G0=E, labels=random_labels(E, d, seed)), d
+
+
+ORACLE_CASES = ([f"golden_{k}" for k in sorted(GOLDEN)]
+                + [f"fixture_{k}" for k in REPAIR_FIXTURES]
+                + [f"labelled_30_{s}" for s in range(8)]
+                + [f"framed_{g}_{s}" for g in (0, 2) for s in range(6)]
+                + [f"thinned_30_{s}" for s in range(8)])
+
+
+class TestDualFromRotations:
+    """The frame's dual part is read off the map's own faces; the traced
+    dual, matched back to the vertices, is the reference."""
+
+    @staticmethod
+    def traced_dual(E, fs):
+        """The dual built from the slot faces and traced, and the dual face
+        of each vertex: the one whose edges all end at it."""
+        sf = fs.slot_face
+        edges = [(sf[2 * e], sf[2 * e + 1], 1) for e in range(E.m)]
+        rot = []
+        for fi, walk in enumerate(fs.faces):
+            r = []
+            for dart in walk:
+                e = dart >> 1
+                assert sf[2 * e] != sf[2 * e + 1], "bridge in the dual"
+                r.append(2 * e + (sf[2 * e] != fi))
+            rot.append(r)
+        D = EmbeddedMultigraph(fs.f, edges, rot)
+        dfs = trace_faces(D)
+        assert dfs.f == E.n
+        tails = E.tails()
+        face_of = {}
+        for dfi, walk in enumerate(dfs.faces):
+            ends = None
+            for dart in walk:
+                e = dart >> 1
+                both = {tails[2 * e], tails[2 * e + 1]}
+                ends = both if ends is None else ends & both
+            x = min(c for c in ends if c not in face_of
+                    and len(E.rot[c]) == len(walk))
+            face_of[x] = dfi
+        return D, dfs, face_of
+
+    @pytest.mark.parametrize("key", ORACLE_CASES)
+    def test_rotation_walks_are_the_traced_dual_faces(self, key):
+        LM, d = oracle_map(key)
+        res = map_to_frame(LM, d)
+        E = res.repaired.G0
+        D, dfs, face_of = self.traced_dual(E, trace_faces(E))
+        for x in range(E.n):
+            assert frontends._rotation_walk(E.rot[x]) == \
+                dfs.faces[face_of[x]]
+        assert res.frame.edges[:D.m] == D.edges
+        assert min(len(w) for w in trace_faces(res.frame).faces) >= 3
+
+    def test_cases_cover_degree_two_vertices(self):
+        for s in range(8):
+            E = thinned_triangulation(30, s)
+            assert E.is_connected()
+            assert min(len(r) for r in E.rot) == 2
 
 
 class TestLabelledMapParser:
