@@ -13,7 +13,6 @@ from .embedding import (
     EmbeddedMultigraph,
     bfs_structure,
     euler_genus,
-    from_face_list,
     parse_embedding,
     serialize_embedding,
     trace_faces,

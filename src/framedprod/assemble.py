@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .cut import attach_apex, build_Tplus, build_Z, cut_along
 from .embedding import (
@@ -17,7 +15,7 @@ from .embedding import (
     trace_faces,
 )
 from .errors import ContractViolation, DomainError, FormatError
-from .frame import check_frame
+from .frame import check_frame, closure_quotient
 from .tripods import (
     project_partition,
     triangulate_long_faces,
@@ -125,29 +123,6 @@ def _construct(E: EmbeddedMultigraph, d: int) -> PartitionCertificate:
     return PartitionCertificate(n=E.n, d=d, genus=g, parts=parts, ell=ell)
 
 
-def closure_quotient(E: EmbeddedMultigraph, short: dict,
-                     part_of: list) -> set:
-    """The part pairs ``(a, b)`` that the closure ``G^(d)`` joins, each in
-    one orientation or both: the quotient of ``G^(d)``, each part
-    contracted to one node.
-
-    The closure is ``E``'s edges plus the chords of its faces of length
-    4..``d``; ``short`` maps such a length ``k`` to the vertex walks of
-    those faces, concatenated, so walk ``w`` holds ``short[k][k*w:k*w+k]``.
-    A part's attachments minus its quotient neighbours are the extras the
-    certificate states: the verifier derives the rest from its own closure.
-    """
-    part = part_of.__getitem__
-    tails = E.tails()
-    pairs = set(zip(map(part, tails[0::2]), map(part, tails[1::2])))
-    for k, flat in short.items():
-        parts = list(map(part, flat))
-        for i in range(k - 2):
-            for j in range(i + 2, k - (i == 0)):
-                pairs.update(zip(parts[i::k], parts[j::k]))
-    return pairs
-
-
 def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
     """The construction's partition of ``E``'s vertices, with its legs as
     full paths: -> (Euler genus, BFS structure, ``HPartitionResult``,
@@ -162,14 +137,7 @@ def build_partition(E: EmbeddedMultigraph, d: int) -> tuple:
     g = 2 - E.n + E.m - f
     if g < 0:
         raise ContractViolation(f"negative genus {g} from face count {f}")
-    check_frame(E, d, faces)
-    short = {}
-    for walk in faces.vertex_walks(E):
-        if 4 <= len(walk) <= d:
-            short.setdefault(len(walk), []).append(walk)
-    # kept as flat C arrays: the walk lists go with the face set
-    short = {k: array("i", chain.from_iterable(walks))
-             for k, walks in short.items()}
+    short = check_frame(E, d, faces)
     if g == 0:
         # the stage reads an all-+1 trace; T is the normalized E's tree too
         if -1 in {s for _, _, s in E.edges}:

@@ -15,7 +15,13 @@ from .embedding import (
     stellate,
     trace_faces,
 )
-from .errors import ContractViolation, DomainError, FormatError
+from .errors import (
+    ContractViolation,
+    DomainError,
+    FormatError,
+    InvalidFrameError,
+)
+from .frame import check_frame, closure_quotient
 
 NATION = "nation"
 LAKE = "lake"
@@ -124,22 +130,29 @@ def map_to_frame(LM: LabelledMap, d: int) -> MapFrameResult:
 
     frame = _nation_frame(LM, fs, d)
     ffs = trace_faces(frame)
-    for i in range(ffs.f):
-        if not ffs.is_disk_cycle(frame, i):
-            raise ContractViolation("frame face is not a disk cycle")
-    if euler_genus(frame, ffs) != euler_genus(LM.G0, fs):
+    # validate tested the map's connectivity, and repairs keep it
+    if euler_genus(frame, ffs) != 2 - LM.G0.n + LM.G0.m - fs.f:
         raise ContractViolation("dual frame changed the genus")
-
     m_edges = map_graph_edges(LM, fs)
-    from .verify import closure_pairs, rebuild_faces
-    closure = set(zip(*closure_pairs(frame, d, rebuild_faces(frame))))
-    for a, b in m_edges:
-        if (a, b) not in closure and (b, a) not in closure:
-            raise ContractViolation(f"map edge {a}-{b} missing from closure")
+    _closure_contract(frame, d, ffs, m_edges, "map edge")
     nation_origin = {fi: origin[fi] for fi, lab in enumerate(LM.labels)
                      if lab == NATION}
     return MapFrameResult(frame=frame, map_edges=m_edges, repaired=LM,
                           nation_origin=nation_origin)
+
+
+def _closure_contract(frame, d, ffs, edges, what):
+    """Every face of ``frame`` (traced as ``ffs``) is a cycle, and each of
+    ``edges`` but a loop is a pair of the frame's closure at ``d``."""
+    try:
+        short = check_frame(frame, d, ffs)
+    except InvalidFrameError as exc:
+        raise ContractViolation(f"frame {exc}") from None
+    # a list, not a range, which would make new ints for every pair
+    closure = closure_quotient(frame, short, list(range(frame.n)))
+    for a, b in edges:
+        if a != b and (a, b) not in closure and (b, a) not in closure:
+            raise ContractViolation(f"{what} {a}-{b} missing from closure")
 
 
 def _stellate_face(LM, fs, fi):
@@ -366,17 +379,10 @@ def oneplanar_to_frame(Dw: OnePlaneDrawing) -> OnePlanarFrameResult:
     P2, crossings = _triangulate_planarization(P, crossings)
     frame = _delete_crossings(P2, crossings)
     fs = trace_faces(frame)
-    for i, walk in enumerate(fs.vertex_walks(frame)):
-        if len(walk) not in (3, 4) or not fs.is_disk_cycle(frame, i):
-            raise ContractViolation(f"frame face {i} has length {len(walk)}")
+    if any(len(walk) > 4 for walk in fs.faces):
+        raise ContractViolation("a frame face is longer than 4")
     original = Dw.original_edges()
-    from .verify import closure_pairs, rebuild_faces
-    closure = set(zip(*closure_pairs(frame, 4, rebuild_faces(frame))))
-    for a, b in original:
-        if a == b:
-            continue
-        if (a, b) not in closure and (b, a) not in closure:
-            raise ContractViolation(f"drawn edge {a}-{b} missing from closure")
+    _closure_contract(frame, 4, fs, original, "drawn edge")
     return OnePlanarFrameResult(frame=frame, original_edges=original)
 
 

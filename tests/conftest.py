@@ -10,11 +10,13 @@ from framedprod import embedding
 
 @pytest.fixture(scope="session")
 def child_env():
-    """Environment for a child Python that imports this framedprod."""
-    src = str(Path(framedprod.__file__).parents[1])
+    """Environment for a child Python that imports this framedprod and the
+    tests' helper modules."""
+    dirs = [str(Path(framedprod.__file__).parents[1]),
+            str(Path(__file__).parent)]
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ,
-                PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        dirs + ([path] if path else [])))
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from framedprod.assemble import (
 from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
-    from_face_list,
     parse_embedding,
     serialize_embedding,
 )
@@ -44,6 +43,7 @@ from framedprod.verify import (
     rebuild_bfs,
     verify_certificate,
 )
+from face_list import from_face_list
 from test_nonorientable import klein_grid, projective_k4
 from treewidth import construction_bags, derived_bags
 

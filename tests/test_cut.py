@@ -6,7 +6,6 @@ from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
     euler_genus,
-    from_face_list,
     trace_faces,
 )
 from framedprod.cut import (
@@ -18,7 +17,10 @@ from framedprod.cut import (
     cut_along,
 )
 from framedprod.errors import ContractViolation, DomainError
+from framedprod.frame import check_frame
 from framedprod.generators import gen_plane_triangulation, gen_toroidal_grid
+
+from face_list import from_face_list
 
 
 def two_loop_bouquet():
@@ -171,7 +173,7 @@ class TestCutAlong:
         fs = trace_faces(E)
         g = euler_genus(E, fs)
         assert g == 2
-        assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
+        check_frame(E, 3, fs)
         T = bfs_structure(E, 0)
         C = build_Z(E, T, fs)
         R, _ = cut_along(E, C, fs)
@@ -187,7 +189,7 @@ class TestCutAlong:
         E = projective_k4()
         fs = trace_faces(E)
         assert fs.f == 3
-        assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
+        check_frame(E, 3, fs)
         assert euler_genus(E, fs) == 1
         T = bfs_structure(E, 0)
         C = build_Z(E, T, fs)
@@ -213,7 +215,7 @@ class TestApexAndTree:
         apex_faces = [w for w in walks if Gplus.n - 1 in w]
         assert len(apex_faces) == len(R.cf_cycle)
         assert all(len(w) == 3 for w in apex_faces)
-        assert all(fs.is_disk_cycle(Gplus, i) for i in range(fs.f))
+        check_frame(Gplus, 3, fs)
 
     @pytest.mark.parametrize("mr,nc,root", [(3, 3, 0), (4, 4, 9), (5, 4, 2)])
     def test_tree_plus_spans(self, mr, nc, root):

@@ -20,7 +20,6 @@ from framedprod.embedding import (
     bfs_structure,
     drop,
     euler_genus,
-    from_face_list,
     parse_embedding,
     serialize_embedding,
     stellate,
@@ -37,6 +36,7 @@ from framedprod.generators import (
     gen_toroidal_grid,
 )
 from framedprod.verify import rebuild_faces, verify_certificate
+from face_list import from_face_list
 from test_nonorientable import klein_grid, projective_k4
 from test_verify import golden_corpus
 

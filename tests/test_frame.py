@@ -5,11 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from framedprod.embedding import EmbeddedMultigraph, from_face_list, trace_faces
+from framedprod.embedding import EmbeddedMultigraph, trace_faces
 from framedprod.errors import DomainError, InvalidFrameError
-from framedprod.frame import check_frame
+from framedprod.frame import check_frame, closure_quotient
+from framedprod.frontends import map_to_frame, oneplanar_to_frame
 from framedprod.generators import gen_framed, gen_plane_triangulation
-from framedprod.verify import rebuild_closure
+from framedprod.verify import closure_pairs, rebuild_closure, rebuild_faces
+
+from face_list import from_face_list
+from test_frontends import GOLDEN, GOLDEN_ONEPLANE, golden_drawing, golden_map
 
 
 def simple_adjacency(E):
@@ -95,8 +99,14 @@ class TestCloseFrame:
                                             (40, 6, 0, 3), (16, 4, 2, 4)])
     def test_edge_count_matches_brute_force(self, n, d, g, seed):
         E = gen_framed(n, d, g, seed)
-        fs = check_frame(E, d)
-        assert fs.f == trace_faces(E).f
+        # the chord faces check_frame returns are the traced faces of
+        # length 4..d
+        chord_faces = {}
+        for w in trace_faces(E).vertex_walks(E):
+            if 4 <= len(w) <= d:
+                chord_faces.setdefault(len(w), []).extend(w)
+        assert {k: list(flat) for k, flat in check_frame(E, d).items()} \
+            == chord_faces
         adj = rebuild_closure(E, d)
         brute = brute_closure_edges(E, d)
         assert {(u, v) for u in range(E.n) for v in adj[u] if u < v} == brute
@@ -137,3 +147,34 @@ class TestFaceCliques:
                 # a longer face adds no chord, unless a short face shares it
                 for u, v in chords:
                     assert (v in adj[u]) == any({u, v} <= s for s in short)
+
+
+def unordered(pairs):
+    """Vertex pairs as unordered pairs, loops dropped."""
+    return {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+
+
+class TestClosureQuotient:
+    """``closure_quotient`` with each vertex its own part is the closure
+    the verifier rebuilds with its own walker."""
+
+    @staticmethod
+    def check(E, d):
+        mine = closure_quotient(E, check_frame(E, d, trace_faces(E)),
+                                range(E.n))
+        assert unordered(mine) == unordered(
+            zip(*closure_pairs(E, d, rebuild_faces(E))))
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_golden_maps(self, key):
+        LM, d = golden_map(key)
+        self.check(map_to_frame(LM, d).frame, d)
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_ONEPLANE))
+    def test_golden_drawings(self, key):
+        self.check(oneplanar_to_frame(golden_drawing(key)).frame, 4)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("g", [0, 2])
+    def test_framed(self, g, d):
+        self.check(gen_framed(80, d, g, 10 + d), d)

@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from framedprod import frontends
+from framedprod import frontends, verify
 from framedprod.assemble import decompose, serialize_certificate
 from framedprod.embedding import (
     EmbeddedMultigraph,
     drop,
-    from_face_list,
     serialize_embedding,
     trace_faces,
 )
 from framedprod.errors import DomainError, FormatError
+from framedprod.frame import check_frame
 from framedprod.frontends import (
     LAKE,
     NATION,
@@ -36,6 +36,7 @@ from framedprod.generators import (
     gen_plane_triangulation,
 )
 from framedprod.verify import rebuild_closure
+from face_list import from_face_list
 from treewidth import construction_bags, derived_bags
 
 # sha256 digests of map_to_frame's frame and of its certificate, recorded
@@ -221,8 +222,7 @@ class TestMapGraphs:
         assert sorted(len(w) for w in fs.faces) == [2, 2]
         LM = LabelledMap(G0=E, labels=[NATION, LAKE])
         res = map_to_frame(LM, 3)
-        ffs = trace_faces(res.frame)
-        assert all(ffs.is_disk_cycle(res.frame, i) for i in range(ffs.f))
+        check_frame(res.frame, 3)
 
     def test_repeated_vertex_repair(self):
         # a triangle with a pendant-ish chord: face walk repeats a vertex.
@@ -243,8 +243,7 @@ class TestMapGraphs:
             labels.append(NATION if len(w) == 3 else LAKE)
         LM = LabelledMap(G0=E2, labels=labels)
         res = map_to_frame(LM, 4)
-        ffs = trace_faces(res.frame)
-        assert all(ffs.is_disk_cycle(res.frame, i) for i in range(ffs.f))
+        check_frame(res.frame, 3)
         # the two nations share vertex 0: M must have that edge
         assert len(res.map_edges) == 1
 
@@ -326,6 +325,29 @@ class TestMapFrameDigests:
         assert len(traced) == 2
         assert traced[0] is LM.G0
         assert traced[1] is res.frame
+
+    def test_connectivity_tested_once_per_graph(self, monkeypatch):
+        # validate tests the map, euler_genus the frame
+        LM = gen_labelled_map(60, 5, 1)
+        tested = []
+        original = EmbeddedMultigraph.is_connected
+
+        def counted(E):
+            tested.append(E)
+            return original(E)
+        monkeypatch.setattr(EmbeddedMultigraph, "is_connected", counted)
+        res = map_to_frame(LM, 5)
+        assert len(tested) == 2
+        assert tested[0] is LM.G0
+        assert tested[1] is res.frame
+
+    def test_frontends_walk_no_frame_with_the_verifier(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a frontend called the verifier")
+        monkeypatch.setattr(verify, "rebuild_faces", refuse)
+        monkeypatch.setattr(verify, "closure_pairs", refuse)
+        assert map_to_frame(gen_labelled_map(60, 5, 1), 5).map_edges
+        assert oneplanar_to_frame(gen_oneplanar(40, 1)).original_edges
 
 
 def random_labels(E, d, seed):

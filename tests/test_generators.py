@@ -12,6 +12,7 @@ from framedprod.embedding import (
     trace_faces,
 )
 from framedprod.errors import ContractViolation, DomainError
+from framedprod.frame import check_frame
 from framedprod.frontends import serialize_oneplanar
 from framedprod.generators import (
     SplitMix64,
@@ -61,8 +62,7 @@ class TestToroidal:
 
     def test_all_faces_disk(self):
         E = gen_toroidal_grid(3, 5)
-        fs = trace_faces(E)
-        assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
+        check_frame(E, 4, trace_faces(E))
 
     def test_too_small(self):
         with pytest.raises(DomainError):
@@ -87,7 +87,7 @@ class TestPlaneTriangulation:
         fs = trace_faces(E)
         assert all(len(w) == 3 for w in fs.faces)
         assert euler_genus(E, fs) == 0
-        assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
+        check_frame(E, 3, fs)
 
     def test_deterministic(self):
         a = gen_plane_triangulation(40, 99)
@@ -122,7 +122,7 @@ class TestGenFramed:
         fs = trace_faces(E)
         lens = {len(w) for w in fs.faces}
         assert lens <= set(range(3, d + 1))
-        assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
+        check_frame(E, d, fs)
         assert euler_genus(E, fs) == g
 
     def test_deletions_happen(self):

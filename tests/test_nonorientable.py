@@ -13,6 +13,7 @@ from framedprod.embedding import (
     normalize_signs,
     trace_faces,
 )
+from framedprod.frame import check_frame
 from framedprod.generators import (
     gen_framed,
     gen_plane_triangulation,
@@ -128,7 +129,7 @@ class TestKleinBottle:
         fs = trace_faces(E)
         assert fs.f == s * s
         assert all(len(w) == 4 for w in fs.faces)
-        assert all(fs.is_disk_cycle(E, i) for i in range(fs.f))
+        check_frame(E, 4, fs)
         assert euler_genus(E, fs) == 2
 
     @pytest.mark.parametrize("s,d", [(3, 4), (4, 4), (5, 4)])

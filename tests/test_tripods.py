@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from framedprod.assemble import (
 from framedprod.embedding import (
     EmbeddedMultigraph,
     bfs_structure,
-    from_face_list,
     trace_faces,
 )
 from framedprod.errors import ContractViolation, DomainError
@@ -34,6 +32,7 @@ from framedprod.generators import (
 )
 from framedprod.tripods import UNASSIGNED, TriWorld, triangulate_long_faces
 from framedprod.verify import rebuild_closure
+from face_list import from_face_list
 from test_assemble import certificate_corpus
 from test_frame import simple_adjacency
 from test_nonorientable import projective_k4, signed_sphere
@@ -667,7 +666,7 @@ class TestWalk:
         # and with no cell meeting the parts the flood must return none,
         # which the step reports as a contract violation; a child process
         # turns a hang into a failed test.
-        code = ("from framedprod.embedding import from_face_list\n"
+        code = ("from face_list import from_face_list\n"
                 "from framedprod.tripods import (UNASSIGNED, _flood, "
                 "triangulate_long_faces)\n"
                 "E = from_face_list([[0, 1, 2, 3, 4, 5], [5, 4, 3], "
@@ -743,9 +742,7 @@ class TestWalk:
                 " {0, 1}, start, world.cells[start].index(0))\n"
                 "except ContractViolation as err:\n"
                 "    print(repr(str(err)))\n")
-        env = dict(child_env, PYTHONPATH=child_env["PYTHONPATH"]
-                   + os.pathsep + os.path.dirname(__file__))
-        res = subprocess.run([sys.executable, "-c", code], env=env,
+        res = subprocess.run([sys.executable, "-c", code], env=child_env,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
         assert literal_eval(res.stdout) == (

@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import json
@@ -18,7 +19,7 @@ from framedprod.assemble import (
     serialize_certificate,
     width_bound,
 )
-from framedprod.embedding import EmbeddedMultigraph, from_face_list
+from framedprod.embedding import EmbeddedMultigraph
 from framedprod.errors import DomainError
 from framedprod.frontends import map_to_frame
 from framedprod.generators import (
@@ -41,6 +42,7 @@ from framedprod.verify import (
     rebuild_faces,
     verify_certificate,
 )
+from face_list import from_face_list
 from test_nonorientable import klein_grid, projective_k4
 from test_verify_fuzz import TIME_BOUND
 from treewidth import (
@@ -300,7 +302,9 @@ class TestRebuild:
         E = gen_framed(50, 5, 0, 9)
         brute = [set() for _ in range(E.n)]
         pairs = [(u, v) for u, v, _ in E.edges]
-        for w in check_frame(E, 5, trace_faces(E)).vertex_walks(E):
+        fs = trace_faces(E)
+        check_frame(E, 5, fs)
+        for w in fs.vertex_walks(E):
             if len(w) <= 5:
                 pairs.extend(combinations(w, 2))
         for u, v in pairs:
@@ -327,8 +331,8 @@ class TestRebuild:
         code = ("import resource\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                 "from framedprod.assemble import decompose\n"
-                "from framedprod.embedding import EmbeddedMultigraph, "
-                "from_face_list\n"
+                "from face_list import from_face_list\n"
+                "from framedprod.embedding import EmbeddedMultigraph\n"
                 "from framedprod.verify import verify_certificate\n"
                 "cert = decompose(from_face_list([[0, 1, 2], [2, 1, 0]]), 3)\n"
                 "for sg in (1, -1):\n"
@@ -395,8 +399,8 @@ class TestShape:
         code = ("import resource\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                 "from framedprod.assemble import decompose\n"
-                "from framedprod.embedding import EmbeddedMultigraph, "
-                "from_face_list\n"
+                "from face_list import from_face_list\n"
+                "from framedprod.embedding import EmbeddedMultigraph\n"
                 "from framedprod.verify import verify_certificate\n"
                 "E = from_face_list([[0, 1, 2], [2, 1, 0]])\n"
                 "cert = decompose(E, 3)\n"
@@ -465,8 +469,8 @@ class TestShape:
         code = ("import resource\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                 "from framedprod.assemble import decompose\n"
-                "from framedprod.embedding import EmbeddedMultigraph, "
-                "from_face_list\n"
+                "from face_list import from_face_list\n"
+                "from framedprod.embedding import EmbeddedMultigraph\n"
                 "from framedprod.generators import gen_toroidal_grid\n"
                 "from framedprod.verify import verify_certificate\n"
                 "cert = decompose(from_face_list([[0, 1, 2], [2, 1, 0]]), 3)\n"
@@ -490,30 +494,46 @@ class TestShape:
                 "FAIL shape a rotation lists a dart out of range"]]
 
 
-class TestIndependence:
-    def test_verifier_imports_only_errors_from_the_package(self):
-        # the verifier shares no face walker or BFS with the construction
-        import ast
-
-        from framedprod import verify
-        tree = ast.parse(Path(verify.__file__).read_text())
-        used = set()
-        for node in ast.walk(tree):
+def package_imports(module):
+    """The framedprod modules ``module`` imports, each with the names of
+    the top-level definitions whose bodies import it (``None`` for the
+    module level)."""
+    found = {}
+    for top in ast.parse(Path(module.__file__).read_text()).body:
+        for node in ast.walk(top):
             if isinstance(node, ast.ImportFrom):
                 mod = node.module or ""
                 if node.level == 0 and mod.split(".")[0] != "framedprod":
                     continue
                 if node.level == 0:
                     mod = mod.partition(".")[2]
-                if mod:
-                    used.add(mod.split(".")[0])
-                else:
-                    used.update(alias.name for alias in node.names)
+                names = ([mod.split(".")[0]] if mod
+                         else [alias.name for alias in node.names])
             elif isinstance(node, ast.Import):
-                used.update(alias.name.partition(".")[2] or alias.name
-                            for alias in node.names
-                            if alias.name.split(".")[0] == "framedprod")
-        assert used == {"errors"}
+                names = [alias.name.partition(".")[2] or alias.name
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "framedprod"]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name, set()).add(getattr(top, "name", None))
+    return found
+
+
+class TestIndependence:
+    def test_verifier_imports_only_errors_from_the_package(self):
+        # the verifier shares no face walker or BFS with the construction
+        from framedprod import verify
+        assert set(package_imports(verify)) == {"errors"}
+
+    def test_construction_imports_the_verifier_only_to_self_check(self):
+        # nor does the construction walk its graphs with the verifier's
+        # code: only decompose calls it, to check its own certificate
+        from framedprod import (assemble, cut, embedding, frame, frontends,
+                                generators, tripods)
+        for mod in (embedding, frame, cut, tripods, frontends, generators):
+            assert "verify" not in package_imports(mod), mod.__name__
+        assert package_imports(assemble)["verify"] == {"decompose"}
 
 
 class TestGoldenVerify:

@@ -9,13 +9,11 @@ and broken: a bad edge end or signature, or rotations that do not list
 each dart once at its tail.
 """
 
-import os
 import re
 import subprocess
 import sys
 import time
 from functools import cache
-from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -375,8 +373,6 @@ def test_broken_frames_give_fail_lines(child_env):
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "import test_verify_fuzz\n"
             "test_verify_fuzz.check_broken_frames_give_fail_lines()\n")
-    env = dict(child_env, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).parent), child_env["PYTHONPATH"]]))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr[-3000:]
